@@ -162,10 +162,15 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
   if (grant.ok()) {
     lease_acquires_.Add();
     std::unique_lock lock(handle->mu);
-    // Double-check: a concurrent EnsureDirAccess may have won.
-    if (!handle->leader || Now() >= handle->lease_until) {
-      handle->lease_duration = std::chrono::duration_cast<Nanos>(
-          grant->until - Now());
+    handle->lease_duration =
+        std::chrono::duration_cast<Nanos>(grant->until - Now());
+    if (handle->leader && Now() < handle->lease_until) {
+      // In-term renewal (or a concurrent EnsureDirAccess already won): the
+      // metatable stays authoritative, but the grant's term must land —
+      // otherwise every later op in this quarter pays another lease RPC,
+      // and forwarded ops see an expired lease the manager still honors.
+      ARKFS_RETURN_IF_ERROR(ExtendTenure(*handle, *grant));
+    } else {
       ARKFS_RETURN_IF_ERROR(BecomeLeader(handle, *grant));
     }
     handle->lame_duck = false;
@@ -203,21 +208,12 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
 Status Client::BecomeLeader(const DirHandlePtr& handle,
                             const lease::LeaseClient::Grant& grant) {
   // handle->mu held exclusively by the caller.
-  handle->lease_until = grant.until;
   if (grant.fresh && handle->metatable) {
     // Re-acquired before anyone else led the directory: the in-memory
     // metatable is still authoritative (paper's extension optimization).
-    if (grant.token != handle->fence) {
-      // New tenure (manager restarted or the old lease lapsed unobserved):
-      // advance the persisted fence before committing under the new token.
-      // Journal bookkeeping is kept — our durable frames stay ours.
-      ARKFS_RETURN_IF_ERROR(journal_->FenceDir(handle->ino, grant.token));
-      journal_->RegisterDir(handle->ino, grant.token);
-      handle->fence = grant.token;
-    }
-    handle->leader = true;
-    return Status::Ok();
+    return ExtendTenure(*handle, grant);
   }
+  handle->lease_until = grant.until;
 
   // Leadership genuinely changes hands. Ask the previous leader to flush
   // its pending journal state; an unreachable predecessor means a crash.
@@ -277,6 +273,22 @@ Status Client::BecomeLeader(const DirHandlePtr& handle,
   handle->fence = grant.token;
   handle->leader = true;
   handle->file_leases.clear();
+  return Status::Ok();
+}
+
+Status Client::ExtendTenure(DirHandle& handle,
+                            const lease::LeaseClient::Grant& grant) {
+  // handle.mu held exclusively by the caller.
+  handle.lease_until = grant.until;
+  if (grant.token != handle.fence) {
+    // New tenure (manager restarted or the old lease lapsed unobserved):
+    // advance the persisted fence before committing under the new token.
+    // Journal bookkeeping is kept — our durable frames stay ours.
+    ARKFS_RETURN_IF_ERROR(journal_->FenceDir(handle.ino, grant.token));
+    journal_->RegisterDir(handle.ino, grant.token);
+    handle.fence = grant.token;
+  }
+  handle.leader = true;
   return Status::Ok();
 }
 

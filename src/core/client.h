@@ -358,6 +358,10 @@ class Client : public Vfs {
   Result<DirRef> EnsureDirAccess(const Uuid& dir_ino);
   Status BecomeLeader(const DirHandlePtr& handle,
                       const lease::LeaseClient::Grant& grant);
+  // Applies a grant to a directory whose metatable is still authoritative:
+  // the new term, and the fence when the token changed.
+  Status ExtendTenure(DirHandle& handle,
+                      const lease::LeaseClient::Grant& grant);
   // Builds the metatable; with `preloaded` (one LoadDirObjects batch) no
   // extra store round trips are paid.
   Status BuildMetatable(DirHandle& handle,

@@ -54,7 +54,8 @@ void GroupWindow::Close() {
   drained_cv_.notify_all();
 }
 
-void GroupWindow::NoteSequenced(std::uint64_t records, std::uint64_t bytes) {
+void GroupWindow::NoteSequenced(std::uint64_t records, std::uint64_t bytes,
+                                TimePoint due) {
   if (records == 0) return;
   {
     std::lock_guard lock(mu_);
@@ -62,7 +63,18 @@ void GroupWindow::NoteSequenced(std::uint64_t records, std::uint64_t bytes) {
     records_ += records;
     bytes_ += bytes;
   }
-  dirty_cv_.notify_one();
+  NoteDue(due);
+}
+
+void GroupWindow::NoteDue(TimePoint due) {
+  if (due == TimePoint::max()) return;
+  bool wake = false;
+  {
+    std::lock_guard lock(mu_);
+    due_ = std::min(due_, due);
+    wake = due < parked_until_;
+  }
+  if (wake) dirty_cv_.notify_one();
 }
 
 void GroupWindow::NoteDrained(std::uint64_t records, std::uint64_t bytes) {
@@ -96,10 +108,23 @@ bool GroupWindow::Backpressure() {
   return true;
 }
 
-bool GroupWindow::AwaitDirty() {
+bool GroupWindow::AwaitDirty(TimePoint deadline) {
   std::unique_lock lock(mu_);
-  dirty_cv_.wait(lock, [&] { return closed_ || records_ > 0; });
-  return !closed_;
+  while (!closed_) {
+    const TimePoint until = std::min(deadline, due_);
+    if (Now() >= until) {
+      due_ = TimePoint::max();
+      return true;
+    }
+    parked_until_ = until;
+    if (until == TimePoint::max()) {
+      dirty_cv_.wait(lock);
+    } else {
+      dirty_cv_.wait_until(lock, until);
+    }
+    parked_until_ = TimePoint::min();
+  }
+  return false;
 }
 
 GroupWindow::Depth GroupWindow::depth() const {

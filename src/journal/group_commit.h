@@ -5,21 +5,23 @@
 //
 //   sync   — Append commits the running transaction durably (framed append
 //            plus both fence checks) before returning. Strongest guarantee;
-//            pays one object-store round trip per transaction batch.
+//            pays one object-store round trip per transaction batch. The
+//            flusher only redrives records a failed inline commit unwound,
+//            once they are commit_interval old.
 //   group  — ack on sequence assignment: Append places the records on the
 //            per-directory running queue (queue position under append
-//            ordering IS the sequence) and returns immediately; a dedicated
-//            flusher coalesces every dirty directory's pending frames into
-//            one async fan-out. The flusher runs continuously — it flushes
-//            immediately when idle, and appends arriving while a flush is
-//            in flight pile into the next round, so batching adapts to load
-//            without a timer. Sequenced-but-unflushed records are the
-//            documented loss window, bounded by GroupWindowLimits below:
-//            appenders are backpressured while the window is over any of
-//            its record/byte/age bounds.
-//   async  — ack on sequence with timer-driven commits every
-//            commit_interval (the historical behavior; the loss window is
-//            up to a whole interval of acked mutations).
+//            ordering IS the sequence) and returns immediately; the flusher
+//            lingers 0, coalescing every dirty directory's pending frames
+//            into one async fan-out. It flushes immediately when idle, and
+//            appends arriving while a flush is in flight pile into the next
+//            round, so batching adapts to load without a timer.
+//            Sequenced-but-unflushed records are the documented loss window,
+//            bounded by GroupWindowLimits below: appenders are backpressured
+//            while the window is over any of its record/byte/age bounds.
+//   async  — ack on sequence; the flusher commits a directory once its
+//            oldest pending record is commit_interval old (the historical
+//            behavior; the loss window is up to a whole interval of acked
+//            mutations).
 //
 // In every mode, acked-durable ops (fsync/SyncAll returned Ok, or any op in
 // sync mode) are never lost; crash recovery treats a torn group tail
@@ -72,7 +74,8 @@ struct GroupWindowLimits {
 
 // Tracks the sequenced-but-unflushed records across all directories of one
 // JournalManager: appenders report window growth and (in group mode) block
-// while it exceeds its bounds; the flusher parks here when clean.
+// while it exceeds its bounds; the flusher parks here until the next
+// directory falls due.
 class GroupWindow {
  public:
   struct Depth {
@@ -87,8 +90,13 @@ class GroupWindow {
   void Close();
 
   // Appender: `records` newly sequenced records totaling `bytes` estimated
-  // bytes joined the window. Wakes the flusher.
-  void NoteSequenced(std::uint64_t records, std::uint64_t bytes);
+  // bytes joined the window, due for a commit at `due` (default: at once).
+  void NoteSequenced(std::uint64_t records, std::uint64_t bytes,
+                     TimePoint due = TimePoint::min());
+
+  // Pending records fall due at `due` (max: never). Wakes the flusher only
+  // if it is parked past `due`.
+  void NoteDue(TimePoint due);
 
   // Records left the window — made durable by a commit, or dropped at
   // deposition/reset (either way they are no longer pending).
@@ -98,9 +106,11 @@ class GroupWindow {
   // max_stall total). Returns true if it had to wait at all.
   bool Backpressure();
 
-  // Flusher: parks until the window is dirty or closed. Returns false once
-  // closed, regardless of remaining depth.
-  bool AwaitDirty();
+  // Flusher: parks until `deadline` or the earliest due time announced since
+  // the previous return, whichever comes first. Each return consumes the
+  // announcements, so the caller rescans its directories afterwards. Returns
+  // false once closed, regardless of remaining depth.
+  bool AwaitDirty(TimePoint deadline = TimePoint::max());
 
   Depth depth() const;
   const GroupWindowLimits& limits() const { return limits_; }
@@ -117,6 +127,11 @@ class GroupWindow {
   // Arrival time of the oldest pending record; valid while records_ > 0.
   // Partial drains keep the old stamp (conservative: age never under-reads).
   TimePoint oldest_{};
+  // Earliest due time announced since the flusher last returned from
+  // AwaitDirty, and the time that flusher is parked until (min while it is
+  // not parked, so announcements then never notify).
+  TimePoint due_ = TimePoint::max();
+  TimePoint parked_until_ = TimePoint::min();
   bool closed_ = false;
 };
 

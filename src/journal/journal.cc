@@ -69,12 +69,7 @@ JournalManager::JournalManager(std::shared_ptr<Prt> prt, JournalConfig config)
   for (int i = 0; i < config_.checkpoint_threads; ++i) {
     checkpoint_threads_.emplace_back([this, i] { CheckpointThreadMain(i); });
   }
-  for (int i = 0; i < config_.commit_threads; ++i) {
-    commit_threads_.emplace_back([this, i] { CommitThreadMain(i); });
-  }
-  if (config_.durability == DurabilityMode::kGroup) {
-    group_flusher_ = std::thread([this] { GroupFlusherMain(); });
-  }
+  flusher_ = std::thread([this] { FlusherMain(); });
 }
 
 JournalManager::~JournalManager() {
@@ -86,13 +81,9 @@ JournalManager::~JournalManager() {
 }
 
 void JournalManager::Halt() {
-  stopping_.store(true);
-  window_.Close();
-  if (group_flusher_.joinable()) group_flusher_.join();
+  window_.Close();  // wakes the flusher wherever it is parked
+  if (flusher_.joinable()) flusher_.join();
   for (auto& q : checkpoint_queues_) q->Close();
-  for (auto& t : commit_threads_) {
-    if (t.joinable()) t.join();
-  }
   for (auto& t : checkpoint_threads_) {
     if (t.joinable()) t.join();
   }
@@ -183,10 +174,11 @@ Status JournalManager::Append(const Uuid& dir_ino,
   DirStatePtr st = FindOrCreateDir(dir_ino);
   {
     std::lock_guard lock(st->mu);
-    if (st->running.empty()) {
+    const bool opened = st->running.empty();
+    if (opened) {
       st->first_op = Now();
       // The transaction's trace is the trace of its first op; a deferred
-      // background commit replays it (later appends piggyback).
+      // commit on the flusher replays it (later appends piggyback).
       st->trace = obs::CaptureTrace();
     }
     // Taking a position on the running queue under st->mu IS the sequence
@@ -203,7 +195,14 @@ Status JournalManager::Append(const Uuid& dir_ino,
     // outside, the drain's min-clamp could run first and the late sequence
     // add would leak window depth permanently (and with it the age bound,
     // stalling every subsequent group-mode append).
-    window_.NoteSequenced(n_records, est_bytes);
+    // Only an append that opens the running transaction moves the
+    // directory's due time, so only it announces one to the flusher — and
+    // never in sync mode, whose inline commit below takes the records
+    // (the flusher hears of them only if that commit unwinds).
+    const bool announce =
+        opened && config_.durability != DurabilityMode::kSync;
+    window_.NoteSequenced(n_records, est_bytes,
+                          announce ? DueAt(st->first_op) : TimePoint::max());
     // Delegation watermark: every accepted mutation advances it, BEFORE the
     // op is acked, so a delegate that observes the piggybacked watermark on
     // any later reply can never miss the mutation it races with.
@@ -212,8 +211,9 @@ Status JournalManager::Append(const Uuid& dir_ino,
   switch (config_.durability) {
     case DurabilityMode::kSync: {
       // Durable before ack. On failure the records stay on the running
-      // queue (commit unwind), so the background commit thread redrives
-      // them — the caller sees the error and must not ack the op.
+      // queue (commit unwind), so the flusher redrives them once they are
+      // commit_interval old — the caller sees the error and must not ack
+      // the op.
       ARKFS_RETURN_IF_ERROR(CommitRunning(dir_ino, *st));
       MaybeEnqueueCheckpoint(dir_ino, *st);
       return Status::Ok();
@@ -318,9 +318,11 @@ Status JournalManager::CommitRunningLocked(const Uuid& dir_ino, DirState& st) {
   Transaction txn;
   obs::ActiveTrace trace;
   std::uint64_t window_bytes = 0;
+  TimePoint opened;
   {
     std::lock_guard lock(st.mu);
     if (st.running.empty()) return Status::Ok();
+    opened = st.first_op;
     txn.records = std::move(st.running);
     st.running.clear();
     txn.seq = st.next_seq++;
@@ -333,7 +335,7 @@ Status JournalManager::CommitRunningLocked(const Uuid& dir_ino, DirState& st) {
   }
   const std::uint64_t n_records = txn.records.size();
   // Commit under the trace of the op that opened the transaction, whether
-  // we run on the caller's thread (fsync) or a background commit thread.
+  // we run on the caller's thread (fsync) or the flusher.
   obs::TraceScope scope(trace.tracer, trace.ctx);
   obs::Span span("journal.commit");
   const TimePoint commit_start = Now();
@@ -353,8 +355,10 @@ Status JournalManager::CommitRunningLocked(const Uuid& dir_ino, DirState& st) {
                        std::make_move_iterator(st.running.begin()),
                        std::make_move_iterator(st.running.end()));
     st.running = std::move(txn.records);
+    st.first_op = opened;  // the unwound records are the oldest pending
     st.pending_window_bytes += window_bytes;  // still pending, still counted
     --st.next_seq;
+    window_.NoteDue(DueAt(opened));  // the flusher redrives them
   }
   return append;
 }
@@ -481,28 +485,29 @@ Status JournalManager::CommitAll() {
   return ForEachDir([this](const Uuid& ino) { return CommitDir(ino); });
 }
 
+std::vector<std::pair<Uuid, JournalManager::DirStatePtr>>
+JournalManager::SnapshotDirs() {
+  std::lock_guard lock(registry_mu_);
+  return {dirs_.begin(), dirs_.end()};
+}
+
 Status JournalManager::ForEachDir(std::function<Status(const Uuid&)> op) {
-  std::vector<Uuid> all;
-  {
-    std::lock_guard lock(registry_mu_);
-    all.reserve(dirs_.size());
-    for (const auto& [ino, _] : dirs_) all.push_back(ino);
-  }
-  if (all.empty()) return Status::Ok();
   // The returned Status is first-error-wins; the per-directory failure
   // COUNT is only visible through the journal.flush.errors counter, so bump
   // it for every failing directory here.
-  auto counted = [this, &op](const Uuid& ino) {
-    Status s = op(ino);
-    if (!s.ok()) metrics_.flush_errors.Add();
-    return s;
-  };
-  if (all.size() == 1) return counted(all[0]);
   std::vector<std::function<Status()>> tasks;
-  tasks.reserve(all.size());
-  for (const auto& ino : all) {
-    tasks.push_back([&counted, ino] { return counted(ino); });
+  for (const auto& [ino, st] : SnapshotDirs()) {
+    tasks.push_back([this, &op, ino = ino] {
+      Status s = op(ino);
+      if (!s.ok()) metrics_.flush_errors.Add();
+      return s;
+    });
   }
+  return FanOut(std::move(tasks));
+}
+
+Status JournalManager::FanOut(std::vector<std::function<Status()>> tasks) {
+  if (tasks.size() == 1) return tasks[0]();
   return prt_->async().RunAll(std::move(tasks));
 }
 
@@ -1018,37 +1023,6 @@ Status JournalManager::ApplyTransactions(
   return first;
 }
 
-void JournalManager::CommitThreadMain(int index) {
-  const Nanos poll = std::max<Nanos>(config_.commit_interval / 4, Millis(2));
-  while (!stopping_.load()) {
-    SleepFor(poll);
-    std::vector<std::pair<Uuid, DirStatePtr>> mine;
-    {
-      std::lock_guard lock(registry_mu_);
-      for (const auto& [ino, st] : dirs_) {
-        if (CommitThreadFor(ino) == index) mine.emplace_back(ino, st);
-      }
-    }
-    const TimePoint now = Now();
-    for (auto& [ino, st] : mine) {
-      bool due = false;
-      {
-        std::lock_guard lock(st->mu);
-        due = !st->running.empty() &&
-              now - st->first_op >= config_.commit_interval;
-      }
-      if (!due) continue;
-      Status s = CommitRunning(ino, *st);
-      if (!s.ok()) {
-        ARKFS_WLOG << "background commit failed for " << ino.ToString()
-                   << ": " << s.ToString();
-        continue;
-      }
-      checkpoint_queues_[CheckpointThreadFor(ino)]->Push(ino);
-    }
-  }
-}
-
 void JournalManager::CheckpointThreadMain(int index) {
   while (auto ino = checkpoint_queues_[index]->Pop()) {
     DirStatePtr st = FindDir(*ino);
@@ -1075,67 +1049,64 @@ void JournalManager::MaybeEnqueueCheckpoint(const Uuid& dir_ino,
   if (due) checkpoint_queues_[CheckpointThreadFor(dir_ino)]->Push(dir_ino);
 }
 
-void JournalManager::GroupFlusherMain() {
-  // The adaptive batching loop: park until anything is sequenced, then
-  // commit EVERY directory with pending records in one async fan-out. When
-  // load is light each append gets its own near-immediate flush; under load
-  // the records that arrive while a round's store round trip is in flight
-  // coalesce into the next round, so frames per round scale with pressure
-  // without a timer in the ack path.
-  while (window_.AwaitDirty()) {
-    // Snapshot the registry first, THEN probe each directory under its own
-    // st->mu: holding registry_mu_ across the per-directory locks would
-    // block every FindDir/FindOrCreateDir (the whole metadata op path) for
-    // a scan that grows with directory count.
-    std::vector<std::pair<Uuid, DirStatePtr>> all;
-    {
-      std::lock_guard lock(registry_mu_);
-      all.reserve(dirs_.size());
-      for (const auto& [ino, st] : dirs_) all.emplace_back(ino, st);
-    }
-    std::vector<std::pair<Uuid, DirStatePtr>> dirty;
-    for (auto& [ino, st] : all) {
-      std::lock_guard dlock(st->mu);
-      if (!st->running.empty()) dirty.emplace_back(ino, st);
-    }
-    if (dirty.empty()) {
-      // An fsync or lease-event drain on another thread beat us to every
-      // pending record. Brief pause so a (should-be-impossible) window
-      // accounting leak cannot turn into a hot spin.
-      SleepFor(Millis(1));
-      continue;
-    }
-    const TimePoint t0 = Now();
-    Status first = Status::Ok();
-    if (dirty.size() == 1) {
-      first = CommitRunning(dirty[0].first, *dirty[0].second);
-      if (!first.ok()) metrics_.flush_errors.Add();
-    } else {
-      std::vector<std::function<Status()>> tasks;
-      tasks.reserve(dirty.size());
-      for (auto& entry : dirty) {
-        tasks.push_back([this, ino = entry.first, st = entry.second.get()] {
-          Status s = CommitRunning(ino, *st);
-          if (!s.ok()) metrics_.flush_errors.Add();
-          return s;
-        });
+TimePoint JournalManager::DueAt(TimePoint first_op) const {
+  if (config_.durability == DurabilityMode::kGroup) return first_op;
+  const Nanos step = std::max<Nanos>(config_.commit_interval / 4, Millis(1));
+  const Nanos due = (first_op + config_.commit_interval).time_since_epoch();
+  return TimePoint{(due + step - Nanos{1}) / step * step};
+}
+
+void JournalManager::FlusherMain() {
+  // The adaptive batching loop: commit EVERY due directory in one async
+  // fan-out, then park until the next one falls due or an appender (or a
+  // commit unwind) announces an earlier due time. In group mode everything
+  // pending is due, so under light load each append gets its own
+  // near-immediate flush, while records arriving during a round's store
+  // round trip coalesce into the next round — no timer in the ack path.
+  TimePoint next_due = TimePoint::max();
+  while (window_.AwaitDirty(next_due)) {
+    next_due = TimePoint::max();
+    const TimePoint now = Now();
+    std::vector<std::function<Status()>> round;
+    for (auto& [ino, st] : SnapshotDirs()) {
+      {
+        std::lock_guard lock(st->mu);
+        if (st->running.empty()) continue;
+        if (const TimePoint at = DueAt(st->first_op); at > now) {
+          next_due = std::min(next_due, at);
+          continue;
+        }
       }
-      first = prt_->async().RunAll(std::move(tasks));
+      round.push_back([this, ino = ino, st = st] {
+        Status s = CommitRunning(ino, *st);
+        if (!s.ok()) metrics_.flush_errors.Add();
+        // Group rounds can be sub-millisecond apart, and checkpointing each
+        // one would rewrite dirty shards continuously, so every round goes
+        // through the per-interval limit. A lingered commit comes at most
+        // once per interval per directory and enqueues whenever it lands
+        // (the async cadence).
+        if (config_.durability == DurabilityMode::kGroup) {
+          MaybeEnqueueCheckpoint(ino, *st);
+        } else if (s.ok()) {
+          checkpoint_queues_[CheckpointThreadFor(ino)]->Push(ino);
+        }
+        return s;
+      });
     }
-    op_latencies_.Record("group_flush", Now() - t0);
+    // Nothing due: a drain on another thread beat us to it, or we woke for
+    // an announcement that is not due yet.
+    if (round.empty()) continue;
+    // Counted up front: a commit drains the window mid-round, and whoever
+    // observes that drain must also observe the round that made it.
     metrics_.group_flushes.Add();
-    metrics_.group_flushed_txns.Add(dirty.size());
-    // Checkpoints stay on the async-mode cadence: flush rounds can be
-    // sub-millisecond under load and checkpointing each one would rewrite
-    // dirty shards continuously.
-    for (auto& entry : dirty) MaybeEnqueueCheckpoint(entry.first, *entry.second);
-    if (!first.ok()) {
-      if (stopping_.load()) break;
-      // Store trouble: the failed directories' records were unwound onto
-      // their running queues and the window still counts them, so the next
-      // AwaitDirty redrives immediately — back off instead of hot-looping.
-      SleepFor(Millis(2));
-    }
+    metrics_.group_flushed_txns.Add(round.size());
+    const TimePoint t0 = Now();
+    const Status first = FanOut(std::move(round));
+    op_latencies_.Record("group_flush", Now() - t0);
+    // Store trouble: the failed directories' records were unwound onto
+    // their running queues, still due, so the next AwaitDirty returns at
+    // once — back off instead of hot-looping.
+    if (!first.ok()) SleepFor(Millis(2));
   }
 }
 

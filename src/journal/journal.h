@@ -9,12 +9,13 @@
 //    up to the commit                  + CRC)              objects
 //    interval, 1 s default)
 //
-// Commit and checkpoint run on small thread pools; each directory is
-// statically mapped to one commit thread and one checkpoint thread by its
-// inode number, as in the paper. A checkpointed transaction is removed from
-// the journal object; any transaction still present in the journal at lease
-// acquisition time therefore marks a crashed predecessor, and the new leader
-// replays it (RecoverDir).
+// One flusher thread commits every directory whose running transaction is
+// due (group_commit.h: the durability mode sets how long records linger).
+// Checkpoints run on a small pool; each directory is statically mapped to
+// one checkpoint thread by its inode number, as in the paper. A checkpointed
+// transaction is removed from the journal object; any transaction still
+// present in the journal at lease acquisition time therefore marks a crashed
+// predecessor, and the new leader replays it (RecoverDir).
 //
 // RENAME across directories commits via two-phase commit: both prepared
 // transactions are appended durably (phase 1), then decision records
@@ -58,8 +59,9 @@ std::uint32_t ShardCountFor(const DentryShardPolicy& policy,
                             std::uint64_t entries);
 
 struct JournalConfig {
-  Nanos commit_interval{Seconds(1)};  // paper: 1 s in-memory buffering
-  int commit_threads = 2;
+  // Paper: 1 s in-memory buffering. The linger of async mode (and of sync
+  // mode's redrives), and the checkpoint cadence of every mode.
+  Nanos commit_interval{Seconds(1)};
   int checkpoint_threads = 2;
   DentryShardPolicy shard_policy;
   // When a mutation is acked relative to its journal append — see
@@ -181,8 +183,9 @@ class JournalManager {
   // mode (group_commit.h): sync commits them durably here (the returned
   // Status is the commit result — kStale means a successor fenced us mid-
   // op), group wakes the flusher and may backpressure briefly if the dirty
-  // window is over its bounds, async returns immediately. Group/async
-  // always return Ok.
+  // window is over its bounds, async returns immediately (the flusher
+  // commits the directory one commit_interval later). Group/async always
+  // return Ok.
   Status Append(const Uuid& dir_ino, std::vector<Record> records);
 
   // Forces running -> journal object for this directory. No checkpoint.
@@ -240,8 +243,8 @@ class JournalManager {
   // release tags itself inside UnregisterDir.
   void NoteLeaseDrain() { metrics_.group_lease_drains.Add(); }
 
-  // Stops all background activity (commit timer, group flusher, checkpoint
-  // workers) WITHOUT flushing: models a process crash. Running transactions
+  // Stops all background activity (flusher, checkpoint workers) at once,
+  // WITHOUT flushing: models a process crash. Running transactions
   // that were never committed are abandoned in memory; only what already
   // reached the journal objects survives to recovery. Idempotent; the
   // destructor calls it too.
@@ -275,6 +278,7 @@ class JournalManager {
   struct DirState {
     std::mutex mu;  // guards running/first_op/next_seq/trace
     std::vector<Record> running;
+    // Arrival of the oldest record on `running`: the flusher's due clock.
     TimePoint first_op{};
     std::uint64_t next_seq = 1;
     // Estimated bytes of `running` as accounted in the manager-wide dirty
@@ -282,9 +286,9 @@ class JournalManager {
     // on Append, zeroed when a commit takes the batch, restored on commit
     // unwind — so drains subtract exactly what sequencing added.
     std::uint64_t pending_window_bytes = 0;
-    // When the group flusher last pushed this directory to a checkpoint
-    // queue. Flush rounds can be sub-millisecond under load; checkpoints
-    // stay on the commit_interval cadence the async mode uses.
+    // When a group round or sync commit last pushed this directory to a
+    // checkpoint queue. Those can be sub-millisecond apart under load;
+    // checkpoints stay on the commit_interval cadence the async mode uses.
     TimePoint last_checkpoint_enqueue{};
     // Trace of the op that opened the running transaction; re-installed
     // around the (possibly deferred, background-thread) commit so the
@@ -334,26 +338,34 @@ class JournalManager {
   // consumed journal prefix is trimmed afterwards.
   Status Checkpoint(const Uuid& dir_ino, DirState& st);
 
+  // Copies the registry, so per-directory work never runs under
+  // registry_mu_ (which every metadata op takes via FindDir).
+  std::vector<std::pair<Uuid, DirStatePtr>> SnapshotDirs();
   // Runs `op` against every registered directory, fanned out through the
   // async layer (first-error-wins; every directory is attempted).
   Status ForEachDir(std::function<Status(const Uuid&)> op);
+  // Runs every task — inline when there is only one, else overlapped
+  // through the async layer (first-error-wins; every task is attempted).
+  Status FanOut(std::vector<std::function<Status()>> tasks);
 
-  void CommitThreadMain(int index);
   void CheckpointThreadMain(int index);
-  // Group-mode flusher: parks on the dirty window, then commits every
-  // directory with pending records through one async fan-out per round.
-  void GroupFlusherMain();
+  // The one background commit loop, in every mode: commits every directory
+  // whose running transaction is due through one async fan-out per round,
+  // then parks on the dirty window until the next due time.
+  void FlusherMain();
+  // When a running transaction opened at `first_op` falls due: at once in
+  // group mode, one commit_interval later otherwise — rounded up to a
+  // quarter-interval grid so directories opened close together fall due
+  // together (one flusher round per grid step, however many are dirty).
+  TimePoint DueAt(TimePoint first_op) const;
   // Zeroes a directory's share of the dirty window (records leaving
   // `running` without a commit: ResetDir, RecoverDir). st.mu must be held.
   void DropPendingWindowLocked(DirState& st, bool count_as_dropped);
   // Pushes the directory to its checkpoint queue at most once per
-  // commit_interval: sync/group commits can be far more frequent than the
-  // async timer, but checkpoint cadence should not be.
+  // commit_interval: sync/group commits can be far more frequent than
+  // that, but checkpoint cadence should not be.
   void MaybeEnqueueCheckpoint(const Uuid& dir_ino, DirState& st);
 
-  int CommitThreadFor(const Uuid& dir) const {
-    return static_cast<int>(UuidHash{}(dir) % config_.commit_threads);
-  }
   int CheckpointThreadFor(const Uuid& dir) const {
     return static_cast<int>(UuidHash{}(dir) % config_.checkpoint_threads);
   }
@@ -364,11 +376,9 @@ class JournalManager {
   std::mutex registry_mu_;
   std::unordered_map<Uuid, DirStatePtr> dirs_;
 
-  std::vector<std::thread> commit_threads_;
   std::vector<std::thread> checkpoint_threads_;
   std::vector<std::unique_ptr<MpmcQueue<Uuid>>> checkpoint_queues_;
-  std::thread group_flusher_;  // running only in group mode
-  std::atomic<bool> stopping_{false};
+  std::thread flusher_;
 
   GroupWindow window_;
   JournalMetrics metrics_;

@@ -69,6 +69,40 @@ TEST_F(MultiClientTest, NonOverlappingDirectoriesNoForwarding) {
   EXPECT_GT(c2_->stats().local_meta_ops, 40u);
 }
 
+TEST_F(MultiClientTest, InTermRenewalExtendsTheLeaderLease) {
+  // A leader working through the last quarter of its term renews once and
+  // runs on the renewed term from then on; a peer's op forwarded after the
+  // first term is served by that leader rather than bounced with EAGAIN.
+  const Nanos term = cluster_->lease_manager().config().lease_period;
+  ASSERT_TRUE(c1_->Mkdir("/hot", 0755, root_).ok());
+  const TimePoint t0 = Now();
+  ASSERT_TRUE(c1_->WriteFileAt("/hot/f", AsBytes("x"), root_).ok());
+  const TimePoint granted = Now();  // c1's /hot term started in [t0, here]
+  SleepFor(granted + term * 3 / 4 + Millis(5) - Now());
+
+  // The last quarter of both c1 terms (/ and /hot): at most one renewal each.
+  const auto acquires_before = c1_->stats().lease_acquires;
+  int ops = 0;
+  while (Now() < t0 + term - Millis(5)) {
+    ASSERT_TRUE(c1_->Stat("/hot/f", root_).ok());
+    ASSERT_TRUE(c1_->ReadDir("/", root_).ok());
+    ++ops;
+    SleepFor(Millis(2));
+  }
+  EXPECT_GT(ops, 0);
+  EXPECT_LE(c1_->stats().lease_acquires - acquires_before, 2u);
+
+  // Past the first term: c2's create is forwarded to c1, which still leads.
+  SleepFor(granted + term + Millis(20) - Now());
+  const auto served_before = c1_->stats().served_remote_ops;
+  const auto c2_acquires_before = c2_->stats().lease_acquires;
+  ASSERT_TRUE(c2_->WriteFileAt("/hot/g", AsBytes("y"), root_).ok());
+  EXPECT_GT(c1_->stats().served_remote_ops, served_before);
+  EXPECT_EQ(c2_->stats().lease_acquires, c2_acquires_before)
+      << "c2 took /hot over instead of being served by its leader";
+  EXPECT_EQ(c1_->stats().recoveries, 0u);
+}
+
 TEST_F(MultiClientTest, LeaseHandoffAfterExpiry) {
   ASSERT_TRUE(c1_->Mkdir("/handoff", 0755, root_).ok());
   ASSERT_TRUE(c1_->WriteFileAt("/handoff/f1", AsBytes("a"), root_).ok());

@@ -924,10 +924,9 @@ class DurabilityModeTest : public ::testing::Test {
 
   std::unique_ptr<JournalManager> MakeManager(DurabilityMode mode) {
     JournalConfig cfg = JournalConfig::ForTests();
-    // Keep the background commit timer out of the picture (tests finish in
+    // Keep lingered background commits out of the picture (tests finish in
     // well under a second): durability here must come from the mode under
-    // test, not the async fallback. Not huge — the timer thread polls at
-    // interval/4, and the manager dtor rides out one full poll.
+    // test, not a commit_interval-old redrive.
     cfg.commit_interval = Seconds(5);
     cfg.durability = mode;
     return std::make_unique<JournalManager>(prt_, cfg);
@@ -970,9 +969,10 @@ TEST_F(DurabilityModeTest, SyncModeIsDurableBeforeAck) {
   // No CommitDir/FlushDir call: the ack itself implied durability. Durable
   // means journaled — or already checkpointed into the dentry objects, if
   // the checkpoint thread won the race right after the commit.
+  // Probe the journal first: a checkpoint applies before it trims.
+  const bool journaled = mgr->HasSurvivingJournal(dir);
   auto applied = prt_->LoadDentries(dir);
-  EXPECT_TRUE(mgr->HasSurvivingJournal(dir) ||
-              (applied.ok() && applied->size() == 1u));
+  EXPECT_TRUE(journaled || (applied.ok() && applied->size() == 1u));
   EXPECT_EQ(mgr->WindowDepth().records, 0u);
 }
 
@@ -1003,9 +1003,10 @@ TEST_F(DurabilityModeTest, GroupModeAcksOnSequenceAndFlusherDrains) {
   EXPECT_EQ(mgr->WindowDepth().records, 0u);
   // Durable means journaled — or already checkpointed into the dentry
   // shards, if the checkpoint thread won the race after the flush.
+  // Probe the journal first: a checkpoint applies before it trims.
+  const bool journaled = mgr->HasSurvivingJournal(dir);
   auto applied = prt_->LoadDentries(dir);
-  EXPECT_TRUE(mgr->HasSurvivingJournal(dir) ||
-              (applied.ok() && applied->size() == 1u));
+  EXPECT_TRUE(journaled || (applied.ok() && applied->size() == 1u));
   EXPECT_GE(mgr->metrics().group_flushes.value(), 1u);
 }
 
@@ -1143,12 +1144,80 @@ TEST_F(DurabilityModeTest, CommitAllCountsPerDirectoryFlushErrors) {
   for (const auto& d : bad) EXPECT_TRUE(mgr.HasSurvivingJournal(d));
 }
 
+TEST_F(DurabilityModeTest, HaltReturnsPromptlyInEveryMode) {
+  // Halt wakes the flusher wherever it is parked, so shutdown never rides
+  // out the 5 s commit_interval, whatever is pending.
+  std::uint64_t n = 20;
+  for (auto mode : {DurabilityMode::kSync, DurabilityMode::kGroup,
+                    DurabilityMode::kAsync}) {
+    auto mgr = MakeManager(mode);
+    const Uuid dir = NewDir(n++);
+    mgr->RegisterDir(dir);
+    ASSERT_TRUE(mgr->Append(dir, {Entry("pending", 1)}).ok());
+    SleepFor(Millis(5));  // let the flusher park
+    const TimePoint t0 = Now();
+    mgr.reset();
+    EXPECT_LT(Now() - t0, Millis(100)) << DurabilityModeName(mode);
+  }
+}
+
+TEST_F(DurabilityModeTest, SyncModeFlusherRedrivesAnUnwoundCommit) {
+  JournalConfig cfg = JournalConfig::ForTests();
+  cfg.commit_interval = Millis(50);
+  cfg.durability = DurabilityMode::kSync;
+  JournalManager mgr(prt_, cfg);
+  const Uuid dir = NewDir(31);
+  mgr.RegisterDir(dir);
+  armed_->store(true);
+  EXPECT_FALSE(mgr.Append(dir, {Entry("unwound", 1)}).ok());
+  EXPECT_EQ(mgr.WindowDepth().records, 1u);
+  armed_->store(false);
+  // No CommitDir/SyncAll: the flusher redrives the unwound record once it
+  // is commit_interval old.
+  for (int i = 0; i < 400 && mgr.WindowDepth().records > 0; ++i) {
+    SleepFor(Millis(5));
+  }
+  EXPECT_EQ(mgr.WindowDepth().records, 0u);
+  EXPECT_EQ(mgr.metrics().records_committed.value(), 1u);
+  // Journaled — or already checkpointed into the dentry shards, if the
+  // checkpoint thread won the race after the redrive.
+  // Probe the journal first: a checkpoint applies before it trims.
+  const bool journaled = mgr.HasSurvivingJournal(dir);
+  auto applied = prt_->LoadDentries(dir);
+  EXPECT_TRUE(journaled || (applied.ok() && applied->size() == 1u));
+}
+
 TEST_F(DurabilityModeTest, IntrospectTextReportsModeAndDepth) {
   auto mgr = MakeManager(DurabilityMode::kGroup);
   const std::string text = mgr->IntrospectText();
   EXPECT_NE(text.find("durability mode: group"), std::string::npos);
   EXPECT_NE(text.find("dirty window:"), std::string::npos);
   EXPECT_NE(text.find("drains:"), std::string::npos);
+}
+
+TEST(FlusherLingerTest, AsyncModeCommitsOnceTheIntervalHasLingered) {
+  auto prt = std::make_shared<Prt>(std::make_shared<MemoryObjectStore>());
+  JournalConfig cfg = JournalConfig::ForTests();
+  cfg.commit_interval = Millis(500);
+  cfg.durability = DurabilityMode::kAsync;
+  JournalManager mgr(prt, cfg);
+  const Uuid dir = DeterministicUuid(122, 1);
+  mgr.RegisterDir(dir);
+  const TimePoint t0 = Now();
+  ASSERT_TRUE(mgr.Append(dir, {Record::DentryAdd({"lingering",
+                                                  DeterministicUuid(122, 2),
+                                                  FileType::kRegular})})
+                  .ok());
+  SleepFor(Millis(100));
+  EXPECT_EQ(mgr.metrics().transactions_committed.value(), 0u);
+  // No drain call anywhere: the flusher alone commits it, and not before
+  // the record is commit_interval old.
+  while (mgr.WindowDepth().records > 0 && Now() - t0 < Seconds(2)) {
+    SleepFor(Millis(5));
+  }
+  EXPECT_EQ(mgr.WindowDepth().records, 0u);
+  EXPECT_EQ(mgr.metrics().transactions_committed.value(), 1u);
+  EXPECT_GE(Now() - t0, Millis(500));
 }
 
 TEST(GroupWindowTest, BackpressureReleasesOnDrain) {
