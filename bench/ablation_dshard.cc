@@ -11,8 +11,8 @@
 //      not regress the paper's shared-directory workload.
 #include "bench_util.h"
 #include "journal/journal.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/wrappers.h"
 #include "workloads/mdtest.h"
 
 using namespace arkfs;
@@ -41,7 +41,7 @@ Record AddEntry(std::uint64_t i, const char* prefix) {
 
 SweepPoint RunSweep(std::uint32_t shard_count) {
   auto base = std::make_shared<MemoryObjectStore>();
-  auto counting = std::make_shared<CountingStore>(base);
+  auto counting = std::make_shared<InstrumentedStore>(base);
   auto prt = std::make_shared<Prt>(counting);
   JournalConfig cfg;
   cfg.shard_policy.override_count = shard_count;

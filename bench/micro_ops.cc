@@ -31,7 +31,6 @@
 #include "objstore/cluster_store.h"
 #include "objstore/memory_store.h"
 #include "objstore/stack_builder.h"
-#include "objstore/wrappers.h"
 #include "prt/translator.h"
 
 namespace arkfs {
@@ -290,8 +289,11 @@ int RunMetricsOverheadSmoke() {
   // Both hot paths bump only counters (the snapshot diff above counts
   // every counter in the process, and the gauges — asyncio.peak_in_flight,
   // lease.failover.quiet_ms — move only on async batches / role changes,
-  // not on create/stat). The slack covers the enabled-check loads on
-  // skipped cells, which measure below noise.
+  // not on create/stat). Neither issues a foreground store op in this
+  // async deployment, so the cluster's InstrumentedStore (counters plus a
+  // latency histogram per store op) adds nothing to either. The slack
+  // covers the enabled-check loads on skipped cells, which measure below
+  // noise.
   constexpr double kGaugeSlack = 1.25;
   const auto overhead_pct = [&](double bumps_per_op,
                                 const std::vector<double>& op_ns,
@@ -343,10 +345,9 @@ void RunAsyncIoSection() {
 
   auto stack = objstore::StackBuilder()
                    .Cluster(ClusterConfig::RadosLike())
-                   .Latency()
                    .Build()
                    .value();
-  const auto& tracking = stack.latency;
+  const auto& tracking = stack.instrumented;
   obs::MetricsRegistry registry;
   AsyncIoConfig io_cfg;
   io_cfg.workers = 16;  // deep overlap: the latency here is simulated sleeps

@@ -1,17 +1,20 @@
-// Backend tour: the PRT's backend registry (paper §III-F — "ArkFS can
-// support any kind of object storage backend by registering the
+// Backend tour: the PRT over several object-store backends (paper §III-F —
+// "ArkFS can support any kind of object storage backend by registering the
 // corresponding REST APIs").
 //
 // Mounts the same file system image on four built-in backends and one
-// custom-registered backend, and shows the capability differences that
-// matter (partial writes vs whole-object PUTs).
+// custom backend, and shows the capability differences that matter
+// (partial writes vs whole-object PUTs). A backend is any ObjectStore
+// implementation: construct it and hand it to the cluster, which puts its
+// instrumented store stack on top.
 #include <cstdio>
 #include <filesystem>
 
 #include "core/cluster.h"
+#include "objstore/cluster_store.h"
+#include "objstore/disk_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/registry.h"
-#include "objstore/wrappers.h"
+#include "objstore/store_decorator.h"
 
 using namespace arkfs;
 
@@ -27,23 +30,29 @@ using namespace arkfs;
 
 namespace {
 
-int ExerciseBackend(const std::string& spec) {
-  auto store_or = BackendRegistry::Instance().Create(spec);
-  if (!store_or.ok()) {
-    std::fprintf(stderr, "cannot create backend %s: %s\n", spec.c_str(),
-                 store_or.status().ToString().c_str());
-    return 1;
+// A user-written backend: any ObjectStore implementation works. This one
+// is a whole-object-only view of an in-memory store, like a plain REST
+// key-value service; the same seven calls would carry a real REST client.
+class WholeObjectBackend : public StoreDecorator {
+ public:
+  WholeObjectBackend()
+      : StoreDecorator(std::make_shared<MemoryObjectStore>(1ull << 20)) {}
+  Status PutRange(const std::string&, std::uint64_t, ByteSpan) override {
+    return ErrStatus(Errc::kNotSup, "whole-object backend");
   }
-  ObjectStorePtr store = *store_or;
+  bool supports_partial_write() const override { return false; }
+  std::string name() const override { return "whole-object/" + base()->name(); }
+};
+
+int ExerciseBackend(const std::string& label, ObjectStorePtr store) {
   std::printf("--- backend \"%s\" (%s): partial writes %s, max object %llu MB\n",
-              spec.c_str(), store->name().c_str(),
+              label.c_str(), store->name().c_str(),
               store->supports_partial_write() ? "yes" : "no (RMW in the PRT)",
               static_cast<unsigned long long>(store->max_object_size() >> 20));
 
-  auto counting = std::make_shared<CountingStore>(store);
-  auto cluster = ArkFsCluster::Create(ObjectStorePtr(counting),
-                                      ArkFsClusterOptions::ForTests())
-                     .value();
+  auto cluster =
+      ArkFsCluster::Create(std::move(store), ArkFsClusterOptions::ForTests())
+          .value();
   auto fs = cluster->AddClient().value();
   const UserCred root = UserCred::Root();
 
@@ -63,10 +72,11 @@ int ExerciseBackend(const std::string& spec) {
   auto back = fs->ReadWholeFile("/tour/data/blob.bin", root);
   CHECK_OK(back.status());
   if (back->size() != payload.size() || ToString(*back).substr(1000, 7) != "patched") {
-    std::fprintf(stderr, "readback mismatch on %s\n", spec.c_str());
+    std::fprintf(stderr, "readback mismatch on %s\n", label.c_str());
     return 1;
   }
-  auto counters = counting->Snapshot();
+  // Every store call of the deployment, lease managers included.
+  const auto counters = cluster->instrumented_store()->Snapshot();
   std::printf("    ops: %llu puts / %llu gets, %.1f KB written for the "
               "7-byte patch\n",
               static_cast<unsigned long long>(counters.puts),
@@ -79,27 +89,23 @@ int ExerciseBackend(const std::string& spec) {
 }  // namespace
 
 int main() {
-  // A user-registered backend: here simply an in-memory store with small
-  // objects, but the same hook carries a real REST client.
-  BackendRegistry::Instance().Register(
-      "my-object-store", [](const std::string&) -> Result<ObjectStorePtr> {
-        return ObjectStorePtr(
-            std::make_shared<MemoryObjectStore>(1ull << 20));
-      });
-
   const auto tmp =
       (std::filesystem::temp_directory_path() / "arkfs_backend_tour").string();
   std::filesystem::remove_all(tmp);
+  auto disk = DiskObjectStore::Open(tmp);
+  CHECK_OK(disk.status());
 
-  for (const std::string& spec :
-       {std::string("memory"), std::string("rados"), std::string("s3"),
-        std::string("disk:") + tmp, std::string("my-object-store")}) {
-    if (int rc = ExerciseBackend(spec); rc != 0) return rc;
+  const std::vector<std::pair<std::string, ObjectStorePtr>> backends = {
+      {"memory", std::make_shared<MemoryObjectStore>()},
+      {"rados",
+       std::make_shared<ClusterObjectStore>(ClusterConfig::RadosLike())},
+      {"s3", std::make_shared<ClusterObjectStore>(ClusterConfig::S3Like())},
+      {"disk", *disk},
+      {"custom", std::make_shared<WholeObjectBackend>()},
+  };
+  for (const auto& [label, store] : backends) {
+    if (int rc = ExerciseBackend(label, store); rc != 0) return rc;
   }
-  std::printf("backend tour OK (registered backends:");
-  for (const auto& name : BackendRegistry::Instance().Names()) {
-    std::printf(" %s", name.c_str());
-  }
-  std::printf(")\n");
+  std::printf("backend tour OK (%zu backends)\n", backends.size());
   return 0;
 }

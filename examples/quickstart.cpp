@@ -20,8 +20,9 @@ using namespace arkfs;
   } while (0)
 
 int main() {
-  // 1. An object store. Swap in "rados"/"s3"/"disk:<path>" via the backend
-  //    registry for other deployments (see backend_tour.cpp).
+  // 1. An object store. Swap in a ClusterObjectStore (RADOS- or S3-like), a
+  //    DiskObjectStore or your own ObjectStore for other deployments (see
+  //    backend_tour.cpp).
   auto store = std::make_shared<MemoryObjectStore>();
 
   // 2. A cluster harness: formats the store (root inode), starts the lease

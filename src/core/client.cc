@@ -3,7 +3,6 @@
 #include "core/client.h"
 
 #include "common/log.h"
-#include "objstore/tracing_store.h"
 
 namespace arkfs {
 
@@ -31,10 +30,7 @@ Client::Client(ObjectStorePtr store, rpc::FabricPtr fabric,
         if (!c.async.metrics) c.async.metrics = c.metrics;
         return c;
       }()),
-      // Every store op this client issues (PRT, journal, cache, async I/O)
-      // goes through the tracing decorator, so an active request trace picks
-      // up its "objstore.*" spans.
-      store_(std::make_shared<TracingStore>(std::move(store))),
+      store_(std::move(store)),
       fabric_(std::move(fabric)),
       tracer_(config_.trace_capacity) {
   local_meta_ops_.Attach(config_.metrics, "client.local_meta_ops");

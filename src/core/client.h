@@ -146,6 +146,8 @@ class Client : public Vfs {
   // and dentry block. Idempotent only if `force`.
   static Status Format(const ObjectStorePtr& store, bool force = false);
 
+  // Uses `store` as given: a deployment's store stack (StackBuilder, as
+  // ArkFsCluster builds it) already counts, times and traces every call.
   static Result<std::shared_ptr<Client>> Create(ObjectStorePtr store,
                                                 rpc::FabricPtr fabric,
                                                 ClientConfig config);

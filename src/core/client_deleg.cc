@@ -76,7 +76,7 @@ void Client::DelegAdopt(const Uuid& dir_ino, const std::string& leader,
 
 void Client::DelegObserve(const Uuid& dir_ino, const FenceToken& fence,
                           std::uint64_t watermark) {
-  if (fence == FenceToken{}) return;  // unstamped (pre-v2 or unfenced) reply
+  if (fence == FenceToken{}) return;  // unstamped (unfenced) reply
   std::lock_guard lock(deleg_mu_);
   auto it = delegations_.find(dir_ino);
   if (it == delegations_.end()) return;

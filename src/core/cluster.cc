@@ -1,7 +1,5 @@
 #include "core/cluster.h"
 
-#include "objstore/stack_builder.h"
-
 namespace arkfs {
 
 namespace {
@@ -13,7 +11,7 @@ bool IsDataChunkKey(const std::string& key) {
 }  // namespace
 
 ArkFsCluster::ArkFsCluster(ObjectStorePtr store, ArkFsClusterOptions options)
-    : options_(std::move(options)), store_(std::move(store)) {
+    : options_(std::move(options)) {
   tenant_metrics_ = std::make_unique<qos::TenantMetrics>(
       options_.client_template.metrics);
   if (options_.admission.enabled) {
@@ -24,30 +22,25 @@ ArkFsCluster::ArkFsCluster(ObjectStorePtr store, ArkFsClusterOptions options)
     quota_ = std::make_unique<qos::QuotaManager>(options_.quota,
                                                  tenant_metrics_.get());
   }
-  if (options_.placement != DataPlacement::kReplica) {
-    objstore::StackBuilder builder;
-    builder.Metrics(options_.client_template.metrics).Base(store_);
-    EcStoreOptions ec;
-    ec.k = options_.ec_data_shards;
-    ec.m = options_.ec_parity_shards;
-    if (options_.placement == DataPlacement::kEc) {
-      ec.should_encode = IsDataChunkKey;
-      builder.Ec(std::move(ec));
-    } else {
-      TieringOptions tiering;
-      tiering.should_tier = IsDataChunkKey;
-      builder.Tiering(std::move(tiering), options_.migrate, std::move(ec));
-    }
-    builder.Scrub(options_.scrub);
-    // Canonically composed over a live base: Build() cannot fail here.
-    auto stack = builder.Build().value();
-    store_ = stack.store;  // clients AND lease managers share the wrap
-    ec_store_ = stack.ec;
-    scrubber_ = stack.scrubber;
-    tiering_store_ = stack.tiering;
-    migrator_ = stack.migrator;
-    if (options_.scrub_background) scrubber_->Start();
-    if (migrator_ && options_.migrate_background) migrator_->Start();
+  objstore::StackBuilder builder;
+  builder.Metrics(options_.client_template.metrics).Base(std::move(store));
+  EcStoreOptions ec;
+  ec.k = options_.ec_data_shards;
+  ec.m = options_.ec_parity_shards;
+  if (options_.placement == DataPlacement::kEc) {
+    ec.should_encode = IsDataChunkKey;
+    builder.Ec(std::move(ec)).Scrub(options_.scrub);
+  } else if (options_.placement == DataPlacement::kTiered) {
+    TieringOptions tiering;
+    tiering.should_tier = IsDataChunkKey;
+    builder.Tiering(std::move(tiering), options_.migrate, std::move(ec))
+        .Scrub(options_.scrub);
+  }
+  // Canonically composed over a live base: Build() cannot fail here.
+  stack_ = builder.Build().value();  // clients AND lease managers share it
+  if (stack_.scrubber && options_.scrub_background) stack_.scrubber->Start();
+  if (stack_.migrator && options_.migrate_background) {
+    stack_.migrator->Start();
   }
   fabric_ = std::make_shared<rpc::Fabric>(options_.network);
 
@@ -66,7 +59,7 @@ ArkFsCluster::ArkFsCluster(ObjectStorePtr store, ArkFsClusterOptions options)
     config.start_active = (i == 0);
     config.admission = admission_.get();
     lease_managers_.push_back(
-        std::make_unique<lease::LeaseManager>(fabric_, store_, config));
+        std::make_unique<lease::LeaseManager>(fabric_, stack_.store, config));
   }
 }
 
@@ -82,15 +75,15 @@ Result<std::unique_ptr<ArkFsCluster>> ArkFsCluster::Create(
     // Reload quota usage persisted by a previous incarnation. kNoEnt means
     // a fresh namespace; a corrupt blob means starting from zero (usage can
     // only under-count, which is the safe direction for admission).
-    auto usage = cluster->store_->Get(qos::kQuotaUsageKey);
+    auto usage = cluster->store()->Get(qos::kQuotaUsageKey);
     if (usage.ok()) (void)cluster->quota_->LoadUsage(*usage);
   }
-  if (cluster->tiering_store_) {
+  if (const auto& tiering = cluster->tiering_store()) {
     // Reload access stats persisted by a previous incarnation. kNoEnt or a
     // corrupt blob only resets idle clocks (demotion waits a fresh
     // demote_after) — placement itself is re-derived from the store.
-    auto stats = cluster->store_->Get(kTierStatsKey);
-    if (stats.ok()) (void)cluster->tiering_store_->LoadAccessStats(*stats);
+    auto stats = cluster->store()->Get(kTierStatsKey);
+    if (stats.ok()) (void)tiering->LoadAccessStats(*stats);
   }
   for (auto& manager : cluster->lease_managers_) {
     ARKFS_RETURN_IF_ERROR(manager->Start());
@@ -99,8 +92,8 @@ Result<std::unique_ptr<ArkFsCluster>> ArkFsCluster::Create(
 }
 
 ArkFsCluster::~ArkFsCluster() {
-  if (migrator_) migrator_->Stop();
-  if (scrubber_) scrubber_->Stop();
+  if (stack_.migrator) stack_.migrator->Stop();
+  if (stack_.scrubber) stack_.scrubber->Stop();
   // Shut clients down before the lease managers so their releases land.
   for (auto& client : clients_) {
     (void)client->Shutdown();
@@ -135,7 +128,7 @@ Status ArkFsCluster::ReviveLeaseReplica(int replica) {
   // object would only model a pause/partition, never an amnesiac restart.
   lease::LeaseManagerConfig config = slot->config();
   slot->Stop();
-  slot = std::make_unique<lease::LeaseManager>(fabric_, store_, config);
+  slot = std::make_unique<lease::LeaseManager>(fabric_, stack_.store, config);
   return slot->Start();
 }
 
@@ -148,14 +141,14 @@ Result<std::shared_ptr<Client>> ArkFsCluster::AddClient(std::string name,
   if (tenant != 0) config.tenant = tenant;
   config.admission = admission_.get();
   config.quota = quota_.get();
-  if (quota_ || tiering_store_) {
+  if (quota_ || stack_.tiering) {
     // Persist quota usage and tiering access stats on the checkpoint
     // cadence: after each successful journal checkpoint, write each blob
     // iff something changed since its last write. A failed put re-arms the
     // dirty flag so the next checkpoint retries.
     qos::QuotaManager* quota = quota_.get();
-    TieringStorePtr tiering = tiering_store_;
-    ObjectStorePtr store = store_;
+    TieringStorePtr tiering = stack_.tiering;
+    ObjectStorePtr store = stack_.store;
     config.journal.on_checkpoint = [quota, tiering, store] {
       if (quota && quota->ConsumeDirty()) {
         const Bytes blob = quota->EncodeUsage();
@@ -167,15 +160,15 @@ Result<std::shared_ptr<Client>> ArkFsCluster::AddClient(std::string name,
       }
     };
   }
-  ARKFS_ASSIGN_OR_RETURN(auto client,
-                         Client::Create(store_, fabric_, std::move(config)));
-  if (scrubber_) {
+  ARKFS_ASSIGN_OR_RETURN(
+      auto client, Client::Create(stack_.store, fabric_, std::move(config)));
+  if (stack_.scrubber) {
     client->SetScrubReporter(
-        [scrubber = scrubber_] { return scrubber->ReportText(); });
+        [scrubber = stack_.scrubber] { return scrubber->ReportText(); });
   }
-  if (tiering_store_) {
+  if (stack_.tiering) {
     client->SetTieringReporter(
-        [tiering = tiering_store_, migrator = migrator_] {
+        [tiering = stack_.tiering, migrator = stack_.migrator] {
           std::string text = tiering->StatsText();
           if (migrator) text += "migrator: " + migrator->ReportText();
           return text;

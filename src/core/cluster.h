@@ -10,10 +10,7 @@
 #include "core/client.h"
 #include "core/fuse_sim.h"
 #include "lease/lease_manager.h"
-#include "objstore/ec_store.h"
-#include "objstore/object_store.h"
-#include "objstore/scrubber.h"
-#include "objstore/tiering_store.h"
+#include "objstore/stack_builder.h"
 #include "qos/admission.h"
 #include "qos/quota.h"
 #include "qos/tenant.h"
@@ -108,18 +105,27 @@ class ArkFsCluster {
   VfsPtr WithFuse(const std::shared_ptr<Client>& client,
                   FuseSimConfig config = FuseSimConfig{});
 
-  const ObjectStorePtr& store() const { return store_; }
-  // The EC tier, null under kReplica. Under kEc it IS the data path
-  // (aliases store()); under kTiered it is the COLD tier the TieringStore
-  // demotes into — do not gate on `placement == kEc` to decide whether EC
-  // machinery (scrub, stripe introspection) exists, check the handle.
-  const EcStorePtr& ec_store() const { return ec_store_; }
+  // The top of the cluster's store stack, shared by clients and lease
+  // managers: an InstrumentedStore over the placement layer over the store
+  // passed to Create().
+  const ObjectStorePtr& store() const { return stack_.store; }
+  // The same store, typed: its op counters and latency histograms see
+  // every store call the deployment makes, under every placement.
+  const std::shared_ptr<InstrumentedStore>& instrumented_store() const {
+    return stack_.instrumented;
+  }
+  // The EC tier, null under kReplica. Under kEc it IS the data path (the
+  // layer under instrumented_store()); under kTiered it is the COLD tier
+  // the TieringStore demotes into — do not gate on `placement == kEc` to
+  // decide whether EC machinery (scrub, stripe introspection) exists, check
+  // the handle.
+  const EcStorePtr& ec_store() const { return stack_.ec; }
   // Non-null whenever ec_store() is (kEc and kTiered both scrub their
   // stripes); background loop only runs if options.scrub_background.
-  const ScrubberPtr& scrubber() const { return scrubber_; }
+  const ScrubberPtr& scrubber() const { return stack_.scrubber; }
   // Null unless options.placement == kTiered.
-  const TieringStorePtr& tiering_store() const { return tiering_store_; }
-  const MigratorPtr& migrator() const { return migrator_; }
+  const TieringStorePtr& tiering_store() const { return stack_.tiering; }
+  const MigratorPtr& migrator() const { return stack_.migrator; }
   const rpc::FabricPtr& fabric() const { return fabric_; }
   lease::LeaseManager& lease_manager() { return *lease_managers_.front(); }
   lease::LeaseManager& lease_manager(int replica) {
@@ -162,11 +168,7 @@ class ArkFsCluster {
   std::unique_ptr<qos::TenantMetrics> tenant_metrics_;
   std::unique_ptr<qos::AdmissionController> admission_;
   std::unique_ptr<qos::QuotaManager> quota_;
-  ObjectStorePtr store_;
-  EcStorePtr ec_store_;    // kEc: aliases store_; kTiered: the cold tier
-  ScrubberPtr scrubber_;   // set whenever ec_store_ is
-  TieringStorePtr tiering_store_;  // set when placement == kTiered
-  MigratorPtr migrator_;           // ditto
+  objstore::StoreStack stack_;
   rpc::FabricPtr fabric_;
   std::vector<std::string> manager_addresses_;
   std::vector<std::unique_ptr<lease::LeaseManager>> lease_managers_;

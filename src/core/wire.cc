@@ -65,10 +65,6 @@ Bytes DirOpRequest::Encode() const {
   enc.PutString(client);
   enc.PutU64(trace_id);
   enc.PutU64(parent_span);
-  // v3 trailing extension (multi-tenant QoS). Same version-tolerance scheme
-  // as the response's v2 block: this decoder has always ignored trailing
-  // bytes, so pre-bump peers skip the tenant and v3 decoders read pre-bump
-  // frames as tenant 0.
   enc.PutU32(tenant);
   return std::move(enc).Take();
 }
@@ -96,8 +92,11 @@ Result<DirOpRequest> DirOpRequest::Decode(ByteSpan data) {
   ARKFS_ASSIGN_OR_RETURN(req.client, dec.GetString());
   ARKFS_ASSIGN_OR_RETURN(req.trace_id, dec.GetU64());
   ARKFS_ASSIGN_OR_RETURN(req.parent_span, dec.GetU64());
-  if (!dec.done()) {  // v3 extension present
-    ARKFS_ASSIGN_OR_RETURN(req.tenant, dec.GetU32());
+  ARKFS_ASSIGN_OR_RETURN(req.tenant, dec.GetU32());
+  // One build writes and reads every frame: anything after the last field
+  // is corruption, not a newer peer's extension.
+  if (!dec.done()) {
+    return ErrStatus(Errc::kIo, "dir-op request: trailing bytes");
   }
   return req;
 }
@@ -121,9 +120,6 @@ Bytes DirOpResponse::Encode() const {
   for (const auto& d : entries) d.EncodeTo(enc);
   enc.PutU8(lease_granted ? 1 : 0);
   enc.PutU8(empty_dir ? 1 : 0);
-  // v2 trailing extension (read delegations). This decoder has always
-  // ignored trailing bytes, so pre-bump decoders skip the block and v2
-  // decoders accept pre-bump frames that stop at the v1 boundary above.
   enc.PutU64(fence.epoch);
   enc.PutU64(fence.seq);
   enc.PutU64(watermark);
@@ -167,17 +163,18 @@ Result<DirOpResponse> DirOpResponse::Decode(ByteSpan data) {
   resp.lease_granted = granted != 0;
   ARKFS_ASSIGN_OR_RETURN(std::uint8_t empty, dec.GetU8());
   resp.empty_dir = empty != 0;
-  if (!dec.done()) {  // v2 extension present
-    ARKFS_ASSIGN_OR_RETURN(resp.fence.epoch, dec.GetU64());
-    ARKFS_ASSIGN_OR_RETURN(resp.fence.seq, dec.GetU64());
-    ARKFS_ASSIGN_OR_RETURN(resp.watermark, dec.GetU64());
-    ARKFS_ASSIGN_OR_RETURN(std::uint64_t m, dec.GetVarint());
-    if (m > (1u << 24)) return ErrStatus(Errc::kIo, "implausible inode count");
-    resp.child_inodes.reserve(m);
-    for (std::uint64_t i = 0; i < m; ++i) {
-      ARKFS_ASSIGN_OR_RETURN(Inode ino, Inode::DecodeFrom(dec));
-      resp.child_inodes.push_back(std::move(ino));
-    }
+  ARKFS_ASSIGN_OR_RETURN(resp.fence.epoch, dec.GetU64());
+  ARKFS_ASSIGN_OR_RETURN(resp.fence.seq, dec.GetU64());
+  ARKFS_ASSIGN_OR_RETURN(resp.watermark, dec.GetU64());
+  ARKFS_ASSIGN_OR_RETURN(std::uint64_t m, dec.GetVarint());
+  if (m > (1u << 24)) return ErrStatus(Errc::kIo, "implausible inode count");
+  resp.child_inodes.reserve(m);
+  for (std::uint64_t i = 0; i < m; ++i) {
+    ARKFS_ASSIGN_OR_RETURN(Inode ino, Inode::DecodeFrom(dec));
+    resp.child_inodes.push_back(std::move(ino));
+  }
+  if (!dec.done()) {
+    return ErrStatus(Errc::kIo, "dir-op response: trailing bytes");
   }
   return resp;
 }

@@ -101,11 +101,9 @@ struct DirOpRequest {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
 
-  // --- v3 trailing extension (multi-tenant QoS) ---
-  // Requesting tenant, rides next to the trace context. Pre-bump frames
-  // decode as tenant 0 (the default/untenanted id); pre-bump decoders
-  // ignore the trailing bytes. The serving leader uses it for admission
-  // control, fair queueing and quota accounting.
+  // Requesting tenant (0 = untenanted), rides next to the trace context.
+  // The serving leader uses it for admission control, fair queueing and
+  // quota accounting.
   std::uint32_t tenant = 0;
 
   Bytes Encode() const;
@@ -136,13 +134,13 @@ struct DirOpResponse {
   bool lease_granted = false;   // kLeaseOpen / kLeaseUpgrade
   bool empty_dir = false;       // kIsEmptyDir
 
-  // --- v2 trailing extension (read delegations) ---
-  // On kDelegateFetch: the slice's version stamp (the leader's fencing token
-  // and journal watermark at read time; `entries` carries the dentries,
-  // `child_inodes` the file inodes, has_inode+dir_meta the directory itself).
+  // Read delegations. On kDelegateFetch: the slice's version stamp (the
+  // leader's fencing token and journal watermark at read time; `entries`
+  // carries the dentries, `child_inodes` the file inodes, has_inode+dir_meta
+  // the directory itself).
   // On every other leader-served reply: the same stamp, piggybacked so a
   // delegate that forwarded an op learns immediately whether its slice is
-  // behind. fence == {0,0} means "no stamp" (old encoder or non-leader path).
+  // behind. fence == {0,0} means "no stamp" (a non-leader path).
   FenceToken fence;
   std::uint64_t watermark = 0;
   std::vector<Inode> child_inodes;  // kDelegateFetch only

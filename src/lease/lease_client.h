@@ -72,7 +72,7 @@ class LeaseClient {
     std::uint64_t watermark = 0;
   };
 
-  // Per-call extras carried in the v2 AcquireRequest extension.
+  // Per-call extras carried in the AcquireRequest (read delegations).
   struct AcquireOptions {
     // Non-leader asking for a read delegation alongside the redirect.
     bool want_delegation = false;

@@ -20,11 +20,8 @@ Bytes AcquireRequest::Encode() const {
   enc.PutString(client);
   enc.PutU64(trace_id);
   enc.PutU64(parent_span);
-  // v2 trailing extension (delegations). Stays at the end: a v2 decoder
-  // accepts frames that stop at the v1 boundary above.
   enc.PutU8(want_delegation ? 1 : 0);
   enc.PutU64(watermark);
-  // v3 trailing extension (multi-tenant QoS).
   enc.PutU32(tenant);
   return std::move(enc).Take();
 }
@@ -36,15 +33,11 @@ Result<AcquireRequest> AcquireRequest::Decode(ByteSpan data) {
   ARKFS_ASSIGN_OR_RETURN(req.client, dec.GetString());
   ARKFS_ASSIGN_OR_RETURN(req.trace_id, dec.GetU64());
   ARKFS_ASSIGN_OR_RETURN(req.parent_span, dec.GetU64());
-  if (!dec.done()) {  // v2 extension present
-    ARKFS_ASSIGN_OR_RETURN(std::uint8_t want, dec.GetU8());
-    if (want > 1) return ErrStatus(Errc::kIo, "bad want_delegation flag");
-    req.want_delegation = want != 0;
-    ARKFS_ASSIGN_OR_RETURN(req.watermark, dec.GetU64());
-    if (!dec.done()) {  // v3 extension present
-      ARKFS_ASSIGN_OR_RETURN(req.tenant, dec.GetU32());
-    }
-  }
+  ARKFS_ASSIGN_OR_RETURN(std::uint8_t want, dec.GetU8());
+  if (want > 1) return ErrStatus(Errc::kIo, "bad want_delegation flag");
+  req.want_delegation = want != 0;
+  ARKFS_ASSIGN_OR_RETURN(req.watermark, dec.GetU64());
+  ARKFS_ASSIGN_OR_RETURN(req.tenant, dec.GetU32());
   ARKFS_RETURN_IF_ERROR(RequireDone(dec, "acquire request"));
   return req;
 }
@@ -58,11 +51,9 @@ Bytes AcquireResponse::Encode() const {
   enc.PutString(prev_leader);
   enc.PutU64(token.epoch);
   enc.PutU64(token.seq);
-  // v2 trailing extension (delegations).
   enc.PutU64(watermark);
   enc.PutU8(deleg ? 1 : 0);
   enc.PutI64(deleg_until_ns);
-  // v3 trailing extension (multi-tenant QoS).
   enc.PutI64(retry_after_ns);
   return std::move(enc).Take();
 }
@@ -82,16 +73,12 @@ Result<AcquireResponse> AcquireResponse::Decode(ByteSpan data) {
   ARKFS_ASSIGN_OR_RETURN(resp.prev_leader, dec.GetString());
   ARKFS_ASSIGN_OR_RETURN(resp.token.epoch, dec.GetU64());
   ARKFS_ASSIGN_OR_RETURN(resp.token.seq, dec.GetU64());
-  if (!dec.done()) {  // v2 extension present
-    ARKFS_ASSIGN_OR_RETURN(resp.watermark, dec.GetU64());
-    ARKFS_ASSIGN_OR_RETURN(std::uint8_t deleg, dec.GetU8());
-    if (deleg > 1) return ErrStatus(Errc::kIo, "bad deleg flag");
-    resp.deleg = deleg != 0;
-    ARKFS_ASSIGN_OR_RETURN(resp.deleg_until_ns, dec.GetI64());
-    if (!dec.done()) {  // v3 extension present
-      ARKFS_ASSIGN_OR_RETURN(resp.retry_after_ns, dec.GetI64());
-    }
-  }
+  ARKFS_ASSIGN_OR_RETURN(resp.watermark, dec.GetU64());
+  ARKFS_ASSIGN_OR_RETURN(std::uint8_t deleg, dec.GetU8());
+  if (deleg > 1) return ErrStatus(Errc::kIo, "bad deleg flag");
+  resp.deleg = deleg != 0;
+  ARKFS_ASSIGN_OR_RETURN(resp.deleg_until_ns, dec.GetI64());
+  ARKFS_ASSIGN_OR_RETURN(resp.retry_after_ns, dec.GetI64());
   ARKFS_RETURN_IF_ERROR(RequireDone(dec, "acquire response"));
   return resp;
 }

@@ -4,17 +4,9 @@
 // Decoding is strict end to end: every message rejects truncated input,
 // out-of-range enum values, and trailing garbage. Lease grants are the root
 // of all fencing decisions, so a mangled message must fail loudly rather
-// than decode to something plausible.
-//
-// Version tolerance (same discipline as the AKJT→AKJ2 journal frames): the
-// v2 delegation fields and v3 QoS fields on AcquireRequest/AcquireResponse
-// are TRAILING extension blocks. A current decoder accepts a frame that
-// ends exactly at the v1 or v2 boundary (extension fields default to
-// zero/false) and still rejects every other truncation and any trailing
-// garbage after the last block. The rollout order this buys is
-// decoders-first: a fleet whose decoders are current keeps interoperating
-// while encoders upgrade, and pre-bump frames already in flight (or
-// replayed from captures) parse losslessly.
+// than decode to something plausible. These frames only travel the
+// in-process fabric, so one build writes and reads every one of them:
+// every field is mandatory, and no older frame shape is accepted.
 #pragma once
 
 #include <cstdint>
@@ -50,18 +42,16 @@ struct AcquireRequest {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span = 0;
 
-  // --- v2 trailing extension (read delegations) ---
-  // Non-leader asking to serve reads from a cached metatable slice: a live
-  // lease answers kRedirect + a delegation stamped with the leader's token
-  // and last-reported watermark.
+  // Read delegations: a non-leader asking to serve reads from a cached
+  // metatable slice; a live lease answers kRedirect + a delegation stamped
+  // with the leader's token and last-reported watermark.
   bool want_delegation = false;
   // Leader renewals report the directory's current journal watermark here;
   // the manager piggybacks it on every delegation it hands out.
   std::uint64_t watermark = 0;
 
-  // --- v3 trailing extension (multi-tenant QoS) ---
-  // Requesting tenant; the manager runs it through admission control before
-  // touching lease state. v1/v2 frames decode as tenant 0.
+  // Requesting tenant (0 = untenanted); the manager runs it through
+  // admission control before touching lease state.
   std::uint32_t tenant = 0;
 
   Bytes Encode() const;
@@ -96,9 +86,8 @@ struct AcquireResponse {
   // tenure the delegation is valid under.
   FenceToken token;
 
-  // --- v2 trailing extension (read delegations) ---
-  // The leader's journal watermark as last reported on a renewal (0 until
-  // the first report of the tenure).
+  // Read delegations: the leader's journal watermark as last reported on a
+  // renewal (0 until the first report of the tenure).
   std::uint64_t watermark = 0;
   // kRedirect only: true when the manager grants a read delegation against
   // the live lease (want_delegation was set and the lease is unexpired, not
@@ -108,7 +97,6 @@ struct AcquireResponse {
   // watermark report it is based on turns one lease term old.
   std::int64_t deleg_until_ns = 0;
 
-  // --- v3 trailing extension (multi-tenant QoS) ---
   // kWait only: server-computed retry-after hint (0 = none). Admission
   // throttling travels IN-BAND as kWait + this field — never as a
   // status-level kAgain, whose detail the client reserves for

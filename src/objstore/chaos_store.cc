@@ -2,17 +2,11 @@
 
 namespace arkfs {
 
-ChaosStore::ChaosStore(ObjectStorePtr base, ChaosConfig config,
+ChaosStore::ChaosStore(ObjectStorePtr base, ChaosConfig config, FaultFn hook,
                        obs::MetricsRegistry* registry)
-    : FaultInjectionStore(
-          std::move(base),
-          // The seeded profile is the FaultFn: every inherited operation
-          // funnels through Decide exactly like a scripted fault predicate.
-          // (The lambda is not invoked during construction.)
-          [this](std::string_view op, const std::string& key) {
-            return Decide(op, key);
-          }),
+    : StoreDecorator(std::move(base)),
       config_(std::move(config)),
+      hook_(std::move(hook)),
       rng_(config_.seed) {
   ops_.Attach(registry, "chaos.ops");
   transient_faults_.Attach(registry, "chaos.transient_faults");
@@ -21,11 +15,6 @@ ChaosStore::ChaosStore(ObjectStorePtr base, ChaosConfig config,
   latency_spikes_.Attach(registry, "chaos.latency_spikes");
   torn_puts_.Attach(registry, "chaos.torn_puts");
   bit_flips_.Attach(registry, "chaos.bit_flips");
-}
-
-void ChaosStore::set_fault_hook(FaultFn hook) {
-  std::lock_guard lock(mu_);
-  hook_ = std::move(hook);
 }
 
 void ChaosStore::AddPersistentFault(const std::string& key, Errc e) {
@@ -44,17 +33,17 @@ void ChaosStore::ClearPersistentFaults() {
 }
 
 Errc ChaosStore::Decide(std::string_view op, const std::string& key) {
+  ops_.Add();
+  if (hook_) {
+    if (Errc e = hook_(op, key); e != Errc::kOk) {
+      hook_faults_.Add();
+      return e;
+    }
+  }
   bool spike = false;
   Errc verdict = Errc::kOk;
   {
     std::lock_guard lock(mu_);
-    ops_.Add();
-    if (hook_) {
-      if (Errc e = hook_(op, key); e != Errc::kOk) {
-        hook_faults_.Add();
-        return e;
-      }
-    }
     if (auto it = persistent_.find(key); it != persistent_.end()) {
       persistent_faults_.Add();
       return it->second;
@@ -114,7 +103,8 @@ void ChaosStore::MaybeFlipBit(const std::string& key, Bytes* data) {
 }
 
 Result<Bytes> ChaosStore::Get(const std::string& key) {
-  auto result = FaultInjectionStore::Get(key);
+  if (Errc e = Decide("get", key); e != Errc::kOk) return ErrStatus(e, key);
+  auto result = base()->Get(key);
   if (result.ok()) MaybeFlipBit(key, &*result);
   return result;
 }
@@ -122,9 +112,37 @@ Result<Bytes> ChaosStore::Get(const std::string& key) {
 Result<Bytes> ChaosStore::GetRange(const std::string& key,
                                    std::uint64_t offset,
                                    std::uint64_t length) {
-  auto result = FaultInjectionStore::GetRange(key, offset, length);
+  if (Errc e = Decide("getrange", key); e != Errc::kOk) {
+    return ErrStatus(e, key);
+  }
+  auto result = base()->GetRange(key, offset, length);
   if (result.ok()) MaybeFlipBit(key, &*result);
   return result;
+}
+
+Status ChaosStore::PutRange(const std::string& key, std::uint64_t offset,
+                            ByteSpan data) {
+  if (Errc e = Decide("putrange", key); e != Errc::kOk) {
+    return ErrStatus(e, key);
+  }
+  return base()->PutRange(key, offset, data);
+}
+
+Status ChaosStore::Delete(const std::string& key) {
+  if (Errc e = Decide("delete", key); e != Errc::kOk) return ErrStatus(e, key);
+  return base()->Delete(key);
+}
+
+Result<ObjectMeta> ChaosStore::Head(const std::string& key) {
+  if (Errc e = Decide("head", key); e != Errc::kOk) return ErrStatus(e, key);
+  return base()->Head(key);
+}
+
+Result<std::vector<std::string>> ChaosStore::List(const std::string& prefix) {
+  if (Errc e = Decide("list", prefix); e != Errc::kOk) {
+    return ErrStatus(e, prefix);
+  }
+  return base()->List(prefix);
 }
 
 ChaosStore::Counters ChaosStore::counters() const {

@@ -1,11 +1,12 @@
-// ChaosStore — seeded fault-injection decorator for chaos testing.
+// ChaosStore — the fault-injection decorator, scripted and seeded.
 //
-// FaultInjectionStore answers "what happens when THIS op fails" (the caller
-// scripts every fault); ChaosStore answers "does the stack survive a store
+// It answers two questions. A scripted FaultFn, given at construction,
+// answers "what happens when THIS op fails": the caller decides each fault.
+// The seeded profile (ChaosConfig) answers "does the stack survive a store
 // that is statistically flaky" — the CFS/λFS-style fault model where any
 // node can time out, drop a request, or tear a write at any moment. The
 // profile is driven by a seeded RNG, so a failing run reproduces exactly
-// from its seed.
+// from its seed; a default ChaosConfig injects nothing.
 //
 // Faults injected:
 //  * per-op transient errors with probability `fault_rate`, drawn from the
@@ -19,18 +20,25 @@
 //    above must treat the object as garbage until the next full rewrite
 //    (the journal's CRC framing is what detects exactly this).
 //
-// ChaosStore IS a FaultInjectionStore: the whole profile is routed through
-// the same FaultFn hook, and an extra caller-supplied hook can be chained
-// in front of it (consulted first; kOk falls through to the profile).
+// Every primitive consults the scripted hook first, then the profile. The
+// hook sees the operation name ("get", "getrange", "put", "putrange",
+// "delete", "head", "list") and key (the prefix for "list"), and returns
+// the error to inject (kOk falls through to the profile). It runs without
+// the store's mutex held, so it may block or call back into the store.
+// Tests use it to kill writes after N ops to simulate a client crash
+// mid-commit; hooks matching a whole family should prefix-match
+// (op.starts_with("put")) so ranged variants stay covered.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
-#include "objstore/wrappers.h"
+#include "obs/metrics.h"
+#include "objstore/store_decorator.h"
 
 namespace arkfs {
 
@@ -60,14 +68,13 @@ struct ChaosConfig {
   }
 };
 
-class ChaosStore : public FaultInjectionStore {
+class ChaosStore : public StoreDecorator {
  public:
-  ChaosStore(ObjectStorePtr base, ChaosConfig config,
-             obs::MetricsRegistry* registry = nullptr);
+  using FaultFn =
+      std::function<Errc(std::string_view op, const std::string& key)>;
 
-  // Extra hook consulted before the seeded profile (same contract as
-  // FaultInjectionStore::FaultFn; return kOk to fall through).
-  void set_fault_hook(FaultFn hook);
+  ChaosStore(ObjectStorePtr base, ChaosConfig config, FaultFn hook = nullptr,
+             obs::MetricsRegistry* registry = nullptr);
 
   // Persistent per-key faults: every op on `key` fails with `e` until
   // cleared. Models a dead/corrupt object rather than a flaky node.
@@ -75,13 +82,17 @@ class ChaosStore : public FaultInjectionStore {
   void ClearPersistentFault(const std::string& key);
   void ClearPersistentFaults();
 
-  // Whole-object Put gains the torn-write fault; reads gain the bit-flip
-  // fault; everything else inherits the FaultFn-routed behaviour from
-  // FaultInjectionStore.
-  Status Put(const std::string& key, ByteSpan data) override;
+  // Every primitive can fail; whole-object Put can also tear, and reads can
+  // come back with a flipped bit.
   Result<Bytes> Get(const std::string& key) override;
   Result<Bytes> GetRange(const std::string& key, std::uint64_t offset,
                          std::uint64_t length) override;
+  Status Put(const std::string& key, ByteSpan data) override;
+  Status PutRange(const std::string& key, std::uint64_t offset,
+                  ByteSpan data) override;
+  Status Delete(const std::string& key) override;
+  Result<ObjectMeta> Head(const std::string& key) override;
+  Result<std::vector<std::string>> List(const std::string& prefix) override;
 
   std::string name() const override { return "chaos/" + base()->name(); }
 
@@ -99,15 +110,15 @@ class ChaosStore : public FaultInjectionStore {
   const ChaosConfig& chaos_config() const { return config_; }
 
  private:
-  // The FaultFn every operation funnels through.
+  // The verdict every operation funnels through: hook, then profile.
   Errc Decide(std::string_view op, const std::string& key);
   // Flips one random bit of `data` when the profile + filter say so.
   void MaybeFlipBit(const std::string& key, Bytes* data);
 
   const ChaosConfig config_;
+  const FaultFn hook_;
   mutable std::mutex mu_;
   Rng rng_;
-  FaultFn hook_;
   std::map<std::string, Errc> persistent_;
   // Metric cells ("chaos.*"); counters() snapshots them per instance.
   obs::Counter ops_, transient_faults_, persistent_faults_, hook_faults_,

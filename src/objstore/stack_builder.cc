@@ -4,8 +4,7 @@ namespace arkfs::objstore {
 
 namespace {
 constexpr char kCanonicalOrder[] =
-    "base/cluster -> ec|tiering -> scrub -> chaos -> retrying -> latency -> "
-    "tracing";
+    "base/cluster -> ec|tiering -> scrub -> chaos -> retrying";
 }  // namespace
 
 StackBuilder& StackBuilder::Metrics(obs::MetricsRegistry* registry) {
@@ -106,7 +105,8 @@ StackBuilder& StackBuilder::Scrub(ScrubberOptions options) {
 
 StackBuilder& StackBuilder::Chaos(ChaosConfig config) {
   if (!Require(3, "Chaos")) return *this;
-  stack_.chaos = std::make_shared<ChaosStore>(cur_, config, metrics_);
+  stack_.chaos =
+      std::make_shared<ChaosStore>(cur_, std::move(config), nullptr, metrics_);
   cur_ = stack_.chaos;
   return *this;
 }
@@ -118,26 +118,13 @@ StackBuilder& StackBuilder::Retrying(RetryPolicy policy) {
   return *this;
 }
 
-StackBuilder& StackBuilder::Latency() {
-  if (!Require(5, "Latency")) return *this;
-  stack_.latency = std::make_shared<LatencyTrackingStore>(cur_, metrics_);
-  cur_ = stack_.latency;
-  return *this;
-}
-
-StackBuilder& StackBuilder::Tracing() {
-  if (!Require(6, "Tracing")) return *this;
-  stack_.tracing = std::make_shared<TracingStore>(cur_);
-  cur_ = stack_.tracing;
-  return *this;
-}
-
 Result<StoreStack> StackBuilder::Build() {
   if (!error_.ok()) return error_;
   if (!cur_) {
     return ErrStatus(Errc::kInval, "StackBuilder: no Base or Cluster stage");
   }
-  stack_.store = cur_;
+  stack_.instrumented = std::make_shared<InstrumentedStore>(cur_, metrics_);
+  stack_.store = stack_.instrumented;
   return stack_;
 }
 

@@ -1,18 +1,25 @@
-// StackBuilder — the one canonical way to assemble an ObjectStore stack.
+// StackBuilder — the one way to assemble an ObjectStore stack.
 //
-// Every deployment-shaped stack in the repo (the ArkFsCluster constructor,
-// benches, chaos tests) composes the same decorators in the same order:
+// Every stack in the repo (the ArkFsCluster constructor for every data
+// placement, benches, chaos tests) composes the same decorators in the same
+// order:
 //
-//   tracing → latency → retrying → chaos → ec|tiering → cluster|base
-//   (top)                                                      (bottom)
+//   instrumented → retrying → chaos → ec|tiering → cluster|base
+//   (top)                                                (bottom)
 //
 // and each layer only behaves correctly in that position: retrying must sit
 // ABOVE chaos (it exists to ride out injected faults), chaos ABOVE ec (so a
 // flaky backend exercises reconstruct-on-read; stacks that want chaos BELOW
 // ec to rot raw shard bytes pass the pre-wrapped store to Base()), and
 // ec/tiering directly over the cluster (their placement probes walk down to
-// it). Hand-wiring that order at every call site invited silent
-// misbehavior; the builder enforces it at construct time instead.
+// it). Build() always puts one InstrumentedStore on top, so every stack
+// counts, times and traces the calls its users make — the calls the
+// retrying layer absorbs stay invisible to it. Hand-wiring that order at
+// every call site invited silent misbehavior; the builder enforces it at
+// construct time instead.
+//
+// A new backend needs no registration: implement ObjectStore and pass it to
+// Base().
 //
 // Usage (stages in canonical bottom-up order; skipping stages is fine,
 // reordering or repeating them is a Build() error):
@@ -25,8 +32,9 @@
 //           .Scrub(ScrubberOptions::ForTests())
 //           .Retrying(RetryPolicy::ForTests())
 //           .Build());
-//   stack.store      // the top of the stack — hand this to clients
-//   stack.tiering    // typed handles for every stage that was added
+//   stack.store         // the top of the stack — hand this to clients
+//   stack.instrumented  // the same store, typed: counters and histograms
+//   stack.tiering       // typed handles for every stage that was added
 //
 // The Tiering stage synthesizes the cold tier itself: an EcStore over the
 // current store restricted to the "..cold" namespace, its shards placed via
@@ -40,17 +48,17 @@
 #include "objstore/chaos_store.h"
 #include "objstore/cluster_store.h"
 #include "objstore/ec_store.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/retrying_store.h"
 #include "objstore/scrubber.h"
 #include "objstore/tiering_store.h"
-#include "objstore/tracing_store.h"
-#include "objstore/wrappers.h"
 
 namespace arkfs::objstore {
 
 // Typed handles to every layer a Build() produced. `store` is the top of
-// the stack (what clients and lease managers should use); the rest are null
-// unless the corresponding stage was added.
+// the stack (what clients and lease managers should use) and `instrumented`
+// is the same object; the rest are null unless the corresponding stage was
+// added.
 struct StoreStack {
   ObjectStorePtr store;  // top of the stack
   ObjectStorePtr base;   // bottom: the Base() store or the cluster
@@ -62,8 +70,7 @@ struct StoreStack {
   MigratorPtr migrator;
   std::shared_ptr<ChaosStore> chaos;
   std::shared_ptr<RetryingStore> retrying;
-  std::shared_ptr<LatencyTrackingStore> latency;
-  std::shared_ptr<TracingStore> tracing;
+  std::shared_ptr<InstrumentedStore> instrumented;
 };
 
 class StackBuilder {
@@ -99,17 +106,16 @@ class StackBuilder {
   // --- fault / client-behaviour layers ---
   StackBuilder& Chaos(ChaosConfig config);
   StackBuilder& Retrying(RetryPolicy policy);
-  StackBuilder& Latency();
-  StackBuilder& Tracing();
 
-  // Returns the finished stack, or the first composition error (wrong stage
-  // order, repeated stage, missing Base/Cluster, Scrub without an EC tier).
+  // Puts the InstrumentedStore on top and returns the finished stack, or
+  // the first composition error (wrong stage order, repeated stage, missing
+  // Base/Cluster, Scrub without an EC tier).
   Result<StoreStack> Build();
 
  private:
   // Stage ranks (strictly increasing along the canonical order).
-  // Base/Cluster=0, Ec/Tiering=1, Scrub=2, Chaos=3, Retrying=4, Latency=5,
-  // Tracing=6. Returns false (with error_ set) on an out-of-order call.
+  // Base/Cluster=0, Ec/Tiering=1, Scrub=2, Chaos=3, Retrying=4. Returns
+  // false (with error_ set) on an out-of-order call.
   bool Require(int rank, const char* stage);
   void Fail(std::string message);
 

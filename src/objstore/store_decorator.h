@@ -3,9 +3,9 @@
 // Holds the inner store and default-forwards the full ObjectStore surface
 // (seven ops + the capability bits), so a decorator overrides exactly the
 // operations it cares about and inherits pass-through behaviour for the
-// rest. This is what keeps composition order and stats emission uniform
-// across the Counting / LatencyTracking / Retrying / FaultInjection /
-// Chaos / Tracing stack.
+// rest. The in-tree decorators are Instrumented (counters, histograms,
+// spans), Retrying and Chaos (scripted and seeded faults), plus the EC and
+// tiering placement layers; StackBuilder composes them in one order.
 #pragma once
 
 #include "objstore/object_store.h"

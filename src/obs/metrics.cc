@@ -4,18 +4,6 @@
 
 namespace arkfs::obs {
 
-namespace {
-std::atomic<bool> g_metrics_enabled{true};
-}  // namespace
-
-bool MetricsEnabled() {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
-}
-
-void SetMetricsEnabled(bool on) {
-  g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Cells
 // ---------------------------------------------------------------------------

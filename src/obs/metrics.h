@@ -34,9 +34,15 @@ class MetricsRegistry;
 
 // Process-wide runtime switch. Off turns every Counter/Gauge bump into a
 // load + branch, which is what the micro_ops --smoke overhead gate compares
-// against. Defaults to on.
-bool MetricsEnabled();
-void SetMetricsEnabled(bool on);
+// against. Defaults to on. Inline, so the check every bump makes is one
+// relaxed load rather than a call.
+inline std::atomic<bool> g_metrics_enabled{true};
+inline bool MetricsEnabled() {
+  return g_metrics_enabled.load(std::memory_order_relaxed);
+}
+inline void SetMetricsEnabled(bool on) {
+  g_metrics_enabled.store(on, std::memory_order_relaxed);
+}
 
 // A counter cell: owned by a component, optionally attached to a registry.
 class Counter {

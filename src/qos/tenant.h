@@ -1,7 +1,7 @@
 // Tenant identity + per-tenant metric bundles for the QoS plane.
 //
 // A tenant is a u32 carried next to the trace context (obs::TraceContext)
-// and on every wire frame as a version-tolerant trailing extension. 0 is
+// and as a field of every lease and dir-op request frame. 0 is
 // the default/untenanted id — QoS components treat it like any other tenant
 // (it can be rate-limited too), but an unconfigured deployment never sees a
 // non-zero id and pays nothing.

@@ -8,11 +8,11 @@
 #include <thread>
 
 #include "common/clock.h"
-#include "obs/metrics.h"
 #include "objstore/async_io.h"
+#include "objstore/chaos_store.h"
 #include "objstore/cluster_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/wrappers.h"
+#include "obs/metrics.h"
 #include "prt/translator.h"
 
 namespace arkfs {
@@ -173,8 +173,8 @@ TEST(AsyncObjectIoTest, MultiPutThenMultiDelete) {
 TEST(AsyncObjectIoTest, PartialBatchFailureIsAggregatedNotFatal) {
   auto base = std::make_shared<MemoryObjectStore>();
   // Every put whose key contains "poison" fails with kIo; the rest succeed.
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [](std::string_view op, const std::string& key) {
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [](std::string_view op, const std::string& key) {
         return op == "put" && key.find("poison") != std::string::npos
                    ? Errc::kIo
                    : Errc::kOk;

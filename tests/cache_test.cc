@@ -4,8 +4,9 @@
 #include <atomic>
 
 #include "cache/object_cache.h"
+#include "objstore/chaos_store.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/wrappers.h"
 
 namespace arkfs {
 namespace {
@@ -14,7 +15,7 @@ class CacheTest : public ::testing::Test {
  protected:
   CacheTest() {
     auto base = std::make_shared<MemoryObjectStore>();
-    counting_ = std::make_shared<CountingStore>(base);
+    counting_ = std::make_shared<InstrumentedStore>(base);
     prt_ = std::make_shared<Prt>(counting_, 4096);
     config_ = CacheConfig::ForTests();  // 4096-byte entries, 16 max
     cache_ = std::make_unique<ObjectCache>(prt_, config_);
@@ -29,7 +30,7 @@ class CacheTest : public ::testing::Test {
     return b;
   }
 
-  std::shared_ptr<CountingStore> counting_;
+  std::shared_ptr<InstrumentedStore> counting_;
   std::shared_ptr<Prt> prt_;
   CacheConfig config_;
   std::unique_ptr<ObjectCache> cache_;
@@ -189,8 +190,8 @@ TEST_F(CacheTest, WriteBeyondEofDoesNotLoadFromStore) {
 TEST(CacheWritebackRetryTest, FlushFileRetainsDirtyUntilStoreHeals) {
   auto base = std::make_shared<MemoryObjectStore>();
   std::atomic<int> put_failures_left{3};
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [&](std::string_view op, const std::string&) {
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [&](std::string_view op, const std::string&) {
         if (op.starts_with("put") &&
             put_failures_left.fetch_sub(1, std::memory_order_relaxed) > 0) {
           return Errc::kIo;
@@ -227,8 +228,8 @@ TEST(CacheWritebackRetryTest, FlushFileRetainsDirtyUntilStoreHeals) {
 TEST(CacheWritebackRetryTest, FlushAllRetainsDirtyAcrossFiles) {
   auto base = std::make_shared<MemoryObjectStore>();
   std::atomic<bool> fail_puts{true};
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [&](std::string_view op, const std::string&) {
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [&](std::string_view op, const std::string&) {
         return (fail_puts && op.starts_with("put")) ? Errc::kIo : Errc::kOk;
       });
   auto prt = std::make_shared<Prt>(faulty, 4096);

@@ -32,7 +32,6 @@
 #include "objstore/memory_store.h"
 #include "objstore/retrying_store.h"
 #include "objstore/stack_builder.h"
-#include "objstore/wrappers.h"
 
 namespace arkfs {
 namespace {
@@ -45,16 +44,21 @@ Bytes Payload(int i, std::size_t n = 512) {
   return b;
 }
 
-// --- satellite: FaultInjectionStore must intercept every primitive ---
+// --- ChaosStore's scripted hook must intercept every primitive ---
 
 TEST(FaultInjectionCoverage, EveryPrimitiveReachesTheHookWithItsOwnName) {
   auto base = std::make_shared<MemoryObjectStore>();
   std::vector<std::string> seen;
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [&](std::string_view op, const std::string&) {
+  ChaosStore* self = nullptr;
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [&](std::string_view op, const std::string&) {
         seen.emplace_back(op);
+        // The hook runs without the store's mutex held: re-entering the
+        // store from it must not deadlock.
+        self->ClearPersistentFault("none");
         return Errc::kOk;
       });
+  self = faulty.get();
   ASSERT_TRUE(faulty->Put("k", Bytes(16, 1)).ok());
   ASSERT_TRUE(faulty->PutRange("k", 4, Bytes(4, 2)).ok());
   ASSERT_TRUE(faulty->Get("k").ok());
@@ -223,8 +227,8 @@ TEST(AsyncIoRetryTest, BatchesRideOutTransientFaults) {
 TEST(JournalFaultTest, FailedFsyncCommitIsRedrivenNotLost) {
   auto base = std::make_shared<MemoryObjectStore>();
   std::atomic<bool> fail_journal_writes{false};
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [&](std::string_view op, const std::string& key) {
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [&](std::string_view op, const std::string& key) {
         return (fail_journal_writes && op.starts_with("put") &&
                 !key.empty() && key[0] == 'j')
                    ? Errc::kIo
@@ -423,7 +427,8 @@ TEST_F(ChaosE2eTest, EcColdReadsSurviveRollingNodeKills) {
   chaos_cfg.bit_flip_filter = [](const std::string& key) {
     return key.find("..ecs") != std::string::npos;
   };
-  auto chaos = std::make_shared<ChaosStore>(nodes, chaos_cfg, &registry);
+  auto chaos =
+      std::make_shared<ChaosStore>(nodes, chaos_cfg, nullptr, &registry);
   auto retrying = std::make_shared<RetryingStore>(
       chaos, RetryPolicy::ForTests(), &registry);
   ArkFsClusterOptions opts = ArkFsClusterOptions::ForTests();

@@ -5,8 +5,8 @@
 #include <atomic>
 
 #include "core/cluster.h"
+#include "objstore/chaos_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/wrappers.h"
 
 namespace arkfs {
 namespace {
@@ -403,8 +403,9 @@ class DurabilityMatrixTest
     // sequenced after arming can reach durability until the store heals.
     // This freezes the instant between ack and flush that a real crash
     // would have to hit by luck.
-    store_ = std::make_shared<FaultInjectionStore>(
-        base_, [armed = armed_](std::string_view op, const std::string& key) {
+    store_ = std::make_shared<ChaosStore>(
+        base_, ChaosConfig{},
+        [armed = armed_](std::string_view op, const std::string& key) {
           return armed->load() && op.substr(0, 3) == "put" && !key.empty() &&
                          key[0] == 'j'
                      ? Errc::kIo

@@ -2,13 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <thread>
 
 #include "journal/journal.h"
 #include "journal/record.h"
 #include "objstore/chaos_store.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/wrappers.h"
 
 namespace arkfs::journal {
 namespace {
@@ -424,7 +425,7 @@ class ShardedDentryTest : public ::testing::Test {
  protected:
   ShardedDentryTest()
       : base_(std::make_shared<MemoryObjectStore>()),
-        counting_(std::make_shared<CountingStore>(base_)),
+        counting_(std::make_shared<InstrumentedStore>(base_)),
         prt_(std::make_shared<Prt>(counting_)) {}
 
   std::unique_ptr<JournalManager> MakeManager(DentryShardPolicy policy) {
@@ -446,7 +447,7 @@ class ShardedDentryTest : public ::testing::Test {
   }
 
   std::shared_ptr<MemoryObjectStore> base_;
-  std::shared_ptr<CountingStore> counting_;
+  std::shared_ptr<InstrumentedStore> counting_;
   std::shared_ptr<Prt> prt_;
 };
 
@@ -792,8 +793,9 @@ TEST_F(ShardedDentryTest, FailedCheckpointRetriesAndSweepsOrphans) {
   p.override_count = 4;
 
   auto armed = std::make_shared<std::atomic<bool>>(false);
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      counting_, [armed](std::string_view op, const std::string& key) {
+  auto faulty = std::make_shared<ChaosStore>(
+      counting_, ChaosConfig{},
+      [armed](std::string_view op, const std::string& key) {
         // Whole-object puts to dentry shard objects only (43-char 'e' keys).
         return armed->load() && op == "put" && key.size() == 43 &&
                        key[0] == 'e'
@@ -846,8 +848,9 @@ TEST_F(ShardedDentryTest, FlushAllIsFirstErrorWinsButAttemptsEveryDir) {
   for (std::uint64_t i = 0; i < 3; ++i) good.push_back(NewDir(9 + i));
 
   const std::string bad_journal = JournalKey(bad);
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      counting_, [bad_journal](std::string_view op, const std::string& key) {
+  auto faulty = std::make_shared<ChaosStore>(
+      counting_, ChaosConfig{},
+      [bad_journal](std::string_view op, const std::string& key) {
         return key == bad_journal && op.substr(0, 3) == "put" ? Errc::kIo
                                                               : Errc::kOk;
       });
@@ -911,8 +914,8 @@ class DurabilityModeTest : public ::testing::Test {
   DurabilityModeTest()
       : store_(std::make_shared<MemoryObjectStore>()),
         armed_(std::make_shared<std::atomic<bool>>(false)),
-        faulty_(std::make_shared<FaultInjectionStore>(
-            store_,
+        faulty_(std::make_shared<ChaosStore>(
+            store_, ChaosConfig{},
             [armed = armed_](std::string_view op, const std::string& key) {
               // Armed: every journal-object write fails (keys start 'j').
               return armed->load() && op.substr(0, 3) == "put" &&
@@ -947,7 +950,7 @@ class DurabilityModeTest : public ::testing::Test {
 
   ObjectStorePtr store_;
   std::shared_ptr<std::atomic<bool>> armed_;
-  std::shared_ptr<FaultInjectionStore> faulty_;
+  std::shared_ptr<ChaosStore> faulty_;
   std::shared_ptr<Prt> prt_;
 };
 
@@ -1116,8 +1119,9 @@ TEST_F(DurabilityModeTest, CommitAllCountsPerDirectoryFlushErrors) {
   const std::vector<std::string> bad_keys = {JournalKey(bad[0]),
                                              JournalKey(bad[1])};
   auto armed = std::make_shared<std::atomic<bool>>(false);
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      store_, [armed, bad_keys](std::string_view op, const std::string& key) {
+  auto faulty = std::make_shared<ChaosStore>(
+      store_, ChaosConfig{},
+      [armed, bad_keys](std::string_view op, const std::string& key) {
         return armed->load() && op.substr(0, 3) == "put" &&
                        (key == bad_keys[0] || key == bad_keys[1])
                    ? Errc::kIo
@@ -1250,14 +1254,17 @@ TEST(GroupWindowTest, StallCapBoundsTheWaitEvenWhenNothingDrains) {
 
 TEST(GroupWindowTest, AwaitDirtyWakesOnSequenceAndReturnsFalseOnClose) {
   GroupWindow w(GroupWindowLimits{});
+  std::promise<void> first_wake;
   std::thread flusher([&] {
     EXPECT_TRUE(w.AwaitDirty());   // first wake: work arrived
+    first_wake.set_value();
     w.NoteDrained(1, 10);
     EXPECT_FALSE(w.AwaitDirty());  // second wake: shutdown
   });
-  SleepFor(Millis(10));
   w.NoteSequenced(1, 10);
-  SleepFor(Millis(10));
+  // Close only once the flusher has seen the work: a Close that beat its
+  // first AwaitDirty would turn the first wake into a shutdown.
+  first_wake.get_future().wait();
   w.Close();
   flusher.join();
 }

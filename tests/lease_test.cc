@@ -240,7 +240,8 @@ TEST_F(LeaseTest, RedirectGrantsDelegationWithLeaderWatermark) {
 //
 // Lease grants are the root of all fencing decisions, so every message must
 // reject truncated input, trailing garbage, and out-of-range enums instead
-// of decoding to something plausible.
+// of decoding to something plausible. One build writes and reads every
+// frame, so every field is mandatory: no older frame shape parses either.
 
 template <typename Message>
 void ExpectStrictCodec(const Message& message) {
@@ -260,53 +261,6 @@ void ExpectStrictCodec(const Message& message) {
   EXPECT_FALSE(Message::Decode(padded).ok());
 }
 
-// Version-tolerant messages: newer fields ride in trailing extension
-// blocks, so a frame that stops exactly at ANY older version's boundary
-// must still decode (the missing extensions come back defaulted — frames
-// from pre-extension peers keep working), while every OTHER truncation and
-// any trailing garbage is still rejected. `extension_sizes` lists the
-// trailing blocks oldest-first (v2 block, then v3 block, ...).
-template <typename Message>
-void ExpectVersionTolerantCodec(
-    const Message& message,
-    std::initializer_list<std::size_t> extension_sizes) {
-  const Bytes encoded = message.Encode();
-  ASSERT_TRUE(Message::Decode(encoded).ok());
-  std::vector<std::size_t> boundaries;
-  std::size_t suffix = 0;
-  for (auto it = std::rbegin(extension_sizes); it != std::rend(extension_sizes);
-       ++it) {
-    suffix += *it;
-    ASSERT_LT(suffix, encoded.size());
-    boundaries.push_back(encoded.size() - suffix);
-  }
-  auto acceptable = [&](std::size_t len) {
-    return std::find(boundaries.begin(), boundaries.end(), len) !=
-           boundaries.end();
-  };
-  for (std::size_t len = 0; len < encoded.size(); ++len) {
-    Bytes truncated(encoded.begin(), encoded.begin() + len);
-    if (acceptable(len)) {
-      EXPECT_TRUE(Message::Decode(truncated).ok())
-          << "an older-version frame stopping at byte " << len
-          << " must still parse";
-    } else {
-      EXPECT_FALSE(Message::Decode(truncated).ok())
-          << "decoded a " << len << "-byte prefix of a " << encoded.size()
-          << "-byte message";
-    }
-  }
-  Bytes padded = encoded;
-  padded.push_back(0x5a);
-  EXPECT_FALSE(Message::Decode(padded).ok());
-}
-
-// Trailing extension blocks, per version (fixed-width codec fields).
-constexpr std::size_t kAcquireRequestV2Ext = 1 + 8;       // flag + watermark
-constexpr std::size_t kAcquireRequestV3Ext = 4;           // tenant
-constexpr std::size_t kAcquireResponseV2Ext = 8 + 1 + 8;  // wm + flag + until
-constexpr std::size_t kAcquireResponseV3Ext = 8;          // retry_after_ns
-
 TEST(LeaseWireTest, AcquireRequestCodec) {
   AcquireRequest req;
   req.dir_ino = DeterministicUuid(7, 7);
@@ -314,7 +268,7 @@ TEST(LeaseWireTest, AcquireRequestCodec) {
   req.want_delegation = true;
   req.watermark = 99;
   req.tenant = 7;
-  ExpectVersionTolerantCodec(req, {kAcquireRequestV2Ext, kAcquireRequestV3Ext});
+  ExpectStrictCodec(req);
   auto copy = AcquireRequest::Decode(req.Encode());
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->dir_ino, req.dir_ino);
@@ -322,45 +276,6 @@ TEST(LeaseWireTest, AcquireRequestCodec) {
   EXPECT_TRUE(copy->want_delegation);
   EXPECT_EQ(copy->watermark, 99u);
   EXPECT_EQ(copy->tenant, 7u);
-}
-
-TEST(LeaseWireTest, AcquireRequestLegacyFrameParses) {
-  // A frame from a pre-delegation sender stops at the v1 boundary; the
-  // extension fields must come back defaulted, everything else intact.
-  AcquireRequest req;
-  req.dir_ino = DeterministicUuid(7, 8);
-  req.client = "client-old";
-  req.want_delegation = true;  // must NOT survive the truncation
-  req.watermark = 1234;
-  req.tenant = 42;
-  Bytes encoded = req.Encode();
-  encoded.resize(encoded.size() - kAcquireRequestV2Ext - kAcquireRequestV3Ext);
-  auto legacy = AcquireRequest::Decode(encoded);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->dir_ino, req.dir_ino);
-  EXPECT_EQ(legacy->client, req.client);
-  EXPECT_FALSE(legacy->want_delegation);
-  EXPECT_EQ(legacy->watermark, 0u);
-  EXPECT_EQ(legacy->tenant, 0u);
-}
-
-TEST(LeaseWireTest, AcquireRequestV2FrameDefaultsTenant) {
-  // A frame from a pre-tenant (v2) sender stops before the v3 block; the
-  // delegation fields survive, the tenant defaults to 0 ("untenanted").
-  AcquireRequest req;
-  req.dir_ino = DeterministicUuid(7, 9);
-  req.client = "client-v2";
-  req.want_delegation = true;
-  req.watermark = 55;
-  req.tenant = 9;  // must NOT survive the truncation
-  Bytes encoded = req.Encode();
-  encoded.resize(encoded.size() - kAcquireRequestV3Ext);
-  auto v2 = AcquireRequest::Decode(encoded);
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2->client, req.client);
-  EXPECT_TRUE(v2->want_delegation);
-  EXPECT_EQ(v2->watermark, 55u);
-  EXPECT_EQ(v2->tenant, 0u);
 }
 
 TEST(LeaseWireTest, AcquireResponseCodec) {
@@ -375,8 +290,7 @@ TEST(LeaseWireTest, AcquireResponseCodec) {
   resp.deleg = true;
   resp.deleg_until_ns = 987654321;
   resp.retry_after_ns = 2500000;
-  ExpectVersionTolerantCodec(resp,
-                             {kAcquireResponseV2Ext, kAcquireResponseV3Ext});
+  ExpectStrictCodec(resp);
   auto copy = AcquireResponse::Decode(resp.Encode());
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->outcome, resp.outcome);
@@ -389,51 +303,6 @@ TEST(LeaseWireTest, AcquireResponseCodec) {
   EXPECT_TRUE(copy->deleg);
   EXPECT_EQ(copy->deleg_until_ns, 987654321);
   EXPECT_EQ(copy->retry_after_ns, 2500000);
-}
-
-TEST(LeaseWireTest, AcquireResponseLegacyFrameParses) {
-  AcquireResponse resp;
-  resp.outcome = AcquireOutcome::kRedirect;
-  resp.leader = "c9";
-  resp.lease_until_ns = 42;
-  resp.token = FenceToken{2, 3};
-  resp.watermark = 77;
-  resp.deleg = true;
-  resp.deleg_until_ns = 777;
-  resp.retry_after_ns = 999;
-  Bytes encoded = resp.Encode();
-  encoded.resize(encoded.size() - kAcquireResponseV2Ext -
-                 kAcquireResponseV3Ext);
-  auto legacy = AcquireResponse::Decode(encoded);
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->outcome, resp.outcome);
-  EXPECT_EQ(legacy->leader, resp.leader);
-  EXPECT_EQ(legacy->token, resp.token);
-  EXPECT_EQ(legacy->watermark, 0u);   // defaulted
-  EXPECT_FALSE(legacy->deleg);        // defaulted: no phantom delegation
-  EXPECT_EQ(legacy->deleg_until_ns, 0);
-  EXPECT_EQ(legacy->retry_after_ns, 0);
-}
-
-TEST(LeaseWireTest, AcquireResponseV2FrameDefaultsRetryAfter) {
-  // A frame from a pre-QoS (v2) manager stops before the v3 block; the
-  // delegation fields survive, the retry-after hint defaults to "none".
-  AcquireResponse resp;
-  resp.outcome = AcquireOutcome::kWait;
-  resp.leader = "c2";
-  resp.watermark = 13;
-  resp.deleg = true;
-  resp.deleg_until_ns = 333;
-  resp.retry_after_ns = 555;  // must NOT survive the truncation
-  Bytes encoded = resp.Encode();
-  encoded.resize(encoded.size() - kAcquireResponseV3Ext);
-  auto v2 = AcquireResponse::Decode(encoded);
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2->outcome, resp.outcome);
-  EXPECT_EQ(v2->watermark, 13u);
-  EXPECT_TRUE(v2->deleg);
-  EXPECT_EQ(v2->deleg_until_ns, 333);
-  EXPECT_EQ(v2->retry_after_ns, 0);
 }
 
 // Manager-side admission control sheds IN-BAND: a throttled tenant gets a

@@ -1,13 +1,15 @@
-// Tests for the object-store backends, decorators and the registry.
+// Tests for the object-store backends and decorators.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 
+#include "objstore/chaos_store.h"
 #include "objstore/cluster_store.h"
 #include "objstore/disk_store.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/registry.h"
-#include "objstore/wrappers.h"
+#include "obs/trace.h"
 
 namespace arkfs {
 namespace {
@@ -220,73 +222,83 @@ TEST(ClusterStoreTest, DataSurvivesOnReplicas) {
   EXPECT_EQ(total, 2u);  // primary + 1 replica
 }
 
+// InstrumentedStore, the one observing decorator: each of the 7 primitives
+// passes its result or error through unchanged, bumps its counter and byte
+// totals, lands in its own histogram, and records a span only while a trace
+// is active on the calling thread.
 TEST(CountingStoreTest, TracksOpsAndBytes) {
-  auto base = std::make_shared<MemoryObjectStore>();
-  CountingStore store(base);
-  ASSERT_TRUE(store.Put("k", ToBytes("12345")).ok());
-  ASSERT_TRUE(store.Get("k").ok());
-  ASSERT_TRUE(store.Head("k").ok());
-  ASSERT_TRUE(store.List("").ok());
-  ASSERT_TRUE(store.Delete("k").ok());
+  obs::MetricsRegistry registry;
+  std::atomic<bool> fail{false};
+  auto faulty = std::make_shared<ChaosStore>(
+      std::make_shared<MemoryObjectStore>(), ChaosConfig{},
+      [&](std::string_view, const std::string&) {
+        return fail ? Errc::kTimedOut : Errc::kOk;
+      });
+  InstrumentedStore store(faulty, &registry);
+  obs::Tracer tracer(64);
+  {
+    obs::RootSpan root(&tracer, "test.op");
+    ASSERT_TRUE(store.Put("k", ToBytes("12345")).ok());
+    ASSERT_TRUE(store.PutRange("k", 5, ToBytes("678")).ok());
+    EXPECT_EQ(ToString(store.Get("k").value()), "12345678");
+    EXPECT_EQ(ToString(store.GetRange("k", 2, 3).value()), "345");
+    EXPECT_EQ(store.Head("k").value().size, 8u);
+    EXPECT_EQ(store.List("").value(), std::vector<std::string>{"k"});
+    ASSERT_TRUE(store.Delete("k").ok());
+  }
+  // Untraced, and every op fails below: the errors come back unchanged.
+  fail = true;
+  EXPECT_EQ(store.Put("k", ToBytes("xy")).code(), Errc::kTimedOut);
+  EXPECT_EQ(store.PutRange("k", 0, ToBytes("z")).code(), Errc::kTimedOut);
+  EXPECT_EQ(store.Get("k").status().code(), Errc::kTimedOut);
+  EXPECT_EQ(store.GetRange("k", 0, 1).status().code(), Errc::kTimedOut);
+  EXPECT_EQ(store.Head("k").status().code(), Errc::kTimedOut);
+  EXPECT_EQ(store.List("").status().code(), Errc::kTimedOut);
+  EXPECT_EQ(store.Delete("k").code(), Errc::kTimedOut);
+
   auto c = store.Snapshot();
-  EXPECT_EQ(c.puts, 1u);
-  EXPECT_EQ(c.gets, 1u);
-  EXPECT_EQ(c.heads, 1u);
-  EXPECT_EQ(c.lists, 1u);
-  EXPECT_EQ(c.deletes, 1u);
-  EXPECT_EQ(c.bytes_written, 5u);
-  EXPECT_EQ(c.bytes_read, 5u);
+  EXPECT_EQ(c.puts, 4u);
+  EXPECT_EQ(c.gets, 4u);
+  EXPECT_EQ(c.heads, 2u);
+  EXPECT_EQ(c.lists, 2u);
+  EXPECT_EQ(c.deletes, 2u);
+  EXPECT_EQ(c.bytes_written, 5u + 3u + 2u + 1u);  // attempted writes
+  EXPECT_EQ(c.bytes_read, 8u + 3u);               // successful reads only
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter("objstore.counting.puts"), 4u);
+  EXPECT_EQ(snap.counter("objstore.counting.bytes_read"), 11u);
+  for (const char* op :
+       {"get", "getrange", "put", "putrange", "delete", "head", "list"}) {
+    EXPECT_EQ(store.latencies().For(op).count(), 2u) << op;
+    EXPECT_EQ(snap.histogram(std::string("objstore.") + op).count, 2u) << op;
+  }
+
+  std::vector<std::string> spans;
+  for (const auto& s : tracer.Spans()) {
+    if (s.name != "test.op") spans.push_back(s.name);
+  }
+  EXPECT_EQ(spans, (std::vector<std::string>{
+                       "objstore.put", "objstore.putrange", "objstore.get",
+                       "objstore.getrange", "objstore.head", "objstore.list",
+                       "objstore.delete"}));
+
   store.Reset();
   EXPECT_EQ(store.Snapshot().puts, 0u);
+  EXPECT_EQ(store.latencies().For("put").count(), 0u);
 }
 
 TEST(FaultInjectionTest, InjectsOnMatch) {
   auto base = std::make_shared<MemoryObjectStore>();
   int puts_allowed = 2;
-  FaultInjectionStore store(base, [&](std::string_view op, const std::string&) {
-    if (op == "put" && puts_allowed-- <= 0) return Errc::kIo;
-    return Errc::kOk;
-  });
+  ChaosStore store(base, ChaosConfig{},
+                   [&](std::string_view op, const std::string&) {
+                     if (op == "put" && puts_allowed-- <= 0) return Errc::kIo;
+                     return Errc::kOk;
+                   });
   EXPECT_TRUE(store.Put("a", ToBytes("1")).ok());
   EXPECT_TRUE(store.Put("b", ToBytes("2")).ok());
   EXPECT_EQ(store.Put("c", ToBytes("3")).code(), Errc::kIo);
   EXPECT_TRUE(store.Get("a").ok());  // reads unaffected
-}
-
-TEST(RegistryTest, BuiltinsPresent) {
-  auto names = BackendRegistry::Instance().Names();
-  for (const char* expected : {"memory", "disk", "rados", "s3"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
-}
-
-TEST(RegistryTest, CreatesFromSpec) {
-  auto mem = BackendRegistry::Instance().Create("memory");
-  ASSERT_TRUE(mem.ok());
-  EXPECT_TRUE((*mem)->supports_partial_write());
-
-  auto s3 = BackendRegistry::Instance().Create("s3");
-  ASSERT_TRUE(s3.ok());
-  EXPECT_FALSE((*s3)->supports_partial_write());
-
-  EXPECT_FALSE(BackendRegistry::Instance().Create("nonsense").ok());
-  EXPECT_FALSE(BackendRegistry::Instance().Create("disk").ok());  // needs path
-}
-
-TEST(RegistryTest, CustomBackendRegistration) {
-  auto& reg = BackendRegistry::Instance();
-  const bool first = reg.Register("test-custom", [](const std::string&) {
-    return Result<ObjectStorePtr>(
-        ObjectStorePtr(std::make_shared<MemoryObjectStore>()));
-  });
-  if (first) {
-    // Re-registration under the same name is refused.
-    EXPECT_FALSE(reg.Register("test-custom", [](const std::string&) {
-      return Result<ObjectStorePtr>(ErrStatus(Errc::kInval));
-    }));
-  }
-  EXPECT_TRUE(reg.Create("test-custom").ok());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the PRT: key schema and POSIX<->REST data translation.
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/wrappers.h"
+#include "obs/metrics.h"
 #include "prt/key_schema.h"
 #include "prt/translator.h"
 
@@ -46,7 +46,7 @@ TEST(KeySchemaTest, ParseRoundTrip) {
 class PrtTest : public ::testing::Test {
  protected:
   PrtTest()
-      : store_(std::make_shared<CountingStore>(
+      : store_(std::make_shared<InstrumentedStore>(
             std::make_shared<MemoryObjectStore>(1024))),
         prt_(store_, 1024, [this] {
           AsyncIoConfig cfg;
@@ -66,7 +66,7 @@ class PrtTest : public ::testing::Test {
     return b;
   }
 
-  std::shared_ptr<CountingStore> store_;
+  std::shared_ptr<InstrumentedStore> store_;
   obs::MetricsRegistry registry_;
   Prt prt_;
 };
@@ -468,7 +468,7 @@ TEST(PrtS3Test, PartialWriteAmplifiesToWholeChunk) {
   // On a whole-object store, a tiny overwrite must rewrite the full chunk —
   // the S3FS amplification the paper calls out (§II-C).
   auto base = std::make_shared<MemoryObjectStore>(4096, /*partial=*/false);
-  auto counting = std::make_shared<CountingStore>(base);
+  auto counting = std::make_shared<InstrumentedStore>(base);
   Prt prt(counting, 4096);
   const Uuid ino = NewUuid();
   Bytes initial(4096, 1);
@@ -487,7 +487,7 @@ TEST(PrtS3Test, PartialWriteAmplifiesToWholeChunk) {
 
 TEST(PrtS3Test, AlignedFullChunkWriteAvoidsRmw) {
   auto base = std::make_shared<MemoryObjectStore>(4096, /*partial=*/false);
-  auto counting = std::make_shared<CountingStore>(base);
+  auto counting = std::make_shared<InstrumentedStore>(base);
   Prt prt(counting, 4096);
   const Uuid ino = NewUuid();
   ASSERT_TRUE(prt.WriteData(ino, 0, Bytes(8192, 3)).ok());

@@ -7,8 +7,8 @@
 #include <thread>
 
 #include "core/cluster.h"
+#include "objstore/chaos_store.h"
 #include "objstore/memory_store.h"
-#include "objstore/wrappers.h"
 
 namespace arkfs {
 namespace {
@@ -26,8 +26,8 @@ class RobustnessTest : public ::testing::Test {
 TEST_F(RobustnessTest, StorePutFailuresSurfaceOnFsync) {
   auto base = std::make_shared<MemoryObjectStore>();
   std::atomic<bool> fail_puts{false};
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [&](std::string_view op, const std::string&) {
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [&](std::string_view op, const std::string&) {
         return (fail_puts && op.starts_with("put")) ? Errc::kIo : Errc::kOk;
       });
   auto cluster = MakeCluster(faulty);
@@ -53,8 +53,8 @@ TEST_F(RobustnessTest, StorePutFailuresSurfaceOnFsync) {
 TEST_F(RobustnessTest, TransientGetFailuresDoNotCorruptCache) {
   auto base = std::make_shared<MemoryObjectStore>();
   std::atomic<bool> fail_data_reads{false};
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [&](std::string_view op, const std::string& key) {
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [&](std::string_view op, const std::string& key) {
         return (fail_data_reads && op.starts_with("get") && key[0] == 'd')
                    ? Errc::kIo
                    : Errc::kOk;
@@ -83,8 +83,8 @@ TEST_F(RobustnessTest, TransientGetFailuresDoNotCorruptCache) {
 TEST_F(RobustnessTest, MetatableBuildFailureDoesNotWedgeDirectory) {
   auto base = std::make_shared<MemoryObjectStore>();
   std::atomic<bool> fail_dentry_reads{false};
-  auto faulty = std::make_shared<FaultInjectionStore>(
-      base, [&](std::string_view op, const std::string& key) {
+  auto faulty = std::make_shared<ChaosStore>(
+      base, ChaosConfig{}, [&](std::string_view op, const std::string& key) {
         return (fail_dentry_reads && op.starts_with("get") && key[0] == 'e')
                    ? Errc::kIo
                    : Errc::kOk;

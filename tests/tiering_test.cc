@@ -7,11 +7,12 @@
 #include <atomic>
 #include <cstdio>
 
+#include "objstore/chaos_store.h"
 #include "objstore/cluster_store.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
 #include "objstore/stack_builder.h"
 #include "objstore/tiering_store.h"
-#include "objstore/wrappers.h"
 
 namespace arkfs {
 namespace {
@@ -137,7 +138,7 @@ class TieringStoreTest : public ::testing::Test {
  protected:
   TieringStoreTest() {
     mem_ = std::make_shared<MemoryObjectStore>();
-    counting_ = std::make_shared<CountingStore>(mem_, &registry_);
+    counting_ = std::make_shared<InstrumentedStore>(mem_, &registry_);
     TieringOptions options;
     options.should_tier = IsDataKey;
     options.metrics = &registry_;
@@ -146,7 +147,7 @@ class TieringStoreTest : public ::testing::Test {
 
   obs::MetricsRegistry registry_;
   std::shared_ptr<MemoryObjectStore> mem_;
-  std::shared_ptr<CountingStore> counting_;
+  std::shared_ptr<InstrumentedStore> counting_;
   TieringStorePtr tiering_;
 };
 
@@ -158,7 +159,7 @@ TEST_F(TieringStoreTest, HotPathAddsNoExtraIo) {
   EXPECT_EQ(*got, data);
   // Fresh ingest + hot read are byte-identical to the un-tiered layout:
   // exactly one base put and one base get, no pointer records touched.
-  const CountingStore::Counters c = counting_->Snapshot();
+  const InstrumentedStore::Counters c = counting_->Snapshot();
   EXPECT_EQ(c.puts, 1u);
   EXPECT_EQ(c.gets, 1u);
   EXPECT_FALSE(mem_->Head(TierPointerKey("d-hot")).ok());
@@ -606,7 +607,7 @@ TEST(MigratorTest, SeedsUnseenKeysBeforeDemoting) {
 
 class Countdown {
  public:
-  FaultInjectionStore::FaultFn Hook() {
+  ChaosStore::FaultFn Hook() {
     return [this](std::string_view, const std::string&) {
       if (!armed_.load(std::memory_order_relaxed)) return Errc::kOk;
       if (budget_.fetch_sub(1, std::memory_order_relaxed) <= 0) {
@@ -630,7 +631,8 @@ class TieringCrashSafetyTest : public ::testing::Test {
  protected:
   TieringCrashSafetyTest() {
     mem_ = std::make_shared<MemoryObjectStore>();
-    faulty_ = std::make_shared<FaultInjectionStore>(mem_, countdown_.Hook());
+    faulty_ =
+        std::make_shared<ChaosStore>(mem_, ChaosConfig{}, countdown_.Hook());
     TieringOptions options;
     options.should_tier = IsDataKey;
     tiering_ = std::make_shared<TieringStore>(faulty_, options);
@@ -660,7 +662,7 @@ class TieringCrashSafetyTest : public ::testing::Test {
 
   Countdown countdown_;
   std::shared_ptr<MemoryObjectStore> mem_;
-  std::shared_ptr<FaultInjectionStore> faulty_;
+  std::shared_ptr<ChaosStore> faulty_;
   TieringStorePtr tiering_;
 };
 
@@ -755,8 +757,6 @@ TEST(StackBuilderTest, CanonicalFullStackBuilds) {
                    .Scrub(ScrubberOptions::ForTests())
                    .Chaos(quiet)
                    .Retrying(RetryPolicy::ForTests())
-                   .Latency()
-                   .Tracing()
                    .Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const objstore::StoreStack& stack = *built;
@@ -767,9 +767,9 @@ TEST(StackBuilderTest, CanonicalFullStackBuilds) {
   EXPECT_NE(stack.scrubber, nullptr);
   EXPECT_NE(stack.chaos, nullptr);
   EXPECT_NE(stack.retrying, nullptr);
-  EXPECT_NE(stack.latency, nullptr);
-  EXPECT_NE(stack.tracing, nullptr);
-  ASSERT_EQ(stack.store, stack.tracing);  // top of the stack
+  ASSERT_NE(stack.instrumented, nullptr);
+  ASSERT_EQ(stack.store, stack.instrumented);  // top of the stack
+  EXPECT_EQ(stack.instrumented->inner(), stack.retrying);
 
   const Bytes data = Payload(90, 128);
   ASSERT_TRUE(stack.store->Put("d-sb", data).ok());
@@ -789,7 +789,8 @@ TEST(StackBuilderTest, ClusterEcScrubExposesTypedHandles) {
   EXPECT_NE(built->ec, nullptr);
   EXPECT_NE(built->scrubber, nullptr);
   EXPECT_EQ(built->tiering, nullptr);
-  EXPECT_EQ(built->store, built->ec);
+  EXPECT_EQ(built->store, built->instrumented);
+  EXPECT_EQ(built->instrumented->inner(), built->ec);
 }
 
 TEST(StackBuilderTest, RejectsEveryOrderViolation) {

@@ -137,10 +137,61 @@ TEST_F(TracePropagationTest, IntrospectExportsTheMetricsPlane) {
   EXPECT_GT(registry_.Snapshot().counter("client.lease_acquires"), 0u);
 }
 
-// The tenant id rides the dir-op wire frame as a v3 trailing extension:
-// new<->new peers round-trip it, a pre-bump frame decodes as tenant 0, and
-// a pre-bump decoder (which tolerates trailing bytes) keeps working.
-TEST(DirOpWireTenantTest, TenantRoundTripsAndDefaultsOnLegacyFrames) {
+// Every placement builds the cluster's stack through StackBuilder, so one
+// InstrumentedStore on top sees the writes of every placement.
+class ClusterStackTest : public ::testing::TestWithParam<DataPlacement> {};
+
+TEST_P(ClusterStackTest, InstrumentedStoreCountsTheWritesPuts) {
+  obs::MetricsRegistry registry;
+  ArkFsClusterOptions opts = ArkFsClusterOptions::ForTests();
+  opts.client_template.metrics = &registry;
+  opts.placement = GetParam();
+  auto cluster =
+      ArkFsCluster::Create(std::make_shared<MemoryObjectStore>(), opts)
+          .value();
+  const auto& instrumented = cluster->instrumented_store();
+  ASSERT_NE(instrumented, nullptr);
+  EXPECT_EQ(cluster->store(), instrumented);
+  auto client = cluster->AddClient().value();
+
+  const Bytes payload(64 << 10, 0x7e);
+  const auto before = instrumented->Snapshot();
+  ASSERT_TRUE(client->WriteFileAt("/f", payload, UserCred::Root()).ok());
+  ASSERT_TRUE(client->SyncAll().ok());
+  const auto after = instrumented->Snapshot();
+  EXPECT_GT(after.puts, before.puts);
+  EXPECT_GE(after.bytes_written - before.bytes_written, payload.size());
+
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter("objstore.counting.puts"), after.puts);
+  EXPECT_GT(snap.histogram("objstore.put").count +
+                snap.histogram("objstore.putrange").count,
+            0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPlacements, ClusterStackTest,
+                         ::testing::Values(DataPlacement::kReplica,
+                                           DataPlacement::kEc,
+                                           DataPlacement::kTiered));
+
+// Every proper prefix of `encoded` and `encoded` plus one byte must fail to
+// decode: each field is mandatory and nothing may follow the last one.
+template <typename Message>
+void ExpectStrictFrame(const Bytes& encoded) {
+  for (std::size_t len = 0; len < encoded.size(); ++len) {
+    Bytes truncated(encoded.begin(), encoded.begin() + len);
+    EXPECT_FALSE(Message::Decode(truncated).ok())
+        << "decoded a " << len << "-byte prefix of a " << encoded.size()
+        << "-byte frame";
+  }
+  Bytes padded = encoded;
+  padded.push_back(0x5a);
+  EXPECT_FALSE(Message::Decode(padded).ok());
+}
+
+// The tenant id rides the dir-op request frame next to the trace context;
+// both dir-op frames are strict.
+TEST(DirOpWireTenantTest, TenantRoundTripsAndFramesAreStrict) {
   wire::DirOpRequest req;
   req.op = wire::DirOp::kCreate;
   req.dir_ino = DeterministicUuid(5, 5);
@@ -154,22 +205,26 @@ TEST(DirOpWireTenantTest, TenantRoundTripsAndDefaultsOnLegacyFrames) {
   ASSERT_TRUE(copy.ok());
   EXPECT_EQ(copy->tenant, 7u);
   EXPECT_EQ(copy->trace_id, 111u);
+  EXPECT_EQ(copy->parent_span, 222u);
+  ExpectStrictFrame<wire::DirOpRequest>(encoded);
 
-  // Pre-bump sender: the frame stops before the 4-byte tenant block.
-  Bytes legacy(encoded.begin(), encoded.end() - 4);
-  auto old = wire::DirOpRequest::Decode(legacy);
-  ASSERT_TRUE(old.ok());
-  EXPECT_EQ(old->op, req.op);
-  EXPECT_EQ(old->name, req.name);
-  EXPECT_EQ(old->trace_id, 111u);
-  EXPECT_EQ(old->parent_span, 222u);
-  EXPECT_EQ(old->tenant, 0u);
-
-  // Frames from an even NEWER sender (unknown future extension) still parse
-  // — the request decoder deliberately tolerates trailing bytes.
-  Bytes padded = encoded;
-  padded.push_back(0x5a);
-  EXPECT_TRUE(wire::DirOpRequest::Decode(padded).ok());
+  wire::DirOpResponse resp;
+  resp.code = Errc::kExist;
+  resp.detail = "f";
+  resp.lease_granted = true;
+  resp.fence = FenceToken{3, 9};
+  resp.watermark = 42;
+  resp.child_inodes.push_back(MakeInode(DeterministicUuid(5, 6),
+                                        FileType::kRegular, 0644, 0, 0,
+                                        req.dir_ino));
+  const Bytes reply = resp.Encode();
+  auto back = wire::DirOpResponse::Decode(reply);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->code, Errc::kExist);
+  EXPECT_EQ(back->fence, resp.fence);
+  EXPECT_EQ(back->watermark, 42u);
+  ASSERT_EQ(back->child_inodes.size(), 1u);
+  ExpectStrictFrame<wire::DirOpResponse>(reply);
 }
 
 // End-to-end: each client's tenant id crosses the dir-op RPC and is what
