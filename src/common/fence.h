@@ -4,13 +4,17 @@
 // A FenceToken orders every lease grant globally: `epoch` is the lease
 // manager's fencing epoch (bumped whenever a standby takes over, or when a
 // manager restarts) and `seq` is the per-epoch grant sequence number. The
-// journal layer persists the highest token it has accepted per directory
-// (object "f<uuid>") and stamps every committed transaction frame with the
-// committing leader's token, so a leader holding a grant from a deposed
-// epoch is rejected at the store (kStale) — split brain is resolved at
-// commit time, not by manager consensus.
+// journal layer persists the highest token it has accepted per directory as
+// a header at offset 0 of the directory's journal object ("j<uuid>") and
+// stamps every committed transaction frame with the committing leader's
+// token. Every journal write is a guarded store write (object_store.h,
+// WriteGuard: a RADOS cmpext / an S3 If-Match PUT) that lands only while
+// the header still holds the writer's token, so a leader holding a grant
+// from a deposed epoch is rejected at the store (kStale) inside its one
+// write — split brain is resolved at commit time, not by manager consensus.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -51,10 +55,11 @@ struct FenceToken {
   }
 };
 
-// Persisted fence-object codec ("f<uuid>"): magic + epoch + seq + CRC32C.
-// Decode is strict — a torn or corrupt fence object must fail loudly, never
-// silently read as "no fence".
+// Fence header codec (the first kFenceObjectBytes of a fenced journal
+// object): magic + epoch + seq + CRC32C. Decode is strict — a torn or
+// corrupt header must fail loudly, never silently read as "no fence".
 inline constexpr std::uint32_t kFenceMagic = 0x414B464Eu;  // "AKFN"
+inline constexpr std::size_t kFenceObjectBytes = 24;
 
 inline Bytes EncodeFenceObject(const FenceToken& token) {
   Encoder enc;

@@ -224,10 +224,10 @@ Status Client::BecomeLeader(const DirHandlePtr& handle,
     if (!resp.ok()) predecessor_crashed = true;
   }
 
-  // Advance the persisted fence BEFORE reading the journal: once the fence
-  // holds our token, every commit a deposed predecessor attempts fails its
-  // post-append check and is never acked, so the journal state we load below
-  // is complete w.r.t. acked operations (DESIGN.md §4.4). kStale here means
+  // Advance the persisted fence BEFORE reading the journal: once the
+  // journal's fence header holds our token, every journal write a deposed
+  // predecessor attempts misses its guard and is never acked, so the journal
+  // state we load below is complete w.r.t. acked operations (DESIGN.md §4.4). kStale here means
   // WE are the deposed one — a newer epoch already fenced this directory.
   ARKFS_RETURN_IF_ERROR(journal_->FenceDir(handle->ino, grant.token));
 

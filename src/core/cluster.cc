@@ -103,16 +103,25 @@ ArkFsCluster::~ArkFsCluster() {
 }
 
 int ArkFsCluster::ActiveLeaseReplica() {
+  std::lock_guard lock(lease_mu_);
   for (std::size_t i = 0; i < lease_managers_.size(); ++i) {
     if (lease_managers_[i]->is_active()) return static_cast<int>(i);
   }
   return -1;
 }
 
+int ArkFsCluster::ActiveLeaseReplicaCount() {
+  std::lock_guard lock(lease_mu_);
+  int n = 0;
+  for (const auto& manager : lease_managers_) n += manager->is_active();
+  return n;
+}
+
 Status ArkFsCluster::KillLeaseReplica(int replica) {
   if (replica < 0 || replica >= lease_replica_count()) {
     return ErrStatus(Errc::kInval, "no such lease replica");
   }
+  std::lock_guard lock(lease_mu_);
   lease_managers_[static_cast<std::size_t>(replica)]->Stop();
   return Status::Ok();
 }
@@ -121,6 +130,7 @@ Status ArkFsCluster::ReviveLeaseReplica(int replica) {
   if (replica < 0 || replica >= lease_replica_count()) {
     return ErrStatus(Errc::kInval, "no such lease replica");
   }
+  std::lock_guard lock(lease_mu_);
   auto& slot = lease_managers_[static_cast<std::size_t>(replica)];
   // True crash-restart semantics: the revived process has no memory of its
   // previous life. Reconstruct the manager so leases_, epoch and fence state

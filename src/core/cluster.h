@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,9 +21,9 @@
 namespace arkfs {
 
 // How PRT data chunks are made durable. Metadata (inodes, dentries,
-// journals, fence records) always takes the replica path — its safety comes
-// from journaling + CoW flips, and the lease/journal codecs fail hard on
-// damage by design.
+// journals) always takes the replica path — its safety comes from
+// journaling + CoW flips, and the lease/journal codecs fail hard on damage
+// by design.
 enum class DataPlacement {
   kReplica,  // whole objects, store-level replication (the historic layout)
   kEc,       // k+m Reed–Solomon stripes with reconstruct-on-read (ec_store.h)
@@ -137,12 +138,17 @@ class ArkFsCluster {
   // Index of the replica currently claiming active, or -1 if none does
   // (mid-failover, or everything is down).
   int ActiveLeaseReplica();
+  // How many replicas claim active right now (more than one = split brain
+  // at the manager layer). Like ActiveLeaseReplica, safe to call from any
+  // thread while another one kills or revives replicas.
+  int ActiveLeaseReplicaCount();
   // Chaos hooks: stop/revive one replica. Kill models a crash of the manager
   // process — leases it granted stay valid until they expire. Revive is an
   // amnesiac restart: a FRESH LeaseManager over the shared store (all
   // in-memory lease/epoch/fence state lost, role re-resolved from the epoch
   // record), so references obtained via lease_manager(replica) before the
-  // revive are invalidated.
+  // revive are invalidated; a thread observing replicas while another
+  // revives them must go through the two calls above.
   Status KillLeaseReplica(int replica);
   Status ReviveLeaseReplica(int replica);
 
@@ -171,6 +177,9 @@ class ArkFsCluster {
   objstore::StoreStack stack_;
   rpc::FabricPtr fabric_;
   std::vector<std::string> manager_addresses_;
+  // Guards replacement of the lease_managers_ slots (ReviveLeaseReplica)
+  // against the replica observers and the other chaos hooks.
+  std::mutex lease_mu_;
   std::vector<std::unique_ptr<lease::LeaseManager>> lease_managers_;
   std::vector<std::shared_ptr<Client>> clients_;
   int next_index_ = 0;

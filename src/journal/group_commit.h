@@ -3,8 +3,8 @@
 // JournalManager's durability-mode knob decides when a metadata mutation is
 // acknowledged relative to its journal-object append:
 //
-//   sync   — Append commits the running transaction durably (framed append
-//            plus both fence checks) before returning. Strongest guarantee;
+//   sync   — Append commits the running transaction durably (one guarded
+//            journal write, journal.h) before returning. Strongest guarantee;
 //            pays one object-store round trip per transaction batch. The
 //            flusher only redrives records a failed inline commit unwound,
 //            once they are commit_interval old.

@@ -106,15 +106,46 @@ void JournalManager::RegisterDir(const Uuid& dir_ino,
 Status JournalManager::FenceDir(const Uuid& dir_ino, const FenceToken& token) {
   if (!token.valid()) return Status::Ok();  // unfenced legacy grant
   obs::Span span("journal.fence");
-  ARKFS_ASSIGN_OR_RETURN(const FenceToken stored, prt_->LoadDirFence(dir_ino));
-  if (stored > token) {
-    return ErrStatus(Errc::kStale,
-                     "lease fencing token superseded (stored " +
-                         stored.ToString() + " > granted " + token.ToString() +
-                         ")");
+  ObjectStore& store = prt_->store();
+  const std::string key = JournalKey(dir_ino);
+  const Bytes mine = EncodeFenceObject(token);
+  const bool in_place = store.supports_partial_write();
+  // The stamp is guarded on what was read, so a racing restamp or append
+  // makes it miss instead of being overwritten; then read and decide again.
+  for (int attempt = 0; attempt < 8; ++attempt) {
+    // Only the header where it can be restamped in place: the journal
+    // behind it may be long.
+    auto read = in_place ? store.GetRange(key, 0, kFenceObjectBytes)
+                         : store.Get(key);
+    if (read.code() == Errc::kNoEnt) return store.Put(key, mine);
+    if (!read.ok()) return read.status();
+    ARKFS_ASSIGN_OR_RETURN(const FenceToken stored, JournalFence(*read));
+    if (stored > token) {
+      return ErrStatus(Errc::kStale, "lease fence superseded: stored " +
+                                         stored.ToString() + " > granted " +
+                                         token.ToString());
+    }
+    if (stored == token) return Status::Ok();
+    const bool has_header = HasJournalHeader(*read);
+    Status stamped;
+    if (in_place && has_header) {
+      stamped = store.PutRangeIf(key, 0, mine, {0, *read});
+    } else {
+      // Whole-object store, or a headerless journal: put our header in
+      // front of its frames, guarded on the entire object as read — an
+      // append racing the rewrite must make it miss, not vanish under it.
+      if (in_place) {
+        ARKFS_ASSIGN_OR_RETURN(*read, store.Get(key));
+      }
+      Bytes object = mine;
+      object.insert(object.end(),
+                    read->begin() + (has_header ? kFenceObjectBytes : 0),
+                    read->end());
+      stamped = store.PutIf(key, object, {0, *read, /*whole=*/true});
+    }
+    if (stamped.code() != Errc::kStale) return stamped;
   }
-  if (stored == token) return Status::Ok();
-  return prt_->StoreDirFence(dir_ino, token);
+  return ErrStatus(Errc::kAgain, "journal fence kept changing: " + key);
 }
 
 void JournalManager::ResetDir(const Uuid& dir_ino) {
@@ -124,41 +155,41 @@ void JournalManager::ResetDir(const Uuid& dir_ino) {
   // Sequenced-but-unflushed records die here with the tenure — that is the
   // documented loss window of the group/async modes, and dropped_records is
   // its realized size.
-  DropPendingWindowLocked(*st, /*count_as_dropped=*/true);
-  st->running.clear();
-  st->committed.clear();
-  st->journal_bytes = 0;
+  DropTenureLocked(*st, /*count_as_dropped=*/true);
   st->fence = FenceToken{};
-  st->watermark.store(0, std::memory_order_relaxed);
 }
 
-void JournalManager::DropPendingWindowLocked(DirState& st,
-                                             bool count_as_dropped) {
+void JournalManager::DropTenureLocked(DirState& st, bool count_as_dropped) {
   const std::uint64_t n = st.running.size();
-  if (n == 0 && st.pending_window_bytes == 0) return;
   window_.NoteDrained(n, st.pending_window_bytes);
   st.pending_window_bytes = 0;
   if (count_as_dropped && n > 0) metrics_.group_dropped_records.Add(n);
+  st.running.clear();
+  st.committed.clear();
+  st.journal_bytes = 0;
+  st.watermark.store(0, std::memory_order_relaxed);
+}
+
+void JournalManager::CountDrain(DirState& st, bool lease_event) {
+  std::lock_guard lock(st.mu);
+  if (st.running.empty()) return;
+  metrics_.group_drains.Add();
+  if (lease_event) metrics_.group_lease_drains.Add();
 }
 
 Status JournalManager::UnregisterDir(const Uuid& dir_ino) {
   DirStatePtr st = FindDir(dir_ino);
   if (!st) return Status::Ok();
   // Lease release is a forced drain point: nothing sequenced may stay
-  // unflushed once the lease (and with it our fence) is gone. Counted only
-  // when there actually was something pending (mirrors CommitDir/FlushDir).
-  {
-    std::lock_guard lock(st->mu);
-    if (!st->running.empty()) {
-      metrics_.group_drains.Add();
-      metrics_.group_lease_drains.Add();
-    }
-  }
+  // unflushed once the lease (and with it our fence) is gone.
+  CountDrain(*st, /*lease_event=*/true);
   ARKFS_RETURN_IF_ERROR(CommitRunning(dir_ino, *st));
   ARKFS_RETURN_IF_ERROR(Checkpoint(dir_ino, *st));
   {
     std::lock_guard append(st->append_mu);
-    ARKFS_RETURN_IF_ERROR(prt_->DeleteJournal(dir_ino));
+    ARKFS_RETURN_IF_ERROR(!st->fence.valid()
+                              ? prt_->DeleteJournal(dir_ino)
+                              : WriteJournalLocked(dir_ino, *st, {}, {}));
     st->journal_bytes = 0;
   }
   std::lock_guard lock(registry_mu_);
@@ -189,7 +220,7 @@ Status JournalManager::Append(const Uuid& dir_ino,
                        std::make_move_iterator(records.end()));
     st->pending_window_bytes += est_bytes;
     // Publish to the window while still holding st->mu (lock order st.mu ->
-    // GroupWindow::mu_, same as DropPendingWindowLocked): a concurrent
+    // GroupWindow::mu_, same as DropTenureLocked): a concurrent
     // CommitRunningLocked can only claim these records AFTER this critical
     // section, so its NoteDrained always observes this NoteSequenced. Done
     // outside, the drain's min-clamp could run first and the late sequence
@@ -215,7 +246,7 @@ Status JournalManager::Append(const Uuid& dir_ino,
       // commit_interval old — the caller sees the error and must not ack
       // the op.
       ARKFS_RETURN_IF_ERROR(CommitRunning(dir_ino, *st));
-      MaybeEnqueueCheckpoint(dir_ino, *st);
+      ScheduleCheckpoint(*st);
       return Status::Ok();
     }
     case DurabilityMode::kGroup:
@@ -248,69 +279,66 @@ JournalManager::DirStatePtr JournalManager::FindOrCreateDir(
   return slot;
 }
 
-// Compares the persisted fence object against this tenure's token.
-// kStale: a successor advanced the fence — this leader is deposed. A
-// persisted fence BEHIND the registered token is an invariant violation
-// (grants must FenceDir before registering) and is also rejected.
-Status JournalManager::CheckFenceLocked(const Uuid& dir_ino, DirState& st) {
-  ARKFS_ASSIGN_OR_RETURN(const FenceToken stored, prt_->LoadDirFence(dir_ino));
-  metrics_.fence_checks.Add();
-  if (stored > st.fence) {
-    metrics_.fence_rejections.Add();
-    return ErrStatus(Errc::kStale,
-                     "journal commit fenced: lease epoch superseded (stored " +
-                         stored.ToString() + " > " + st.fence.ToString() + ")");
+Status JournalManager::WriteJournalLocked(const Uuid& dir_ino,
+                                          const DirState& st,
+                                          std::optional<std::uint64_t> offset,
+                                          ByteSpan data) {
+  ObjectStore& store = prt_->store();
+  const std::string key = JournalKey(dir_ino);
+  const bool fenced = st.fence.valid();
+  const Bytes header = fenced ? EncodeFenceObject(st.fence) : Bytes{};
+  const WriteGuard guard{0, header};
+  Status written;
+  if (offset && store.supports_partial_write()) {
+    const std::uint64_t at = header.size() + *offset;
+    written = fenced ? store.PutRangeIf(key, at, data, guard)
+                     : store.PutRange(key, at, data);
+  } else {
+    // One whole-object write: the header, the frames before `offset` (read
+    // back on a whole-object store), then `data`.
+    Result<Bytes> existing =
+        offset.value_or(0) > 0 ? store.Get(key) : Result<Bytes>(Bytes{});
+    if (!existing.ok() && existing.code() != Errc::kNoEnt) {
+      return existing.status();  // never rewrite frames we cannot see
+    }
+    Bytes object = existing.value_or(Bytes{});
+    object.resize(header.size() + offset.value_or(0));  // drop stale tail
+    std::copy(header.begin(), header.end(), object.begin());
+    object.insert(object.end(), data.begin(), data.end());
+    written = fenced ? store.PutIf(key, object, guard) : store.Put(key, object);
   }
-  if (stored < st.fence) {
-    metrics_.fence_violations.Add();
-    return ErrStatus(Errc::kStale,
-                     "fence invariant violated: persisted fence " +
-                         stored.ToString() + " behind granted " +
-                         st.fence.ToString());
-  }
-  return Status::Ok();
+  if (!fenced || written.code() != Errc::kStale) return written;
+  // The guard missed: one header read tells a successor's fence from a
+  // broken invariant (a missing or undecodable header reads as zero).
+  auto raw = store.GetRange(key, 0, kFenceObjectBytes);
+  if (!raw.ok() && raw.code() != Errc::kNoEnt) return raw.status();
+  const FenceToken stored =
+      JournalFence(raw.value_or(Bytes{})).value_or(FenceToken{});
+  const bool superseded = stored > st.fence;
+  (superseded ? metrics_.fence_rejections : metrics_.fence_violations).Add();
+  return ErrStatus(Errc::kStale, std::string(superseded ? "journal write fenced"
+                                                        : "fence violated") +
+                                     ": stored " + stored.ToString() +
+                                     ", granted " + st.fence.ToString());
 }
 
 Status JournalManager::AppendToJournalLocked(const Uuid& dir_ino,
                                              DirState& st, Transaction& txn) {
-  // PRE-append fence check: if a successor already advanced the fence, this
-  // leader's journal-length cursor is stale and a PutRange at that offset
-  // would corrupt the successor's journal. (A successor fences BEFORE it
-  // loads the journal, so a deposed leader is caught here in the common
-  // case; the residual window is closed by the post-append check below.)
-  if (st.fence.valid()) {
-    ARKFS_RETURN_IF_ERROR(CheckFenceLocked(dir_ino, st));
-  }
+  // One store write per commit, guarded on this tenure's fence header: it
+  // lands only if no successor has restamped the header, which a successor
+  // does BEFORE it loads the journal — so an acked frame is always one the
+  // successor's recovery replays, and a deposed leader's stale offset never
+  // reaches the successor's journal (DESIGN.md §4.4).
   txn.fence = st.fence;
   const Bytes framed = EncodeTransaction(txn);
-  if (prt_->store().supports_partial_write()) {
-    ARKFS_RETURN_IF_ERROR(
-        prt_->store().PutRange(JournalKey(dir_ino), st.journal_bytes, framed));
-  } else {
-    // Whole-object backend: read-modify-write append.
-    Bytes full;
-    if (st.journal_bytes > 0) {
-      auto existing = prt_->LoadJournal(dir_ino);
-      if (existing.ok()) full = std::move(*existing);
-    }
-    full.resize(st.journal_bytes);  // drop any stale tail
-    full.insert(full.end(), framed.begin(), framed.end());
-    ARKFS_RETURN_IF_ERROR(prt_->StoreJournal(dir_ino, full));
-  }
-  // POST-append fence check, BEFORE the transaction is acknowledged (the
-  // caller treats any error as "nothing committed" and unwinds). This is the
-  // split-brain linchpin: an acked commit implies the fence had not moved
-  // AFTER the frame was durable, so any successor's fence advance — which
-  // strictly precedes its journal load — happens after the frame landed and
-  // the successor's recovery replays it. Acked operations survive deposition.
-  if (st.fence.valid()) {
-    ARKFS_RETURN_IF_ERROR(CheckFenceLocked(dir_ino, st));
-  }
+  if (st.fence.valid()) metrics_.fence_checks.Add();
+  ARKFS_RETURN_IF_ERROR(
+      WriteJournalLocked(dir_ino, st, st.journal_bytes, framed));
   st.journal_bytes += framed.size();
   metrics_.transactions_committed.Add();
   metrics_.records_committed.Add(txn.records.size());
   metrics_.journal_bytes_written.Add(framed.size());
-  st.committed.emplace_back(std::move(txn), framed.size());
+  st.committed.push_back(std::move(txn));
   return Status::Ok();
 }
 
@@ -372,31 +400,13 @@ Status JournalManager::Checkpoint(const Uuid& dir_ino, DirState& st) {
   obs::Span span("journal.checkpoint");
   std::lock_guard cp(st.checkpoint_mu);
   std::vector<Transaction> batch;
-  std::vector<std::uint64_t> sizes;
-  std::uint64_t batch_bytes = 0;
   {
     std::lock_guard append(st.append_mu);
     if (st.committed.empty()) return Status::Ok();
-    batch.reserve(st.committed.size());
-    sizes.reserve(st.committed.size());
-    for (auto& [txn, size] : st.committed) {
-      batch.push_back(std::move(txn));
-      sizes.push_back(size);
-      batch_bytes += size;
-    }
+    batch.assign(std::make_move_iterator(st.committed.begin()),
+                 std::make_move_iterator(st.committed.end()));
     st.committed.clear();
   }
-  // On any failure the batch goes back to the FRONT of the queue: its frames
-  // are still at the head of the journal object, so the retry re-applies the
-  // same prefix (idempotently) and the trim stays byte-aligned with memory.
-  // Dropping the batch instead would desynchronize the next trim and orphan
-  // acked transactions until a full recovery.
-  auto restore_batch = [&] {
-    std::lock_guard append(st.append_mu);
-    for (std::size_t i = batch.size(); i-- > 0;) {
-      st.committed.emplace_front(std::move(batch[i]), sizes[i]);
-    }
-  };
 
   // Apply to the authoritative objects WITHOUT blocking appends: anything
   // committed meanwhile lands after the prefix we are consuming, and a
@@ -405,49 +415,42 @@ Status JournalManager::Checkpoint(const Uuid& dir_ino, DirState& st) {
   // appends both phases under append_mu), so no peer consultation is needed.
   const TimePoint cp_start = Now();
   ApplyOutcome outcome;
-  Status applied = ApplyTransactions(
+  Status done = ApplyTransactions(
       *prt_, dir_ino, batch, [](const Uuid&, const Uuid&) { return false; },
       nullptr, config_.shard_policy, &outcome, st.sweep_orphans);
-  if (!applied.ok()) {
+  if (!done.ok()) {
     // The failed apply may have landed some of a new shard generation before
     // dying; flag the orphan sweep so the retry cleans it up before trimming.
     st.sweep_orphans = true;
-    restore_batch();
-    return applied;
-  }
-  if (outcome.shard_count > 0) st.sweep_orphans = false;
-
-  // Trim exactly the checkpointed prefix from the journal object.
-  Status trim = Status::Ok();
-  {
+  } else {
+    if (outcome.shard_count > 0) st.sweep_orphans = false;
+    // Trim exactly the checkpointed prefix: the journal is rewritten with
+    // the frames committed meanwhile, re-encoded from the queue (framing is
+    // deterministic). Guarded like every journal write, so a deposed
+    // leader's late trim cannot chop frames its successor has acked since.
     std::lock_guard append(st.append_mu);
     Bytes remainder;
-    if (st.journal_bytes > batch_bytes) {
-      auto current = prt_->LoadJournal(dir_ino);
-      if (current.ok() && current->size() >= batch_bytes) {
-        remainder.assign(current->begin() + batch_bytes, current->end());
-      } else if (!current.ok() && current.code() != Errc::kNoEnt) {
-        // Can't see the suffix appended meanwhile; truncating blind would
-        // drop it. Leave the journal alone and retry the whole batch later.
-        trim = current.status();
-      }
+    for (const Transaction& txn : st.committed) {
+      const Bytes framed = EncodeTransaction(txn);
+      remainder.insert(remainder.end(), framed.begin(), framed.end());
     }
-    if (trim.ok()) {
-      trim = prt_->StoreJournal(dir_ino, remainder);
-      if (trim.ok()) st.journal_bytes = remainder.size();
-    }
+    done = WriteJournalLocked(dir_ino, st, {}, remainder);
+    if (done.ok()) st.journal_bytes = remainder.size();
   }
-  if (!trim.ok()) {
-    restore_batch();  // re-apply is idempotent; keeps trim offsets aligned
-    return trim;
+  if (!done.ok()) {
+    // The batch goes back to the FRONT of the queue: its frames are still at
+    // the head of the journal, so the retry re-applies them (idempotently)
+    // and no acked transaction is orphaned until a full recovery.
+    std::lock_guard append(st.append_mu);
+    st.committed.insert(st.committed.begin(),
+                        std::make_move_iterator(batch.begin()),
+                        std::make_move_iterator(batch.end()));
+    return done;
   }
   op_latencies_.Record("checkpoint", Now() - cp_start);
   metrics_.transactions_checkpointed.Add(batch.size());
   metrics_.checkpoints.Add();
-  metrics_.dentry_shards_loaded.Add(outcome.shards_loaded);
-  metrics_.dentry_shards_written.Add(outcome.shards_written);
-  if (outcome.migrated) metrics_.dentry_migrations.Add();
-  if (outcome.resharded) metrics_.dentry_reshards.Add();
+  NoteApplyOutcome(outcome);
   if (config_.on_checkpoint) config_.on_checkpoint();
   return Status::Ok();
 }
@@ -455,20 +458,14 @@ Status JournalManager::Checkpoint(const Uuid& dir_ino, DirState& st) {
 Status JournalManager::CommitDir(const Uuid& dir_ino) {
   DirStatePtr st = FindDir(dir_ino);
   if (!st) return Status::Ok();
-  {
-    std::lock_guard lock(st->mu);
-    if (!st->running.empty()) metrics_.group_drains.Add();
-  }
+  CountDrain(*st, /*lease_event=*/false);
   return CommitRunning(dir_ino, *st);
 }
 
 Status JournalManager::FlushDir(const Uuid& dir_ino) {
   DirStatePtr st = FindDir(dir_ino);
   if (!st) return Status::Ok();
-  {
-    std::lock_guard lock(st->mu);
-    if (!st->running.empty()) metrics_.group_drains.Add();
-  }
+  CountDrain(*st, /*lease_event=*/false);
   ARKFS_RETURN_IF_ERROR(CommitRunning(dir_ino, *st));
   return Checkpoint(dir_ino, *st);
 }
@@ -601,28 +598,27 @@ Result<RecoveryReport> JournalManager::RecoverDir(const Uuid& dir_ino) {
   ARKFS_RETURN_IF_ERROR(ApplyTransactions(*prt_, dir_ino, txns, peer_decision,
                                           &report, config_.shard_policy,
                                           &outcome, /*sweep_orphans=*/true));
-  ARKFS_RETURN_IF_ERROR(prt_->StoreJournal(dir_ino, Bytes{}));
-  metrics_.dentry_shards_loaded.Add(outcome.shards_loaded);
-  metrics_.dentry_shards_written.Add(outcome.shards_written);
-  if (outcome.migrated) metrics_.dentry_migrations.Add();
-  if (outcome.resharded) metrics_.dentry_reshards.Add();
+  // Reset to the header we read, guarded on it: if the fence moved since
+  // the load, the journal is someone else's now and stays as it is.
+  const ByteSpan header =
+      ByteSpan(*raw).first(HasJournalHeader(*raw) ? kFenceObjectBytes : 0);
+  ARKFS_RETURN_IF_ERROR(
+      header.empty()
+          ? prt_->StoreJournal(dir_ino, header)
+          : prt_->store().PutIf(JournalKey(dir_ino), header, {0, header}));
+  NoteApplyOutcome(outcome);
 
   // Reset any stale in-memory bookkeeping for this directory.
   if (DirStatePtr st = FindDir(dir_ino)) {
     std::scoped_lock locks(st->checkpoint_mu, st->append_mu, st->mu);
-    DropPendingWindowLocked(*st, /*count_as_dropped=*/false);
-    st->running.clear();
-    st->committed.clear();
-    st->journal_bytes = 0;
-    st->watermark.store(0, std::memory_order_relaxed);
+    DropTenureLocked(*st, /*count_as_dropped=*/false);
   }
   return report;
 }
 
 bool JournalManager::HasSurvivingJournal(const Uuid& dir_ino) {
   auto raw = prt_->LoadJournal(dir_ino);
-  if (!raw.ok()) return false;
-  return !ParseJournal(*raw).empty();
+  return raw.ok() && !ParseJournal(*raw).empty();
 }
 
 Status JournalManager::ApplyTransactions(
@@ -1002,7 +998,6 @@ Status JournalManager::ApplyTransactions(
     for (auto& k : listed) deletes.push_back(std::move(k));
     deletes.push_back(DentryKey(ino));
     deletes.push_back(JournalKey(ino));
-    deletes.push_back(FenceKey(ino));  // uuids are never reused; pure cleanup
   }
 
   Status first = Status::Ok();
@@ -1023,6 +1018,13 @@ Status JournalManager::ApplyTransactions(
   return first;
 }
 
+void JournalManager::NoteApplyOutcome(const ApplyOutcome& outcome) {
+  metrics_.dentry_shards_loaded.Add(outcome.shards_loaded);
+  metrics_.dentry_shards_written.Add(outcome.shards_written);
+  if (outcome.migrated) metrics_.dentry_migrations.Add();
+  if (outcome.resharded) metrics_.dentry_reshards.Add();
+}
+
 void JournalManager::CheckpointThreadMain(int index) {
   while (auto ino = checkpoint_queues_[index]->Pop()) {
     DirStatePtr st = FindDir(*ino);
@@ -1035,18 +1037,12 @@ void JournalManager::CheckpointThreadMain(int index) {
   }
 }
 
-void JournalManager::MaybeEnqueueCheckpoint(const Uuid& dir_ino,
-                                            DirState& st) {
-  bool due = false;
-  const TimePoint now = Now();
-  {
-    std::lock_guard lock(st.mu);
-    if (now - st.last_checkpoint_enqueue >= config_.commit_interval) {
-      st.last_checkpoint_enqueue = now;
-      due = true;
-    }
-  }
-  if (due) checkpoint_queues_[CheckpointThreadFor(dir_ino)]->Push(dir_ino);
+void JournalManager::ScheduleCheckpoint(DirState& st) {
+  std::lock_guard lock(st.mu);  // st.mu -> GroupWindow::mu_, as in Append
+  st.checkpoint_due = std::min(
+      st.checkpoint_due,
+      std::max(Now(), st.last_checkpoint_enqueue + config_.commit_interval));
+  window_.NoteDue(st.checkpoint_due);
 }
 
 TimePoint JournalManager::DueAt(TimePoint first_op) const {
@@ -1069,26 +1065,34 @@ void JournalManager::FlusherMain() {
     const TimePoint now = Now();
     std::vector<std::function<Status()>> round;
     for (auto& [ino, st] : SnapshotDirs()) {
+      bool checkpoint = false;
+      bool commit = false;
       {
         std::lock_guard lock(st->mu);
-        if (st->running.empty()) continue;
-        if (const TimePoint at = DueAt(st->first_op); at > now) {
-          next_due = std::min(next_due, at);
-          continue;
+        if (st->checkpoint_due <= now) {  // the per-interval limit allows it
+          st->checkpoint_due = TimePoint::max();
+          st->last_checkpoint_enqueue = now;
+          checkpoint = true;
         }
+        next_due = std::min(next_due, st->checkpoint_due);
+        const TimePoint at =
+            st->running.empty() ? TimePoint::max() : DueAt(st->first_op);
+        commit = at <= now;
+        if (!commit) next_due = std::min(next_due, at);
       }
+      if (checkpoint) checkpoint_queues_[CheckpointThreadFor(ino)]->Push(ino);
+      if (!commit) continue;
       round.push_back([this, ino = ino, st = st] {
         Status s = CommitRunning(ino, *st);
-        if (!s.ok()) metrics_.flush_errors.Add();
         // Group rounds can be sub-millisecond apart, and checkpointing each
-        // one would rewrite dirty shards continuously, so every round goes
-        // through the per-interval limit. A lingered commit comes at most
-        // once per interval per directory and enqueues whenever it lands
-        // (the async cadence).
-        if (config_.durability == DurabilityMode::kGroup) {
-          MaybeEnqueueCheckpoint(ino, *st);
-        } else if (s.ok()) {
-          checkpoint_queues_[CheckpointThreadFor(ino)]->Push(ino);
+        // one would rewrite dirty shards continuously, so every commit goes
+        // through the per-interval limit (a lingered one comes at most once
+        // per interval anyway). A failed round committed nothing and asks
+        // for no checkpoint.
+        if (s.ok()) {
+          ScheduleCheckpoint(*st);
+        } else {
+          metrics_.flush_errors.Add();
         }
         return s;
       });

@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -98,11 +99,13 @@ struct JournalMetrics {
   obs::Counter dentry_shards_written;
   obs::Counter dentry_migrations;  // legacy block -> sharded layout
   obs::Counter dentry_reshards;    // shard-count growth events
-  // Lease-HA fencing (see FenceDir): commit-time fence-object reads, commits
-  // rejected kStale because a successor advanced the fence, and violations —
-  // a persisted fence BEHIND the registered token, which must never happen
-  // (it would mean a grant was used without FenceDir'ing first). Chaos tests
-  // assert fence_violations == 0.
+  // Lease-HA fencing (see FenceDir): guarded journal appends (one per
+  // commit of a fenced directory), commits rejected kStale because a
+  // successor advanced the fence, and violations — a persisted fence BEHIND
+  // the registered token, which must never happen (it would mean a grant
+  // was used without FenceDir'ing first). Rejections and violations are
+  // told apart by one header read after a guard mismatch, off the success
+  // path. Chaos tests assert fence_violations == 0.
   obs::Counter fence_checks;
   obs::Counter fence_rejections;
   obs::Counter fence_violations;
@@ -150,22 +153,27 @@ class JournalManager {
   JournalManager& operator=(const JournalManager&) = delete;
 
   // Directory lifecycle: Register when a lease is acquired, Unregister
-  // (flush + drop journal object) when it is cleanly released.
+  // (flush + empty the journal object) when it is cleanly released. An
+  // unfenced directory's journal object is deleted; a fenced one is cut
+  // back to its header, so the stored fence stays monotone across releases.
   void RegisterDir(const Uuid& dir_ino);
   // Registers under a lease fencing token: every commit for this directory
-  // is stamped with `token` and double-checked against the persisted fence
-  // object (before the append, so a deposed leader cannot overwrite the
-  // successor's journal at a stale offset; and after, before the ack, so an
-  // acked commit provably precedes any successor's fence advance — see
-  // DESIGN.md §4.4). Re-registering with a newer token (fresh re-grant)
+  // is stamped with `token`, and every write to its journal object — the
+  // append, the checkpoint trim, the release rewrite — is one guarded store
+  // write that lands only while the object's fence header still holds
+  // `token`. A deposed leader's write therefore never lands after its
+  // successor's FenceDir, and an acked commit provably landed before it
+  // (DESIGN.md §4.4). Re-registering with a newer token (fresh re-grant)
   // keeps the journal bookkeeping intact: the durable frames stay owned.
   void RegisterDir(const Uuid& dir_ino, const FenceToken& token);
   Status UnregisterDir(const Uuid& dir_ino);
 
-  // Advances the persisted per-directory fence object to `token`. kStale if
-  // the store already holds a NEWER token (the caller's grant is from a
-  // deposed epoch). New leaders must call this BEFORE loading/replaying the
-  // directory's journal — that ordering is the split-brain argument.
+  // Stamps `token` into the fence header at offset 0 of the directory's
+  // journal object (creating a header-only journal if there is none), as a
+  // guarded write on the header it read. kStale if the header already holds
+  // a NEWER token (the caller's grant is from a deposed epoch). New leaders
+  // must call this BEFORE loading/replaying the directory's journal — that
+  // ordering is the split-brain argument.
   Status FenceDir(const Uuid& dir_ino, const FenceToken& token);
 
   // Drops all in-memory journal bookkeeping for the directory (running
@@ -286,10 +294,11 @@ class JournalManager {
     // on Append, zeroed when a commit takes the batch, restored on commit
     // unwind — so drains subtract exactly what sequencing added.
     std::uint64_t pending_window_bytes = 0;
-    // When a group round or sync commit last pushed this directory to a
-    // checkpoint queue. Those can be sub-millisecond apart under load;
-    // checkpoints stay on the commit_interval cadence the async mode uses.
+    // When the flusher last pushed this directory to a checkpoint queue,
+    // and when it next should (max = none pending; see ScheduleCheckpoint).
+    // Guarded by mu.
     TimePoint last_checkpoint_enqueue{};
+    TimePoint checkpoint_due = TimePoint::max();
     // Trace of the op that opened the running transaction; re-installed
     // around the (possibly deferred, background-thread) commit so the
     // journal append lands in the originating request's trace.
@@ -298,13 +307,15 @@ class JournalManager {
     // Lock order: checkpoint_mu -> append_mu -> mu.
     std::mutex append_mu;  // journal-object appends, committed, journal_bytes
     // Fencing token of the current leadership tenure (zero = unfenced
-    // legacy). Stamped into every committed frame and checked against the
-    // persisted fence object around each append. Guarded by append_mu.
+    // legacy): stamped into every committed frame, and — encoded as the
+    // journal's fence header — what every journal write is guarded on.
+    // Guarded by append_mu.
     FenceToken fence;
-    // Committed transactions awaiting checkpoint, with their framed sizes
-    // (needed to truncate exactly the checkpointed prefix afterwards).
-    std::deque<std::pair<Transaction, std::uint64_t>> committed;
-    std::uint64_t journal_bytes = 0;  // current journal object length
+    // Committed transactions awaiting checkpoint, in journal order: their
+    // frames are exactly the journal object's bytes after the header, so a
+    // trim rewrites the object from what stays queued.
+    std::deque<Transaction> committed;
+    std::uint64_t journal_bytes = 0;  // journal frame bytes after the header
     // Mutation watermark of the current tenure (see Watermark()). Atomic so
     // the read-delegation path can sample it without taking either journal
     // lock; bumps happen under st.mu (Append) or append_mu (cross-dir).
@@ -321,8 +332,16 @@ class JournalManager {
   DirStatePtr FindDir(const Uuid& dir_ino);
   DirStatePtr FindOrCreateDir(const Uuid& dir_ino);
 
-  // Reads the persisted fence and compares it to st.fence (append_mu held).
-  Status CheckFenceLocked(const Uuid& dir_ino, DirState& st);
+  // Writes the directory's journal object: `data` at `offset` past the
+  // fence header, or (no offset) the whole object as header + `data`. For a
+  // fenced directory it is one write guarded on st.fence's header — it lands
+  // only while no successor has restamped the header — and a miss reads the
+  // header once to count a rejection (successor's fence) or a violation
+  // (fence behind ours) before returning kStale. Unfenced: a plain write.
+  // append_mu held.
+  Status WriteJournalLocked(const Uuid& dir_ino, const DirState& st,
+                            std::optional<std::uint64_t> offset,
+                            ByteSpan data);
 
   // Appends one framed transaction to the journal object. append_mu held.
   // Consumes `txn` only on success; on a store failure `txn` is left intact
@@ -351,20 +370,30 @@ class JournalManager {
   void CheckpointThreadMain(int index);
   // The one background commit loop, in every mode: commits every directory
   // whose running transaction is due through one async fan-out per round,
-  // then parks on the dirty window until the next due time.
+  // enqueues every checkpoint the per-interval limit deferred that is now
+  // due, then parks on the dirty window until the next due time.
   void FlusherMain();
   // When a running transaction opened at `first_op` falls due: at once in
   // group mode, one commit_interval later otherwise — rounded up to a
   // quarter-interval grid so directories opened close together fall due
   // together (one flusher round per grid step, however many are dirty).
   TimePoint DueAt(TimePoint first_op) const;
-  // Zeroes a directory's share of the dirty window (records leaving
-  // `running` without a commit: ResetDir, RecoverDir). st.mu must be held.
-  void DropPendingWindowLocked(DirState& st, bool count_as_dropped);
-  // Pushes the directory to its checkpoint queue at most once per
-  // commit_interval: sync/group commits can be far more frequent than
-  // that, but checkpoint cadence should not be.
-  void MaybeEnqueueCheckpoint(const Uuid& dir_ino, DirState& st);
+  // Drops the tenure's journal bookkeeping (running records, with their
+  // share of the dirty window; the committed queue; the journal cursor and
+  // the watermark) without touching the store: ResetDir, RecoverDir. All
+  // three DirState locks held.
+  void DropTenureLocked(DirState& st, bool count_as_dropped);
+  // Counts an explicit drain (fsync, lease event) of a directory that had
+  // something pending.
+  void CountDrain(DirState& st, bool lease_event);
+  // Adds one ApplyTransactions outcome to the dentry-layout counters.
+  void NoteApplyOutcome(const ApplyOutcome& outcome);
+  // Asks the flusher to checkpoint the directory: at once, or, within
+  // commit_interval of the last checkpoint it enqueued, once that interval
+  // has passed (st.checkpoint_due). Sync commits and group rounds can be far
+  // more frequent than that, but checkpoint cadence should not be — and no
+  // commit is left unscheduled, however close behind the last one it lands.
+  void ScheduleCheckpoint(DirState& st);
 
   int CheckpointThreadFor(const Uuid& dir) const {
     return static_cast<int>(UuidHash{}(dir) % config_.checkpoint_threads);

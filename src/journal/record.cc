@@ -164,8 +164,21 @@ Bytes EncodeTransaction(const Transaction& txn) {
   return std::move(framed).Take();
 }
 
+bool HasJournalHeader(ByteSpan journal) {
+  if (journal.size() < kFenceObjectBytes) return false;
+  Decoder dec(journal);
+  auto magic = dec.GetU32();
+  return magic.ok() && *magic == kFenceMagic;
+}
+
+Result<FenceToken> JournalFence(ByteSpan journal) {
+  if (!HasJournalHeader(journal)) return FenceToken{};
+  return DecodeFenceObject(journal.first(kFenceObjectBytes));
+}
+
 std::vector<Transaction> ParseJournal(ByteSpan data) {
   std::vector<Transaction> txns;
+  if (HasJournalHeader(data)) data = data.subspan(kFenceObjectBytes);
   Decoder dec(data);
   // Minimum complete frame (v1): magic(4) + seq(8) + len(4) + crc(4). A v2
   // frame additionally needs epoch(8) + fseq(8); short reads below fail and
@@ -178,7 +191,7 @@ std::vector<Transaction> ParseJournal(ByteSpan data) {
     auto seq = dec.GetU64();
     if (!seq.ok()) break;
     // v1 frames predate fencing: no token in the header, epoch 0 = legacy
-    // unfenced (same convention as the fence objects).
+    // unfenced (same convention as the journal's fence header).
     std::uint64_t epoch = 0;
     std::uint64_t fseq = 0;
     if (!v1) {

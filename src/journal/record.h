@@ -91,7 +91,17 @@ Bytes EncodeTransaction(const Transaction& txn);
 // token; v1 frames (written before lease-HA fencing existed) decode with a
 // zero token — epoch 0 is the legacy/unfenced marker, so pre-upgrade
 // journals replay losslessly instead of being dropped as torn tails.
+// A leading fence header (common/fence.h), if present, is skipped; a
+// headerless object (unfenced directory) parses from its first byte.
 std::vector<Transaction> ParseJournal(ByteSpan data);
+
+// Journal objects of fenced directories start with a fence header: the
+// EncodeFenceObject() frame of the token that last fenced the directory.
+// True if `journal` starts with one (by its magic; JournalFence decodes it).
+bool HasJournalHeader(ByteSpan journal);
+// The token in `journal`'s header; the zero token for a headerless object,
+// an error for a torn or corrupt header.
+Result<FenceToken> JournalFence(ByteSpan journal);
 
 // Frame magics double as format versions: the fence token grew the v2
 // header by 16 bytes, so v2 frames carry a new magic rather than silently

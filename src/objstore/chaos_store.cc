@@ -65,14 +65,31 @@ Errc ChaosStore::Decide(std::string_view op, const std::string& key) {
 }
 
 Status ChaosStore::Put(const std::string& key, ByteSpan data) {
+  return DoPut(key, data, nullptr);
+}
+
+Status ChaosStore::PutIf(const std::string& key, ByteSpan data,
+                         const WriteGuard& guard) {
+  return DoPut(key, data, &guard);
+}
+
+Status ChaosStore::DoPut(const std::string& key, ByteSpan data,
+                         const WriteGuard* guard) {
   if (Errc e = Decide("put", key); e != Errc::kOk) return ErrStatus(e, key);
+  // A torn guarded write keeps the guarded extent intact, so its retry
+  // still matches: it can only cut inside [keep, size). A guard pinning the
+  // whole object could never match again once torn, so it never tears.
+  std::uint64_t keep = 0;
+  if (guard) {
+    keep = guard->whole ? data.size() : guard->offset + guard->expected.size();
+  }
   bool torn = false;
   std::uint64_t cut = 0;
-  if (config_.torn_put_rate > 0.0 && !data.empty()) {
+  if (config_.torn_put_rate > 0.0 && data.size() > keep) {
     std::lock_guard lock(mu_);
     if (rng_.NextDouble() < config_.torn_put_rate) {
       torn = true;
-      cut = rng_.Below(data.size());  // strict prefix, possibly empty
+      cut = keep + rng_.Below(data.size() - keep);  // strict prefix
       torn_puts_.Add();
     }
   }
@@ -81,10 +98,12 @@ Status ChaosStore::Put(const std::string& key, ByteSpan data) {
     // object, and the caller sees a transient error. A retry rewrites the
     // whole object, which is why full-object Put stays idempotent.
     Bytes prefix(data.begin(), data.begin() + cut);
-    (void)base()->Put(key, prefix);
+    Status landed = guard ? base()->PutIf(key, prefix, *guard)
+                          : base()->Put(key, prefix);
+    if (landed.code() == Errc::kStale) return landed;
     return ErrStatus(Errc::kIo, "torn put: " + key);
   }
-  return base()->Put(key, data);
+  return guard ? base()->PutIf(key, data, *guard) : base()->Put(key, data);
 }
 
 void ChaosStore::MaybeFlipBit(const std::string& key, Bytes* data) {
@@ -126,6 +145,14 @@ Status ChaosStore::PutRange(const std::string& key, std::uint64_t offset,
     return ErrStatus(e, key);
   }
   return base()->PutRange(key, offset, data);
+}
+
+Status ChaosStore::PutRangeIf(const std::string& key, std::uint64_t offset,
+                              ByteSpan data, const WriteGuard& guard) {
+  if (Errc e = Decide("putrange", key); e != Errc::kOk) {
+    return ErrStatus(e, key);
+  }
+  return base()->PutRangeIf(key, offset, data, guard);
 }
 
 Status ChaosStore::Delete(const std::string& key) {

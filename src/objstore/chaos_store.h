@@ -18,11 +18,14 @@
 //    prefix of the payload lands in the store and the op reports kIo —
 //    the crash-atomicity hazard a whole-object backend really has. Layers
 //    above must treat the object as garbage until the next full rewrite
-//    (the journal's CRC framing is what detects exactly this).
+//    (the journal's CRC framing is what detects exactly this). A guarded
+//    Put tears only if its guard holds and never inside the guarded
+//    extent, so its retry (same guard) can still land the full rewrite; a
+//    guard pinning the whole object never tears.
 //
 // Every primitive consults the scripted hook first, then the profile. The
 // hook sees the operation name ("get", "getrange", "put", "putrange",
-// "delete", "head", "list") and key (the prefix for "list"), and returns
+// "delete", "head", "list"; guarded writes are "put" / "putrange") and key (the prefix for "list"), and returns
 // the error to inject (kOk falls through to the profile). It runs without
 // the store's mutex held, so it may block or call back into the store.
 // Tests use it to kill writes after N ops to simulate a client crash
@@ -90,6 +93,10 @@ class ChaosStore : public StoreDecorator {
   Status Put(const std::string& key, ByteSpan data) override;
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override;
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
@@ -112,6 +119,8 @@ class ChaosStore : public StoreDecorator {
  private:
   // The verdict every operation funnels through: hook, then profile.
   Errc Decide(std::string_view op, const std::string& key);
+  // Put and PutIf: a null guard writes unconditionally.
+  Status DoPut(const std::string& key, ByteSpan data, const WriteGuard* guard);
   // Flips one random bit of `data` when the profile + filter say so.
   void MaybeFlipBit(const std::string& key, Bytes* data);
 

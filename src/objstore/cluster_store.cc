@@ -132,6 +132,65 @@ Result<Bytes> ClusterObjectStore::GetRange(const std::string& key,
 }
 
 Status ClusterObjectStore::Put(const std::string& key, ByteSpan data) {
+  return Write(key, std::nullopt, data, nullptr);
+}
+
+Status ClusterObjectStore::PutIf(const std::string& key, ByteSpan data,
+                                 const WriteGuard& guard) {
+  return Write(key, std::nullopt, data, &guard);
+}
+
+Status ClusterObjectStore::PutRange(const std::string& key,
+                                    std::uint64_t offset, ByteSpan data) {
+  if (!supports_partial_write()) {
+    return EmulatedPutRange(key, offset, data, nullptr);
+  }
+  return Write(key, offset, data, nullptr);
+}
+
+Status ClusterObjectStore::PutRangeIf(const std::string& key,
+                                      std::uint64_t offset, ByteSpan data,
+                                      const WriteGuard& guard) {
+  if (!supports_partial_write()) {
+    return EmulatedPutRange(key, offset, data, &guard);
+  }
+  return Write(key, offset, data, &guard);
+}
+
+Status ClusterObjectStore::EmulatedPutRange(const std::string& key,
+                                            std::uint64_t offset,
+                                            ByteSpan data,
+                                            const WriteGuard* guard) {
+  if (!config_.emulate_partial_write) {
+    return ErrStatus(Errc::kNotSup, "cluster profile is whole-object only");
+  }
+  // Read-modify-write emulation (S3 profile): fetch the current object
+  // (absent = empty), zero-fill any gap, splice the range in, and rewrite
+  // the whole object through the normal replicated write. Each call
+  // recomputes from current state, so a retried RMW is idempotent. Get and
+  // the write each take their own fair-queue pass — an emulated partial
+  // write IS two node operations and should queue like them. A guard is
+  // evaluated on the final write, against the object as it is then.
+  Bytes whole;
+  auto current = Get(key);
+  if (current.ok()) {
+    whole = std::move(*current);
+  } else if (current.status().code() != Errc::kNoEnt) {
+    return current.status();
+  }
+  const std::uint64_t end = offset + data.size();
+  if (end > config_.max_object_size) {
+    return ErrStatus(Errc::kInval, "partial write beyond max object size");
+  }
+  if (whole.size() < end) whole.resize(end, 0);
+  std::copy(data.begin(), data.end(),
+            whole.begin() + static_cast<std::ptrdiff_t>(offset));
+  return Write(key, std::nullopt, whole, guard);
+}
+
+Status ClusterObjectStore::Write(const std::string& key,
+                                 std::optional<std::uint64_t> offset,
+                                 ByteSpan data, const WriteGuard* guard) {
   const auto replicas = ReplicaNodes(key);
   QueueTicket ticket;
   ARKFS_RETURN_IF_ERROR(AdmitToNode(replicas[0], &ticket));
@@ -141,65 +200,26 @@ Status ClusterObjectStore::Put(const std::string& key, ByteSpan data) {
   // inter-replica op latency (pipelined, so not multiplied by R).
   ChargeOp(replicas[0], data.size(), true);
   if (replicas.size() > 1) op_latency_.Apply();
+  auto write = [&](MemoryObjectStore& node, const WriteGuard* g) {
+    if (!offset) return g ? node.PutIf(key, data, *g) : node.Put(key, data);
+    return g ? node.PutRangeIf(key, *offset, data, *g)
+             : node.PutRange(key, *offset, data);
+  };
   Status st = Status::Ok();
-  for (int node : replicas) {
-    {
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const int node = replicas[i];
+    if (i > 0 || guard == nullptr) {
       std::lock_guard lock(chaos_mu_);
       if (down_[node]) {
         MarkStaleLocked(node, key);
         continue;
       }
     }
-    Status s = nodes_[node].store->Put(key, data);
-    if (!s.ok()) st = s;
-  }
-  return st;
-}
-
-Status ClusterObjectStore::PutRange(const std::string& key,
-                                    std::uint64_t offset, ByteSpan data) {
-  if (!supports_partial_write()) {
-    if (!config_.emulate_partial_write) {
-      return ErrStatus(Errc::kNotSup, "cluster profile is whole-object only");
-    }
-    // Read-modify-write emulation (S3 profile): fetch the current object
-    // (absent = empty), zero-fill any gap, splice the range in, and rewrite
-    // the whole object through the normal replicated Put. Each call
-    // recomputes from current state, so a retried RMW is idempotent. Get
-    // and Put each take their own fair-queue pass — an emulated partial
-    // write IS two node operations and should queue like them.
-    Bytes whole;
-    auto current = Get(key);
-    if (current.ok()) {
-      whole = std::move(*current);
-    } else if (current.status().code() != Errc::kNoEnt) {
-      return current.status();
-    }
-    const std::uint64_t end = offset + data.size();
-    if (end > config_.max_object_size) {
-      return ErrStatus(Errc::kInval, "partial write beyond max object size");
-    }
-    if (whole.size() < end) whole.resize(end, 0);
-    std::copy(data.begin(), data.end(),
-              whole.begin() + static_cast<std::ptrdiff_t>(offset));
-    return Put(key, whole);
-  }
-  const auto replicas = ReplicaNodes(key);
-  QueueTicket ticket;
-  ARKFS_RETURN_IF_ERROR(AdmitToNode(replicas[0], &ticket));
-  ARKFS_CLUSTER_REJECT_IF_DOWN(replicas[0], key);
-  ChargeOp(replicas[0], data.size(), true);
-  if (replicas.size() > 1) op_latency_.Apply();
-  Status st = Status::Ok();
-  for (int node : replicas) {
-    {
-      std::lock_guard lock(chaos_mu_);
-      if (down_[node]) {
-        MarkStaleLocked(node, key);
-        continue;
-      }
-    }
-    Status s = nodes_[node].store->PutRange(key, offset, data);
+    // The primary decides the guard (a primary that went down since
+    // admission still takes the op it admitted); the replicas then follow
+    // unconditionally.
+    Status s = write(*nodes_[node].store, i == 0 ? guard : nullptr);
+    if (i == 0 && s.code() == Errc::kStale) return s;
     if (!s.ok()) st = s;
   }
   return st;

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -85,6 +86,13 @@ class ClusterObjectStore : public ObjectStore {
   Status Put(const std::string& key, ByteSpan data) override;
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
+  // Guarded writes are evaluated atomically at the primary (one call into
+  // its node store, under that store's lock) before the replicas are
+  // written; a mismatch returns kStale with nothing written anywhere.
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override;
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
@@ -135,6 +143,15 @@ class ClusterObjectStore : public ObjectStore {
   Status AdmitToNode(int node, QueueTicket* ticket);
 
   int PrimaryNode(const std::string& key) const;
+  // The replicated write behind Put/PutRange and their guarded forms:
+  // whole-object without an offset, ranged with one; a null guard writes
+  // unconditionally.
+  Status Write(const std::string& key, std::optional<std::uint64_t> offset,
+               ByteSpan data, const WriteGuard* guard);
+  // PutRange on a whole-object profile: read-modify-write through Get and
+  // the (guarded) whole-object Write.
+  Status EmulatedPutRange(const std::string& key, std::uint64_t offset,
+                          ByteSpan data, const WriteGuard* guard);
   void ChargeOp(int node, std::uint64_t payload_bytes, bool data_op);
   // Records that `node` missed a write for `key` while down. chaos_mu_ held.
   void MarkStaleLocked(int node, const std::string& key);

@@ -87,10 +87,49 @@ Result<Bytes> DiskObjectStore::GetRange(const std::string& key,
 }
 
 Status DiskObjectStore::Put(const std::string& key, ByteSpan data) {
+  return DoPut(key, data, nullptr);
+}
+
+Status DiskObjectStore::PutRange(const std::string& key, std::uint64_t offset,
+                                 ByteSpan data) {
+  return DoPutRange(key, offset, data, nullptr);
+}
+
+Status DiskObjectStore::PutIf(const std::string& key, ByteSpan data,
+                              const WriteGuard& guard) {
+  return DoPut(key, data, &guard);
+}
+
+Status DiskObjectStore::PutRangeIf(const std::string& key,
+                                   std::uint64_t offset, ByteSpan data,
+                                   const WriteGuard& guard) {
+  return DoPutRange(key, offset, data, &guard);
+}
+
+Status DiskObjectStore::CheckGuardLocked(const std::string& key,
+                                         const WriteGuard* guard) {
+  if (guard == nullptr) return Status::Ok();
+  std::error_code ec;
+  const std::uint64_t size = fs::file_size(PathFor(key), ec);
+  const std::uint64_t end = guard->offset + guard->expected.size();
+  bool holds = !ec && size >= end && (!guard->whole || size == end);
+  if (holds && !guard->expected.empty()) {
+    auto extent = GetRange(key, guard->offset, guard->expected.size());
+    holds = extent.ok() && std::equal(extent->begin(), extent->end(),
+                                      guard->expected.begin(),
+                                      guard->expected.end());
+  }
+  if (!holds) return ErrStatus(Errc::kStale, "write guard mismatch: " + key);
+  return Status::Ok();
+}
+
+Status DiskObjectStore::DoPut(const std::string& key, ByteSpan data,
+                              const WriteGuard* guard) {
   if (data.size() > max_object_size_) {
     return ErrStatus(Errc::kFBig, "object exceeds max object size");
   }
   std::lock_guard lock(mu_);
+  ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, guard));
   // Write-then-rename so a crash never leaves a half-written object visible.
   const fs::path tmp = PathFor(key).string() + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -104,12 +143,14 @@ Status DiskObjectStore::Put(const std::string& key, ByteSpan data) {
   return Status::Ok();
 }
 
-Status DiskObjectStore::PutRange(const std::string& key, std::uint64_t offset,
-                                 ByteSpan data) {
+Status DiskObjectStore::DoPutRange(const std::string& key,
+                                   std::uint64_t offset, ByteSpan data,
+                                   const WriteGuard* guard) {
   if (offset + data.size() > max_object_size_) {
     return ErrStatus(Errc::kFBig, "range write exceeds max object size");
   }
   std::lock_guard lock(mu_);
+  ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, guard));
   std::FILE* f = std::fopen(PathFor(key).c_str(), "r+b");
   if (!f) f = std::fopen(PathFor(key).c_str(), "w+b");
   if (!f) return ErrStatus(Errc::kIo, "open for update: " + key);
@@ -133,6 +174,7 @@ Status DiskObjectStore::PutRange(const std::string& key, std::uint64_t offset,
 }
 
 Status DiskObjectStore::Delete(const std::string& key) {
+  std::lock_guard lock(mu_);  // never between a guard check and its write
   std::error_code ec;
   if (!fs::remove(PathFor(key), ec) || ec) return ErrStatus(Errc::kNoEnt, key);
   return Status::Ok();

@@ -27,6 +27,10 @@ class DiskObjectStore : public ObjectStore {
   Status Put(const std::string& key, ByteSpan data) override;
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override;
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
@@ -38,6 +42,15 @@ class DiskObjectStore : public ObjectStore {
  private:
   DiskObjectStore(std::filesystem::path root, std::uint64_t max_object_size)
       : root_(std::move(root)), max_object_size_(max_object_size) {}
+
+  // The write paths; a null guard writes unconditionally, a guard is
+  // evaluated under mu_ together with the write.
+  Status DoPut(const std::string& key, ByteSpan data, const WriteGuard* guard);
+  Status DoPutRange(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard* guard);
+  // kStale unless `guard` is null or holds against the stored object.
+  // mu_ held, so no writer can slip between the check and the write.
+  Status CheckGuardLocked(const std::string& key, const WriteGuard* guard);
 
   std::filesystem::path PathFor(const std::string& key) const;
   static std::string EncodeKey(const std::string& key);

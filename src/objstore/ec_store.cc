@@ -684,6 +684,20 @@ Status EcStore::PutRange(const std::string& key, std::uint64_t offset,
   return ErrStatus(Errc::kNotSup, "ec: partial writes require RMW");
 }
 
+Status EcStore::PutIf(const std::string& key, ByteSpan data,
+                      const WriteGuard& guard) {
+  if (!Encodes(key)) return StoreDecorator::PutIf(key, data, guard);
+  return ErrStatus(Errc::kNotSup, "ec: no guarded writes on encoded keys");
+}
+
+Status EcStore::PutRangeIf(const std::string& key, std::uint64_t offset,
+                           ByteSpan data, const WriteGuard& guard) {
+  if (!Encodes(key)) {
+    return StoreDecorator::PutRangeIf(key, offset, data, guard);
+  }
+  return ErrStatus(Errc::kNotSup, "ec: no guarded writes on encoded keys");
+}
+
 Status EcStore::Delete(const std::string& key) {
   if (!Encodes(key)) return StoreDecorator::Delete(key);
   std::lock_guard<std::mutex> lock(KeyLock(key));

@@ -75,6 +75,23 @@ Status InstrumentedStore::PutRange(const std::string& key,
                  [&] { return base()->PutRange(key, offset, data); });
 }
 
+Status InstrumentedStore::PutIf(const std::string& key, ByteSpan data,
+                                const WriteGuard& guard) {
+  puts_.Add();
+  bytes_written_.Add(data.size());
+  return Observe(kPut, [&] { return base()->PutIf(key, data, guard); });
+}
+
+Status InstrumentedStore::PutRangeIf(const std::string& key,
+                                     std::uint64_t offset, ByteSpan data,
+                                     const WriteGuard& guard) {
+  puts_.Add();
+  bytes_written_.Add(data.size());
+  return Observe(kPutRange, [&] {
+    return base()->PutRangeIf(key, offset, data, guard);
+  });
+}
+
 Status InstrumentedStore::Delete(const std::string& key) {
   deletes_.Add();
   return Observe(kDelete, [&] { return base()->Delete(key); });

@@ -30,7 +30,7 @@ class InstrumentedStore : public StoreDecorator {
 
   struct Counters {
     std::uint64_t gets = 0;  // Get + GetRange
-    std::uint64_t puts = 0;  // Put + PutRange
+    std::uint64_t puts = 0;  // Put + PutRange, guarded or not
     std::uint64_t deletes = 0;
     std::uint64_t heads = 0;
     std::uint64_t lists = 0;
@@ -44,6 +44,11 @@ class InstrumentedStore : public StoreDecorator {
   Status Put(const std::string& key, ByteSpan data) override;
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
+  // Guarded writes count and time as the put / putrange they are.
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override;
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;

@@ -27,18 +27,51 @@ Result<Bytes> MemoryObjectStore::GetRange(const std::string& key,
 }
 
 Status MemoryObjectStore::Put(const std::string& key, ByteSpan data) {
+  return DoPut(key, data, nullptr);
+}
+
+Status MemoryObjectStore::PutRange(const std::string& key,
+                                   std::uint64_t offset, ByteSpan data) {
+  return DoPutRange(key, offset, data, nullptr);
+}
+
+Status MemoryObjectStore::PutIf(const std::string& key, ByteSpan data,
+                                const WriteGuard& guard) {
+  return DoPut(key, data, &guard);
+}
+
+Status MemoryObjectStore::PutRangeIf(const std::string& key,
+                                     std::uint64_t offset, ByteSpan data,
+                                     const WriteGuard& guard) {
+  return DoPutRange(key, offset, data, &guard);
+}
+
+Status MemoryObjectStore::CheckGuardLocked(const std::string& key,
+                                           const WriteGuard* guard) const {
+  if (guard == nullptr) return Status::Ok();
+  auto it = objects_.find(key);
+  if (it == objects_.end() || !guard->Holds(it->second.data)) {
+    return ErrStatus(Errc::kStale, "write guard mismatch: " + key);
+  }
+  return Status::Ok();
+}
+
+Status MemoryObjectStore::DoPut(const std::string& key, ByteSpan data,
+                                const WriteGuard* guard) {
   if (data.size() > max_object_size_) {
     return ErrStatus(Errc::kFBig, "object exceeds max object size");
   }
   std::lock_guard lock(mu_);
+  ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, guard));
   auto& entry = objects_[key];
   entry.data.assign(data.begin(), data.end());
   entry.mtime_sec = WallClockSeconds();
   return Status::Ok();
 }
 
-Status MemoryObjectStore::PutRange(const std::string& key,
-                                   std::uint64_t offset, ByteSpan data) {
+Status MemoryObjectStore::DoPutRange(const std::string& key,
+                                     std::uint64_t offset, ByteSpan data,
+                                     const WriteGuard* guard) {
   if (!partial_writes_) {
     return ErrStatus(Errc::kNotSup, "store does not support partial writes");
   }
@@ -46,6 +79,7 @@ Status MemoryObjectStore::PutRange(const std::string& key,
     return ErrStatus(Errc::kFBig, "range write exceeds max object size");
   }
   std::lock_guard lock(mu_);
+  ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, guard));
   auto& entry = objects_[key];  // creates if missing, like a RADOS write
   if (entry.data.size() < offset + data.size()) {
     entry.data.resize(offset + data.size(), 0);

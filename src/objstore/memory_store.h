@@ -21,6 +21,10 @@ class MemoryObjectStore : public ObjectStore {
   Status Put(const std::string& key, ByteSpan data) override;
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override;
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
@@ -37,6 +41,15 @@ class MemoryObjectStore : public ObjectStore {
     Bytes data;
     std::int64_t mtime_sec = 0;
   };
+
+  // The write paths; a null guard writes unconditionally, a guard is
+  // evaluated under mu_ together with the write.
+  Status DoPut(const std::string& key, ByteSpan data, const WriteGuard* guard);
+  Status DoPutRange(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard* guard);
+  // kStale unless `guard` is null or holds against the stored object.
+  Status CheckGuardLocked(const std::string& key,
+                          const WriteGuard* guard) const;
 
   const std::uint64_t max_object_size_;
   const bool partial_writes_;

@@ -1,6 +1,15 @@
 #include "objstore/object_store.h"
 
-// Interface-only translation unit: anchors the vtable/key for ObjectStore so
-// every user does not emit its RTTI.
+namespace arkfs {
 
-namespace arkfs {}  // namespace arkfs
+Status ObjectStore::PutIf(const std::string& key, ByteSpan /*data*/,
+                          const WriteGuard& /*guard*/) {
+  return ErrStatus(Errc::kNotSup, "store has no guarded writes: " + key);
+}
+
+Status ObjectStore::PutRangeIf(const std::string& key, std::uint64_t /*offset*/,
+                               ByteSpan /*data*/, const WriteGuard& /*guard*/) {
+  return ErrStatus(Errc::kNotSup, "store has no guarded writes: " + key);
+}
+
+}  // namespace arkfs

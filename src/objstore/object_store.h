@@ -11,8 +11,15 @@
 //    S3FS rewrite entire objects on random writes, §II-C).
 //  * max_object_size — files larger than this are chunked into multiple
 //    data objects by the PRT.
+//
+// Guarded writes (PutIf / PutRangeIf) land only if the object's current
+// bytes still match what the writer expects (see WriteGuard). The journal
+// fences every write to a directory's journal object this way, so a split-
+// brain leader is refused by the store inside its one write instead of by
+// separate check round trips around it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -26,6 +33,30 @@ namespace arkfs {
 struct ObjectMeta {
   std::uint64_t size = 0;
   std::int64_t mtime_sec = 0;
+};
+
+// Compare-extent write guard: the write applies only if the object exists
+// and its bytes at [offset, offset + expected.size()) equal `expected`;
+// with `whole` set the object must also end there, i.e. be exactly what the
+// writer read. A missing object, a short one, or differing bytes are a
+// mismatch: the store writes nothing and returns kStale. The check and the
+// write are one atomic step at the store.
+//
+// Real backends carry the same primitive: a RADOS compound write op with a
+// leading `cmpext` (plus a size assert for `whole`), or an S3 conditional
+// PUT with `If-Match` on the ETag of the object as read.
+struct WriteGuard {
+  std::uint64_t offset = 0;
+  ByteSpan expected;
+  bool whole = false;
+
+  // True if `object` passes the guard.
+  bool Holds(ByteSpan object) const {
+    const std::uint64_t end = offset + expected.size();
+    if (object.size() < end || (whole && object.size() != end)) return false;
+    return std::equal(expected.begin(), expected.end(),
+                      object.begin() + static_cast<std::ptrdiff_t>(offset));
+  }
 };
 
 class ObjectStore {
@@ -48,6 +79,15 @@ class ObjectStore {
   // caller must read-modify-write.
   virtual Status PutRange(const std::string& key, std::uint64_t offset,
                           ByteSpan data) = 0;
+
+  // Guarded Put / PutRange: as above, but only if `guard` holds against
+  // the object's current bytes (kStale, nothing written, otherwise). The
+  // default returns kNotSup, so a store that does not understand the guard
+  // fails safe instead of writing unconditionally.
+  virtual Status PutIf(const std::string& key, ByteSpan data,
+                       const WriteGuard& guard);
+  virtual Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                            ByteSpan data, const WriteGuard& guard);
 
   virtual Status Delete(const std::string& key) = 0;
 

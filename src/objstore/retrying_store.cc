@@ -21,6 +21,16 @@ Status RetryingStore::PutRange(const std::string& key, std::uint64_t offset,
   return Call([&] { return base()->PutRange(key, offset, data); });
 }
 
+Status RetryingStore::PutIf(const std::string& key, ByteSpan data,
+                            const WriteGuard& guard) {
+  return Call([&] { return base()->PutIf(key, data, guard); });
+}
+
+Status RetryingStore::PutRangeIf(const std::string& key, std::uint64_t offset,
+                                 ByteSpan data, const WriteGuard& guard) {
+  return Call([&] { return base()->PutRangeIf(key, offset, data, guard); });
+}
+
 Status RetryingStore::Delete(const std::string& key) {
   return Call([&] { return base()->Delete(key); });
 }

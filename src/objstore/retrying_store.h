@@ -34,6 +34,14 @@ class RetryingStore : public StoreDecorator {
   Status Put(const std::string& key, ByteSpan data) override;
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
+  // Retrying a guarded write is safe: a journal append leaves the header it
+  // is guarded on alone, so its retry matches again; a fence restamp that
+  // already landed makes its retry miss, and FenceDir then reads back its
+  // own token.
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override;
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;

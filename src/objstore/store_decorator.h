@@ -1,9 +1,9 @@
 // StoreDecorator — the one base every ObjectStore wrapper derives from.
 //
 // Holds the inner store and default-forwards the full ObjectStore surface
-// (seven ops + the capability bits), so a decorator overrides exactly the
-// operations it cares about and inherits pass-through behaviour for the
-// rest. The in-tree decorators are Instrumented (counters, histograms,
+// (nine ops, the two guarded writes included, plus the capability bits),
+// so a decorator overrides exactly the operations it cares about and
+// inherits pass-through behaviour for the rest. The in-tree decorators are Instrumented (counters, histograms,
 // spans), Retrying and Chaos (scripted and seeded faults), plus the EC and
 // tiering placement layers; StackBuilder composes them in one order.
 #pragma once
@@ -29,6 +29,14 @@ class StoreDecorator : public ObjectStore {
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override {
     return base_->PutRange(key, offset, data);
+  }
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override {
+    return base_->PutIf(key, data, guard);
+  }
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override {
+    return base_->PutRangeIf(key, offset, data, guard);
   }
   Status Delete(const std::string& key) override { return base_->Delete(key); }
   Result<ObjectMeta> Head(const std::string& key) override {

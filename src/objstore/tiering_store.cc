@@ -350,6 +350,18 @@ Status TieringStore::PutRange(const std::string& key, std::uint64_t offset,
   return st;
 }
 
+Status TieringStore::PutIf(const std::string& key, ByteSpan data,
+                           const WriteGuard& guard) {
+  if (!Tiers(key)) return base()->PutIf(key, data, guard);
+  return ErrStatus(Errc::kNotSup, "tiering: no guarded writes on tiered keys");
+}
+
+Status TieringStore::PutRangeIf(const std::string& key, std::uint64_t offset,
+                                ByteSpan data, const WriteGuard& guard) {
+  if (!Tiers(key)) return base()->PutRangeIf(key, offset, data, guard);
+  return ErrStatus(Errc::kNotSup, "tiering: no guarded writes on tiered keys");
+}
+
 Status TieringStore::Delete(const std::string& key) {
   if (!Tiers(key)) return base()->Delete(key);
   std::lock_guard<std::mutex> lock(KeyLock(key));

@@ -156,6 +156,13 @@ class TieringStore : public StoreDecorator {
   // hot-first reads would then serve as the whole object.
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
+  // Guarded writes pass through on keys this store does not tier; a tiered
+  // key may live in either tier, so it has no one object to compare
+  // against (kNotSup).
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override;
+  Status PutRangeIf(const std::string& key, std::uint64_t offset,
+                    ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   // Presents logical keys: pointer records and cold copies (and, under an

@@ -16,10 +16,13 @@
 //                      each shard, so a steady-state checkpoint writes the
 //                      INACTIVE slot and flips the manifest — a torn put can
 //                      never corrupt the previous layout or shard contents.
-//   j<uuid>            per-directory journal of directory <uuid>
-//   f<uuid>            fence record of directory <uuid>: highest lease
-//                      fencing token (epoch, seq) accepted at this directory
-//                      (split-brain rejection happens at the store, §4.4)
+//   j<uuid>            per-directory journal of directory <uuid>; a fenced
+//                      directory's journal starts with a fence header (the
+//                      highest lease fencing token accepted there) that
+//                      every journal write is guarded on (§4.4)
+//   f<uuid>            retired per-directory fence record (the fence now
+//                      lives in the journal header); the kind still parses
+//                      so store tooling can classify old keys
 //   d<uuid>.<index>    data chunk <index> of file <uuid> (16 hex digits,
 //                      zero-padded so lexicographic order == numeric order)
 #pragma once

@@ -251,25 +251,6 @@ Status Prt::DeleteJournal(const Uuid& dir_ino) {
   return st;
 }
 
-Result<FenceToken> Prt::LoadDirFence(const Uuid& dir_ino) {
-  Result<Bytes> raw = store_->Get(FenceKey(dir_ino));
-  if (!raw.ok()) {
-    if (raw.status().code() == Errc::kNoEnt) return FenceToken{};
-    return raw.status();
-  }
-  return DecodeFenceObject(*raw);
-}
-
-Status Prt::StoreDirFence(const Uuid& dir_ino, const FenceToken& token) {
-  return store_->Put(FenceKey(dir_ino), EncodeFenceObject(token));
-}
-
-Status Prt::DeleteDirFence(const Uuid& dir_ino) {
-  Status st = store_->Delete(FenceKey(dir_ino));
-  if (st.code() == Errc::kNoEnt) return Status::Ok();
-  return st;
-}
-
 Result<Bytes> Prt::ReadData(const Uuid& ino, std::uint64_t offset,
                             std::uint64_t length, std::uint64_t file_size) {
   if (offset >= file_size) return Bytes{};

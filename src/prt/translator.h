@@ -101,18 +101,11 @@ class Prt {
   // manifest + all shard generations (via a prefix LIST) + the legacy block.
   Status DeleteDentryObjects(const Uuid& dir_ino);
 
-  // --- Journal objects (raw; framing is the journal module's business) ---
+  // --- Journal objects (raw; framing, the fence header and the guarded
+  // writes that keep it are the journal module's business) ---
   Result<Bytes> LoadJournal(const Uuid& dir_ino);
   Status StoreJournal(const Uuid& dir_ino, ByteSpan data);
   Status DeleteJournal(const Uuid& dir_ino);
-
-  // --- Per-directory fence record ("f<uuid>", lease-HA split-brain guard) ---
-  // A missing fence object reads as the zero token (legacy directory, never
-  // fenced); a torn/corrupt one fails loudly — silently reading it as zero
-  // would let a deposed leader past the fence.
-  Result<FenceToken> LoadDirFence(const Uuid& dir_ino);
-  Status StoreDirFence(const Uuid& dir_ino, const FenceToken& token);
-  Status DeleteDirFence(const Uuid& dir_ino);
 
   // --- File data ---
   // Reads [offset, offset+length) clamped to file_size. Holes read as zeros.

@@ -520,10 +520,7 @@ TEST_F(ChaosE2eTest, ManagerFailoverRollingKillsLoseNoAckedOps) {
   std::atomic<int> max_claiming{0};
   std::thread monitor([&] {
     while (!chaos_done.load()) {
-      int n = 0;
-      for (int r = 0; r < cluster->lease_replica_count(); ++r) {
-        if (cluster->lease_manager(r).is_active()) ++n;
-      }
+      const int n = cluster->ActiveLeaseReplicaCount();
       int prev = max_claiming.load();
       while (n > prev && !max_claiming.compare_exchange_weak(prev, n)) {
       }

@@ -2,6 +2,7 @@
 // recovery, lease-manager failure with quiet-period restart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "core/cluster.h"
@@ -311,6 +312,54 @@ TEST_F(CrashTest, DeposedEpochGrantFencedAtJournalCommit) {
   ASSERT_TRUE(entries.ok());
   ASSERT_EQ(entries->size(), 1u);
   EXPECT_EQ((*entries)[0].name, "acked");
+}
+
+TEST_F(CrashTest, DeposedCheckpointTrimIsFenced) {
+  // The checkpoint trim rewrites the journal object, so it must be fenced
+  // like an append: a deposed leader's late trim would otherwise chop (here:
+  // wipe) frames its successor already acked.
+  auto prt = std::make_shared<Prt>(store_);
+  const Uuid dir = DeterministicUuid(3, 6);
+  ASSERT_TRUE(
+      prt->StoreInode(MakeInode(dir, FileType::kDirectory, 0755, 0, 0, kRootIno))
+          .ok());
+  ASSERT_TRUE(prt->StoreDentryManifest(dir, DentryManifest{}).ok());
+
+  journal::JournalManager deposed(prt, journal::JournalConfig::ForTests());
+  journal::JournalManager successor(prt, journal::JournalConfig::ForTests());
+  const FenceToken old_token{1, 1};
+  const FenceToken new_token{2, 1};
+
+  // 1. The old leader commits, and keeps the frame queued for checkpoint.
+  ASSERT_TRUE(deposed.FenceDir(dir, old_token).ok());
+  deposed.RegisterDir(dir, old_token);
+  (void)deposed.Append(dir, {journal::Record::DentryAdd(
+                     Dentry{"old", DeterministicUuid(3, 7)})});
+  ASSERT_TRUE(deposed.CommitDir(dir).ok());
+
+  // 2. The successor fences, recovers, and commits one acked transaction.
+  ASSERT_TRUE(successor.FenceDir(dir, new_token).ok());
+  ASSERT_TRUE(successor.RecoverDir(dir).ok());
+  successor.RegisterDir(dir, new_token);
+  (void)successor.Append(dir, {journal::Record::DentryAdd(
+                       Dentry{"acked", DeterministicUuid(3, 8)})});
+  ASSERT_TRUE(successor.CommitDir(dir).ok());
+
+  // 3. The deposed leader's checkpoint reaches its trim: refused.
+  EXPECT_EQ(deposed.FlushDir(dir).code(), Errc::kStale);
+  EXPECT_GE(deposed.metrics().fence_rejections.value(), 1u);
+  EXPECT_EQ(deposed.metrics().fence_violations.value(), 0u);
+
+  // The successor's acked frame is still there for its recovery to replay.
+  auto report = successor.RecoverDir(dir);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->transactions_replayed, 1u);
+  auto entries = prt->LoadDentries(dir);
+  ASSERT_TRUE(entries.ok());
+  std::vector<std::string> names;
+  for (const auto& d : *entries) names.push_back(d.name);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"acked", "old"}));
 }
 
 TEST_F(CrashTest, FencedWritesRedrivenUnderSuccessorEpoch) {

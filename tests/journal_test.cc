@@ -1031,14 +1031,21 @@ TEST_F(DurabilityModeTest, GroupBackpressureBoundsTheDirtyWindow) {
         mgr.Append(dir, {Entry("p" + std::to_string(i), i)}).ok());
   }
   EXPECT_EQ(mgr.WindowDepth().records, 8u);
-  EXPECT_GE(mgr.metrics().group_stalls.value(), 1u);
+  // The bound is the record limit: exactly the appends that took the window
+  // past max_records (the 5th to the 8th) stalled, none within it did.
+  EXPECT_EQ(mgr.metrics().group_stalls.value(), 4u);
 
   armed_->store(false);  // store heals: the flusher redrives everything
   for (int i = 0; i < 500 && mgr.WindowDepth().records > 0; ++i) {
     SleepFor(Millis(2));
   }
   EXPECT_EQ(mgr.WindowDepth().records, 0u);
-  EXPECT_TRUE(mgr.HasSurvivingJournal(dir));
+  // Every record of the over-bound window became durable: journaled or
+  // already checkpointed, all of them in the dentries after a flush.
+  ASSERT_TRUE(mgr.FlushDir(dir).ok());
+  auto entries = prt_->LoadDentries(dir);
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), 8u);
 }
 
 TEST_F(DurabilityModeTest, ConcurrentAppendAndDrainNeverLeaksWindowDepth) {
@@ -1222,6 +1229,112 @@ TEST(FlusherLingerTest, AsyncModeCommitsOnceTheIntervalHasLingered) {
   EXPECT_EQ(mgr.WindowDepth().records, 0u);
   EXPECT_EQ(mgr.metrics().transactions_committed.value(), 1u);
   EXPECT_GE(Now() - t0, Millis(500));
+}
+
+// --- fenced commits: one guarded store write each ---
+
+// Store calls of the next fenced sync Append(s), once the first commit's
+// checkpoint (enqueued at once) has settled and later ones are deferred.
+class FencedCommitCountTest : public ::testing::TestWithParam<bool> {
+ protected:
+  FencedCommitCountTest()
+      : store_(std::make_shared<InstrumentedStore>(
+            std::make_shared<MemoryObjectStore>(kDefaultMaxObjectSize,
+                                                /*partial=*/GetParam()),
+            &registry_)),
+        prt_(std::make_shared<Prt>(store_)) {}
+
+  obs::MetricsRegistry registry_;
+  std::shared_ptr<InstrumentedStore> store_;
+  std::shared_ptr<Prt> prt_;
+};
+
+TEST_P(FencedCommitCountTest, SyncCommitIsOneGuardedWrite) {
+  const bool partial = GetParam();
+  JournalConfig cfg = JournalConfig::ForTests();
+  cfg.durability = DurabilityMode::kSync;
+  cfg.commit_interval = Seconds(30);  // no deferred checkpoint in the test
+  JournalManager mgr(prt_, cfg);
+  const Uuid dir = DeterministicUuid(130, partial ? 1 : 2);
+  ASSERT_TRUE(prt_->StoreInode(MakeInode(dir, FileType::kDirectory, 0755, 0,
+                                         0, kRootIno))
+                  .ok());
+  const FenceToken token{1, 1};
+  ASSERT_TRUE(mgr.FenceDir(dir, token).ok());
+  mgr.RegisterDir(dir, token);
+  auto entry = [](int n) {
+    return Record::DentryAdd({"f" + std::to_string(n), DeterministicUuid(131, n),
+                              FileType::kRegular});
+  };
+  ASSERT_TRUE(mgr.Append(dir, {entry(1)}).ok());
+  for (int i = 0; i < 1000 && mgr.metrics().checkpoints.value() == 0; ++i) {
+    SleepFor(Millis(2));
+  }
+  ASSERT_EQ(mgr.metrics().checkpoints.value(), 1u);
+  // The journal is header-only again; the next append writes frame bytes.
+  ASSERT_TRUE(mgr.Append(dir, {entry(2)}).ok());
+
+  const auto before = store_->Snapshot();
+  ASSERT_TRUE(mgr.Append(dir, {entry(3)}).ok());
+  const auto after = store_->Snapshot();
+  // Partial writes: one guarded PutRange. Whole objects: the read of the
+  // journal plus one guarded Put. No fence round trips either way.
+  EXPECT_EQ(after.puts - before.puts, 1u);
+  EXPECT_EQ(after.gets - before.gets, partial ? 0u : 1u);
+  EXPECT_EQ(after.heads + after.deletes + after.lists,
+            before.heads + before.deletes + before.lists);
+  EXPECT_EQ(mgr.metrics().fence_checks.value(),
+            mgr.metrics().transactions_committed.value());
+  EXPECT_EQ(mgr.metrics().fence_rejections.value(), 0u);
+  EXPECT_EQ(mgr.metrics().fence_violations.value(), 0u);
+  // Both frames are in the journal, behind the fence header.
+  auto raw = prt_->LoadJournal(dir);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(JournalFence(*raw).value(), token);
+  EXPECT_EQ(ParseJournal(*raw).size(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, FencedCommitCountTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "PartialWrite" : "WholeObject";
+                         });
+
+// A burst that lands inside the checkpoint limit's interval is not dropped:
+// it is checkpointed once the interval has passed, with nothing else
+// happening in the directory and no explicit flush.
+TEST(CheckpointLivenessTest, DeferredBurstIsCheckpointedWithoutAFlush) {
+  auto prt = std::make_shared<Prt>(std::make_shared<MemoryObjectStore>());
+  JournalConfig cfg = JournalConfig::ForTests();
+  cfg.durability = DurabilityMode::kSync;
+  cfg.commit_interval = Millis(200);
+  JournalManager mgr(prt, cfg);
+  const Uuid dir = DeterministicUuid(132, 1);
+  ASSERT_TRUE(prt->StoreInode(MakeInode(dir, FileType::kDirectory, 0755, 0, 0,
+                                        kRootIno))
+                  .ok());
+  mgr.RegisterDir(dir);
+  auto entry = [](int n) {
+    return Record::DentryAdd({"f" + std::to_string(n), DeterministicUuid(133, n),
+                              FileType::kRegular});
+  };
+  // The first commit is checkpointed at once...
+  ASSERT_TRUE(mgr.Append(dir, {entry(0)}).ok());
+  for (int i = 0; i < 1000 && mgr.metrics().checkpoints.value() == 0; ++i) {
+    SleepFor(Millis(1));
+  }
+  ASSERT_EQ(mgr.metrics().checkpoints.value(), 1u);
+  // ...the burst right behind it falls inside the interval, then silence.
+  for (int n = 1; n <= 4; ++n) ASSERT_TRUE(mgr.Append(dir, {entry(n)}).ok());
+  const TimePoint burst_end = Now();
+  while (mgr.metrics().checkpoints.value() < 2 &&
+         Now() - burst_end < 2 * cfg.commit_interval) {
+    SleepFor(Millis(2));
+  }
+  EXPECT_EQ(mgr.metrics().checkpoints.value(), 2u);
+  EXPECT_FALSE(mgr.HasSurvivingJournal(dir));
+  auto entries = prt->LoadDentries(dir);
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), 5u);
 }
 
 TEST(GroupWindowTest, BackpressureReleasesOnDrain) {

@@ -3,12 +3,19 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <thread>
 
+#include "common/fence.h"
 #include "objstore/chaos_store.h"
 #include "objstore/cluster_store.h"
 #include "objstore/disk_store.h"
+#include "objstore/ec_store.h"
 #include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
+#include "objstore/retrying_store.h"
+#include "objstore/tiering_store.h"
 #include "obs/trace.h"
 
 namespace arkfs {
@@ -148,6 +155,58 @@ TEST_P(StoreContractTest, BinaryKeysAndValues) {
   EXPECT_EQ(store_->Get(key).value(), value);
 }
 
+// Guarded writes (WriteGuard): compare-extent, all-or-nothing, kStale on a
+// mismatch, and a missing object never matches.
+TEST_P(StoreContractTest, GuardedPutAppliesOnlyOnMatch) {
+  ASSERT_TRUE(store_->Put("g", ToBytes("HDR:body")).ok());
+  const Bytes hdr = ToBytes("HDR:");
+  ASSERT_TRUE(store_->PutIf("g", ToBytes("HDR:next"), WriteGuard{0, hdr}).ok());
+  EXPECT_EQ(ToString(store_->Get("g").value()), "HDR:next");
+
+  const Bytes wrong = ToBytes("HDR!");
+  EXPECT_EQ(store_->PutIf("g", ToBytes("XXXX"), WriteGuard{0, wrong}).code(),
+            Errc::kStale);
+  const Bytes tail = ToBytes("next");
+  ASSERT_TRUE(store_->PutIf("g", ToBytes("HDR:more"), WriteGuard{4, tail}).ok());
+  // An extent reaching past the end is a mismatch.
+  const Bytes past = ToBytes("rexx");
+  EXPECT_EQ(store_->PutIf("g", ToBytes("XXXX"), WriteGuard{6, past}).code(),
+            Errc::kStale);
+  // `whole` pins the entire object: a matching prefix is not enough.
+  EXPECT_EQ(
+      store_->PutIf("g", ToBytes("XXXX"), WriteGuard{0, hdr, true}).code(),
+      Errc::kStale);
+  EXPECT_EQ(ToString(store_->Get("g").value()), "HDR:more");
+  const Bytes all = ToBytes("HDR:more");
+  ASSERT_TRUE(store_->PutIf("g", ToBytes("new"), WriteGuard{0, all, true}).ok());
+  EXPECT_EQ(ToString(store_->Get("g").value()), "new");
+
+  // A missing object is a mismatch, even against an empty extent, and the
+  // miss creates nothing.
+  EXPECT_EQ(store_->PutIf("absent", ToBytes("x"), WriteGuard{}).code(),
+            Errc::kStale);
+  EXPECT_EQ(store_->Head("absent").code(), Errc::kNoEnt);
+}
+
+TEST_P(StoreContractTest, GuardedPutRangeAppliesOnlyOnMatch) {
+  ASSERT_TRUE(store_->Put("g", ToBytes("HDR:ab")).ok());
+  const Bytes hdr = ToBytes("HDR:");
+  ASSERT_TRUE(
+      store_->PutRangeIf("g", 6, AsBytes("cd"), WriteGuard{0, hdr}).ok());
+  EXPECT_EQ(ToString(store_->Get("g").value()), "HDR:abcd");
+
+  const Bytes wrong = ToBytes("NOPE");
+  EXPECT_EQ(
+      store_->PutRangeIf("g", 8, AsBytes("ef"), WriteGuard{0, wrong}).code(),
+      Errc::kStale);
+  EXPECT_EQ(ToString(store_->Get("g").value()), "HDR:abcd");
+
+  EXPECT_EQ(
+      store_->PutRangeIf("absent", 0, AsBytes("x"), WriteGuard{}).code(),
+      Errc::kStale);
+  EXPECT_EQ(store_->Head("absent").code(), Errc::kNoEnt);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, StoreContractTest,
                          ::testing::Values(Backend::kMemory, Backend::kDisk,
                                            Backend::kClusterRados,
@@ -285,6 +344,193 @@ TEST(CountingStoreTest, TracksOpsAndBytes) {
   store.Reset();
   EXPECT_EQ(store.Snapshot().puts, 0u);
   EXPECT_EQ(store.latencies().For("put").count(), 0u);
+}
+
+// A store that predates guarded writes: every op is a stub, the guarded
+// ones are ObjectStore's defaults.
+class NoGuardStore : public ObjectStore {
+ public:
+  Result<Bytes> Get(const std::string&) override { return Bytes{}; }
+  Result<Bytes> GetRange(const std::string&, std::uint64_t,
+                         std::uint64_t) override {
+    return Bytes{};
+  }
+  Status Put(const std::string&, ByteSpan) override { return Status::Ok(); }
+  Status PutRange(const std::string&, std::uint64_t, ByteSpan) override {
+    return Status::Ok();
+  }
+  Status Delete(const std::string&) override { return Status::Ok(); }
+  Result<ObjectMeta> Head(const std::string&) override { return ObjectMeta{}; }
+  Result<std::vector<std::string>> List(const std::string&) override {
+    return std::vector<std::string>{};
+  }
+  bool supports_partial_write() const override { return true; }
+  std::uint64_t max_object_size() const override { return 1 << 20; }
+  std::string name() const override { return "no-guard"; }
+};
+
+TEST(GuardedWriteTest, StoreWithoutGuardsFailsSafe) {
+  NoGuardStore store;
+  EXPECT_EQ(store.PutIf("k", AsBytes("x"), WriteGuard{}).code(),
+            Errc::kNotSup);
+  EXPECT_EQ(store.PutRangeIf("k", 0, AsBytes("x"), WriteGuard{}).code(),
+            Errc::kNotSup);
+}
+
+// Every decorator forwards the guard: a match lands, a mismatch comes back
+// kStale with the bytes untouched. The placement layers forward on keys
+// they leave alone and refuse (kNotSup) on keys they encode or tier.
+TEST(GuardedWriteTest, EveryDecoratorForwardsTheGuard) {
+  const auto data_key = [](const std::string& key) { return key[0] == 'd'; };
+  auto base = std::make_shared<MemoryObjectStore>();
+  EcStoreOptions ec;
+  ec.k = 2;
+  ec.m = 1;
+  ec.should_encode = data_key;
+  TieringOptions tiering;
+  tiering.should_tier = data_key;
+  const std::vector<std::pair<std::string, ObjectStorePtr>> stacks = {
+      {"instrumented", std::make_shared<InstrumentedStore>(base)},
+      {"retrying",
+       std::make_shared<RetryingStore>(base, RetryPolicy::ForTests())},
+      {"chaos", std::make_shared<ChaosStore>(base, ChaosConfig{})},
+      {"ec", std::make_shared<EcStore>(base, ec)},
+      {"tiering", std::make_shared<TieringStore>(base, tiering)},
+  };
+  const Bytes hdr = ToBytes("HDR:");
+  const Bytes wrong = ToBytes("OLD:");
+  for (const auto& [name, store] : stacks) {
+    const std::string key = "j-" + name;
+    ASSERT_TRUE(base->Put(key, ToBytes("HDR:a")).ok()) << name;
+    EXPECT_TRUE(store->PutIf(key, ToBytes("HDR:ab"), WriteGuard{0, hdr}).ok())
+        << name;
+    EXPECT_TRUE(
+        store->PutRangeIf(key, 6, AsBytes("c"), WriteGuard{0, hdr}).ok())
+        << name;
+    EXPECT_EQ(store->PutIf(key, ToBytes("OLD:x"), WriteGuard{0, wrong}).code(),
+              Errc::kStale)
+        << name;
+    EXPECT_EQ(
+        store->PutRangeIf(key, 7, AsBytes("x"), WriteGuard{0, wrong}).code(),
+        Errc::kStale)
+        << name;
+    EXPECT_EQ(ToString(base->Get(key).value()), "HDR:abc") << name;
+  }
+  for (std::size_t i : {3u, 4u}) {  // ec, tiering: a key they own
+    const auto& [name, store] = stacks[i];
+    EXPECT_EQ(store->PutIf("d1", ToBytes("x"), WriteGuard{}).code(),
+              Errc::kNotSup)
+        << name;
+    EXPECT_EQ(store->PutRangeIf("d1", 0, AsBytes("x"), WriteGuard{}).code(),
+              Errc::kNotSup)
+        << name;
+  }
+}
+
+TEST(GuardedWriteTest, InstrumentedCountsAGuardedWriteAsOnePut) {
+  obs::MetricsRegistry registry;
+  InstrumentedStore store(std::make_shared<MemoryObjectStore>(), &registry);
+  ASSERT_TRUE(store.Put("k", ToBytes("HDR:")).ok());
+  store.Reset();
+  const Bytes hdr = ToBytes("HDR:");
+  ASSERT_TRUE(store.PutIf("k", ToBytes("HDR:a"), WriteGuard{0, hdr}).ok());
+  ASSERT_TRUE(store.PutRangeIf("k", 5, AsBytes("b"), WriteGuard{0, hdr}).ok());
+  const auto c = store.Snapshot();
+  EXPECT_EQ(c.puts, 2u);
+  EXPECT_EQ(c.gets, 0u);
+  EXPECT_EQ(c.bytes_written, 5u + 1u);
+  EXPECT_EQ(store.latencies().For("put").count(), 1u);
+  EXPECT_EQ(store.latencies().For("putrange").count(), 1u);
+}
+
+// Restampers advance a fence header at offset 0 (each stamp guarded on the
+// header it read) while appenders land 8-byte records guarded on the header
+// they read, each in its own slot. Right after every successful stamp the
+// restamper snapshots the object. An append guarded on token h may only
+// land while the header is h, so any record with h < k that survives in the
+// final object must already be in the snapshot taken after stamp k — one
+// absent there landed after a header that did not match its guard.
+void RaceStampsAgainstGuardedAppends(ObjectStorePtr store) {
+  const std::string key = "j-race";
+  constexpr int kSlots = 1200;
+  constexpr std::uint64_t kMaxEpoch = 400;  // bounds the snapshots kept
+  ASSERT_TRUE(store->Put(key, EncodeFenceObject({1, 0})).ok());
+  std::atomic<int> next_slot{0};
+  std::atomic<bool> appending{true};
+  std::atomic<int> landed{0};
+  std::mutex snap_mu;
+  std::map<std::uint64_t, Bytes> snapshots;  // stamped epoch -> object
+
+  auto epoch_of = [](ByteSpan header) {
+    return DecodeFenceObject(header.first(kFenceObjectBytes)).value().epoch;
+  };
+  auto restamper = [&] {
+    while (appending.load()) {
+      auto header = store->GetRange(key, 0, kFenceObjectBytes);
+      ASSERT_TRUE(header.ok());
+      const std::uint64_t next = epoch_of(*header) + 1;
+      if (next > kMaxEpoch) return;
+      const Bytes mine = EncodeFenceObject({next, 0});
+      if (!store->PutRangeIf(key, 0, mine, WriteGuard{0, *header}).ok()) {
+        continue;  // the other restamper won this epoch
+      }
+      auto snap = store->Get(key);
+      ASSERT_TRUE(snap.ok());
+      std::lock_guard lock(snap_mu);
+      snapshots[next] = std::move(*snap);
+    }
+  };
+  auto appender = [&] {
+    for (int slot; (slot = next_slot.fetch_add(1)) < kSlots;) {
+      auto header = store->GetRange(key, 0, kFenceObjectBytes);
+      ASSERT_TRUE(header.ok());
+      Encoder rec;
+      rec.PutU64(epoch_of(*header));
+      const Status st = store->PutRangeIf(
+          key, kFenceObjectBytes + 8 * static_cast<std::uint64_t>(slot),
+          rec.buffer(), WriteGuard{0, *header});
+      ASSERT_TRUE(st.ok() || st.code() == Errc::kStale) << st.ToString();
+      if (st.ok()) ++landed;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) threads.emplace_back(restamper);
+  std::vector<std::thread> appenders;
+  for (int i = 0; i < 3; ++i) appenders.emplace_back(appender);
+  for (auto& t : appenders) t.join();
+  appending = false;
+  for (auto& t : threads) t.join();
+
+  const Bytes final_object = store->Get(key).value();
+  auto record_at = [](const Bytes& object, int slot) -> std::uint64_t {
+    const std::size_t at = kFenceObjectBytes + 8 * static_cast<std::size_t>(slot);
+    if (object.size() < at + 8) return 0;
+    Decoder dec(ByteSpan(object).subspan(at, 8));
+    return dec.GetU64().value();
+  };
+  int records = 0;
+  for (int slot = 0; slot < kSlots; ++slot) {
+    const std::uint64_t h = record_at(final_object, slot);
+    if (h == 0) continue;  // its append missed the guard
+    ++records;
+    for (const auto& [k, snap] : snapshots) {
+      if (h < k) {
+        ASSERT_EQ(record_at(snap, slot), h)
+            << "append guarded on epoch " << h << " landed after stamp " << k;
+      }
+    }
+  }
+  EXPECT_EQ(records, landed.load());
+  EXPECT_GT(records, 0);
+}
+
+TEST(GuardedWriteTest, StampsNeverLetAStaleAppendLandMemory) {
+  RaceStampsAgainstGuardedAppends(std::make_shared<MemoryObjectStore>());
+}
+
+TEST(GuardedWriteTest, StampsNeverLetAStaleAppendLandCluster) {
+  RaceStampsAgainstGuardedAppends(
+      std::make_shared<ClusterObjectStore>(ClusterConfig::Instant(4)));
 }
 
 TEST(FaultInjectionTest, InjectsOnMatch) {
