@@ -110,42 +110,67 @@ Status JournalManager::FenceDir(const Uuid& dir_ino, const FenceToken& token) {
   const std::string key = JournalKey(dir_ino);
   const Bytes mine = EncodeFenceObject(token);
   const bool in_place = store.supports_partial_write();
-  // The stamp is guarded on what was read, so a racing restamp or append
-  // makes it miss instead of being overwritten; then read and decide again.
+  std::optional<FenceToken> legacy;  // f<uuid>, read once while headerless
+  // Every stamp is guarded on what was read (a first one is create-only),
+  // so a racing stamp or append makes it miss instead of being overwritten
+  // or truncated; then read and decide again.
   for (int attempt = 0; attempt < 8; ++attempt) {
     // Only the header where it can be restamped in place: the journal
     // behind it may be long.
     auto read = in_place ? store.GetRange(key, 0, kFenceObjectBytes)
                          : store.Get(key);
-    if (read.code() == Errc::kNoEnt) return store.Put(key, mine);
-    if (!read.ok()) return read.status();
-    ARKFS_ASSIGN_OR_RETURN(const FenceToken stored, JournalFence(*read));
+    const bool exists = read.ok();
+    if (!exists && read.code() != Errc::kNoEnt) return read.status();
+    Bytes current = exists ? std::move(*read) : Bytes{};
+    const bool has_header = HasJournalHeader(current);
+    FenceToken stored;
+    if (has_header) {
+      ARKFS_ASSIGN_OR_RETURN(stored, JournalFence(current));
+    } else {
+      // A directory fenced before the fence moved into the journal header
+      // keeps its token in f<uuid>: the floor until a header is stamped.
+      if (!legacy) {
+        ARKFS_ASSIGN_OR_RETURN(legacy, LoadLegacyFence(dir_ino));
+      }
+      stored = *legacy;
+    }
     if (stored > token) {
       return ErrStatus(Errc::kStale, "lease fence superseded: stored " +
                                          stored.ToString() + " > granted " +
                                          token.ToString());
     }
-    if (stored == token) return Status::Ok();
-    const bool has_header = HasJournalHeader(*read);
+    if (has_header && stored == token) return Status::Ok();
     Status stamped;
-    if (in_place && has_header) {
-      stamped = store.PutRangeIf(key, 0, mine, {0, *read});
+    if (!exists) {
+      stamped = store.PutIf(key, mine, WriteGuard::Absent());
+    } else if (in_place && has_header) {
+      stamped = store.PutRangeIf(key, 0, mine, {0, current});
     } else {
       // Whole-object store, or a headerless journal: put our header in
       // front of its frames, guarded on the entire object as read — an
       // append racing the rewrite must make it miss, not vanish under it.
       if (in_place) {
-        ARKFS_ASSIGN_OR_RETURN(*read, store.Get(key));
+        auto whole = store.Get(key);
+        if (!whole.ok()) continue;  // gone since: read and decide again
+        if (HasJournalHeader(*whole)) continue;  // stamped since: likewise
+        current = std::move(*whole);
       }
       Bytes object = mine;
       object.insert(object.end(),
-                    read->begin() + (has_header ? kFenceObjectBytes : 0),
-                    read->end());
-      stamped = store.PutIf(key, object, {0, *read, /*whole=*/true});
+                    current.begin() + (has_header ? kFenceObjectBytes : 0),
+                    current.end());
+      stamped = store.PutIf(key, object, {0, current, /*whole=*/true});
     }
     if (stamped.code() != Errc::kStale) return stamped;
   }
   return ErrStatus(Errc::kAgain, "journal fence kept changing: " + key);
+}
+
+Result<FenceToken> JournalManager::LoadLegacyFence(const Uuid& dir_ino) {
+  auto raw = prt_->store().Get(FenceKey(dir_ino));
+  if (raw.code() == Errc::kNoEnt) return FenceToken{};
+  if (!raw.ok()) return raw.status();
+  return DecodeFenceObject(*raw);  // a torn record fails loudly, never as 0
 }
 
 void JournalManager::ResetDir(const Uuid& dir_ino) {
@@ -998,6 +1023,7 @@ Status JournalManager::ApplyTransactions(
     for (auto& k : listed) deletes.push_back(std::move(k));
     deletes.push_back(DentryKey(ino));
     deletes.push_back(JournalKey(ino));
+    deletes.push_back(FenceKey(ino));  // legacy fence record, if any
   }
 
   Status first = Status::Ok();

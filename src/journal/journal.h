@@ -169,11 +169,16 @@ class JournalManager {
   Status UnregisterDir(const Uuid& dir_ino);
 
   // Stamps `token` into the fence header at offset 0 of the directory's
-  // journal object (creating a header-only journal if there is none), as a
-  // guarded write on the header it read. kStale if the header already holds
-  // a NEWER token (the caller's grant is from a deposed epoch). New leaders
-  // must call this BEFORE loading/replaying the directory's journal — that
-  // ordering is the split-brain argument.
+  // journal object, as a write guarded on what it read: the header (or, on
+  // a whole-object store or a headerless journal, the entire object, whose
+  // frames move behind the new header), or a create-only write if there is
+  // no journal yet. A stamp never truncates frames: a racing stamp or
+  // append makes it miss, and it reads and decides again. kStale if the
+  // stored token is NEWER (the caller's grant is from a deposed epoch); a
+  // journal without a header takes its stored token from the legacy
+  // f<uuid> fence record, if one exists. New leaders must call this BEFORE
+  // loading/replaying the directory's journal — that ordering is the
+  // split-brain argument.
   Status FenceDir(const Uuid& dir_ino, const FenceToken& token);
 
   // Drops all in-memory journal bookkeeping for the directory (running
@@ -331,6 +336,9 @@ class JournalManager {
 
   DirStatePtr FindDir(const Uuid& dir_ino);
   DirStatePtr FindOrCreateDir(const Uuid& dir_ino);
+  // The token in the directory's f<uuid> record (zero if none): where a
+  // fence lived before it moved into the journal header.
+  Result<FenceToken> LoadLegacyFence(const Uuid& dir_ino);
 
   // Writes the directory's journal object: `data` at `offset` past the
   // fence header, or (no offset) the whole object as header + `data`. For a

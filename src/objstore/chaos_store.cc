@@ -78,10 +78,13 @@ Status ChaosStore::DoPut(const std::string& key, ByteSpan data,
   if (Errc e = Decide("put", key); e != Errc::kOk) return ErrStatus(e, key);
   // A torn guarded write keeps the guarded extent intact, so its retry
   // still matches: it can only cut inside [keep, size). A guard pinning the
-  // whole object could never match again once torn, so it never tears.
+  // whole object, or a create-only one, could never match again once torn,
+  // so it never tears.
   std::uint64_t keep = 0;
   if (guard) {
-    keep = guard->whole ? data.size() : guard->offset + guard->expected.size();
+    keep = guard->whole || guard->absent
+               ? data.size()
+               : guard->offset + guard->expected.size();
   }
   bool torn = false;
   std::uint64_t cut = 0;

@@ -109,17 +109,12 @@ Status DiskObjectStore::PutRangeIf(const std::string& key,
 Status DiskObjectStore::CheckGuardLocked(const std::string& key,
                                          const WriteGuard* guard) {
   if (guard == nullptr) return Status::Ok();
-  std::error_code ec;
-  const std::uint64_t size = fs::file_size(PathFor(key), ec);
-  const std::uint64_t end = guard->offset + guard->expected.size();
-  bool holds = !ec && size >= end && (!guard->whole || size == end);
-  if (holds && !guard->expected.empty()) {
-    auto extent = GetRange(key, guard->offset, guard->expected.size());
-    holds = extent.ok() && std::equal(extent->begin(), extent->end(),
-                                      guard->expected.begin(),
-                                      guard->expected.end());
+  auto prefix = GetRange(key, 0, guard->extent());
+  if (!prefix.ok() && prefix.code() != Errc::kNoEnt) return prefix.status();
+  if (!guard->Holds(prefix.ok() ? std::optional<ByteSpan>(*prefix)
+                                : std::nullopt)) {
+    return ErrStatus(Errc::kStale, "write guard mismatch: " + key);
   }
-  if (!holds) return ErrStatus(Errc::kStale, "write guard mismatch: " + key);
   return Status::Ok();
 }
 

@@ -50,7 +50,9 @@ Status MemoryObjectStore::CheckGuardLocked(const std::string& key,
                                            const WriteGuard* guard) const {
   if (guard == nullptr) return Status::Ok();
   auto it = objects_.find(key);
-  if (it == objects_.end() || !guard->Holds(it->second.data)) {
+  if (!guard->Holds(it == objects_.end()
+                        ? std::nullopt
+                        : std::optional<ByteSpan>(it->second.data))) {
     return ErrStatus(Errc::kStale, "write guard mismatch: " + key);
   }
   return Status::Ok();

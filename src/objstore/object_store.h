@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,24 +39,36 @@ struct ObjectMeta {
 // Compare-extent write guard: the write applies only if the object exists
 // and its bytes at [offset, offset + expected.size()) equal `expected`;
 // with `whole` set the object must also end there, i.e. be exactly what the
-// writer read. A missing object, a short one, or differing bytes are a
-// mismatch: the store writes nothing and returns kStale. The check and the
-// write are one atomic step at the store.
+// writer read. A create-only guard (`absent`, see Absent()) instead applies
+// only while no object exists under the key. Anything else is a mismatch:
+// the store writes nothing and returns kStale. The check and the write are
+// one atomic step at the store.
 //
 // Real backends carry the same primitive: a RADOS compound write op with a
-// leading `cmpext` (plus a size assert for `whole`), or an S3 conditional
-// PUT with `If-Match` on the ETag of the object as read.
+// leading `cmpext` (plus a size assert for `whole`, an exclusive create for
+// `absent`), or an S3 conditional PUT with `If-Match` on the ETag of the
+// object as read (`If-None-Match: *` for `absent`).
 struct WriteGuard {
   std::uint64_t offset = 0;
   ByteSpan expected;
   bool whole = false;
+  bool absent = false;
 
-  // True if `object` passes the guard.
-  bool Holds(ByteSpan object) const {
+  static WriteGuard Absent() { return {0, {}, false, true}; }
+
+  // How many leading bytes of the object Holds needs to see: a prefix of
+  // at least this length (or the whole object, if shorter) decides it.
+  std::uint64_t extent() const {
+    return offset + expected.size() + (whole ? 1 : 0);
+  }
+
+  // True if the object passes the guard; nullopt means there is none.
+  bool Holds(std::optional<ByteSpan> object) const {
+    if (!object || absent) return !object && absent;
     const std::uint64_t end = offset + expected.size();
-    if (object.size() < end || (whole && object.size() != end)) return false;
+    if (object->size() < end || (whole && object->size() != end)) return false;
     return std::equal(expected.begin(), expected.end(),
-                      object.begin() + static_cast<std::ptrdiff_t>(offset));
+                      object->begin() + static_cast<std::ptrdiff_t>(offset));
   }
 };
 

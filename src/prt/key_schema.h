@@ -21,8 +21,9 @@
 //                      highest lease fencing token accepted there) that
 //                      every journal write is guarded on (§4.4)
 //   f<uuid>            retired per-directory fence record (the fence now
-//                      lives in the journal header); the kind still parses
-//                      so store tooling can classify old keys
+//                      lives in the journal header): no longer written, but
+//                      read as the fence floor while a directory's journal
+//                      has no header, and deleted with the directory
 //   d<uuid>.<index>    data chunk <index> of file <uuid> (16 hex digits,
 //                      zero-padded so lexicographic order == numeric order)
 #pragma once

@@ -14,6 +14,7 @@
 // outages. Un-acked ops may vanish — that is the contract fsync gives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
@@ -163,6 +164,33 @@ TEST(ChaosStoreTest, TornPutLeavesStrictPrefixAndFails) {
   ChaosStore healed(base, clean);
   ASSERT_TRUE(healed.Put("t", Payload(0, 256)).ok());
   EXPECT_EQ(*base->Get("t"), Payload(0, 256));
+}
+
+TEST(ChaosStoreTest, TornGuardedPutKeepsItsGuardMatchable) {
+  auto base = std::make_shared<MemoryObjectStore>();
+  ChaosConfig cfg;
+  cfg.seed = 12;
+  cfg.torn_put_rate = 1.0;
+  ChaosStore chaos(base, cfg);
+  // A create-only or whole-object guard could never match again once
+  // torn, so those writes land whole even at a certain tear rate.
+  ASSERT_TRUE(chaos.PutIf("c", Payload(0, 64), WriteGuard::Absent()).ok());
+  EXPECT_EQ(*base->Get("c"), Payload(0, 64));
+  const Bytes all = Payload(0, 64);
+  ASSERT_TRUE(chaos.PutIf("c", Payload(1, 64), WriteGuard{0, all, true}).ok());
+  EXPECT_EQ(*base->Get("c"), Payload(1, 64));
+  EXPECT_EQ(chaos.counters().torn_puts, 0u);
+  // A compare-extent guard tears only behind its extent.
+  const Bytes next = Payload(1, 64);
+  const Bytes extent(next.begin(), next.begin() + 8);
+  Bytes data = extent;
+  data.resize(64, 7);
+  EXPECT_EQ(chaos.PutIf("c", data, WriteGuard{0, extent}).code(), Errc::kIo);
+  EXPECT_EQ(chaos.counters().torn_puts, 1u);
+  const Bytes landed = *base->Get("c");
+  ASSERT_GE(landed.size(), 8u);
+  EXPECT_LT(landed.size(), 64u);
+  EXPECT_TRUE(std::equal(extent.begin(), extent.end(), landed.begin()));
 }
 
 TEST(ChaosStoreTest, TornJournalTailNeverCommits) {

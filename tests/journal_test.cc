@@ -2,14 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <thread>
+#include <utility>
 
 #include "journal/journal.h"
 #include "journal/record.h"
 #include "objstore/chaos_store.h"
 #include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
+#include "objstore/store_decorator.h"
 
 namespace arkfs::journal {
 namespace {
@@ -1298,6 +1301,161 @@ INSTANTIATE_TEST_SUITE_P(Stores, FencedCommitCountTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "PartialWrite" : "WholeObject";
                          });
+
+// --- first fences: a create-only stamp never truncates acked frames ---
+
+// Runs `interlude` once, the first time a read of `key` finds no object,
+// before that read returns: the reader is overtaken by another writer
+// between seeing "no such object" and acting on it.
+class InterludeStore : public StoreDecorator {
+ public:
+  InterludeStore(ObjectStorePtr base, std::string key,
+                 std::function<void()> interlude)
+      : StoreDecorator(std::move(base)),
+        key_(std::move(key)),
+        interlude_(std::move(interlude)) {}
+
+  Result<Bytes> Get(const std::string& key) override {
+    return Pause(key, base()->Get(key));
+  }
+  Result<Bytes> GetRange(const std::string& key, std::uint64_t offset,
+                         std::uint64_t length) override {
+    return Pause(key, base()->GetRange(key, offset, length));
+  }
+
+ private:
+  Result<Bytes> Pause(const std::string& key, Result<Bytes> read) {
+    if (key == key_ && read.code() == Errc::kNoEnt && interlude_) {
+      std::exchange(interlude_, nullptr)();
+    }
+    return read;
+  }
+
+  const std::string key_;
+  std::function<void()> interlude_;
+};
+
+// Two leaders fence a directory that has no journal yet. The slower one
+// read "no journal"; before it stamps, the faster one stamps, commits and
+// acks. Whichever token is newer, the acked frame must survive for the
+// winner's recovery. (The commit is an explicit CommitDir under a long
+// interval, so no checkpoint applies the frame behind the test's back.)
+class FirstFenceRaceTest : public ::testing::TestWithParam<bool> {
+ protected:
+  FirstFenceRaceTest()
+      : base_(std::make_shared<MemoryObjectStore>(kDefaultMaxObjectSize,
+                                                  /*partial=*/GetParam())),
+        prt_(std::make_shared<Prt>(base_)) {
+    cfg_.commit_interval = Seconds(30);
+    dir_ = DeterministicUuid(134, GetParam() ? 1 : 2);
+    EXPECT_TRUE(prt_->StoreInode(MakeInode(dir_, FileType::kDirectory, 0755,
+                                           0, 0, kRootIno))
+                    .ok());
+  }
+
+  // The leader that wins the race: fences, commits `name` durably, acks.
+  void CommitFirst(JournalManager& mgr, const FenceToken& token,
+                   const std::string& name) {
+    ASSERT_TRUE(mgr.FenceDir(dir_, token).ok());
+    mgr.RegisterDir(dir_, token);
+    ASSERT_TRUE(mgr.Append(dir_, {Record::DentryAdd(
+                                      {name, DeterministicUuid(135, 1),
+                                       FileType::kRegular})})
+                    .ok());
+    ASSERT_TRUE(mgr.CommitDir(dir_).ok());
+  }
+
+  // The leader that read "no journal" first, on a store that lets `first`
+  // run to its ack right after that read.
+  std::shared_ptr<Prt> OvertakenPrt(std::function<void()> first) {
+    return std::make_shared<Prt>(std::make_shared<InterludeStore>(
+        base_, JournalKey(dir_), std::move(first)));
+  }
+
+  std::vector<std::string> Names() {
+    auto entries = prt_->LoadDentries(dir_);
+    EXPECT_TRUE(entries.ok());
+    std::vector<std::string> names;
+    for (const auto& d : entries.value_or(std::vector<Dentry>{})) {
+      names.push_back(d.name);
+    }
+    return names;
+  }
+
+  ObjectStorePtr base_;
+  std::shared_ptr<Prt> prt_;
+  JournalConfig cfg_ = JournalConfig::ForTests();
+  Uuid dir_;
+};
+
+TEST_P(FirstFenceRaceTest, NewerLateStampKeepsTheOlderLeadersAckedFrame) {
+  const FenceToken older{1, 1};
+  const FenceToken newer{2, 1};
+  JournalManager early(prt_, cfg_);
+  JournalManager late(
+      OvertakenPrt([&] { CommitFirst(early, older, "acked"); }), cfg_);
+  ASSERT_TRUE(late.FenceDir(dir_, newer).ok());
+  auto raw = prt_->LoadJournal(dir_);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(JournalFence(*raw).value(), newer);
+
+  // The successor's recovery replays the acked frame...
+  auto report = late.RecoverDir(dir_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->transactions_replayed, 1u);
+  EXPECT_EQ(Names(), std::vector<std::string>{"acked"});
+  // ...and the deposed leader's next commit is refused.
+  ASSERT_TRUE(early.Append(dir_, {Record::DentryAdd(
+                                     {"late", DeterministicUuid(135, 2),
+                                      FileType::kRegular})})
+                  .ok());
+  EXPECT_EQ(early.CommitDir(dir_).code(), Errc::kStale);
+  EXPECT_EQ(early.metrics().fence_violations.value(), 0u);
+}
+
+TEST_P(FirstFenceRaceTest, OlderLateStampIsRefusedAndTakesNothing) {
+  const FenceToken older{1, 1};
+  const FenceToken newer{2, 1};
+  JournalManager early(prt_, cfg_);
+  JournalManager late(
+      OvertakenPrt([&] { CommitFirst(early, newer, "acked"); }), cfg_);
+  EXPECT_EQ(late.FenceDir(dir_, older).code(), Errc::kStale);
+  auto raw = prt_->LoadJournal(dir_);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(JournalFence(*raw).value(), newer);
+  auto report = early.RecoverDir(dir_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->transactions_replayed, 1u);
+  EXPECT_EQ(Names(), std::vector<std::string>{"acked"});
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, FirstFenceRaceTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "PartialWrite" : "WholeObject";
+                         });
+
+// A directory fenced before the fence moved into the journal header keeps
+// its token in the f<uuid> record: until a header is stamped, that token is
+// the floor a grant must reach.
+TEST(LegacyFenceTest, FenceRecordIsTheFloorOfAHeaderlessJournal) {
+  auto store = std::make_shared<MemoryObjectStore>();
+  auto prt = std::make_shared<Prt>(store);
+  JournalManager mgr(prt, JournalConfig::ForTests());
+  const Uuid dir = DeterministicUuid(136, 1);
+  ASSERT_TRUE(
+      store->Put(FenceKey(dir), EncodeFenceObject(FenceToken{3, 1})).ok());
+  EXPECT_EQ(mgr.FenceDir(dir, FenceToken{2, 1}).code(), Errc::kStale);
+  EXPECT_EQ(store->Head(JournalKey(dir)).code(), Errc::kNoEnt);
+  // The record's own token is not yet stamped, so it is stamped too.
+  ASSERT_TRUE(mgr.FenceDir(dir, FenceToken{3, 1}).ok());
+  auto raw = prt->LoadJournal(dir);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(JournalFence(*raw).value(), (FenceToken{3, 1}));
+  ASSERT_TRUE(mgr.FenceDir(dir, FenceToken{4, 1}).ok());
+  raw = prt->LoadJournal(dir);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(JournalFence(*raw).value(), (FenceToken{4, 1}));
+}
 
 // A burst that lands inside the checkpoint limit's interval is not dropped:
 // it is checkpointed once the interval has passed, with nothing else

@@ -188,6 +188,28 @@ TEST_P(StoreContractTest, GuardedPutAppliesOnlyOnMatch) {
   EXPECT_EQ(store_->Head("absent").code(), Errc::kNoEnt);
 }
 
+// A create-only guard (WriteGuard::Absent) lands only while no object
+// exists: the first creator wins, and a later one leaves its bytes alone.
+TEST_P(StoreContractTest, CreateOnlyGuardLandsOnlyOnAnAbsentObject) {
+  ASSERT_TRUE(
+      store_->PutIf("c", ToBytes("first"), WriteGuard::Absent()).ok());
+  EXPECT_EQ(store_->PutIf("c", ToBytes("second"), WriteGuard::Absent()).code(),
+            Errc::kStale);
+  EXPECT_EQ(ToString(store_->Get("c").value()), "first");
+  // An empty object exists too.
+  ASSERT_TRUE(store_->Put("empty", {}).ok());
+  EXPECT_EQ(store_->PutIf("empty", ToBytes("x"), WriteGuard::Absent()).code(),
+            Errc::kStale);
+  EXPECT_TRUE(store_->Get("empty").value().empty());
+  if (!store_->supports_partial_write()) return;
+  ASSERT_TRUE(
+      store_->PutRangeIf("r", 0, AsBytes("ab"), WriteGuard::Absent()).ok());
+  EXPECT_EQ(
+      store_->PutRangeIf("r", 2, AsBytes("cd"), WriteGuard::Absent()).code(),
+      Errc::kStale);
+  EXPECT_EQ(ToString(store_->Get("r").value()), "ab");
+}
+
 TEST_P(StoreContractTest, GuardedPutRangeAppliesOnlyOnMatch) {
   ASSERT_TRUE(store_->Put("g", ToBytes("HDR:ab")).ok());
   const Bytes hdr = ToBytes("HDR:");
@@ -415,6 +437,12 @@ TEST(GuardedWriteTest, EveryDecoratorForwardsTheGuard) {
         Errc::kStale)
         << name;
     EXPECT_EQ(ToString(base->Get(key).value()), "HDR:abc") << name;
+    EXPECT_EQ(store->PutIf(key, ToBytes("new"), WriteGuard::Absent()).code(),
+              Errc::kStale)
+        << name;
+    EXPECT_TRUE(
+        store->PutIf(key + "-new", ToBytes("new"), WriteGuard::Absent()).ok())
+        << name;
   }
   for (std::size_t i : {3u, 4u}) {  // ec, tiering: a key they own
     const auto& [name, store] = stacks[i];
