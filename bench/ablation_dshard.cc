@@ -50,7 +50,9 @@ SweepPoint RunSweep(std::uint32_t shard_count) {
   const Uuid dir = DeterministicUuid(1, 1);
   Inode di = MakeInode(dir, FileType::kDirectory, 0755, 0, 0, kRootIno);
   if (!prt->StoreInode(di).ok()) return {};
-  mgr.RegisterDir(dir);
+  const FenceToken token{1, 1};
+  if (!mgr.FenceDir(dir, token).ok()) return {};
+  mgr.RegisterDir(dir, token);
 
   SweepPoint point;
   point.shards = shard_count;

@@ -25,7 +25,7 @@
 namespace arkfs {
 
 struct FenceToken {
-  std::uint64_t epoch = 0;  // 0 = "no token" (legacy / unfenced)
+  std::uint64_t epoch = 0;  // 0 = "no token" (never granted)
   std::uint64_t seq = 0;    // grant sequence within the epoch
 
   bool valid() const { return epoch != 0; }
@@ -55,7 +55,7 @@ struct FenceToken {
   }
 };
 
-// Fence header codec (the first kFenceObjectBytes of a fenced journal
+// Fence header codec (the first kFenceObjectBytes of every journal
 // object): magic + epoch + seq + CRC32C. Decode is strict — a torn or
 // corrupt header must fail loudly, never silently read as "no fence".
 inline constexpr std::uint32_t kFenceMagic = 0x414B464Eu;  // "AKFN"

@@ -14,10 +14,27 @@ Status Client::Format(const ObjectStorePtr& store, bool force) {
   }
   Inode root = MakeInode(kRootIno, FileType::kDirectory, 0755, 0, 0, Uuid{});
   ARKFS_RETURN_IF_ERROR(prt.StoreInode(root));
-  // Fresh file systems start on the sharded layout (B=1, grown on demand);
-  // only pre-existing images still carry legacy unsharded blocks.
   ARKFS_RETURN_IF_ERROR(prt.StoreDentryManifest(kRootIno, DentryManifest{}));
-  return Status::Ok();
+  // The stamp goes last: an interrupted format leaves an image that does not
+  // mount rather than one that mounts half-made.
+  return store->Put(kFormatKey, EncodeFormatStamp(kFormatVersion));
+}
+
+Status Client::CheckFormat(ObjectStore& store) {
+  auto raw = store.Get(kFormatKey);
+  if (!raw.ok() && raw.code() != Errc::kNoEnt) return raw.status();
+  auto version = raw.ok() ? DecodeFormatStamp(*raw) : raw.status();
+  std::string why;
+  if (!raw.ok()) {
+    why = "image has no format stamp (sys.format)";
+  } else if (!version.ok()) {
+    why = "image format stamp unreadable";
+  } else if (*version != kFormatVersion) {
+    why = "image format v" + std::to_string(*version) + " unsupported";
+  } else {
+    return Status::Ok();
+  }
+  return ErrStatus(Errc::kInval, why + "; reformat");
 }
 
 Client::Client(ObjectStorePtr store, rpc::FabricPtr fabric,
@@ -430,12 +447,6 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
       // Already fenced off by an even newer leader; our unflushed state is
       // theirs to replay. Handoff still succeeds from the caller's view.
       st = Status::Ok();
-    }
-    if (st.ok() && handle->metatable && handle->fence == FenceToken{}) {
-      // Only unfenced (legacy) tenures write the inode back directly; a
-      // fenced tenure's state is fully covered by the flushed journal, and
-      // a raw StoreInode here could race the successor's recovery.
-      st = prt_->StoreInode(handle->metatable->dir_inode());
     }
     // We are being superseded; drop leadership state.
     handle->leader = false;

@@ -142,9 +142,13 @@ struct ClientStats {
 
 class Client : public Vfs {
  public:
-  // Initializes an empty file system on the store: writes the root inode
-  // and dentry block. Idempotent only if `force`.
+  // Initializes an empty file system on the store: writes the root inode,
+  // its dentry manifest and, last, the format stamp (kFormatKey). Idempotent
+  // only if `force`, which also restamps an existing image.
   static Status Format(const ObjectStorePtr& store, bool force = false);
+  // The mount check: Ok only if the store carries a well-formed stamp of
+  // kFormatVersion. A missing, torn or other-version stamp is kInval.
+  static Status CheckFormat(ObjectStore& store);
 
   // Uses `store` as given: a deployment's store stack (StackBuilder, as
   // ArkFsCluster builds it) already counts, times and traces every call.

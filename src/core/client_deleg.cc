@@ -76,7 +76,7 @@ void Client::DelegAdopt(const Uuid& dir_ino, const std::string& leader,
 
 void Client::DelegObserve(const Uuid& dir_ino, const FenceToken& fence,
                           std::uint64_t watermark) {
-  if (fence == FenceToken{}) return;  // unstamped (unfenced) reply
+  if (fence == FenceToken{}) return;  // unstamped: not served by a leader
   std::lock_guard lock(deleg_mu_);
   auto it = delegations_.find(dir_ino);
   if (it == delegations_.end()) return;
@@ -115,11 +115,6 @@ Client::DelegSlicePtr Client::DelegFetchSlice(const Uuid& dir_ino,
   if (!raw.ok()) return nullptr;
   auto resp = wire::DirOpResponse::Decode(*raw);
   if (!resp.ok() || resp->code != Errc::kOk || !resp->has_inode) {
-    return nullptr;
-  }
-  if (resp->fence == FenceToken{}) {
-    // The leader runs an unfenced (legacy) tenure: there is no tenure
-    // identity to pin the slice to, so delegation is unsafe.
     return nullptr;
   }
   auto slice = std::make_shared<DelegSlice>();

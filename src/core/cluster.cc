@@ -69,6 +69,7 @@ Result<std::unique_ptr<ArkFsCluster>> ArkFsCluster::Create(
     Status st = Client::Format(store);
     if (!st.ok() && st.code() != Errc::kExist) return st;
   }
+  ARKFS_RETURN_IF_ERROR(Client::CheckFormat(*store));
   std::unique_ptr<ArkFsCluster> cluster(
       new ArkFsCluster(std::move(store), std::move(options)));
   if (cluster->quota_) {

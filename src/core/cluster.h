@@ -36,6 +36,8 @@ struct ArkFsClusterOptions {
   sim::NetworkProfile network = sim::NetworkProfile::Instant();
   lease::LeaseManagerConfig lease = lease::LeaseManagerConfig::ForTests();
   ClientConfig client_template = ClientConfig::ForTests("");
+  // Format the store first unless it already holds a file system. Either
+  // way Create mounts only an image stamped with kFormatVersion.
   bool format_store = true;
   // Lease-manager replicas (HA). 1 = single manager at kManagerAddress
   // (the historical layout); N > 1 = replicas "lease-manager-0..N-1" with

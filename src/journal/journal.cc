@@ -41,7 +41,6 @@ void JournalMetrics::Attach(obs::MetricsRegistry* registry) {
   checkpoints.Attach(registry, "journal.checkpoints");
   dentry_shards_loaded.Attach(registry, "journal.dentry.shards_loaded");
   dentry_shards_written.Attach(registry, "journal.dentry.shards_written");
-  dentry_migrations.Attach(registry, "journal.dentry.migrations");
   dentry_reshards.Attach(registry, "journal.dentry.reshards");
   fence_checks.Attach(registry, "journal.commit.fence_checks");
   fence_rejections.Attach(registry, "journal.commit.fence_rejections");
@@ -89,13 +88,15 @@ void JournalManager::Halt() {
   }
 }
 
-void JournalManager::RegisterDir(const Uuid& dir_ino) {
-  FindOrCreateDir(dir_ino);
-}
-
 void JournalManager::RegisterDir(const Uuid& dir_ino,
                                  const FenceToken& token) {
-  DirStatePtr st = FindOrCreateDir(dir_ino);
+  DirStatePtr st;
+  {
+    std::lock_guard lock(registry_mu_);
+    auto& slot = dirs_[dir_ino];
+    if (!slot) slot = std::make_shared<DirState>();
+    st = slot;
+  }
   std::lock_guard append(st->append_mu);
   // Only the token changes: on a fresh re-grant (same client, metatable
   // still authoritative) durable frames and their bookkeeping stay owned by
@@ -104,13 +105,14 @@ void JournalManager::RegisterDir(const Uuid& dir_ino,
 }
 
 Status JournalManager::FenceDir(const Uuid& dir_ino, const FenceToken& token) {
-  if (!token.valid()) return Status::Ok();  // unfenced legacy grant
+  if (!token.valid()) {
+    return ErrStatus(Errc::kInval, "fence token " + token.ToString());
+  }
   obs::Span span("journal.fence");
   ObjectStore& store = prt_->store();
   const std::string key = JournalKey(dir_ino);
   const Bytes mine = EncodeFenceObject(token);
   const bool in_place = store.supports_partial_write();
-  std::optional<FenceToken> legacy;  // f<uuid>, read once while headerless
   // Every stamp is guarded on what was read (a first one is create-only),
   // so a racing stamp or append makes it miss instead of being overwritten
   // or truncated; then read and decide again.
@@ -122,55 +124,34 @@ Status JournalManager::FenceDir(const Uuid& dir_ino, const FenceToken& token) {
     const bool exists = read.ok();
     if (!exists && read.code() != Errc::kNoEnt) return read.status();
     Bytes current = exists ? std::move(*read) : Bytes{};
-    const bool has_header = HasJournalHeader(current);
+    // Every journal is born with its header: one without is corrupt.
     FenceToken stored;
-    if (has_header) {
+    if (exists) {
       ARKFS_ASSIGN_OR_RETURN(stored, JournalFence(current));
-    } else {
-      // A directory fenced before the fence moved into the journal header
-      // keeps its token in f<uuid>: the floor until a header is stamped.
-      if (!legacy) {
-        ARKFS_ASSIGN_OR_RETURN(legacy, LoadLegacyFence(dir_ino));
-      }
-      stored = *legacy;
     }
     if (stored > token) {
       return ErrStatus(Errc::kStale, "lease fence superseded: stored " +
                                          stored.ToString() + " > granted " +
                                          token.ToString());
     }
-    if (has_header && stored == token) return Status::Ok();
+    if (stored == token) return Status::Ok();
     Status stamped;
     if (!exists) {
       stamped = store.PutIf(key, mine, WriteGuard::Absent());
-    } else if (in_place && has_header) {
+    } else if (in_place) {
       stamped = store.PutRangeIf(key, 0, mine, {0, current});
     } else {
-      // Whole-object store, or a headerless journal: put our header in
-      // front of its frames, guarded on the entire object as read — an
-      // append racing the rewrite must make it miss, not vanish under it.
-      if (in_place) {
-        auto whole = store.Get(key);
-        if (!whole.ok()) continue;  // gone since: read and decide again
-        if (HasJournalHeader(*whole)) continue;  // stamped since: likewise
-        current = std::move(*whole);
-      }
+      // Whole-object store: swap our header in front of the frames, guarded
+      // on the entire object as read — an append racing the rewrite must
+      // make it miss, not vanish under it.
       Bytes object = mine;
-      object.insert(object.end(),
-                    current.begin() + (has_header ? kFenceObjectBytes : 0),
+      object.insert(object.end(), current.begin() + kFenceObjectBytes,
                     current.end());
       stamped = store.PutIf(key, object, {0, current, /*whole=*/true});
     }
     if (stamped.code() != Errc::kStale) return stamped;
   }
   return ErrStatus(Errc::kAgain, "journal fence kept changing: " + key);
-}
-
-Result<FenceToken> JournalManager::LoadLegacyFence(const Uuid& dir_ino) {
-  auto raw = prt_->store().Get(FenceKey(dir_ino));
-  if (raw.code() == Errc::kNoEnt) return FenceToken{};
-  if (!raw.ok()) return raw.status();
-  return DecodeFenceObject(*raw);  // a torn record fails loudly, never as 0
 }
 
 void JournalManager::ResetDir(const Uuid& dir_ino) {
@@ -212,9 +193,7 @@ Status JournalManager::UnregisterDir(const Uuid& dir_ino) {
   ARKFS_RETURN_IF_ERROR(Checkpoint(dir_ino, *st));
   {
     std::lock_guard append(st->append_mu);
-    ARKFS_RETURN_IF_ERROR(!st->fence.valid()
-                              ? prt_->DeleteJournal(dir_ino)
-                              : WriteJournalLocked(dir_ino, *st, {}, {}));
+    ARKFS_RETURN_IF_ERROR(WriteJournalLocked(dir_ino, *st, {}, {}));
     st->journal_bytes = 0;
   }
   std::lock_guard lock(registry_mu_);
@@ -227,7 +206,8 @@ Status JournalManager::Append(const Uuid& dir_ino,
   obs::Span span("journal.append");
   const std::uint64_t n_records = records.size();
   const std::uint64_t est_bytes = ApproxRecordBytes(records);
-  DirStatePtr st = FindOrCreateDir(dir_ino);
+  DirStatePtr st = FindDir(dir_ino);
+  if (!st) return NotRegistered(dir_ino);
   {
     std::lock_guard lock(st->mu);
     const bool opened = st->running.empty();
@@ -296,12 +276,9 @@ JournalManager::DirStatePtr JournalManager::FindDir(const Uuid& dir_ino) {
   return it == dirs_.end() ? nullptr : it->second;
 }
 
-JournalManager::DirStatePtr JournalManager::FindOrCreateDir(
-    const Uuid& dir_ino) {
-  std::lock_guard lock(registry_mu_);
-  auto& slot = dirs_[dir_ino];
-  if (!slot) slot = std::make_shared<DirState>();
-  return slot;
+Status JournalManager::NotRegistered(const Uuid& dir_ino) {
+  return ErrStatus(Errc::kInval,
+                   "journal not registered: " + dir_ino.ToString());
 }
 
 Status JournalManager::WriteJournalLocked(const Uuid& dir_ino,
@@ -310,14 +287,13 @@ Status JournalManager::WriteJournalLocked(const Uuid& dir_ino,
                                           ByteSpan data) {
   ObjectStore& store = prt_->store();
   const std::string key = JournalKey(dir_ino);
-  const bool fenced = st.fence.valid();
-  const Bytes header = fenced ? EncodeFenceObject(st.fence) : Bytes{};
+  // Reset: the tenure is over, and its journal is someone else's.
+  if (!st.fence.valid()) return NotRegistered(dir_ino);
+  const Bytes header = EncodeFenceObject(st.fence);
   const WriteGuard guard{0, header};
   Status written;
   if (offset && store.supports_partial_write()) {
-    const std::uint64_t at = header.size() + *offset;
-    written = fenced ? store.PutRangeIf(key, at, data, guard)
-                     : store.PutRange(key, at, data);
+    written = store.PutRangeIf(key, header.size() + *offset, data, guard);
   } else {
     // One whole-object write: the header, the frames before `offset` (read
     // back on a whole-object store), then `data`.
@@ -330,9 +306,9 @@ Status JournalManager::WriteJournalLocked(const Uuid& dir_ino,
     object.resize(header.size() + offset.value_or(0));  // drop stale tail
     std::copy(header.begin(), header.end(), object.begin());
     object.insert(object.end(), data.begin(), data.end());
-    written = fenced ? store.PutIf(key, object, guard) : store.Put(key, object);
+    written = store.PutIf(key, object, guard);
   }
-  if (!fenced || written.code() != Errc::kStale) return written;
+  if (written.code() != Errc::kStale) return written;
   // The guard missed: one header read tells a successor's fence from a
   // broken invariant (a missing or undecodable header reads as zero).
   auto raw = store.GetRange(key, 0, kFenceObjectBytes);
@@ -356,7 +332,7 @@ Status JournalManager::AppendToJournalLocked(const Uuid& dir_ino,
   // reaches the successor's journal (DESIGN.md §4.4).
   txn.fence = st.fence;
   const Bytes framed = EncodeTransaction(txn);
-  if (st.fence.valid()) metrics_.fence_checks.Add();
+  metrics_.fence_checks.Add();
   ARKFS_RETURN_IF_ERROR(
       WriteJournalLocked(dir_ino, st, st.journal_bytes, framed));
   st.journal_bytes += framed.size();
@@ -540,8 +516,10 @@ Status JournalManager::CommitCrossDir(const Uuid& src_dir,
   if (src_dir == dst_dir) {
     return ErrStatus(Errc::kInval, "cross-dir commit needs two directories");
   }
-  DirStatePtr src = FindOrCreateDir(src_dir);
-  DirStatePtr dst = FindOrCreateDir(dst_dir);
+  DirStatePtr src = FindDir(src_dir);
+  DirStatePtr dst = FindDir(dst_dir);
+  if (!src) return NotRegistered(src_dir);
+  if (!dst) return NotRegistered(dst_dir);
   // Canonical lock order by inode id prevents deadlock with a concurrent
   // rename in the opposite direction. Holding both append locks across both
   // 2PC phases guarantees a checkpoint never sees an undecided prepare.
@@ -603,6 +581,7 @@ Result<RecoveryReport> JournalManager::RecoverDir(const Uuid& dir_ino) {
     if (raw.code() == Errc::kNoEnt) return report;  // nothing to recover
     return raw.status();
   }
+  ARKFS_RETURN_IF_ERROR(JournalFence(*raw).status());
   const std::vector<Transaction> txns = ParseJournal(*raw);
   if (txns.empty()) return report;
 
@@ -625,12 +604,9 @@ Result<RecoveryReport> JournalManager::RecoverDir(const Uuid& dir_ino) {
                                           &outcome, /*sweep_orphans=*/true));
   // Reset to the header we read, guarded on it: if the fence moved since
   // the load, the journal is someone else's now and stays as it is.
-  const ByteSpan header =
-      ByteSpan(*raw).first(HasJournalHeader(*raw) ? kFenceObjectBytes : 0);
+  const ByteSpan header = ByteSpan(*raw).first(kFenceObjectBytes);
   ARKFS_RETURN_IF_ERROR(
-      header.empty()
-          ? prt_->StoreJournal(dir_ino, header)
-          : prt_->store().PutIf(JournalKey(dir_ino), header, {0, header}));
+      prt_->store().PutIf(JournalKey(dir_ino), header, {0, header}));
   NoteApplyOutcome(outcome);
 
   // Reset any stale in-memory bookkeeping for this directory.
@@ -725,7 +701,7 @@ Status JournalManager::ApplyTransactions(
   std::vector<Bytes> put_bufs;  // owns encodings until the batches join
   std::vector<BatchPut> puts;
   // Ordered manifest Put, issued only after the main MultiPut fully lands.
-  // For migration/reshard it is the commit point that atomically switches
+  // For a first checkpoint or a reshard it is the commit point that atomically switches
   // readers to the new generation (the old layout is deleted only after);
   // for steady-state checkpoints it carries the entry-count update. Either
   // way the manifest object only ever transitions valid -> valid, and a
@@ -844,32 +820,28 @@ Status JournalManager::ApplyTransactions(
         adopted_epoch_max = epoch_max;
       }
       if (!adopted) {
-        // No complete generation at all: the tear was a legacy migration
-        // whose shards never fully landed either — fall back to the legacy
-        // path, which rewrites every shard of its generation anyway.
+        // No complete generation at all: the tear was the directory's first
+        // checkpoint, whose shards never fully landed either — start from
+        // the empty base, which rewrites every shard of its generation.
         manifest = ErrStatus(Errc::kNoEnt, "torn manifest, no shards");
       }
     }
     if (!manifest.ok()) {
-      // Legacy unsharded block (or never checkpointed): fold the batch in
-      // and migrate to the sharded layout in the same pass.
-      ARKFS_ASSIGN_OR_RETURN(auto block, prt.LoadDentryBlock(dir_ino));
+      // Never checkpointed: the journal holds every entry, so the first
+      // checkpoint lays the sharded layout out from the empty base.
       std::map<std::string, Dentry> entries;
-      for (auto& d : block) entries[d.name] = std::move(d);
       apply_ops(entries);
       const std::uint32_t b = ShardCountFor(policy, entries.size());
       const std::uint64_t total = entries.size();
       auto shards = partition(entries, b);
       for (std::uint32_t s = 0; s < b; ++s) {
         // Every shard of the new generation is written, empty ones included:
-        // a replayed migration must overwrite any torn artifact a crashed
-        // earlier attempt left at these keys.
+        // a replayed first checkpoint must overwrite any torn artifact a
+        // crashed earlier attempt left at these keys.
         add_shard_put(b, s, /*slot=*/0, /*epoch=*/1, shards[s]);
       }
       layout_commit.emplace(DentryManifestKey(dir_ino),
                             EncodeDentryManifest({b, total}));
-      deletes.push_back(DentryKey(dir_ino));
-      out.migrated = true;
       out.shard_count = b;
     } else {
       const std::uint32_t b = manifest->shard_count;
@@ -980,10 +952,6 @@ Status JournalManager::ApplyTransactions(
         layout_commit.emplace(DentryManifestKey(dir_ino),
                               EncodeDentryManifest(updated));
         out.shard_count = b;
-        // Recovery replay may be redoing a crashed migration whose manifest
-        // landed but whose legacy-block delete didn't; re-issue the delete
-        // so the orphan can't linger.
-        if (report) deletes.push_back(DentryKey(dir_ino));
       }
     }
 
@@ -1016,14 +984,12 @@ Status JournalManager::ApplyTransactions(
     }
   }
   for (const auto& ino : dir_removes) {
-    // The removed child may be on either layout: sweep the manifest and all
-    // shard generations by prefix, plus the legacy block and the journal.
+    // The removed child's manifest and every shard generation (by prefix),
+    // and its journal.
     ARKFS_ASSIGN_OR_RETURN(std::vector<std::string> listed,
                            prt.store().List(DentryObjectPrefix(ino)));
     for (auto& k : listed) deletes.push_back(std::move(k));
-    deletes.push_back(DentryKey(ino));
     deletes.push_back(JournalKey(ino));
-    deletes.push_back(FenceKey(ino));  // legacy fence record, if any
   }
 
   Status first = Status::Ok();
@@ -1034,7 +1000,7 @@ Status JournalManager::ApplyTransactions(
   if (layout_commit && first.ok()) {
     first = prt.store().Put(layout_commit->first, layout_commit->second);
   }
-  // Deletes only run after every put landed: on a torn migration/reshard the
+  // Deletes only run after every put landed: on a torn reshard the
   // old layout MUST survive (the manifest still points at it), and for plain
   // failures the journal is retained for replay anyway.
   if (!deletes.empty() && first.ok()) {
@@ -1047,7 +1013,6 @@ Status JournalManager::ApplyTransactions(
 void JournalManager::NoteApplyOutcome(const ApplyOutcome& outcome) {
   metrics_.dentry_shards_loaded.Add(outcome.shards_loaded);
   metrics_.dentry_shards_written.Add(outcome.shards_written);
-  if (outcome.migrated) metrics_.dentry_migrations.Add();
   if (outcome.resharded) metrics_.dentry_reshards.Add();
 }
 

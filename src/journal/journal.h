@@ -97,11 +97,10 @@ struct JournalMetrics {
   obs::Counter checkpoints;
   obs::Counter dentry_shards_loaded;
   obs::Counter dentry_shards_written;
-  obs::Counter dentry_migrations;  // legacy block -> sharded layout
   obs::Counter dentry_reshards;    // shard-count growth events
   // Lease-HA fencing (see FenceDir): guarded journal appends (one per
-  // commit of a fenced directory), commits rejected kStale because a
-  // successor advanced the fence, and violations — a persisted fence BEHIND
+  // commit), commits rejected kStale because a successor advanced the
+  // fence, and violations — a persisted fence BEHIND
   // the registered token, which must never happen (it would mean a grant
   // was used without FenceDir'ing first). Rejections and violations are
   // told apart by one header read after a guard mismatch, off the success
@@ -133,7 +132,6 @@ struct ApplyOutcome {
   std::uint32_t shard_count = 0;  // layout after apply (0 = untouched)
   std::uint64_t shards_loaded = 0;
   std::uint64_t shards_written = 0;
-  bool migrated = false;
   bool resharded = false;
   bool swept = false;  // orphan-generation sweep ran this apply
 };
@@ -152,11 +150,11 @@ class JournalManager {
   JournalManager(const JournalManager&) = delete;
   JournalManager& operator=(const JournalManager&) = delete;
 
-  // Directory lifecycle: Register when a lease is acquired, Unregister
-  // (flush + empty the journal object) when it is cleanly released. An
-  // unfenced directory's journal object is deleted; a fenced one is cut
-  // back to its header, so the stored fence stays monotone across releases.
-  void RegisterDir(const Uuid& dir_ino);
+  // Directory lifecycle: FenceDir + Register when a lease is acquired,
+  // Unregister (flush + cut the journal object back to its header, so the
+  // stored fence stays monotone across releases) when it is cleanly
+  // released. Append and CommitCrossDir refuse an unregistered directory.
+  //
   // Registers under a lease fencing token: every commit for this directory
   // is stamped with `token`, and every write to its journal object — the
   // append, the checkpoint trim, the release rewrite — is one guarded store
@@ -170,15 +168,14 @@ class JournalManager {
 
   // Stamps `token` into the fence header at offset 0 of the directory's
   // journal object, as a write guarded on what it read: the header (or, on
-  // a whole-object store or a headerless journal, the entire object, whose
-  // frames move behind the new header), or a create-only write if there is
-  // no journal yet. A stamp never truncates frames: a racing stamp or
-  // append makes it miss, and it reads and decides again. kStale if the
-  // stored token is NEWER (the caller's grant is from a deposed epoch); a
-  // journal without a header takes its stored token from the legacy
-  // f<uuid> fence record, if one exists. New leaders must call this BEFORE
-  // loading/replaying the directory's journal — that ordering is the
-  // split-brain argument.
+  // a whole-object store, the entire object, whose frames move behind the
+  // new header), or a create-only write if there is no journal yet — so
+  // every journal is born with its header. A stamp never truncates frames:
+  // a racing stamp or append makes it miss, and it reads and decides again.
+  // kStale if the stored token is NEWER (the caller's grant is from a
+  // deposed epoch); kInval for the zero token; kIo for a journal without a
+  // header. New leaders must call this BEFORE loading/replaying the
+  // directory's journal — that ordering is the split-brain argument.
   Status FenceDir(const Uuid& dir_ino, const FenceToken& token);
 
   // Drops all in-memory journal bookkeeping for the directory (running
@@ -273,8 +270,8 @@ class JournalManager {
   // needs it). Dentry deltas touch only the shards the batch dirtied,
   // writing each dirty shard's INACTIVE slot and flipping the manifest
   // afterwards (copy-on-write: a torn put can never damage referenced
-  // state); a legacy unsharded block is migrated to the sharded layout on
-  // the way through (see DESIGN.md for the crash-ordering protocol).
+  // state); a never-checkpointed directory starts from the empty layout
+  // (see DESIGN.md for the crash-ordering protocol).
   // `sweep_orphans` additionally LISTs the directory's dentry prefix and
   // deletes every shard generation other than the final one — recovery
   // always sweeps, checkpointing sweeps after a failed apply may have left
@@ -311,8 +308,8 @@ class JournalManager {
 
     // Lock order: checkpoint_mu -> append_mu -> mu.
     std::mutex append_mu;  // journal-object appends, committed, journal_bytes
-    // Fencing token of the current leadership tenure (zero = unfenced
-    // legacy): stamped into every committed frame, and — encoded as the
+    // Fencing token of the current leadership tenure (zero once ResetDir
+    // ended it): stamped into every committed frame, and — encoded as the
     // journal's fence header — what every journal write is guarded on.
     // Guarded by append_mu.
     FenceToken fence;
@@ -335,17 +332,14 @@ class JournalManager {
   using DirStatePtr = std::shared_ptr<DirState>;
 
   DirStatePtr FindDir(const Uuid& dir_ino);
-  DirStatePtr FindOrCreateDir(const Uuid& dir_ino);
-  // The token in the directory's f<uuid> record (zero if none): where a
-  // fence lived before it moved into the journal header.
-  Result<FenceToken> LoadLegacyFence(const Uuid& dir_ino);
+  static Status NotRegistered(const Uuid& dir_ino);
 
   // Writes the directory's journal object: `data` at `offset` past the
-  // fence header, or (no offset) the whole object as header + `data`. For a
-  // fenced directory it is one write guarded on st.fence's header — it lands
-  // only while no successor has restamped the header — and a miss reads the
-  // header once to count a rejection (successor's fence) or a violation
-  // (fence behind ours) before returning kStale. Unfenced: a plain write.
+  // fence header, or (no offset) the whole object as header + `data`. It is
+  // one write guarded on st.fence's header — it lands only while no
+  // successor has restamped the header — and a miss reads the header once
+  // to count a rejection (successor's fence) or a violation (fence behind
+  // ours) before returning kStale. kInval once ResetDir ended the tenure.
   // append_mu held.
   Status WriteJournalLocked(const Uuid& dir_ino, const DirState& st,
                             std::optional<std::uint64_t> offset,

@@ -172,7 +172,9 @@ bool HasJournalHeader(ByteSpan journal) {
 }
 
 Result<FenceToken> JournalFence(ByteSpan journal) {
-  if (!HasJournalHeader(journal)) return FenceToken{};
+  if (!HasJournalHeader(journal)) {
+    return ErrStatus(Errc::kIo, "journal has no fence header");
+  }
   return DecodeFenceObject(journal.first(kFenceObjectBytes));
 }
 
@@ -180,49 +182,36 @@ std::vector<Transaction> ParseJournal(ByteSpan data) {
   std::vector<Transaction> txns;
   if (HasJournalHeader(data)) data = data.subspan(kFenceObjectBytes);
   Decoder dec(data);
-  // Minimum complete frame (v1): magic(4) + seq(8) + len(4) + crc(4). A v2
-  // frame additionally needs epoch(8) + fseq(8); short reads below fail and
-  // terminate the scan as a torn tail.
-  while (dec.remaining() >= 20) {
+  // Minimum complete frame: magic(4) + seq(8) + epoch(8) + fseq(8) + len(4)
+  // + crc(4). Short reads below fail and terminate the scan as a torn tail.
+  while (dec.remaining() >= 36) {
     auto magic = dec.GetU32();
-    if (!magic.ok()) break;
-    const bool v1 = (*magic == kTxnMagicV1);
-    if (!v1 && *magic != kTxnMagic) break;
+    if (!magic.ok() || *magic != kTxnMagic) break;
     auto seq = dec.GetU64();
-    if (!seq.ok()) break;
-    // v1 frames predate fencing: no token in the header, epoch 0 = legacy
-    // unfenced (same convention as the journal's fence header).
-    std::uint64_t epoch = 0;
-    std::uint64_t fseq = 0;
-    if (!v1) {
-      auto e = dec.GetU64();
-      auto f = dec.GetU64();
-      if (!e.ok() || !f.ok()) break;
-      epoch = *e;
-      fseq = *f;
-    }
+    auto epoch = dec.GetU64();
+    auto fseq = dec.GetU64();
     auto len = dec.GetU32();
-    if (!len.ok() || dec.remaining() < *len + 4u) break;
+    if (!seq.ok() || !epoch.ok() || !fseq.ok() || !len.ok() ||
+        dec.remaining() < *len + 4u) {
+      break;
+    }
 
     Bytes payload(*len);
     if (!dec.GetRaw(payload).ok()) break;
     auto stored_crc = dec.GetU32();
     if (!stored_crc.ok()) break;
 
-    // CRC input mirrors the header of the format that framed it.
     Encoder crc_input(payload.size() + 32);
     crc_input.PutU64(*seq);
-    if (!v1) {
-      crc_input.PutU64(epoch);
-      crc_input.PutU64(fseq);
-    }
+    crc_input.PutU64(*epoch);
+    crc_input.PutU64(*fseq);
     crc_input.PutU32(*len);
     crc_input.PutRaw(payload);
     if (Crc32c(crc_input.buffer()) != *stored_crc) break;  // torn/corrupt
 
     Transaction txn;
     txn.seq = *seq;
-    txn.fence = FenceToken{epoch, fseq};
+    txn.fence = FenceToken{*epoch, *fseq};
     Decoder body(payload);
     auto count = body.GetVarint();
     if (!count.ok()) break;

@@ -27,7 +27,7 @@ enum class RecordType : std::uint8_t {
   kInodeRemove = 1,   // delete inode object + its data chunks
   kDentryAdd = 2,
   kDentryRemove = 3,
-  kDirRemove = 4,     // delete a child directory's e/j objects with its inode
+  kDirRemove = 4,     // delete a child directory's dentry/journal objects
   kPrepare = 5,       // 2PC phase-1 marker
   kDecision = 6,      // 2PC phase-2 marker
 };
@@ -72,8 +72,8 @@ struct Record {
 struct Transaction {
   std::uint64_t seq = 0;
   // Fencing token of the leader that committed this transaction (lease-HA
-  // split-brain guard; zero for legacy/unfenced commits). Part of the frame
-  // so a successor can audit which epoch wrote what.
+  // split-brain guard). Part of the frame so a successor can audit which
+  // epoch wrote what.
   FenceToken fence;
   std::vector<Record> records;
 
@@ -82,31 +82,21 @@ struct Transaction {
 };
 
 // Serializes one framed transaction (magic/seq/epoch/fseq/len/payload/crc).
-// Always writes the current (v2) frame format.
 Bytes EncodeTransaction(const Transaction& txn);
 
 // Parses all complete, CRC-valid transactions from a journal object. A torn
 // or corrupt tail terminates the scan cleanly (those bytes never committed).
-// Accepts both frame formats: v2 frames carry the committing leader's fence
-// token; v1 frames (written before lease-HA fencing existed) decode with a
-// zero token — epoch 0 is the legacy/unfenced marker, so pre-upgrade
-// journals replay losslessly instead of being dropped as torn tails.
-// A leading fence header (common/fence.h), if present, is skipped; a
-// headerless object (unfenced directory) parses from its first byte.
+// The object's leading fence header (common/fence.h) is skipped; a bare
+// frame sequence parses from its first byte.
 std::vector<Transaction> ParseJournal(ByteSpan data);
 
-// Journal objects of fenced directories start with a fence header: the
-// EncodeFenceObject() frame of the token that last fenced the directory.
-// True if `journal` starts with one (by its magic; JournalFence decodes it).
+// Every journal object starts with a fence header: the EncodeFenceObject()
+// frame of the token that last fenced the directory. True if `journal`
+// starts with one (by its magic; JournalFence decodes it).
 bool HasJournalHeader(ByteSpan journal);
-// The token in `journal`'s header; the zero token for a headerless object,
-// an error for a torn or corrupt header.
+// The token in `journal`'s header; kIo for a missing, torn or corrupt one.
 Result<FenceToken> JournalFence(ByteSpan journal);
 
-// Frame magics double as format versions: the fence token grew the v2
-// header by 16 bytes, so v2 frames carry a new magic rather than silently
-// changing the layout under "AKJT".
-inline constexpr std::uint32_t kTxnMagic = 0x414B4A32;    // "AKJ2" (v2, fenced)
-inline constexpr std::uint32_t kTxnMagicV1 = 0x414B4A54;  // "AKJT" (v1, legacy)
+inline constexpr std::uint32_t kTxnMagic = 0x414B4A32;  // "AKJ2"
 
 }  // namespace arkfs::journal

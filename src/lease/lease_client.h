@@ -104,10 +104,10 @@ class LeaseClient {
   Result<Grant> Acquire(const Uuid& dir_ino, const AcquireOptions& opts,
                         Delegation* deleg);
 
-  // `token` should be the grant's fencing token; the manager ignores a
-  // release whose token no longer matches the live lease (late release from
-  // a deposed leader). A zero token falls back to the name match.
-  Status Release(const Uuid& dir_ino, const FenceToken& token = {});
+  // `token` is the grant's fencing token; the manager ignores a release
+  // whose token does not match the live lease (late release from a deposed
+  // leader).
+  Status Release(const Uuid& dir_ino, const FenceToken& token);
   Status BeginRecovery(const Uuid& dir_ino);
   Status EndRecovery(const Uuid& dir_ino);
 

@@ -549,10 +549,9 @@ void LeaseManager::Release(const ReleaseRequest& req) {
   auto it = leases_.find(req.dir_ino);
   if (it == leases_.end()) return;
   DirLease& l = it->second;
-  // A late Release from a deposed leader must not evict the successor: when
-  // the request carries a token it must match the live grant exactly.
-  // Token-less requests (legacy) fall back to the name match.
-  if (req.token.valid() && req.token != l.token) return;
+  // A late Release from a deposed leader must not evict the successor: the
+  // request's token must match the live grant exactly.
+  if (req.token != l.token) return;
   if (l.leader == req.client) {
     releases_.Add();
     l.leader.clear();

@@ -113,7 +113,7 @@ struct ReleaseRequest {
   std::string client;
   // Token of the grant being released. A release whose token does not match
   // the live lease is ignored (late release from a deposed leader must not
-  // evict the successor). Zero token = legacy name-only match.
+  // evict the successor).
   FenceToken token;
   std::uint64_t trace_id = 0;  // caller's trace context, 0 = untraced
   std::uint64_t parent_span = 0;

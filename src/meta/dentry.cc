@@ -22,25 +22,6 @@ Result<Dentry> Dentry::DecodeFrom(Decoder& dec) {
   return d;
 }
 
-Bytes EncodeDentryBlock(const std::vector<Dentry>& entries) {
-  Encoder enc(entries.size() * 48 + 16);
-  enc.PutVarint(entries.size());
-  for (const auto& d : entries) d.EncodeTo(enc);
-  return std::move(enc).Take();
-}
-
-Result<std::vector<Dentry>> DecodeDentryBlock(ByteSpan data) {
-  Decoder dec(data);
-  ARKFS_ASSIGN_OR_RETURN(std::uint64_t n, dec.GetVarint());
-  std::vector<Dentry> entries;
-  entries.reserve(n < (1u << 20) ? n : 0);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ARKFS_ASSIGN_OR_RETURN(Dentry d, Dentry::DecodeFrom(dec));
-    entries.push_back(std::move(d));
-  }
-  return entries;
-}
-
 namespace {
 constexpr std::uint8_t kManifestVersion = 2;
 constexpr std::uint8_t kShardObjectVersion = 1;
@@ -119,7 +100,7 @@ Result<DentryManifest> DecodeDentryManifest(ByteSpan data) {
     if (bits[s / 8] & (1u << (s % 8))) any = true;
   }
   // Canonical form: all-zero slots decode as the empty vector, so a
-  // round-trip of a freshly migrated manifest compares equal.
+  // round-trip of a freshly laid-out manifest compares equal.
   if (any) {
     m.slots.resize(m.shard_count, 0);
     for (std::uint32_t s = 0; s < m.shard_count; ++s) {

@@ -1,21 +1,18 @@
 // Directory entries.
 //
-// A directory's entries live in the store in one of two layouts:
+// A directory's entries are hash-partitioned across B power-of-two shard
+// objects, each double-buffered across two slot objects
+// ("e<uuid>.<gen>.<shard>.<slot>"), with a tiny manifest ("e<uuid>.m")
+// naming the live shard count, the live slot of every shard, and an
+// entry-count hint. Checkpoints rewrite only the shards a transaction batch
+// actually touched — and always into the shard's INACTIVE slot, so a torn
+// put can never destroy the previous shard contents. The manifest flip
+// (ordered after the shard batch) is the commit point; a directory with no
+// manifest has never been checkpointed and is empty.
 //
-//  * legacy: all entries serialized into one "e<uuid>" object (the dentry
-//    block), rewritten wholesale at checkpoint time;
-//  * sharded: entries hash-partitioned across B power-of-two shard objects,
-//    each double-buffered across two slot objects
-//    ("e<uuid>.<gen>.<shard>.<slot>"), with a tiny manifest ("e<uuid>.m")
-//    naming the live shard count, the live slot of every shard, and an
-//    entry-count hint. Checkpoints rewrite only the shards a transaction
-//    batch actually touched — and always into the shard's INACTIVE slot, so
-//    a torn put can never destroy the previous shard contents. The manifest
-//    flip (ordered after the shard batch) is the commit point.
-//
-// Between checkpoints, mutations live in the per-directory journal either
-// way. The manifest is written only by the directory's own checkpoint path
-// (single writer under the checkpoint lock), so it is the layout authority.
+// Between checkpoints, mutations live in the per-directory journal. The
+// manifest is written only by the directory's own checkpoint path (single
+// writer under the checkpoint lock), so it is the layout authority.
 #pragma once
 
 #include <string>
@@ -38,10 +35,6 @@ struct Dentry {
 
   friend bool operator==(const Dentry&, const Dentry&) = default;
 };
-
-// (De)serializes a whole dentry block (legacy layout only).
-Bytes EncodeDentryBlock(const std::vector<Dentry>& entries);
-Result<std::vector<Dentry>> DecodeDentryBlock(ByteSpan data);
 
 // One shard object's payload: the entries plus a per-shard write epoch.
 // The epoch increments on every rewrite of the shard and is the tiebreak a
@@ -70,7 +63,8 @@ struct DentryManifest {
   std::uint32_t shard_count = 1;  // power of two
   std::uint64_t entry_count = 0;  // size hint, not authoritative
   // slots[s] = live slot (0/1) of shard s. Empty means "all slot 0" (the
-  // state right after a migration/reshard, which writes slot 0 throughout).
+  // state right after a first checkpoint or a reshard, which writes slot 0
+  // throughout).
   std::vector<std::uint8_t> slots;
 
   std::uint8_t SlotOf(std::uint32_t shard) const {

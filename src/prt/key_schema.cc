@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/codec.h"
+
 namespace arkfs {
 namespace {
 
@@ -136,6 +138,27 @@ Result<ParsedKey> ParseKey(const std::string& key) {
     return ErrStatus(Errc::kInval, "trailing bytes in key");
   }
   return parsed;
+}
+
+namespace {
+constexpr std::uint32_t kFormatMagic = 0x414B4653u;  // "AKFS"
+}  // namespace
+
+Bytes EncodeFormatStamp(std::uint32_t version) {
+  Encoder enc;
+  enc.PutU32(kFormatMagic);
+  enc.PutU32(version);
+  return std::move(enc).Take();
+}
+
+Result<std::uint32_t> DecodeFormatStamp(ByteSpan data) {
+  Decoder dec(data);
+  ARKFS_ASSIGN_OR_RETURN(const std::uint32_t magic, dec.GetU32());
+  ARKFS_ASSIGN_OR_RETURN(const std::uint32_t version, dec.GetU32());
+  if (magic != kFormatMagic || !dec.done()) {
+    return ErrStatus(Errc::kInval, "not a format stamp");
+  }
+  return version;
 }
 
 }  // namespace arkfs

@@ -4,7 +4,6 @@
 // prefix concatenated with the 128-bit inode UUID:
 //
 //   i<uuid>            inode record
-//   e<uuid>            dentry block of directory <uuid> (legacy, unsharded)
 //   e<uuid>.m          dentry manifest of directory <uuid> (sharded layout:
 //                      shard count + live slot per shard + entry-count hint)
 //   e<uuid>.<gg>.<ssss>.<t>
@@ -16,22 +15,26 @@
 //                      each shard, so a steady-state checkpoint writes the
 //                      INACTIVE slot and flips the manifest — a torn put can
 //                      never corrupt the previous layout or shard contents.
-//   j<uuid>            per-directory journal of directory <uuid>; a fenced
-//                      directory's journal starts with a fence header (the
-//                      highest lease fencing token accepted there) that
-//                      every journal write is guarded on (§4.4)
-//   f<uuid>            retired per-directory fence record (the fence now
-//                      lives in the journal header): no longer written, but
-//                      read as the fence floor while a directory's journal
-//                      has no header, and deleted with the directory
+//   j<uuid>            per-directory journal of directory <uuid>; it starts
+//                      with a fence header (the highest lease fencing token
+//                      accepted there) that every journal write is guarded
+//                      on (§4.4)
 //   d<uuid>.<index>    data chunk <index> of file <uuid> (16 hex digits,
 //                      zero-padded so lexicographic order == numeric order)
+//   sys.format         format stamp (magic + version), written by Format and
+//                      checked once at mount; an image without a stamp of
+//                      kFormatVersion does not mount
+//
+// Reserved: e<uuid> (the unsharded dentry block) and f<uuid> (the separate
+// fence record) name objects of earlier formats. Nothing reads or writes
+// them; the names stay parseable so tools can classify a stray one.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "common/bytes.h"
 #include "common/status.h"
 #include "common/uuid.h"
 
@@ -39,11 +42,11 @@ namespace arkfs {
 
 enum class KeyKind : char {
   kInode = 'i',
-  kDentry = 'e',         // legacy unsharded dentry block
+  kDentry = 'e',         // reserved: e<uuid>, read and written by nothing
   kDentryManifest = 'm',
   kDentryShard = 's',
   kJournal = 'j',
-  kFence = 'f',
+  kFence = 'f',          // reserved: f<uuid>, read and written by nothing
   kData = 'd',
 };
 
@@ -63,7 +66,7 @@ std::string DentryShardKey(const Uuid& dir_ino, std::uint32_t shard_count,
 std::string DataKeyPrefix(const Uuid& ino);
 
 // Prefix matching the manifest and every shard generation of a directory
-// (NOT the legacy block, whose key has no '.'). Used for cleanup sweeps.
+// (not the reserved e<uuid>, whose key has no '.'). Used for cleanup sweeps.
 std::string DentryObjectPrefix(const Uuid& dir_ino);
 
 // Which shard of a B-way sharded directory owns `name`. FNV-1a so placement
@@ -87,5 +90,14 @@ struct ParsedKey {
 };
 
 Result<ParsedKey> ParseKey(const std::string& key);
+
+// The one on-store format this build reads and writes.
+inline constexpr char kFormatKey[] = "sys.format";
+inline constexpr std::uint32_t kFormatVersion = 1;
+
+// Format stamp codec: magic + version. Decode is strict — a torn, padded or
+// foreign object fails; it never reads as some version.
+Bytes EncodeFormatStamp(std::uint32_t version);
+Result<std::uint32_t> DecodeFormatStamp(ByteSpan data);
 
 }  // namespace arkfs

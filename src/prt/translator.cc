@@ -54,17 +54,16 @@ Prt::DirObjects Prt::LoadDirObjects(const Uuid& dir_ino,
                                     std::uint32_t shard_hint) {
   if (!IsPow2(shard_hint) || shard_hint > kMaxDentryShards) shard_hint = 1;
   // Speculative first batch: we don't yet know the layout, so cover every
-  // possibility — the manifest and legacy block are tiny, and fetching both
-  // slot objects of every hinted shard (the live slot is only known once
-  // the manifest decodes) keeps a correct hint at a single round trip.
-  std::vector<BatchGet> gets(4 + 2 * shard_hint);
+  // possibility — the manifest is tiny, and fetching both slot objects of
+  // every hinted shard (the live slot is only known once the manifest
+  // decodes) keeps a correct hint at a single round trip.
+  std::vector<BatchGet> gets(3 + 2 * shard_hint);
   gets[0].key = InodeKey(dir_ino);
   gets[1].key = JournalKey(dir_ino);
   gets[2].key = DentryManifestKey(dir_ino);
-  gets[3].key = DentryKey(dir_ino);
   for (std::uint32_t s = 0; s < shard_hint; ++s) {
-    gets[4 + 2 * s].key = DentryShardKey(dir_ino, shard_hint, s, 0);
-    gets[4 + 2 * s + 1].key = DentryShardKey(dir_ino, shard_hint, s, 1);
+    gets[3 + 2 * s].key = DentryShardKey(dir_ino, shard_hint, s, 0);
+    gets[3 + 2 * s + 1].key = DentryShardKey(dir_ino, shard_hint, s, 1);
   }
   auto mg = async_->MultiGet(std::move(gets));
 
@@ -78,14 +77,7 @@ Prt::DirObjects Prt::LoadDirObjects(const Uuid& dir_ino,
 
   auto& raw_manifest = mg.results[2];
   if (raw_manifest.code() == Errc::kNoEnt) {
-    // Legacy layout (or never checkpointed: empty, not an error).
-    if (mg.results[3].ok()) {
-      out.dentries = DecodeDentryBlock(*mg.results[3]);
-    } else if (mg.results[3].code() == Errc::kNoEnt) {
-      out.dentries = std::vector<Dentry>{};
-    } else {
-      out.dentries = mg.results[3].status();
-    }
+    out.dentries = std::vector<Dentry>{};  // never checkpointed: empty
     return out;
   }
   if (!raw_manifest.ok()) {
@@ -98,14 +90,13 @@ Prt::DirObjects Prt::LoadDirObjects(const Uuid& dir_ino,
     return out;
   }
   out.shard_count = manifest->shard_count;
-  out.entry_count_hint = manifest->entry_count;
 
   if (manifest->shard_count == shard_hint) {
     // Pick each shard's live slot from the speculative pair.
     std::vector<Result<Bytes>> live;
     live.reserve(shard_hint);
     for (std::uint32_t s = 0; s < shard_hint; ++s) {
-      live.push_back(std::move(mg.results[4 + 2 * s + manifest->SlotOf(s)]));
+      live.push_back(std::move(mg.results[3 + 2 * s + manifest->SlotOf(s)]));
     }
     out.dentries = MergeShardResults(live, 0, 1, shard_hint,
                                      manifest->entry_count);
@@ -123,28 +114,6 @@ Prt::DirObjects Prt::LoadDirObjects(const Uuid& dir_ino,
   return out;
 }
 
-Result<std::vector<Dentry>> Prt::LoadDentryBlock(const Uuid& dir_ino) {
-  auto raw = store_->Get(DentryKey(dir_ino));
-  if (!raw.ok()) {
-    // A directory created but never checkpointed has no dentry block yet;
-    // that is an empty directory, not an error.
-    if (raw.code() == Errc::kNoEnt) return std::vector<Dentry>{};
-    return raw.status();
-  }
-  return DecodeDentryBlock(*raw);
-}
-
-Status Prt::StoreDentryBlock(const Uuid& dir_ino,
-                             const std::vector<Dentry>& entries) {
-  return store_->Put(DentryKey(dir_ino), EncodeDentryBlock(entries));
-}
-
-Status Prt::DeleteDentryBlock(const Uuid& dir_ino) {
-  Status st = store_->Delete(DentryKey(dir_ino));
-  if (st.code() == Errc::kNoEnt) return Status::Ok();  // never checkpointed
-  return st;
-}
-
 Result<DentryManifest> Prt::LoadDentryManifest(const Uuid& dir_ino) {
   ARKFS_ASSIGN_OR_RETURN(Bytes raw, store_->Get(DentryManifestKey(dir_ino)));
   return DecodeDentryManifest(raw);
@@ -154,32 +123,12 @@ Status Prt::StoreDentryManifest(const Uuid& dir_ino, const DentryManifest& m) {
   return store_->Put(DentryManifestKey(dir_ino), EncodeDentryManifest(m));
 }
 
-Result<std::vector<Dentry>> Prt::LoadDentryShard(const Uuid& dir_ino,
-                                                 std::uint32_t shard_count,
-                                                 std::uint32_t shard,
-                                                 std::uint32_t slot) {
-  auto raw = store_->Get(DentryShardKey(dir_ino, shard_count, shard, slot));
-  if (!raw.ok()) {
-    if (raw.code() == Errc::kNoEnt) return std::vector<Dentry>{};
-    return raw.status();
-  }
-  ARKFS_ASSIGN_OR_RETURN(DentryShardData data, DecodeDentryShardObject(*raw));
-  return std::move(data.entries);
-}
-
 Status Prt::StoreDentryShard(const Uuid& dir_ino, std::uint32_t shard_count,
                              std::uint32_t shard,
                              const std::vector<Dentry>& entries,
                              std::uint32_t slot, std::uint64_t epoch) {
   return store_->Put(DentryShardKey(dir_ino, shard_count, shard, slot),
                      EncodeDentryShardObject(epoch, entries));
-}
-
-Status Prt::DeleteDentryShard(const Uuid& dir_ino, std::uint32_t shard_count,
-                              std::uint32_t shard, std::uint32_t slot) {
-  Status st = store_->Delete(DentryShardKey(dir_ino, shard_count, shard, slot));
-  if (st.code() == Errc::kNoEnt) return Status::Ok();  // lazily written
-  return st;
 }
 
 Result<std::vector<DentryShardData>> Prt::LoadDentryShards(
@@ -206,7 +155,7 @@ Result<std::vector<DentryShardData>> Prt::LoadDentryShards(
 Result<std::vector<Dentry>> Prt::LoadDentries(const Uuid& dir_ino) {
   auto manifest = LoadDentryManifest(dir_ino);
   if (!manifest.ok()) {
-    if (manifest.code() == Errc::kNoEnt) return LoadDentryBlock(dir_ino);
+    if (manifest.code() == Errc::kNoEnt) return std::vector<Dentry>{};
     return manifest.status();
   }
   std::vector<std::uint32_t> all(manifest->shard_count);
@@ -223,32 +172,8 @@ Result<std::vector<Dentry>> Prt::LoadDentries(const Uuid& dir_ino) {
   return merged;
 }
 
-Status Prt::DeleteDentryObjects(const Uuid& dir_ino) {
-  // The prefix matches the manifest and every shard generation; the legacy
-  // block ("e<uuid>", no dot) must be named explicitly.
-  ARKFS_ASSIGN_OR_RETURN(std::vector<std::string> keys,
-                         store_->List(DentryObjectPrefix(dir_ino)));
-  keys.push_back(DentryKey(dir_ino));
-  if (keys.size() == 1) {
-    Status st = store_->Delete(keys[0]);
-    if (st.code() == Errc::kNoEnt) return Status::Ok();
-    return st;
-  }
-  return async_->MultiDelete(std::move(keys)).FirstErrorIgnoringNoEnt();
-}
-
 Result<Bytes> Prt::LoadJournal(const Uuid& dir_ino) {
   return store_->Get(JournalKey(dir_ino));
-}
-
-Status Prt::StoreJournal(const Uuid& dir_ino, ByteSpan data) {
-  return store_->Put(JournalKey(dir_ino), data);
-}
-
-Status Prt::DeleteJournal(const Uuid& dir_ino) {
-  Status st = store_->Delete(JournalKey(dir_ino));
-  if (st.code() == Errc::kNoEnt) return Status::Ok();
-  return st;
 }
 
 Result<Bytes> Prt::ReadData(const Uuid& ino, std::uint64_t offset,

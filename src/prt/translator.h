@@ -41,45 +41,32 @@ class Prt {
 
   // All per-directory metadata objects fetched with overlapped batches
   // (new-leader fast path). The first MultiGet speculatively covers dir
-  // inode + journal probe + dentry manifest + legacy block + BOTH slot
-  // objects of every shard a `shard_hint`-way layout would have (the live
-  // slot isn't known until the manifest decodes); when the hint matches the
-  // manifest (or the directory is legacy / never sharded) bootstrap costs
-  // exactly one store round trip. A mismatched hint costs one extra
-  // overlapped batch for the actual live shard set.
+  // inode + journal probe + dentry manifest + BOTH slot objects of every
+  // shard a `shard_hint`-way layout would have (the live slot isn't known
+  // until the manifest decodes): 3 + 2 * shard_hint GETs. When the hint
+  // matches the manifest (or the directory was never checkpointed)
+  // bootstrap costs exactly one store round trip. A mismatched hint costs
+  // one extra overlapped batch for the actual live shard set.
   struct DirObjects {
     Result<Inode> inode{ErrStatus(Errc::kIo, "not loaded")};
     Result<std::vector<Dentry>> dentries{ErrStatus(Errc::kIo, "not loaded")};
     Result<Bytes> journal{ErrStatus(Errc::kIo, "not loaded")};  // raw frames
-    std::uint32_t shard_count = 0;       // 0 = legacy unsharded layout
-    std::uint64_t entry_count_hint = 0;  // manifest hint (sharded only)
+    std::uint32_t shard_count = 0;  // 0 = never checkpointed
   };
   DirObjects LoadDirObjects(const Uuid& dir_ino, std::uint32_t shard_hint = 1);
 
-  Result<std::vector<Dentry>> LoadDentryBlock(const Uuid& dir_ino);
-  Status StoreDentryBlock(const Uuid& dir_ino,
-                          const std::vector<Dentry>& entries);
-  Status DeleteDentryBlock(const Uuid& dir_ino);
-
   // --- Sharded dentry layout ---
-  // The manifest is the layout authority; kNoEnt means the directory is
-  // still on the legacy unsharded layout (or has never been checkpointed).
+  // The manifest is the layout authority; kNoEnt means the directory has
+  // never been checkpointed (it is empty).
   Result<DentryManifest> LoadDentryManifest(const Uuid& dir_ino);
   Status StoreDentryManifest(const Uuid& dir_ino, const DentryManifest& m);
 
-  // Single-shard ops against one slot object. A missing slot object reads
-  // as empty (an all-entries-removed shard may also be materialized as an
-  // empty object — both decode to no entries).
-  Result<std::vector<Dentry>> LoadDentryShard(const Uuid& dir_ino,
-                                              std::uint32_t shard_count,
-                                              std::uint32_t shard,
-                                              std::uint32_t slot = 0);
+  // Writes one slot object of one shard (checkpoints batch these writes
+  // themselves; this is for seeding a layout).
   Status StoreDentryShard(const Uuid& dir_ino, std::uint32_t shard_count,
                           std::uint32_t shard,
                           const std::vector<Dentry>& entries,
                           std::uint32_t slot = 0, std::uint64_t epoch = 1);
-  Status DeleteDentryShard(const Uuid& dir_ino, std::uint32_t shard_count,
-                           std::uint32_t shard, std::uint32_t slot);
 
   // Loads the named shards' LIVE slot objects (per the manifest) with one
   // MultiGet; result[i] holds shards[i] (missing objects read as empty,
@@ -92,20 +79,13 @@ class Prt {
       const Uuid& dir_ino, const DentryManifest& manifest,
       const std::vector<std::uint32_t>& shards);
 
-  // Layout-aware full read: consults the manifest, then merges all shards
-  // (sharded) or reads the unsharded block (legacy). Missing objects read
-  // as an empty directory.
+  // Full read: consults the manifest, then merges all shards. A directory
+  // with no manifest reads as empty.
   Result<std::vector<Dentry>> LoadDentries(const Uuid& dir_ino);
-
-  // Deletes every dentry object of the directory regardless of layout:
-  // manifest + all shard generations (via a prefix LIST) + the legacy block.
-  Status DeleteDentryObjects(const Uuid& dir_ino);
 
   // --- Journal objects (raw; framing, the fence header and the guarded
   // writes that keep it are the journal module's business) ---
   Result<Bytes> LoadJournal(const Uuid& dir_ino);
-  Status StoreJournal(const Uuid& dir_ino, ByteSpan data);
-  Status DeleteJournal(const Uuid& dir_ino);
 
   // --- File data ---
   // Reads [offset, offset+length) clamped to file_size. Holes read as zeros.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -57,15 +58,107 @@ double TimedPhase(int num_processes,
              finish_ns.load() - start, 1)) / 1e9;
 }
 
-PhaseResult MakeResult(const std::string& phase, std::uint64_t ops,
-                       std::uint64_t errors, double seconds) {
+// Counts a phase's failed steps and keeps the first one, so a failure names
+// its cause. Shared by the phase's worker threads.
+class PhaseErrors {
+ public:
+  void Add(const char* step, const std::string& path, const Status& status) {
+    std::lock_guard lock(mu_);
+    if (count_++ == 0) {
+      first_ = std::string(step) + " " + path + ": " + status.ToString();
+    }
+  }
+  std::uint64_t count() const { return count_; }
+  const std::string& first() const { return first_; }
+
+ private:
+  std::mutex mu_;
+  std::uint64_t count_ = 0;
+  std::string first_;
+};
+
+// One mdtest step on one file; failures go to `errors`.
+using FileStep =
+    std::function<void(Vfs& vfs, const std::string& path, PhaseErrors& errors)>;
+
+// Runs `step` on each process's files_per_process files (`path(p, i)`) as
+// one timed phase. With `sync`, each process's SyncAll runs inside the
+// timed region (the paper's per-phase fsync).
+PhaseResult RunPhase(const char* name, const std::vector<VfsPtr>& vfs,
+                     const MdtestConfig& config,
+                     const std::function<std::string(int, int)>& path,
+                     const FileStep& step, bool sync) {
+  PhaseErrors errors;
+  const double seconds = TimedPhase(
+      config.num_processes,
+      [&](int p) {
+        for (int i = 0; i < config.files_per_process; ++i) {
+          step(*vfs[p], path(p, i), errors);
+        }
+      },
+      sync ? std::function<void(int)>([&](int p) { (void)vfs[p]->SyncAll(); })
+           : nullptr);
   PhaseResult r;
-  r.phase = phase;
-  r.ops = ops;
-  r.errors = errors;
+  r.phase = name;
+  r.ops = static_cast<std::uint64_t>(config.num_processes) *
+          config.files_per_process;
+  r.errors = errors.count();
+  r.first_error = errors.first();
   r.seconds = seconds;
-  r.ops_per_second = seconds > 0 ? static_cast<double>(ops) / seconds : 0;
+  r.ops_per_second = static_cast<double>(r.ops) / seconds;
   return r;
+}
+
+FileStep CreateStep(const MdtestConfig& config, const Bytes* payload) {
+  return [&config, payload](Vfs& vfs, const std::string& path,
+                            PhaseErrors& errors) {
+    OpenOptions create;
+    create.write = true;
+    create.create = true;
+    auto fd = vfs.Open(path, create, config.cred);
+    if (!fd.ok()) return errors.Add("open", path, fd.status());
+    if (payload) {
+      auto written = vfs.Write(*fd, 0, *payload);
+      if (!written.ok()) {
+        errors.Add("write", path, written.status());
+        (void)vfs.Close(*fd);
+        return;
+      }
+    }
+    if (Status st = vfs.Close(*fd); !st.ok()) errors.Add("close", path, st);
+  };
+}
+
+FileStep StatStep(const MdtestConfig& config) {
+  return [&config](Vfs& vfs, const std::string& path, PhaseErrors& errors) {
+    auto st = vfs.Stat(path, config.cred);
+    if (!st.ok()) errors.Add("stat", path, st.status());
+  };
+}
+
+// Whole-file read (MarFS-like mounts may error here, exactly as the paper
+// reports — errors are counted, not fatal).
+FileStep ReadStep(const MdtestConfig& config) {
+  return [&config](Vfs& vfs, const std::string& path, PhaseErrors& errors) {
+    auto fd = vfs.Open(path, OpenOptions{}, config.cred);
+    if (!fd.ok()) return errors.Add("open", path, fd.status());
+    auto data = vfs.Read(*fd, 0, config.file_size);
+    if (!data.ok()) {
+      errors.Add("read", path, data.status());
+    } else if (data->size() != config.file_size) {
+      errors.Add("short read", path,
+                 ErrStatus(Errc::kIo, std::to_string(data->size()) + " bytes"));
+    }
+    if (Status st = vfs.Close(*fd); !st.ok()) errors.Add("close", path, st);
+  };
+}
+
+FileStep UnlinkStep(const MdtestConfig& config) {
+  return [&config](Vfs& vfs, const std::string& path, PhaseErrors& errors) {
+    if (Status st = vfs.Unlink(path, config.cred); !st.ok()) {
+      errors.Add("unlink", path, st);
+    }
+  };
 }
 
 std::string EasyDir(const MdtestConfig& config, int process) {
@@ -86,69 +179,36 @@ std::string HardFile(const MdtestConfig& config, int process, int i) {
          std::to_string(process) + "." + std::to_string(i);
 }
 
-}  // namespace
-
-Result<std::vector<PhaseResult>> RunMdtestEasy(const MountFactory& mounts,
-                                               const MdtestConfig& config) {
+// Mounts every process and builds the easy layout's private leaf
+// directories (untimed setup, as in mdtest).
+Result<std::vector<VfsPtr>> SetUpEasy(const MountFactory& mounts,
+                                      const MdtestConfig& config) {
   std::vector<VfsPtr> vfs(config.num_processes);
   for (int p = 0; p < config.num_processes; ++p) vfs[p] = mounts(p);
-
-  // Setup (untimed, as in mdtest): the directory tree.
   ARKFS_RETURN_IF_ERROR(vfs[0]->MkdirAll(config.root, 0777, config.cred));
   for (int p = 0; p < config.num_processes; ++p) {
     ARKFS_RETURN_IF_ERROR(vfs[p]->Mkdir(EasyDir(config, p), 0777, config.cred));
   }
+  return vfs;
+}
 
-  std::vector<PhaseResult> results;
-  std::atomic<std::uint64_t> errors{0};
-  const std::uint64_t total_ops =
-      static_cast<std::uint64_t>(config.num_processes) *
-      config.files_per_process;
+}  // namespace
 
+Result<std::vector<PhaseResult>> RunMdtestEasy(const MountFactory& mounts,
+                                               const MdtestConfig& config) {
+  ARKFS_ASSIGN_OR_RETURN(auto vfs, SetUpEasy(mounts, config));
+  const auto path = [&](int p, int i) { return EasyFile(config, p, i); };
   // CREATE: empty files in the private leaf directory.
-  double secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        OpenOptions create;
-        create.write = true;
-        create.create = true;
-        for (int i = 0; i < config.files_per_process; ++i) {
-          auto fd = vfs[p]->Open(EasyFile(config, p, i), create, config.cred);
-          if (!fd.ok() || !vfs[p]->Close(*fd).ok()) ++errors;
-        }
-      },
-      [&](int p) { (void)vfs[p]->SyncAll(); });
-  results.push_back(MakeResult("CREATE", total_ops, errors.exchange(0), secs));
-
-  // STAT.
-  secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        for (int i = 0; i < config.files_per_process; ++i) {
-          if (!vfs[p]->Stat(EasyFile(config, p, i), config.cred).ok()) ++errors;
-        }
-      },
-      nullptr);
-  results.push_back(MakeResult("STAT", total_ops, errors.exchange(0), secs));
-
-  // DELETE.
-  secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        for (int i = 0; i < config.files_per_process; ++i) {
-          if (!vfs[p]->Unlink(EasyFile(config, p, i), config.cred).ok()) ++errors;
-        }
-      },
-      [&](int p) { (void)vfs[p]->SyncAll(); });
-  results.push_back(MakeResult("DELETE", total_ops, errors.exchange(0), secs));
-  return results;
+  return std::vector<PhaseResult>{
+      RunPhase("CREATE", vfs, config, path, CreateStep(config, nullptr), true),
+      RunPhase("STAT", vfs, config, path, StatStep(config), false),
+      RunPhase("DELETE", vfs, config, path, UnlinkStep(config), true)};
 }
 
 Result<std::vector<PhaseResult>> RunMdtestHard(const MountFactory& mounts,
                                                const MdtestConfig& config) {
   std::vector<VfsPtr> vfs(config.num_processes);
   for (int p = 0; p < config.num_processes; ++p) vfs[p] = mounts(p);
-
   ARKFS_RETURN_IF_ERROR(vfs[0]->MkdirAll(config.root, 0777, config.cred));
   for (int d = 0; d < config.shared_dirs; ++d) {
     ARKFS_RETURN_IF_ERROR(vfs[0]->Mkdir(
@@ -156,103 +216,21 @@ Result<std::vector<PhaseResult>> RunMdtestHard(const MountFactory& mounts,
   }
 
   const Bytes payload(config.file_size, 0x5A);
-  std::vector<PhaseResult> results;
-  std::atomic<std::uint64_t> errors{0};
-  const std::uint64_t total_ops =
-      static_cast<std::uint64_t>(config.num_processes) *
-      config.files_per_process;
-
-  // WRITE: create + write file_size bytes + per-file barrier-free fsync at
-  // phase end.
-  double secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        OpenOptions create;
-        create.write = true;
-        create.create = true;
-        for (int i = 0; i < config.files_per_process; ++i) {
-          auto fd = vfs[p]->Open(HardFile(config, p, i), create, config.cred);
-          if (!fd.ok()) {
-            ++errors;
-            continue;
-          }
-          bool ok = vfs[p]->Write(*fd, 0, payload).ok();
-          ok = vfs[p]->Close(*fd).ok() && ok;
-          if (!ok) ++errors;
-        }
-      },
-      [&](int p) { (void)vfs[p]->SyncAll(); });
-  results.push_back(MakeResult("WRITE", total_ops, errors.exchange(0), secs));
-
-  // STAT.
-  secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        for (int i = 0; i < config.files_per_process; ++i) {
-          if (!vfs[p]->Stat(HardFile(config, p, i), config.cred).ok()) ++errors;
-        }
-      },
-      nullptr);
-  results.push_back(MakeResult("STAT", total_ops, errors.exchange(0), secs));
-
-  // READ: whole-file reads (MarFS-like mounts may error here, exactly as
-  // the paper reports — errors are counted, not fatal).
-  secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        OpenOptions read;
-        for (int i = 0; i < config.files_per_process; ++i) {
-          auto fd = vfs[p]->Open(HardFile(config, p, i), read, config.cred);
-          if (!fd.ok()) {
-            ++errors;
-            continue;
-          }
-          auto data = vfs[p]->Read(*fd, 0, config.file_size);
-          if (!data.ok() || data->size() != config.file_size) ++errors;
-          if (!vfs[p]->Close(*fd).ok()) ++errors;
-        }
-      },
-      nullptr);
-  results.push_back(MakeResult("READ", total_ops, errors.exchange(0), secs));
-
-  // DELETE: removes data too.
-  secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        for (int i = 0; i < config.files_per_process; ++i) {
-          if (!vfs[p]->Unlink(HardFile(config, p, i), config.cred).ok()) ++errors;
-        }
-      },
-      [&](int p) { (void)vfs[p]->SyncAll(); });
-  results.push_back(MakeResult("DELETE", total_ops, errors.exchange(0), secs));
-  return results;
+  const auto path = [&](int p, int i) { return HardFile(config, p, i); };
+  // WRITE: create + write file_size bytes; DELETE removes data too.
+  return std::vector<PhaseResult>{
+      RunPhase("WRITE", vfs, config, path, CreateStep(config, &payload), true),
+      RunPhase("STAT", vfs, config, path, StatStep(config), false),
+      RunPhase("READ", vfs, config, path, ReadStep(config), false),
+      RunPhase("DELETE", vfs, config, path, UnlinkStep(config), true)};
 }
 
 Result<PhaseResult> RunMdtestCreateOnly(const MountFactory& mounts,
                                         const MdtestConfig& config) {
-  std::vector<VfsPtr> vfs(config.num_processes);
-  for (int p = 0; p < config.num_processes; ++p) vfs[p] = mounts(p);
-  ARKFS_RETURN_IF_ERROR(vfs[0]->MkdirAll(config.root, 0777, config.cred));
-  for (int p = 0; p < config.num_processes; ++p) {
-    ARKFS_RETURN_IF_ERROR(vfs[p]->Mkdir(EasyDir(config, p), 0777, config.cred));
-  }
-  std::atomic<std::uint64_t> errors{0};
-  const double secs = TimedPhase(
-      config.num_processes,
-      [&](int p) {
-        OpenOptions create;
-        create.write = true;
-        create.create = true;
-        for (int i = 0; i < config.files_per_process; ++i) {
-          auto fd = vfs[p]->Open(EasyFile(config, p, i), create, config.cred);
-          if (!fd.ok() || !vfs[p]->Close(*fd).ok()) ++errors;
-        }
-      },
-      [&](int p) { (void)vfs[p]->SyncAll(); });
-  return MakeResult("CREATE",
-                    static_cast<std::uint64_t>(config.num_processes) *
-                        config.files_per_process,
-                    errors.load(), secs);
+  ARKFS_ASSIGN_OR_RETURN(auto vfs, SetUpEasy(mounts, config));
+  return RunPhase("CREATE", vfs, config,
+                  [&](int p, int i) { return EasyFile(config, p, i); },
+                  CreateStep(config, nullptr), true);
 }
 
 }  // namespace arkfs::workloads

@@ -39,6 +39,9 @@ struct PhaseResult {
   std::uint64_t errors = 0;
   double seconds = 0;
   double ops_per_second = 0;
+  // The phase's first failing step ("open <path>: <status>", "short read
+  // <path>: ...", "close ..."); empty when errors == 0.
+  std::string first_error;
 };
 
 // Runs all phases; returns one result per phase, in order.

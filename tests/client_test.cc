@@ -39,6 +39,37 @@ TEST_F(ClientTest, FormatIsRequiredAndIdempotentlyGuarded) {
   EXPECT_TRUE(Client::Format(fresh, /*force=*/true).ok());
 }
 
+// The mount check: ArkFsCluster::Create (the one mount path) accepts only
+// an image stamped with this build's format version.
+TEST(FormatGateTest, MountRefusesUnstampedTornAndForeignImages) {
+  ArkFsClusterOptions mount = ArkFsClusterOptions::ForTests();
+  mount.format_store = false;
+  auto refused = [&](const ObjectStorePtr& store) {
+    auto cluster = ArkFsCluster::Create(store, mount);
+    EXPECT_EQ(cluster.status().code(), Errc::kInval);
+    return cluster.ok() ? std::string() : cluster.status().detail();
+  };
+  auto store = std::make_shared<MemoryObjectStore>();
+  ASSERT_TRUE(Client::Format(store).ok());
+  ASSERT_TRUE(ArkFsCluster::Create(store, mount).ok());
+
+  const Bytes stamp = EncodeFormatStamp(kFormatVersion);
+  ASSERT_TRUE(store->Delete(kFormatKey).ok());
+  EXPECT_NE(refused(store).find("no format stamp"), std::string::npos);
+  ASSERT_TRUE(store->Put(kFormatKey, ByteSpan(stamp).first(5)).ok());
+  EXPECT_NE(refused(store).find("unreadable"), std::string::npos);
+  ASSERT_TRUE(store->Put(kFormatKey, EncodeFormatStamp(2)).ok());
+  EXPECT_NE(refused(store).find("format v2 unsupported; reformat"),
+            std::string::npos);
+
+  // Formatting an existing image is refused, and leaves the stamp alone;
+  // force restamps it.
+  EXPECT_EQ(Client::Format(store).code(), Errc::kExist);
+  EXPECT_EQ(Client::CheckFormat(*store).code(), Errc::kInval);
+  ASSERT_TRUE(Client::Format(store, /*force=*/true).ok());
+  EXPECT_TRUE(ArkFsCluster::Create(store, mount).ok());
+}
+
 TEST_F(ClientTest, RootStat) {
   auto st = client_->Stat("/", root_);
   ASSERT_TRUE(st.ok());

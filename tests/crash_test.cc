@@ -199,71 +199,6 @@ TEST_F(CrashTest, LeaderLosesLeaseMidBurst) {
   EXPECT_GT(c2->stats().recoveries, 0u);
 }
 
-TEST_F(CrashTest, LegacyLayoutDirSurvivesCrashAndMigrates) {
-  // A directory from a pre-sharding FS image (unsharded "e<uuid>" block on
-  // the store): a leader must bootstrap it, serve acked mutations, and after
-  // a hard crash the successor must replay the journal over the legacy block
-  // — migrating to the sharded layout along the way — with zero acked ops
-  // lost.
-  auto c1 = cluster_->AddClient("settler").value();
-  ASSERT_TRUE(c1->Mkdir("/old", 0755, root_).ok());
-  ASSERT_TRUE(c1->WriteFileAt("/old/settled", AsBytes("v1"), root_).ok());
-  ASSERT_TRUE(c1->SyncAll().ok());
-  auto st = c1->Stat("/old", root_);
-  ASSERT_TRUE(st.ok());
-  const Uuid old_ino = st->ino;
-  // Clean shutdown: checkpoints everything and releases the leases, leaving
-  // the directory fully materialized in its dentry objects.
-  ASSERT_TRUE(c1->Shutdown().ok());
-
-  // Rewrite the directory's on-store layout back to the legacy format, as a
-  // file system written before sharding existed would have left it.
-  {
-    Prt prt(store_);
-    auto entries = prt.LoadDentries(old_ino);
-    ASSERT_TRUE(entries.ok());
-    ASSERT_EQ(entries->size(), 1u);
-    ASSERT_TRUE(prt.DeleteDentryObjects(old_ino).ok());
-    ASSERT_TRUE(prt.StoreDentryBlock(old_ino, *entries).ok());
-    ASSERT_EQ(prt.LoadDentryManifest(old_ino).code(), Errc::kNoEnt);
-  }
-
-  // A new leader bootstraps the legacy directory and serves acked creates.
-  auto c2 = cluster_->AddClient("crasher").value();
-  OpenOptions create;
-  create.write = true;
-  create.create = true;
-  for (int i = 0; i < 5; ++i) {
-    auto fd = c2->Open("/old/acked" + std::to_string(i), create, root_);
-    ASSERT_TRUE(fd.ok()) << i;
-    ASSERT_TRUE(c2->Write(*fd, 0, AsBytes("acked")).ok());
-    ASSERT_TRUE(c2->Fsync(*fd).ok());
-    ASSERT_TRUE(c2->Close(*fd).ok());
-  }
-  c2->CrashHard();
-  SleepFor(LeasePeriod() + Millis(100));
-
-  auto c3 = cluster_->AddClient("recoverer").value();
-  auto entries = c3->ReadDir("/old", root_);
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries->size(), 6u);  // settled + 5 acked
-  EXPECT_EQ(ToString(*c3->ReadWholeFile("/old/settled", root_)), "v1");
-  for (int i = 0; i < 5; ++i) {
-    auto data = c3->ReadWholeFile("/old/acked" + std::to_string(i), root_);
-    ASSERT_TRUE(data.ok()) << i;
-    EXPECT_EQ(ToString(*data), "acked");
-  }
-  EXPECT_GT(c3->stats().recoveries, 0u);
-
-  // Recovery's checkpoint migrated the directory: the manifest is now the
-  // layout authority and the legacy block is gone.
-  Prt prt(store_);
-  auto manifest = prt.LoadDentryManifest(old_ino);
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_GE(manifest->shard_count, 1u);
-  EXPECT_EQ(prt.store().Head(DentryKey(old_ino)).code(), Errc::kNoEnt);
-}
-
 TEST_F(CrashTest, DeposedEpochGrantFencedAtJournalCommit) {
   // Split brain at the journal layer: two JournalManagers over one store
   // model a deposed leader (grant from epoch 1) and its successor (epoch 2).

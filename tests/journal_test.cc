@@ -1,9 +1,11 @@
 // Tests for journal records, framing, the journal manager, 2PC and recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -22,6 +24,25 @@ Inode TestInode(std::uint64_t n, Uuid parent = kRootIno) {
                       1, parent);
   i.size = n * 10;
   return i;
+}
+
+constexpr FenceToken kToken{1, 1};
+
+// Fences `dir` and registers it under `token`, as a new leader does with its
+// lease grant: every journal write is guarded on the header this stamps.
+void Adopt(JournalManager& mgr, const Uuid& dir, FenceToken token = kToken) {
+  ASSERT_TRUE(mgr.FenceDir(dir, token).ok());
+  mgr.RegisterDir(dir, token);
+}
+
+// A journal object as fenced commits leave it: the header, then the frames.
+Bytes JournalObject(const std::vector<Transaction>& txns) {
+  Bytes object = EncodeFenceObject(kToken);
+  for (const auto& txn : txns) {
+    const Bytes framed = EncodeTransaction(txn);
+    object.insert(object.end(), framed.begin(), framed.end());
+  }
+  return object;
 }
 
 TEST(RecordTest, AllTypesRoundTrip) {
@@ -93,81 +114,6 @@ TEST(RecordTest, EmptyJournalParsesEmpty) {
   EXPECT_TRUE(ParseJournal(garbage).empty());
 }
 
-// A v1 frame exactly as the pre-fencing encoder wrote it: "AKJT" magic,
-// seq + len + payload, CRC over seq/len/payload — no fence token fields.
-Bytes EncodeLegacyV1Transaction(const Transaction& txn) {
-  Encoder payload(256);
-  payload.PutVarint(txn.records.size());
-  for (const auto& r : txn.records) r.EncodeTo(payload);
-
-  Encoder framed(payload.size() + 24);
-  framed.PutU32(kTxnMagicV1);
-  framed.PutU64(txn.seq);
-  framed.PutU32(static_cast<std::uint32_t>(payload.size()));
-  framed.PutRaw(payload.buffer());
-  Encoder crc_input(payload.size() + 16);
-  crc_input.PutU64(txn.seq);
-  crc_input.PutU32(static_cast<std::uint32_t>(payload.size()));
-  crc_input.PutRaw(payload.buffer());
-  framed.PutU32(Crc32c(crc_input.buffer()));
-  return std::move(framed).Take();
-}
-
-TEST(RecordTest, LegacyV1FramesParseAsUnfenced) {
-  // A journal written before the fence token grew the frame header must
-  // replay losslessly — acked pre-upgrade transactions are not torn tails.
-  Transaction txn;
-  txn.seq = 7;
-  txn.records.push_back(Record::DentryRemove("pre-upgrade"));
-  txn.records.push_back(Record::InodeUpsert(TestInode(3)));
-
-  auto parsed = ParseJournal(EncodeLegacyV1Transaction(txn));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].seq, 7u);
-  EXPECT_EQ(parsed[0].records.size(), 2u);
-  // Epoch 0 = legacy/unfenced, same convention as missing fence objects.
-  EXPECT_FALSE(parsed[0].fence.valid());
-}
-
-TEST(RecordTest, MixedV1ThenV2JournalParses) {
-  // An upgraded node appends fenced v2 frames after the legacy tail.
-  Transaction old_txn;
-  old_txn.seq = 1;
-  old_txn.records.push_back(Record::DentryRemove("old"));
-  Transaction new_txn;
-  new_txn.seq = 2;
-  new_txn.fence = FenceToken{3, 9};
-  new_txn.records.push_back(Record::DentryRemove("new"));
-
-  Bytes journal = EncodeLegacyV1Transaction(old_txn);
-  const Bytes fenced = EncodeTransaction(new_txn);
-  journal.insert(journal.end(), fenced.begin(), fenced.end());
-
-  auto parsed = ParseJournal(journal);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].seq, 1u);
-  EXPECT_FALSE(parsed[0].fence.valid());
-  EXPECT_EQ(parsed[1].seq, 2u);
-  EXPECT_EQ(parsed[1].fence, (FenceToken{3, 9}));
-}
-
-TEST(RecordTest, TornLegacyV1TailIsDiscarded) {
-  Transaction a;
-  a.seq = 1;
-  a.records.push_back(Record::DentryRemove("kept"));
-  Transaction b;
-  b.seq = 2;
-  b.records.push_back(Record::DentryRemove("torn"));
-
-  Bytes journal = EncodeLegacyV1Transaction(a);
-  const Bytes second = EncodeLegacyV1Transaction(b);
-  journal.insert(journal.end(), second.begin(),
-                 second.begin() + second.size() / 2);
-  auto parsed = ParseJournal(journal);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].seq, 1u);
-}
-
 class JournalManagerTest : public ::testing::Test {
  protected:
   JournalManagerTest()
@@ -179,7 +125,7 @@ class JournalManagerTest : public ::testing::Test {
     Inode dir_inode =
         MakeInode(dir_, FileType::kDirectory, 0755, 0, 0, kRootIno);
     EXPECT_TRUE(prt_->StoreInode(dir_inode).ok());
-    manager_->RegisterDir(dir_);
+    Adopt(*manager_, dir_);
   }
 
   ObjectStorePtr store_;
@@ -273,7 +219,11 @@ TEST_F(JournalManagerTest, UnregisterFlushesAndDeletesJournal) {
                              {"final", DeterministicUuid(4, 4),
                               FileType::kRegular})});
   ASSERT_TRUE(manager_->UnregisterDir(dir_).ok());
-  EXPECT_EQ(store_->Head(JournalKey(dir_)).code(), Errc::kNoEnt);
+  // Every frame is gone; the fence header stays, so the stored fence is
+  // monotone across releases.
+  auto raw = prt_->LoadJournal(dir_);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(*raw, EncodeFenceObject(kToken));
   auto block = prt_->LoadDentries(dir_);
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(block->size(), 1u);
@@ -288,13 +238,14 @@ class CrossDirTest : public JournalManagerTest {
     Inode dst_inode =
         MakeInode(dst_, FileType::kDirectory, 0755, 0, 0, kRootIno);
     EXPECT_TRUE(prt_->StoreInode(dst_inode).ok());
-    manager_->RegisterDir(dst_);
+    Adopt(*manager_, dst_);
     moved_ = TestInode(10, dir_);
     EXPECT_TRUE(prt_->StoreInode(moved_).ok());
-    // Source starts with the dentry present.
-    EXPECT_TRUE(prt_->StoreDentryBlock(
-                    dir_, {{"moved", moved_.ino, FileType::kRegular}})
+    // Source starts with the dentry present (one checkpointed shard).
+    EXPECT_TRUE(prt_->StoreDentryShard(
+                    dir_, 1, 0, {{"moved", moved_.ino, FileType::kRegular}})
                     .ok());
+    EXPECT_TRUE(prt_->StoreDentryManifest(dir_, {1, 1}).ok());
   }
 
   std::vector<Record> SrcRecords() {
@@ -347,8 +298,8 @@ TEST_F(CrossDirTest, DanglingPrepareWithoutAnyDecisionAborts) {
   dst_prep.seq = 1;
   dst_prep.records.push_back(Record::Prepare(txid, dir_));
   for (auto& r : DstRecords()) dst_prep.records.push_back(r);
-  ASSERT_TRUE(prt_->StoreJournal(dir_, EncodeTransaction(src_prep)).ok());
-  ASSERT_TRUE(prt_->StoreJournal(dst_, EncodeTransaction(dst_prep)).ok());
+  ASSERT_TRUE(store_->Put(JournalKey(dir_), JournalObject({src_prep})).ok());
+  ASSERT_TRUE(store_->Put(JournalKey(dst_), JournalObject({dst_prep})).ok());
 
   auto fresh = std::make_unique<JournalManager>(prt_, JournalConfig::ForTests());
   auto src_report = fresh->RecoverDir(dir_);
@@ -380,12 +331,10 @@ TEST_F(CrossDirTest, PrepareWithPeerDecisionCommits) {
   dst_decision.seq = 2;
   dst_decision.records.push_back(Record::Decision(txid, true));
 
-  ASSERT_TRUE(prt_->StoreJournal(dir_, EncodeTransaction(src_prep)).ok());
-  Bytes dst_journal = EncodeTransaction(dst_prep);
-  const Bytes decision_frame = EncodeTransaction(dst_decision);
-  dst_journal.insert(dst_journal.end(), decision_frame.begin(),
-                     decision_frame.end());
-  ASSERT_TRUE(prt_->StoreJournal(dst_, dst_journal).ok());
+  ASSERT_TRUE(store_->Put(JournalKey(dir_), JournalObject({src_prep})).ok());
+  ASSERT_TRUE(store_->Put(JournalKey(dst_),
+                          JournalObject({dst_prep, dst_decision}))
+                  .ok());
 
   auto fresh = std::make_unique<JournalManager>(prt_, JournalConfig::ForTests());
   // Recover the source FIRST (it must look at the peer journal).
@@ -454,41 +403,12 @@ class ShardedDentryTest : public ::testing::Test {
   std::shared_ptr<Prt> prt_;
 };
 
-TEST_F(ShardedDentryTest, LegacyBlockMigratesOnFirstCheckpoint) {
-  const Uuid dir = NewDir(1);
-  std::vector<Dentry> legacy;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    legacy.push_back({"old" + std::to_string(i), DeterministicUuid(72, i),
-                      FileType::kRegular});
-  }
-  ASSERT_TRUE(prt_->StoreDentryBlock(dir, legacy).ok());
-
-  DentryShardPolicy p;
-  p.override_count = 4;
-  auto mgr = MakeManager(p);
-  mgr->RegisterDir(dir);
-  (void)mgr->Append(dir, {AddEntry("fresh", 1)});
-  ASSERT_TRUE(mgr->FlushDir(dir).ok());
-
-  auto m = prt_->LoadDentryManifest(dir);
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->shard_count, 4u);
-  EXPECT_EQ(m->entry_count, 11u);
-  // The legacy block is gone; nothing resurrects it.
-  EXPECT_EQ(prt_->store().Head(DentryKey(dir)).code(), Errc::kNoEnt);
-  auto all = prt_->LoadDentries(dir);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 11u);
-  EXPECT_EQ(mgr->metrics().dentry_migrations.value(), 1u);
-  EXPECT_EQ(mgr->metrics().dentry_shards_written.value(), 4u);  // all of gen B=4
-}
-
 TEST_F(ShardedDentryTest, CheckpointWritesOnlyDirtyShards) {
   const Uuid dir = NewDir(2);
   DentryShardPolicy p;
   p.override_count = 16;
   auto mgr = MakeManager(p);
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
   std::vector<Record> seed;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     seed.push_back(AddEntry("f" + std::to_string(i), i));
@@ -522,7 +442,7 @@ TEST_F(ShardedDentryTest, ShardCountGrowsWithDirectory) {
   p.target_entries = 8;
   p.max_shards = 8;
   auto mgr = MakeManager(p);
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
 
   std::vector<Record> first;
   for (std::uint64_t i = 0; i < 4; ++i) {
@@ -558,7 +478,7 @@ TEST_F(ShardedDentryTest, ShardCountGrowsWithDirectory) {
 TEST_F(ShardedDentryTest, CommitAndCheckpointLatenciesRecorded) {
   const Uuid dir = NewDir(4);
   auto mgr = MakeManager({});
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
   (void)mgr->Append(dir, {AddEntry("timed", 1)});
   ASSERT_TRUE(mgr->FlushDir(dir).ok());
   EXPECT_GE(mgr->latencies().For("commit").count(), 1u);
@@ -566,50 +486,13 @@ TEST_F(ShardedDentryTest, CommitAndCheckpointLatenciesRecorded) {
   EXPECT_NE(mgr->latencies().Table().find("checkpoint"), std::string::npos);
 }
 
-TEST_F(ShardedDentryTest, LegacyCrashRecoveryMigrates) {
-  // A predecessor crashed after committing to the journal but before any
-  // checkpoint, with the directory still on the legacy layout. The new
-  // leader must replay from the legacy block AND migrate, losing nothing.
-  const Uuid dir = NewDir(5);
-  ASSERT_TRUE(prt_->StoreDentryBlock(
-                  dir, {{"settled", DeterministicUuid(74, 1),
-                         FileType::kRegular}})
-                  .ok());
-  DentryShardPolicy p;
-  p.override_count = 4;
-  auto crashed = MakeManager(p);
-  crashed->RegisterDir(dir);
-  (void)crashed->Append(dir, {AddEntry("acked", 2)});
-  ASSERT_TRUE(crashed->CommitDir(dir).ok());  // durable, not checkpointed
-
-  auto fresh = MakeManager(p);
-  ASSERT_TRUE(fresh->HasSurvivingJournal(dir));
-  auto report = fresh->RecoverDir(dir);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->transactions_replayed, 1u);
-  EXPECT_EQ(fresh->metrics().dentry_migrations.value(), 1u);
-
-  auto m = prt_->LoadDentryManifest(dir);
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(m->shard_count, 4u);
-  auto all = prt_->LoadDentries(dir);
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 2u);
-  EXPECT_FALSE(fresh->HasSurvivingJournal(dir));
-}
-
-TEST_F(ShardedDentryTest, TornMigrationRecovers) {
-  // Chaos tears EVERY whole-object put: the migration's shard writes fail
-  // and leave garbage prefixes, but the ordered manifest put never runs, so
-  // the legacy layout stays authoritative and replay converges.
+TEST_F(ShardedDentryTest, TornFirstCheckpointRecovers) {
+  // Chaos tears EVERY whole-object put: the first checkpoint of a directory
+  // that was never checkpointed tears all of its shard writes into garbage
+  // prefixes. Model the tear reaching the manifest flip too. Recovery finds
+  // no complete generation to adopt, so it starts from the empty base —
+  // the journal holds every acked op — and converges.
   const Uuid dir = NewDir(6);
-  std::vector<Dentry> legacy;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    legacy.push_back({"keep" + std::to_string(i), DeterministicUuid(75, i),
-                      FileType::kRegular});
-  }
-  ASSERT_TRUE(prt_->StoreDentryBlock(dir, legacy).ok());
-
   DentryShardPolicy p;
   p.override_count = 4;
   ChaosConfig torn;
@@ -621,26 +504,32 @@ TEST_F(ShardedDentryTest, TornMigrationRecovers) {
     JournalConfig cfg = JournalConfig::ForTests();
     cfg.shard_policy = p;
     JournalManager victim(chaos_prt, cfg);
-    victim.RegisterDir(dir);
-    (void)victim.Append(dir, {AddEntry("acked", 1)});
+    Adopt(victim, dir);
+    std::vector<Record> recs;
+    for (std::uint64_t i = 0; i < 9; ++i) {
+      recs.push_back(AddEntry("acked" + std::to_string(i), i));
+    }
+    (void)victim.Append(dir, std::move(recs));
     // The journal append goes through PutRange and commits fine...
     ASSERT_TRUE(victim.CommitDir(dir).ok());
     // ...but the checkpoint's whole-object shard puts all tear.
     EXPECT_FALSE(victim.FlushDir(dir).ok());
     EXPECT_GT(chaos->counters().torn_puts, 0u);
   }
-  // Crash window: garbage at the new generation's shard keys, no manifest,
-  // legacy block + journal intact.
+  // Crash window: garbage at the first generation's shard keys, no
+  // manifest (the directory still reads as empty), journal intact.
   EXPECT_EQ(prt_->LoadDentryManifest(dir).code(), Errc::kNoEnt);
-  ASSERT_TRUE(prt_->store().Head(DentryKey(dir)).ok());
+  EXPECT_TRUE(prt_->LoadDentries(dir)->empty());
+  ASSERT_TRUE(prt_->store().Put(DentryManifestKey(dir), Bytes{0xDE, 0xAD}).ok());
 
   auto fresh = MakeManager(p);
   ASSERT_TRUE(fresh->HasSurvivingJournal(dir));
   ASSERT_TRUE(fresh->RecoverDir(dir).ok());
   auto all = prt_->LoadDentries(dir);
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 9u);  // 8 settled + 1 acked, zero lost
+  EXPECT_EQ(all->size(), 9u);  // every acked op, zero lost
   EXPECT_EQ(prt_->LoadDentryManifest(dir)->shard_count, 4u);
+  EXPECT_FALSE(fresh->HasSurvivingJournal(dir));
 }
 
 TEST_F(ShardedDentryTest, TornShardCheckpointRecovers) {
@@ -664,7 +553,7 @@ TEST_F(ShardedDentryTest, TornShardCheckpointRecovers) {
     JournalConfig cfg = JournalConfig::ForTests();
     cfg.shard_policy = p;
     JournalManager victim(chaos_prt, cfg);
-    victim.RegisterDir(dir);
+    Adopt(victim, dir);
     std::vector<Record> recs;
     for (std::uint64_t i = 0; i < 20; ++i) {
       recs.push_back(AddEntry("acked" + std::to_string(i), i));
@@ -700,7 +589,7 @@ TEST_F(ShardedDentryTest, TornCheckpointNeverDamagesSettledEntries) {
   p.override_count = 4;
   {
     auto mgr = MakeManager(p);
-    mgr->RegisterDir(dir);
+    Adopt(*mgr, dir);
     std::vector<Record> recs;
     for (std::uint64_t i = 0; i < 20; ++i) {
       recs.push_back(AddEntry("settled" + std::to_string(i), i));
@@ -719,7 +608,7 @@ TEST_F(ShardedDentryTest, TornCheckpointNeverDamagesSettledEntries) {
     JournalConfig cfg = JournalConfig::ForTests();
     cfg.shard_policy = p;
     JournalManager victim(chaos_prt, cfg);
-    victim.RegisterDir(dir);
+    Adopt(victim, dir);
     (void)victim.Append(dir, {AddEntry("late", 1000)});
     ASSERT_TRUE(victim.CommitDir(dir).ok());
     EXPECT_FALSE(victim.FlushDir(dir).ok());  // shard put tore
@@ -751,7 +640,7 @@ TEST_F(ShardedDentryTest, TornManifestAdoptionVerifiesGenerations) {
   p.override_count = 4;
   {
     auto mgr = MakeManager(p);
-    mgr->RegisterDir(dir);
+    Adopt(*mgr, dir);
     std::vector<Record> recs;
     for (std::uint64_t i = 0; i < 10; ++i) {
       recs.push_back(AddEntry("base" + std::to_string(i), i));
@@ -809,7 +698,7 @@ TEST_F(ShardedDentryTest, FailedCheckpointRetriesAndSweepsOrphans) {
   JournalConfig cfg = JournalConfig::ForTests();
   cfg.shard_policy = p;
   JournalManager mgr(faulty_prt, cfg);
-  mgr.RegisterDir(dir);
+  Adopt(mgr, dir);
   std::vector<Record> recs;
   for (std::uint64_t i = 0; i < 12; ++i) {
     recs.push_back(AddEntry("kept" + std::to_string(i), i));
@@ -851,16 +740,19 @@ TEST_F(ShardedDentryTest, FlushAllIsFirstErrorWinsButAttemptsEveryDir) {
   for (std::uint64_t i = 0; i < 3; ++i) good.push_back(NewDir(9 + i));
 
   const std::string bad_journal = JournalKey(bad);
+  auto armed = std::make_shared<std::atomic<bool>>(false);
   auto faulty = std::make_shared<ChaosStore>(
       counting_, ChaosConfig{},
-      [bad_journal](std::string_view op, const std::string& key) {
-        return key == bad_journal && op.substr(0, 3) == "put" ? Errc::kIo
-                                                              : Errc::kOk;
+      [armed, bad_journal](std::string_view op, const std::string& key) {
+        return armed->load() && key == bad_journal && op.substr(0, 3) == "put"
+                   ? Errc::kIo
+                   : Errc::kOk;
       });
   auto faulty_prt = std::make_shared<Prt>(faulty);
   JournalManager mgr(faulty_prt, JournalConfig::ForTests());
-  mgr.RegisterDir(bad);
-  for (const auto& d : good) mgr.RegisterDir(d);
+  Adopt(mgr, bad);
+  for (const auto& d : good) Adopt(mgr, d);
+  armed->store(true);  // from here on, the bad journal rejects every write
   (void)mgr.Append(bad, {AddEntry("lost-commit", 1)});
   for (std::uint64_t i = 0; i < good.size(); ++i) {
     (void)mgr.Append(good[i], {AddEntry("kept" + std::to_string(i), 10 + i)});
@@ -881,7 +773,7 @@ TEST_F(ShardedDentryTest, CommitAllCommitsEveryDirectory) {
   std::vector<Uuid> dirs;
   for (std::uint64_t i = 0; i < 4; ++i) dirs.push_back(NewDir(20 + i));
   for (const auto& d : dirs) {
-    mgr->RegisterDir(d);
+    Adopt(*mgr, d);
     (void)mgr->Append(d, {AddEntry("pending", 30)});
   }
   ASSERT_TRUE(mgr->CommitAll().ok());
@@ -898,7 +790,7 @@ TEST(JournalS3Test, AppendWorksOnWholeObjectStore) {
   auto prt = std::make_shared<Prt>(store);
   JournalManager manager(prt, JournalConfig::ForTests());
   const Uuid dir = DeterministicUuid(91, 1);
-  manager.RegisterDir(dir);
+  Adopt(manager, dir);
   (void)manager.Append(dir, {Record::DentryAdd(
                           {"one", DeterministicUuid(91, 2), FileType::kRegular})});
   ASSERT_TRUE(manager.CommitDir(dir).ok());
@@ -970,7 +862,7 @@ TEST(DurabilityModeNames, ParseAndNameRoundTrip) {
 TEST_F(DurabilityModeTest, SyncModeIsDurableBeforeAck) {
   auto mgr = MakeManager(DurabilityMode::kSync);
   const Uuid dir = NewDir(1);
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
   ASSERT_TRUE(mgr->Append(dir, {Entry("durable", 1)}).ok());
   // No CommitDir/FlushDir call: the ack itself implied durability. Durable
   // means journaled — or already checkpointed into the dentry objects, if
@@ -985,7 +877,7 @@ TEST_F(DurabilityModeTest, SyncModeIsDurableBeforeAck) {
 TEST_F(DurabilityModeTest, SyncModeSurfacesCommitFailureToTheAppender) {
   auto mgr = MakeManager(DurabilityMode::kSync);
   const Uuid dir = NewDir(2);
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
   armed_->store(true);
   EXPECT_FALSE(mgr->Append(dir, {Entry("rejected", 1)}).ok());
   // The records stay sequenced (commit unwind) so a later drain redrives
@@ -1000,7 +892,7 @@ TEST_F(DurabilityModeTest, SyncModeSurfacesCommitFailureToTheAppender) {
 TEST_F(DurabilityModeTest, GroupModeAcksOnSequenceAndFlusherDrains) {
   auto mgr = MakeManager(DurabilityMode::kGroup);
   const Uuid dir = NewDir(3);
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
   ASSERT_TRUE(mgr->Append(dir, {Entry("grouped", 1)}).ok());
   // No explicit commit anywhere: the dedicated flusher must drain it.
   for (int i = 0; i < 500 && mgr->WindowDepth().records > 0; ++i) {
@@ -1025,7 +917,7 @@ TEST_F(DurabilityModeTest, GroupBackpressureBoundsTheDirtyWindow) {
   cfg.group_window.max_stall = Millis(10);     // keep the test fast
   JournalManager mgr(prt_, cfg);
   const Uuid dir = NewDir(4);
-  mgr.RegisterDir(dir);
+  Adopt(mgr, dir);
 
   armed_->store(true);  // flusher cannot drain: the window can only grow
   for (std::uint64_t i = 0; i < 8; ++i) {
@@ -1061,7 +953,7 @@ TEST_F(DurabilityModeTest, ConcurrentAppendAndDrainNeverLeaksWindowDepth) {
   // back to exactly zero.
   auto mgr = MakeManager(DurabilityMode::kGroup);
   const Uuid dir = NewDir(9);
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
   std::atomic<bool> stop{false};
   std::thread drainer([&] {
     while (!stop.load()) {
@@ -1094,14 +986,14 @@ TEST_F(DurabilityModeTest, UnregisterCountsLeaseDrainOnlyWhenPending) {
   // pending at Unregister time is fully deterministic.
   auto mgr = MakeManager(DurabilityMode::kAsync);
   const Uuid idle = NewDir(10);
-  mgr->RegisterDir(idle);
+  Adopt(*mgr, idle);
   ASSERT_TRUE(mgr->UnregisterDir(idle).ok());
   // Nothing was pending: a clean release is not a drain.
   EXPECT_EQ(mgr->metrics().group_drains.value(), 0u);
   EXPECT_EQ(mgr->metrics().group_lease_drains.value(), 0u);
 
   const Uuid busy = NewDir(11);
-  mgr->RegisterDir(busy);
+  Adopt(*mgr, busy);
   ASSERT_TRUE(mgr->Append(busy, {Entry("pending", 1)}).ok());
   ASSERT_TRUE(mgr->UnregisterDir(busy).ok());
   EXPECT_EQ(mgr->metrics().group_drains.value(), 1u);
@@ -1111,7 +1003,7 @@ TEST_F(DurabilityModeTest, UnregisterCountsLeaseDrainOnlyWhenPending) {
 TEST_F(DurabilityModeTest, ResetDropsSequencedUnflushedAndCountsThem) {
   auto mgr = MakeManager(DurabilityMode::kAsync);
   const Uuid dir = NewDir(5);
-  mgr->RegisterDir(dir);
+  Adopt(*mgr, dir);
   ASSERT_TRUE(mgr->Append(dir, {Entry("doomed1", 1), Entry("doomed2", 2)}).ok());
   EXPECT_EQ(mgr->WindowDepth().records, 2u);
   mgr->ResetDir(dir);  // deposed: the loss window is realized here
@@ -1141,8 +1033,8 @@ TEST_F(DurabilityModeTest, CommitAllCountsPerDirectoryFlushErrors) {
   JournalConfig cfg = JournalConfig::ForTests();
   cfg.commit_interval = Seconds(5);
   JournalManager mgr(faulty_prt, cfg);
-  for (const auto& d : bad) mgr.RegisterDir(d);
-  mgr.RegisterDir(good);
+  for (const auto& d : bad) Adopt(mgr, d);
+  Adopt(mgr, good);
   for (std::uint64_t i = 0; i < bad.size(); ++i) {
     ASSERT_TRUE(mgr.Append(bad[i], {Entry("lost", i)}).ok());
   }
@@ -1166,7 +1058,7 @@ TEST_F(DurabilityModeTest, HaltReturnsPromptlyInEveryMode) {
                     DurabilityMode::kAsync}) {
     auto mgr = MakeManager(mode);
     const Uuid dir = NewDir(n++);
-    mgr->RegisterDir(dir);
+    Adopt(*mgr, dir);
     ASSERT_TRUE(mgr->Append(dir, {Entry("pending", 1)}).ok());
     SleepFor(Millis(5));  // let the flusher park
     const TimePoint t0 = Now();
@@ -1181,7 +1073,7 @@ TEST_F(DurabilityModeTest, SyncModeFlusherRedrivesAnUnwoundCommit) {
   cfg.durability = DurabilityMode::kSync;
   JournalManager mgr(prt_, cfg);
   const Uuid dir = NewDir(31);
-  mgr.RegisterDir(dir);
+  Adopt(mgr, dir);
   armed_->store(true);
   EXPECT_FALSE(mgr.Append(dir, {Entry("unwound", 1)}).ok());
   EXPECT_EQ(mgr.WindowDepth().records, 1u);
@@ -1216,7 +1108,7 @@ TEST(FlusherLingerTest, AsyncModeCommitsOnceTheIntervalHasLingered) {
   cfg.durability = DurabilityMode::kAsync;
   JournalManager mgr(prt, cfg);
   const Uuid dir = DeterministicUuid(122, 1);
-  mgr.RegisterDir(dir);
+  Adopt(mgr, dir);
   const TimePoint t0 = Now();
   ASSERT_TRUE(mgr.Append(dir, {Record::DentryAdd({"lingering",
                                                   DeterministicUuid(122, 2),
@@ -1434,27 +1326,68 @@ INSTANTIATE_TEST_SUITE_P(Stores, FirstFenceRaceTest, ::testing::Bool(),
                            return info.param ? "PartialWrite" : "WholeObject";
                          });
 
-// A directory fenced before the fence moved into the journal header keeps
-// its token in the f<uuid> record: until a header is stamped, that token is
-// the floor a grant must reach.
-TEST(LegacyFenceTest, FenceRecordIsTheFloorOfAHeaderlessJournal) {
+// One format: every journal is born with its fence header and every
+// journal write is guarded, so nothing writes without a fenced registration.
+TEST(FenceDirTest, RefusesZeroTokensHeaderlessJournalsAndUnregisteredDirs) {
   auto store = std::make_shared<MemoryObjectStore>();
   auto prt = std::make_shared<Prt>(store);
   JournalManager mgr(prt, JournalConfig::ForTests());
   const Uuid dir = DeterministicUuid(136, 1);
-  ASSERT_TRUE(
-      store->Put(FenceKey(dir), EncodeFenceObject(FenceToken{3, 1})).ok());
-  EXPECT_EQ(mgr.FenceDir(dir, FenceToken{2, 1}).code(), Errc::kStale);
+  EXPECT_EQ(mgr.FenceDir(dir, FenceToken{}).code(), Errc::kInval);
   EXPECT_EQ(store->Head(JournalKey(dir)).code(), Errc::kNoEnt);
-  // The record's own token is not yet stamped, so it is stamped too.
-  ASSERT_TRUE(mgr.FenceDir(dir, FenceToken{3, 1}).ok());
-  auto raw = prt->LoadJournal(dir);
-  ASSERT_TRUE(raw.ok());
-  EXPECT_EQ(JournalFence(*raw).value(), (FenceToken{3, 1}));
-  ASSERT_TRUE(mgr.FenceDir(dir, FenceToken{4, 1}).ok());
-  raw = prt->LoadJournal(dir);
-  ASSERT_TRUE(raw.ok());
-  EXPECT_EQ(JournalFence(*raw).value(), (FenceToken{4, 1}));
+  EXPECT_EQ(mgr.Append(dir, {Record::DentryRemove("x")}).code(),
+            Errc::kInval);
+
+  Transaction txn;
+  txn.seq = 1;
+  txn.records.push_back(Record::DentryRemove("x"));
+  ASSERT_TRUE(store->Put(JournalKey(dir), EncodeTransaction(txn)).ok());
+  EXPECT_EQ(mgr.FenceDir(dir, kToken).code(), Errc::kIo);
+  EXPECT_EQ(mgr.RecoverDir(dir).status().code(), Errc::kIo);
+}
+
+// rmdir deletes the child's manifest, every shard generation and its
+// journal, and nothing at the reserved e<uuid>/f<uuid> names.
+TEST(DirRemoveTest, RmdirSweepsEveryGenerationAndNoReservedName) {
+  auto base = std::make_shared<MemoryObjectStore>();
+  std::mutex mu;
+  std::vector<std::string> deleted;
+  auto recording = std::make_shared<ChaosStore>(
+      base, ChaosConfig{},
+      [&](std::string_view op, const std::string& key) {
+        if (op == "delete") {
+          std::lock_guard lock(mu);
+          deleted.push_back(key);
+        }
+        return Errc::kOk;
+      });
+  auto prt = std::make_shared<Prt>(recording);
+  JournalManager mgr(prt, JournalConfig::ForTests());
+  const Uuid parent = DeterministicUuid(137, 1);
+  const Uuid child = DeterministicUuid(137, 2);
+  Adopt(mgr, child);
+  ASSERT_TRUE(mgr.Append(child, {Record::DentryRemove("gone")}).ok());
+  ASSERT_TRUE(mgr.UnregisterDir(child).ok());  // checkpointed, released
+  ASSERT_TRUE(base->Head(DentryManifestKey(child)).ok());
+  // A stale 2-way generation left behind by a crashed reshard.
+  ASSERT_TRUE(prt->StoreDentryShard(child, 2, 0, {}).ok());
+
+  Adopt(mgr, parent);
+  ASSERT_TRUE(mgr.Append(parent, {Record::DirRemove(child)}).ok());
+  ASSERT_TRUE(mgr.FlushDir(parent).ok());
+  EXPECT_EQ(base->Head(DentryManifestKey(child)).code(), Errc::kNoEnt);
+  EXPECT_EQ(base->Head(DentryShardKey(child, 1, 0, 0)).code(), Errc::kNoEnt);
+  EXPECT_EQ(base->Head(DentryShardKey(child, 2, 0, 0)).code(), Errc::kNoEnt);
+  EXPECT_EQ(base->Head(JournalKey(child)).code(), Errc::kNoEnt);
+  std::lock_guard lock(mu);
+  EXPECT_EQ(std::count_if(deleted.begin(), deleted.end(),
+                          [](const std::string& key) {
+                            auto kind = ParseKey(key);
+                            return kind.ok() &&
+                                   (kind->kind == KeyKind::kDentry ||
+                                    kind->kind == KeyKind::kFence);
+                          }),
+            0);
 }
 
 // A burst that lands inside the checkpoint limit's interval is not dropped:
@@ -1470,7 +1403,7 @@ TEST(CheckpointLivenessTest, DeferredBurstIsCheckpointedWithoutAFlush) {
   ASSERT_TRUE(prt->StoreInode(MakeInode(dir, FileType::kDirectory, 0755, 0, 0,
                                         kRootIno))
                   .ok());
-  mgr.RegisterDir(dir);
+  Adopt(mgr, dir);
   auto entry = [](int n) {
     return Record::DentryAdd({"f" + std::to_string(n), DeterministicUuid(133, n),
                               FileType::kRegular});

@@ -84,8 +84,9 @@ TEST_F(LeaseTest, TakeoverAfterExpiryNamesPreviousLeader) {
 TEST_F(LeaseTest, ReleaseFreesTheLease) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
-  ASSERT_TRUE(c1.Release(dir_).ok());
+  auto held = c1.Acquire(dir_);
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(c1.Release(dir_, held->token).ok());
   auto grant = c2.Acquire(dir_);
   ASSERT_TRUE(grant.ok());
   EXPECT_EQ(grant->prev_leader, "c1");
@@ -94,8 +95,10 @@ TEST_F(LeaseTest, ReleaseFreesTheLease) {
 TEST_F(LeaseTest, ReleaseByNonHolderIgnored) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
-  ASSERT_TRUE(c2.Release(dir_).ok());  // not the holder: no effect
+  auto held = c1.Acquire(dir_);
+  ASSERT_TRUE(held.ok());
+  // Not the holder: no effect, even with the live grant's token.
+  ASSERT_TRUE(c2.Release(dir_, held->token).ok());
   auto denied = c2.Acquire(dir_);
   EXPECT_TRUE(IsRedirect(denied.status()));
 }

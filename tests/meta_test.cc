@@ -178,25 +178,7 @@ TEST(AclTest, CodecRoundTrip) {
   EXPECT_EQ(*decoded, acl);
 }
 
-// --- dentry / dentry block ---
-
-TEST(DentryTest, BlockRoundTrip) {
-  std::vector<Dentry> entries;
-  for (int i = 0; i < 100; ++i) {
-    entries.push_back({"file" + std::to_string(i), NewUuid(),
-                       i % 3 == 0 ? FileType::kDirectory : FileType::kRegular});
-  }
-  auto decoded = DecodeDentryBlock(EncodeDentryBlock(entries));
-  ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), entries.size());
-  EXPECT_EQ((*decoded)[42], entries[42]);
-}
-
-TEST(DentryTest, EmptyBlock) {
-  auto decoded = DecodeDentryBlock(EncodeDentryBlock({}));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->empty());
-}
+// --- dentry shard objects and manifests ---
 
 TEST(DentryTest, ShardObjectRoundTripCarriesEpoch) {
   std::vector<Dentry> entries;

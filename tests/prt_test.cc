@@ -81,22 +81,6 @@ TEST_F(PrtTest, InodeRoundTrip) {
   EXPECT_EQ(prt_.LoadInode(i.ino).code(), Errc::kNoEnt);
 }
 
-TEST_F(PrtTest, MissingDentryBlockIsEmptyDirectory) {
-  auto block = prt_.LoadDentryBlock(NewUuid());
-  ASSERT_TRUE(block.ok());
-  EXPECT_TRUE(block->empty());
-}
-
-TEST_F(PrtTest, DentryBlockRoundTrip) {
-  const Uuid dir = NewUuid();
-  std::vector<Dentry> entries{{"x", NewUuid(), FileType::kRegular},
-                              {"y", NewUuid(), FileType::kDirectory}};
-  ASSERT_TRUE(prt_.StoreDentryBlock(dir, entries).ok());
-  auto loaded = prt_.LoadDentryBlock(dir);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 2u);
-}
-
 TEST_F(PrtTest, WriteReadWithinOneChunk) {
   const Uuid ino = NewUuid();
   Bytes data = Pattern(100);
@@ -190,10 +174,10 @@ TEST(KeySchemaTest, ShardedDentryKeysParse) {
   EXPECT_EQ(wide->dentry_shard, 255u);
   EXPECT_EQ(wide->dentry_slot, 1u);
 
-  // Legacy block still parses as plain kDentry.
-  auto legacy = ParseKey(DentryKey(u));
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->kind, KeyKind::kDentry);
+  // The reserved unsharded-block name still parses as plain kDentry.
+  auto reserved = ParseKey(DentryKey(u));
+  ASSERT_TRUE(reserved.ok());
+  EXPECT_EQ(reserved->kind, KeyKind::kDentry);
 
   // Malformed variants are rejected.
   EXPECT_FALSE(ParseKey(DentryManifestKey(u) + "x").ok());
@@ -216,7 +200,7 @@ TEST(KeySchemaTest, DentryObjectPrefixCoversShardedNotLegacy) {
   EXPECT_TRUE(starts_with(DentryManifestKey(u)));
   EXPECT_TRUE(starts_with(DentryShardKey(u, 1, 0, 0)));
   EXPECT_TRUE(starts_with(DentryShardKey(u, 64, 63, 1)));
-  EXPECT_FALSE(starts_with(DentryKey(u)));  // legacy has no '.'
+  EXPECT_FALSE(starts_with(DentryKey(u)));  // reserved name has no '.'
 }
 
 TEST(KeySchemaTest, DentryShardOfIsStableAndInRange) {
@@ -280,7 +264,7 @@ TEST(KeySchemaTest, DentryManifestCodecRoundTrip) {
 
 TEST_F(PrtTest, DentryManifestRoundTrip) {
   const Uuid dir = NewUuid();
-  EXPECT_EQ(prt_.LoadDentryManifest(dir).code(), Errc::kNoEnt);  // legacy
+  EXPECT_EQ(prt_.LoadDentryManifest(dir).code(), Errc::kNoEnt);  // fresh
   ASSERT_TRUE(prt_.StoreDentryManifest(dir, {4, 10}).ok());
   auto m = prt_.LoadDentryManifest(dir);
   ASSERT_TRUE(m.ok());
@@ -293,25 +277,20 @@ TEST_F(PrtTest, DentryShardRoundTrip) {
   std::vector<Dentry> entries{{"p", NewUuid(), FileType::kRegular},
                               {"q", NewUuid(), FileType::kDirectory}};
   ASSERT_TRUE(prt_.StoreDentryShard(dir, 4, 2, entries).ok());
-  auto loaded = prt_.LoadDentryShard(dir, 4, 2);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 2u);
-
   // The two slots of a shard are independent objects.
   ASSERT_TRUE(prt_.StoreDentryShard(dir, 4, 2, {entries[0]}, /*slot=*/1,
                                     /*epoch=*/2)
                   .ok());
-  EXPECT_EQ(prt_.LoadDentryShard(dir, 4, 2, /*slot=*/1)->size(), 1u);
-  EXPECT_EQ(prt_.LoadDentryShard(dir, 4, 2, /*slot=*/0)->size(), 2u);
-
-  // Missing shard reads as empty.
-  auto missing = prt_.LoadDentryShard(dir, 4, 3);
-  ASSERT_TRUE(missing.ok());
-  EXPECT_TRUE(missing->empty());
-
-  ASSERT_TRUE(prt_.DeleteDentryShard(dir, 4, 2, /*slot=*/0).ok());
-  EXPECT_TRUE(prt_.LoadDentryShard(dir, 4, 2)->empty());
-  EXPECT_EQ(prt_.LoadDentryShard(dir, 4, 2, /*slot=*/1)->size(), 1u);
+  DentryManifest manifest{4, 3};
+  auto slot0 = prt_.LoadDentryShards(dir, manifest, {2, 3});
+  ASSERT_TRUE(slot0.ok());
+  EXPECT_EQ((*slot0)[0].entries, entries);
+  EXPECT_TRUE((*slot0)[1].entries.empty());  // missing shard reads as empty
+  manifest.SetSlot(2, 1);
+  auto slot1 = prt_.LoadDentryShards(dir, manifest, {2});
+  ASSERT_TRUE(slot1.ok());
+  EXPECT_EQ((*slot1)[0].entries.size(), 1u);
+  EXPECT_EQ((*slot1)[0].epoch, 2u);
 }
 
 TEST_F(PrtTest, LoadDentryShardsIsStrictAndSlotAware) {
@@ -350,17 +329,7 @@ TEST_F(PrtTest, LoadDentryShardsIsStrictAndSlotAware) {
 }
 
 TEST_F(PrtTest, LoadDentriesHandlesBothLayouts) {
-  // Legacy layout.
-  const Uuid legacy = NewUuid();
-  ASSERT_TRUE(
-      prt_.StoreDentryBlock(legacy, {{"old", NewUuid(), FileType::kRegular}})
-          .ok());
-  auto from_legacy = prt_.LoadDentries(legacy);
-  ASSERT_TRUE(from_legacy.ok());
-  ASSERT_EQ(from_legacy->size(), 1u);
-  EXPECT_EQ((*from_legacy)[0].name, "old");
-
-  // Sharded layout: entries spread over a 4-way generation.
+  // Entries spread over a 4-way generation.
   const Uuid sharded = NewUuid();
   std::vector<Dentry> all;
   for (int i = 0; i < 20; ++i) {
@@ -377,39 +346,18 @@ TEST_F(PrtTest, LoadDentriesHandlesBothLayouts) {
   ASSERT_TRUE(from_shards.ok());
   EXPECT_EQ(from_shards->size(), all.size());
 
-  // Never-checkpointed directory reads as empty.
-  EXPECT_TRUE(prt_.LoadDentries(NewUuid())->empty());
-}
-
-TEST_F(PrtTest, DeleteDentryObjectsSweepsEveryLayout) {
-  const Uuid dir = NewUuid();
-  ASSERT_TRUE(
-      prt_.StoreDentryBlock(dir, {{"l", NewUuid(), FileType::kRegular}}).ok());
-  ASSERT_TRUE(prt_.StoreDentryManifest(dir, {4, 2}).ok());
-  ASSERT_TRUE(
-      prt_.StoreDentryShard(dir, 4, 1, {{"s", NewUuid(), FileType::kRegular}})
-          .ok());
-  // Stale shard from an older 2-way generation left by a crashed reshard.
-  ASSERT_TRUE(
-      prt_.StoreDentryShard(dir, 2, 0, {{"g", NewUuid(), FileType::kRegular}})
-          .ok());
-
-  ASSERT_TRUE(prt_.DeleteDentryObjects(dir).ok());
-  EXPECT_EQ(prt_.store().Head(DentryKey(dir)).code(), Errc::kNoEnt);
-  EXPECT_EQ(prt_.store().Head(DentryManifestKey(dir)).code(), Errc::kNoEnt);
-  EXPECT_EQ(prt_.store().Head(DentryShardKey(dir, 4, 1, 0)).code(),
-            Errc::kNoEnt);
-  EXPECT_EQ(prt_.store().Head(DentryShardKey(dir, 2, 0, 0)).code(),
-            Errc::kNoEnt);
-  // Idempotent on an already-clean directory.
-  EXPECT_TRUE(prt_.DeleteDentryObjects(dir).ok());
+  // A never-checkpointed directory (no manifest) reads as empty, even if
+  // a stray object sits at the reserved unsharded-block name.
+  const Uuid fresh = NewUuid();
+  ASSERT_TRUE(prt_.store().Put(DentryKey(fresh), Bytes{1, 2, 3}).ok());
+  EXPECT_TRUE(prt_.LoadDentries(fresh)->empty());
 }
 
 TEST_F(PrtTest, BootstrapIsOneBatchWhenHintMatches) {
   // Acceptance criterion: leader bootstrap of a sharded directory issues one
-  // overlapped batch. With a correct hint the whole load is 4 + 2B gets
-  // (inode, journal, manifest, legacy probe, both slots of B shards) in a
-  // single MultiGet.
+  // overlapped batch. With a correct hint the whole load is 3 + 2B gets
+  // (inode, journal, manifest, both slots of B shards) in a single
+  // MultiGet.
   const Uuid dir = NewUuid();
   const std::uint32_t kShards = 8;
   Inode di = MakeInode(dir, FileType::kDirectory, 0755, 0, 0, kRootIno);
@@ -431,7 +379,7 @@ TEST_F(PrtTest, BootstrapIsOneBatchWhenHintMatches) {
   ASSERT_TRUE(objs.dentries.ok());
   EXPECT_EQ(objs.dentries->size(), 32u);
   EXPECT_EQ(objs.shard_count, kShards);
-  EXPECT_EQ(store_->Snapshot().gets, 4u + 2u * kShards);
+  EXPECT_EQ(store_->Snapshot().gets, 3u + 2u * kShards);
   EXPECT_EQ(AsyncBatches() - batches_before, 1u);
 
   // A stale hint costs exactly one extra overlapped batch for the real
@@ -442,25 +390,26 @@ TEST_F(PrtTest, BootstrapIsOneBatchWhenHintMatches) {
   ASSERT_TRUE(cold.dentries.ok());
   EXPECT_EQ(cold.dentries->size(), 32u);
   EXPECT_EQ(cold.shard_count, kShards);
-  EXPECT_EQ(store_->Snapshot().gets, (4u + 2u) + kShards);
+  EXPECT_EQ(store_->Snapshot().gets, (3u + 2u) + kShards);
   EXPECT_EQ(AsyncBatches() - batches_mid, 2u);
 }
 
-TEST_F(PrtTest, BootstrapLegacyDirIsOneBatch) {
+TEST_F(PrtTest, BootstrapNeverCheckpointedDirIsOneBatch) {
+  // A directory with no manifest (created, never checkpointed) bootstraps
+  // as empty in one batch: inode, journal, manifest and both slots of the
+  // hinted shard — 5 gets, and nothing at the reserved e<uuid> name.
   const Uuid dir = NewUuid();
   Inode di = MakeInode(dir, FileType::kDirectory, 0755, 0, 0, kRootIno);
   ASSERT_TRUE(prt_.StoreInode(di).ok());
-  ASSERT_TRUE(
-      prt_.StoreDentryBlock(dir, {{"v", NewUuid(), FileType::kRegular}}).ok());
 
   store_->Reset();
   const auto batches_before = AsyncBatches();
   auto objs = prt_.LoadDirObjects(dir, /*shard_hint=*/1);
   ASSERT_TRUE(objs.inode.ok());
   ASSERT_TRUE(objs.dentries.ok());
-  EXPECT_EQ(objs.dentries->size(), 1u);
-  EXPECT_EQ(objs.shard_count, 0u);  // legacy layout reported to the caller
-  EXPECT_EQ(store_->Snapshot().gets, 6u);
+  EXPECT_TRUE(objs.dentries->empty());
+  EXPECT_EQ(objs.shard_count, 0u);  // no layout yet
+  EXPECT_EQ(store_->Snapshot().gets, 5u);
   EXPECT_EQ(AsyncBatches() - batches_before, 1u);
 }
 

@@ -285,7 +285,7 @@ TEST(MdtestRunnerTest, EasyPhasesAccountOps) {
   ASSERT_EQ(results->size(), 3u);
   for (const auto& phase : *results) {
     EXPECT_EQ(phase.ops, 80u) << phase.phase;
-    EXPECT_EQ(phase.errors, 0u) << phase.phase;
+    EXPECT_EQ(phase.errors, 0u) << phase.phase << ": " << phase.first_error;
     EXPECT_GT(phase.ops_per_second, 0.0) << phase.phase;
   }
   // DELETE removed everything.
@@ -313,7 +313,8 @@ TEST(MdtestRunnerTest, HardPhasesWriteAndReadBack) {
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 4u);
   for (const auto& phase : *results) {
-    EXPECT_EQ(phase.errors, 0u) << phase.phase;
+    // On failure, name the first failing step and its status.
+    EXPECT_EQ(phase.errors, 0u) << phase.phase << ": " << phase.first_error;
   }
 }
 
