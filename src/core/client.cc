@@ -174,6 +174,25 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
   auto grant = lease_->Acquire(dir_ino, opts, &deleg);
   if (grant.ok()) {
     lease_acquires_.Add();
+    std::lock_guard grant_lock(handle->grant_mu);
+    // Leadership changes hands (the manager names a previous leader only on
+    // a non-fresh grant): ask the predecessor to flush its pending journal
+    // state; an unreachable predecessor means a crash. This goes out BEFORE
+    // handle->mu is taken — the predecessor's ServeDirOp takes its own
+    // handle mutex, so holding ours across the call would make two clients
+    // that trade a directory take the two mutexes in opposite orders.
+    bool predecessor_crashed = false;
+    if (!grant->prev_leader.empty() &&
+        grant->prev_leader != config_.address) {
+      wire::DirOpRequest flush_req;
+      flush_req.op = wire::DirOp::kFlushDir;
+      flush_req.dir_ino = dir_ino;
+      flush_req.client = config_.address;
+      predecessor_crashed =
+          !fabric_->Call(grant->prev_leader, wire::kMethodDirOp,
+                         flush_req.Encode())
+               .ok();
+    }
     std::unique_lock lock(handle->mu);
     handle->lease_duration =
         std::chrono::duration_cast<Nanos>(grant->until - Now());
@@ -184,7 +203,8 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
       // and forwarded ops see an expired lease the manager still honors.
       ARKFS_RETURN_IF_ERROR(ExtendTenure(*handle, *grant));
     } else {
-      ARKFS_RETURN_IF_ERROR(BecomeLeader(handle, *grant));
+      ARKFS_RETURN_IF_ERROR(
+          BecomeLeader(handle, *grant, predecessor_crashed));
     }
     handle->lame_duck = false;
     return DirRef{handle, {}};
@@ -219,7 +239,8 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
 }
 
 Status Client::BecomeLeader(const DirHandlePtr& handle,
-                            const lease::LeaseClient::Grant& grant) {
+                            const lease::LeaseClient::Grant& grant,
+                            bool predecessor_crashed) {
   // handle->mu held exclusively by the caller.
   if (grant.fresh && handle->metatable) {
     // Re-acquired before anyone else led the directory: the in-memory
@@ -227,19 +248,6 @@ Status Client::BecomeLeader(const DirHandlePtr& handle,
     return ExtendTenure(*handle, grant);
   }
   handle->lease_until = grant.until;
-
-  // Leadership genuinely changes hands. Ask the previous leader to flush
-  // its pending journal state; an unreachable predecessor means a crash.
-  bool predecessor_crashed = false;
-  if (!grant.prev_leader.empty() && grant.prev_leader != config_.address) {
-    wire::DirOpRequest flush_req;
-    flush_req.op = wire::DirOp::kFlushDir;
-    flush_req.dir_ino = handle->ino;
-    flush_req.client = config_.address;
-    auto resp =
-        fabric_->Call(grant.prev_leader, wire::kMethodDirOp, flush_req.Encode());
-    if (!resp.ok()) predecessor_crashed = true;
-  }
 
   // Advance the persisted fence BEFORE reading the journal: once the
   // journal's fence header holds our token, every journal write a deposed
@@ -340,12 +348,7 @@ Status Client::RelinquishDir(const Uuid& dir_ino) {
     // A successor fenced us while we still thought we led. Nothing we hold
     // may be written back — the successor owns the journal and will replay
     // it. Dropping our state IS the clean release.
-    journal_->ResetDir(dir_ino);
-    handle->leader = false;
-    handle->lame_duck = false;
-    handle->metatable.reset();
-    handle->file_leases.clear();
-    handle->fence = FenceToken{};
+    DropLeadershipLocked(*handle, /*reset_journal=*/true);
     lock.unlock();
     // Best effort: the manager ignores a release whose token is not the
     // live lease's (it is the successor's now).
@@ -359,10 +362,8 @@ Status Client::RelinquishDir(const Uuid& dir_ino) {
   if (handle->metatable) {
     ARKFS_RETURN_IF_ERROR(prt_->StoreInode(handle->metatable->dir_inode()));
   }
-  handle->leader = false;
-  handle->metatable.reset();
-  handle->file_leases.clear();
-  handle->fence = FenceToken{};
+  // UnregisterDir above already dropped the journal's bookkeeping.
+  DropLeadershipLocked(*handle, /*reset_journal=*/false);
   lock.unlock();
   return lease_->Release(dir_ino, token);
 }
@@ -371,12 +372,16 @@ void Client::HandleDeposed(const Uuid& dir_ino) {
   DirHandlePtr handle = HandleFor(dir_ino);
   std::unique_lock lock(handle->mu);
   if (!handle->leader) return;
-  handle->leader = false;
-  handle->lame_duck = false;
-  handle->metatable.reset();
-  handle->file_leases.clear();
-  handle->fence = FenceToken{};
-  journal_->ResetDir(dir_ino);
+  DropLeadershipLocked(*handle, /*reset_journal=*/true);
+}
+
+void Client::DropLeadershipLocked(DirHandle& handle, bool reset_journal) {
+  handle.leader = false;
+  handle.lame_duck = false;
+  handle.metatable.reset();
+  handle.file_leases.clear();
+  handle.fence = FenceToken{};
+  if (reset_journal) journal_->ResetDir(handle.ino);
 }
 
 Status Client::ValidateLeaseLocked(DirHandle& handle) {
@@ -449,12 +454,7 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
       st = Status::Ok();
     }
     // We are being superseded; drop leadership state.
-    handle->leader = false;
-    handle->lame_duck = false;
-    handle->metatable.reset();
-    handle->file_leases.clear();
-    handle->fence = FenceToken{};
-    journal_->ResetDir(req.dir_ino);
+    DropLeadershipLocked(*handle, /*reset_journal=*/true);
     fill_error(st);
     return resp;
   }
@@ -488,7 +488,17 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
   Status st;
   switch (req.op) {
     case wire::DirOp::kLookup:
-      st = LeaderLookup(*handle, req.name, cred, &resp);
+    case wire::DirOp::kGetAttrDir:
+    case wire::DirOp::kGetAttrChild:
+    case wire::DirOp::kReadDir:
+      st = ServeRead(
+          *handle->metatable, req, cred,
+          [&](const Uuid& ino) -> Result<Inode> {
+            ARKFS_ASSIGN_OR_RETURN(Inode * child,
+                                   LoadChildInodeLocked(*handle, ino));
+            return *child;
+          },
+          &resp);
       break;
     case wire::DirOp::kCreate:
       st = LeaderCreate(*handle, req.name, req.mode, req.exclusive,
@@ -505,19 +515,6 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
       break;
     case wire::DirOp::kRenameLocal:
       st = LeaderRenameLocal(*handle, req.name, req.name2, cred);
-      break;
-    case wire::DirOp::kReadDir:
-      st = LeaderReadDir(*handle, cred, &resp);
-      break;
-    case wire::DirOp::kGetAttrDir: {
-      const Inode& inode = handle->metatable->dir_inode();
-      resp.has_inode = true;
-      resp.inode = inode;
-      resp.dir_meta = {true, inode.mode, inode.uid, inode.gid, inode.acl};
-      break;
-    }
-    case wire::DirOp::kGetAttrChild:
-      st = LeaderGetAttrChild(*handle, req.name, req.child_ino, cred, &resp);
       break;
     case wire::DirOp::kSetAttrChild:
       st = LeaderSetAttrChild(*handle, req.name, req.attr, cred, &resp);
@@ -565,12 +562,7 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
     // journal is the successor's to replay, and our sequenced-but-unflushed
     // records die with the tenure (ResetDir counts them) — and report
     // kAgain so the caller redrives the op against the new leader.
-    handle->leader = false;
-    handle->lame_duck = false;
-    handle->metatable.reset();
-    handle->file_leases.clear();
-    handle->fence = FenceToken{};
-    journal_->ResetDir(req.dir_ino);
+    DropLeadershipLocked(*handle, /*reset_journal=*/true);
     st = ErrStatus(Errc::kAgain, "deposed at journal commit; retry");
   }
   fill_error(st);

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,22 +60,9 @@ struct ClientConfig {
   // is bounded by one lease term — the same window the lease protocol
   // already tolerates for a crashed leader's last acked ops.
   bool read_delegations = true;
-  // Refetch pacing. Each slice fetch holds the leader's dir lock and copies
-  // the whole slice, so refetching against an actively mutating directory
-  // would slow the very writes invalidating the slices. A stale slice is
-  // refetched no sooner than this after the previous fetch; the window
-  // doubles (up to 16x) every time a fetch surfaces mutations the delegate
-  // had not yet observed, and resets once a fetch confirms the directory
-  // went quiet.
-  Nanos deleg_refetch_backoff{Millis(25)};
-  // Quiet override: a stale slice may be refetched immediately — ignoring
-  // the backoff — once the watermark reported by forwarded replies has held
-  // still this long. This is what makes a read burst right after a write
-  // burst recover in milliseconds instead of a full backoff window.
-  Nanos deleg_quiet_before_refetch{Millis(5)};
   std::uint64_t chunk_size = 0;    // PRT data chunk size (0 = store max)
-  // Async object-I/O layer config (workers, in-flight cap, store retry
-  // policy). Chaos tests enable retries here to ride out transient faults.
+  // Async object-I/O layer config (workers, in-flight cap). Store retries
+  // are the store stack's business (RetryingStore), not this layer's.
   AsyncIoConfig async;
   CacheConfig cache;
   journal::JournalConfig journal;
@@ -239,6 +227,12 @@ class Client : public Vfs {
   struct DirHandle {
     Uuid ino;
     std::shared_mutex mu;
+    // Serializes applying lease grants, so a concurrent grant on this
+    // client cannot become leader before the predecessor flush of another
+    // has landed. That flush is a fabric call made under grant_mu and never
+    // under `mu`, which the predecessor's ServeDirOp takes on its side;
+    // grant_mu is only ever taken with no other lock held.
+    std::mutex grant_mu;
     std::unique_ptr<Metatable> metatable;  // present iff leader
     bool leader = false;
     // Lame duck: still leader with an unexpired lease, but renewal is
@@ -271,11 +265,10 @@ class Client : public Vfs {
   // --- read delegations (client_deleg.cc) ---
   // Immutable point-in-time copy of a remote leader's metatable, stamped
   // with the tenure + watermark it was read under. Shared by reference so
-  // concurrent delegated ops serve from it without holding deleg_mu_.
+  // concurrent delegated ops serve from it without holding deleg_mu_; no
+  // one writes to the table after DelegFetchSlice builds it.
   struct DelegSlice {
-    Inode dir_inode;
-    std::vector<Dentry> entries;  // sorted (Metatable::ListEntries order)
-    std::unordered_map<Uuid, Inode> child_inodes;
+    Metatable table;
     FenceToken fence;          // leader tenure the slice was read under
     std::uint64_t watermark = 0;  // leader's journal watermark at read time
   };
@@ -293,7 +286,7 @@ class Client : public Vfs {
     std::string leader;
     TimePoint last_fetch{};           // refetch-pacing clock
     // Quiet detector: the dir counts as quiet only when two forwarded
-    // replies at least deleg_quiet_before_refetch apart reported the SAME
+    // replies at least kQuietBeforeRefetch apart reported the SAME
     // watermark — a single stale reading is not evidence the churn ended.
     std::uint64_t last_seen_wm = 0;   // watermark on the last forwarded reply
     TimePoint first_seen_at{};        // first observation of that watermark
@@ -309,10 +302,10 @@ class Client : public Vfs {
   // getattrs. Drives the client.stat.{local,forwarded,delegated} split.
   static bool IsStatFamily(wire::DirOp op);
 
-  // Serves `req` from the delegation cache; pulls a fresh slice from
-  // `leader` when the cached one is missing or behind. Returns false when
-  // the op must be forwarded instead (no/expired delegation, name not in the
-  // slice, fetch failed).
+  // Serves `req` from the delegation cache through ServeRead; pulls a fresh
+  // slice from `leader` when the cached one is missing or behind. Returns
+  // false when the op must be forwarded instead: no/expired delegation,
+  // failed fetch, or a ServeRead outcome other than kOk/kAccess.
   bool DelegatedServe(const Uuid& dir_ino, const std::string& leader,
                       const wire::DirOpRequest& req, wire::DirOpResponse* out);
   // Records a delegation granted alongside a lease redirect.
@@ -362,8 +355,11 @@ class Client : public Vfs {
 
   // --- directory access / lease flows (client.cc) ---
   Result<DirRef> EnsureDirAccess(const Uuid& dir_ino);
+  // `predecessor_crashed`: the grant named a previous leader and the
+  // kFlushDir sent to it (before handle->mu was taken) did not get through.
   Status BecomeLeader(const DirHandlePtr& handle,
-                      const lease::LeaseClient::Grant& grant);
+                      const lease::LeaseClient::Grant& grant,
+                      bool predecessor_crashed);
   // Applies a grant to a directory whose metatable is still authoritative:
   // the new term, and the fence when the token changed.
   Status ExtendTenure(DirHandle& handle,
@@ -377,6 +373,10 @@ class Client : public Vfs {
   // leadership state for the directory without writing anything — the
   // durable journal now belongs to the successor, which replays it.
   void HandleDeposed(const Uuid& dir_ino);
+  // Clears every piece of leadership state (leader, lame duck, metatable,
+  // file leases, fence) and, with `reset_journal`, the journal's in-memory
+  // bookkeeping for the directory. handle.mu held exclusively.
+  void DropLeadershipLocked(DirHandle& handle, bool reset_journal);
   // Validates/renews the lease for a local op; kAgain if leadership lost.
   Status ValidateLeaseLocked(DirHandle& handle);
   DirHandlePtr HandleFor(const Uuid& dir_ino);
@@ -386,9 +386,16 @@ class Client : public Vfs {
   Result<Bytes> HandleFlushFile(ByteSpan payload);
   wire::DirOpResponse ServeDirOp(const wire::DirOpRequest& req);
 
+  // The four delegable reads (kLookup, kGetAttrDir, kGetAttrChild,
+  // kReadDir) answered from `mt` — by a leader from its own metatable
+  // (handle.mu held), by a delegate from its read-only slice. `child_loader`
+  // yields a child-file inode `mt` may not hold yet (lazy loading).
+  using ChildInodeLoader = std::function<Result<Inode>(const Uuid&)>;
+  Status ServeRead(const Metatable& mt, const wire::DirOpRequest& req,
+                   const UserCred& cred, const ChildInodeLoader& child_loader,
+                   wire::DirOpResponse* out);
+
   // --- leader-local operation bodies (client_ops.cc); handle.mu held ---
-  Status LeaderLookup(DirHandle& dir, const std::string& name,
-                      const UserCred& cred, wire::DirOpResponse* out);
   Status LeaderCreate(DirHandle& dir, const std::string& name,
                       std::uint32_t mode, bool exclusive, FileType type,
                       const std::string& symlink_target, const UserCred& cred,
@@ -402,16 +409,11 @@ class Client : public Vfs {
                      const UserCred& cred);
   Status LeaderRenameLocal(DirHandle& dir, const std::string& from,
                            const std::string& to, const UserCred& cred);
-  Status LeaderReadDir(DirHandle& dir, const UserCred& cred,
-                       wire::DirOpResponse* out);
   // Snapshot the metatable for a read delegate (client_deleg.cc). No cred
   // check: like kIsEmptyDir this is client-infrastructure traffic; the
-  // delegate enforces per-user permission checks against the slice's dir
-  // inode on every op it serves, exactly as the leader would have.
+  // delegate serves every op through ServeRead, the leader's own read body,
+  // permission checks included.
   Status LeaderDelegateFetch(DirHandle& dir, wire::DirOpResponse* out);
-  Status LeaderGetAttrChild(DirHandle& dir, const std::string& name,
-                            const Uuid& child_ino, const UserCred& cred,
-                            wire::DirOpResponse* out);
   Status LeaderSetAttrChild(DirHandle& dir, const std::string& name,
                             const SetAttrRequest& req, const UserCred& cred,
                             wire::DirOpResponse* out);

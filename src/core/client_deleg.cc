@@ -4,9 +4,10 @@
 // lease manager for a read delegation alongside the redirect. The grant
 // names the live lease's fencing token and the leader's last-reported
 // journal watermark; the delegate pulls one versioned metatable slice from
-// the leader (kDelegateFetch) and serves stat/lookup/readdir from it with
-// zero fabric round trips, enforcing per-user permission checks against the
-// slice's directory inode exactly as the leader would.
+// the leader (kDelegateFetch) as a read-only Metatable and serves
+// stat/lookup/readdir from it with zero fabric round trips, through the very
+// read body (ServeRead) the leader answers those ops with — permission
+// checks included.
 //
 // Invalidation is watermark-driven, never broadcast:
 //  * every leader-served reply and every delegation grant carries the
@@ -29,6 +30,24 @@
 #include "core/client.h"
 
 namespace arkfs {
+namespace {
+
+// Refetch pacing. Each slice fetch holds the leader's dir lock and copies
+// the whole slice, so refetching against an actively mutating directory
+// would slow the very writes invalidating the slices. A stale slice is
+// refetched no sooner than kRefetchBackoff after the previous fetch; the
+// window doubles (up to kMaxBackoffFactor times) every time a fetch surfaces
+// mutations the delegate had not yet observed, and resets once a fetch
+// confirms the directory went quiet.
+constexpr Nanos kRefetchBackoff = Millis(25);
+constexpr int kMaxBackoffFactor = 16;
+// Quiet override: a stale slice may be refetched immediately — ignoring the
+// backoff — once the watermark reported by forwarded replies has held still
+// this long. This is what makes a read burst right after a write burst
+// recover in milliseconds instead of a full backoff window.
+constexpr Nanos kQuietBeforeRefetch = Millis(5);
+
+}  // namespace
 
 bool Client::IsDelegable(wire::DirOp op) {
   switch (op) {
@@ -117,15 +136,10 @@ Client::DelegSlicePtr Client::DelegFetchSlice(const Uuid& dir_ino,
   if (!resp.ok() || resp->code != Errc::kOk || !resp->has_inode) {
     return nullptr;
   }
-  auto slice = std::make_shared<DelegSlice>();
-  slice->dir_inode = std::move(resp->inode);
-  slice->entries = std::move(resp->entries);
-  for (auto& ino : resp->child_inodes) {
-    const Uuid key = ino.ino;
-    slice->child_inodes.emplace(key, std::move(ino));
-  }
-  slice->fence = resp->fence;
-  slice->watermark = resp->watermark;
+  auto slice = std::make_shared<const DelegSlice>(DelegSlice{
+      Metatable(std::move(resp->inode), std::move(resp->entries),
+                std::move(resp->child_inodes)),
+      resp->fence, resp->watermark});
   deleg_refetches_.Add();
 
   std::lock_guard lock(deleg_mu_);
@@ -142,13 +156,14 @@ Client::DelegSlicePtr Client::DelegFetchSlice(const Uuid& dir_ino,
   // observed means other clients are churning this directory — double the
   // window (they will invalidate this slice too). A fetch confirming what
   // we already knew means the churn ended — reset to the base.
-  const Nanos base = config_.deleg_refetch_backoff;
   if (slice->watermark > it->second.watermark) {
-    const Nanos cur = it->second.backoff > Nanos(0) ? it->second.backoff : base;
-    it->second.backoff = std::min(cur * 2, base * 16);
+    const Nanos cur =
+        it->second.backoff > Nanos(0) ? it->second.backoff : kRefetchBackoff;
+    it->second.backoff =
+        std::min(cur * 2, kRefetchBackoff * kMaxBackoffFactor);
     it->second.watermark = slice->watermark;
   } else {
-    it->second.backoff = base;
+    it->second.backoff = kRefetchBackoff;
   }
   it->second.slice = slice;
   return slice;
@@ -158,7 +173,7 @@ bool Client::DelegatedServe(const Uuid& dir_ino, const std::string& leader,
                             const wire::DirOpRequest& req,
                             wire::DirOpResponse* out) {
   const TimePoint now = Now();
-  DirDelegation d;
+  DelegSlicePtr slice;
   {
     std::lock_guard lock(deleg_mu_);
     auto it = delegations_.find(dir_ino);
@@ -166,45 +181,38 @@ bool Client::DelegatedServe(const Uuid& dir_ino, const std::string& leader,
       deleg_misses_.Add();
       return false;
     }
-    if (now >= it->second.until) {
+    DirDelegation& d = it->second;
+    if (now >= d.until) {
       // The watermark report the grant rests on is a full lease term old:
       // beyond this point the staleness bound no longer holds. Expire.
-      if (it->second.slice) deleg_invalidations_.Add();
+      if (d.slice) deleg_invalidations_.Add();
       delegations_.erase(it);
       deleg_misses_.Add();
       return false;
     }
-    d = it->second;  // copies the shared slice pointer
-  }
-
-  DelegSlicePtr slice = d.slice;
-  if (!slice || slice->fence != d.token || slice->watermark < d.watermark) {
-    // No slice yet, or the leader's journal moved past it: pull a fresh one
-    // (one forwarded round trip amortized over every hit that follows).
-    // Pacing: inside the adaptive backoff window, forward instead of
-    // thrashing fetches against a mutating leader — UNLESS the watermark
-    // reported by forwarded replies has held still for the quiet window,
-    // which means the write burst ended and one fetch makes us current.
-    {
-      std::lock_guard lock(deleg_mu_);
-      auto it = delegations_.find(dir_ino);
-      if (it == delegations_.end()) {
+    if (d.slice && d.slice->fence == d.token &&
+        d.slice->watermark >= d.watermark) {
+      slice = d.slice;
+    } else {
+      // No slice yet, or the leader's journal moved past it: pull a fresh
+      // one below (one forwarded round trip amortized over every hit that
+      // follows). Pacing: inside the adaptive backoff window, forward
+      // instead of thrashing fetches against a mutating leader — UNLESS the
+      // watermark reported by forwarded replies has held still for the
+      // quiet window, which means the write burst ended and one fetch makes
+      // us current.
+      const Nanos backoff = d.backoff > Nanos(0) ? d.backoff : kRefetchBackoff;
+      const bool quiet =
+          d.last_seen_wm == d.watermark &&
+          d.last_obs_at - d.first_seen_at >= kQuietBeforeRefetch;
+      if (!quiet && now - d.last_fetch < backoff) {
         deleg_misses_.Add();
         return false;
       }
-      DirDelegation& dd = it->second;
-      const Nanos backoff = dd.backoff > Nanos(0)
-                                ? dd.backoff
-                                : config_.deleg_refetch_backoff;
-      const bool quiet = dd.last_seen_wm == dd.watermark &&
-                         dd.last_obs_at - dd.first_seen_at >=
-                             config_.deleg_quiet_before_refetch;
-      if (!quiet && now - dd.last_fetch < backoff) {
-        deleg_misses_.Add();
-        return false;
-      }
-      dd.last_fetch = now;
+      d.last_fetch = now;
     }
+  }
+  if (!slice) {
     slice = DelegFetchSlice(dir_ino, leader);
     if (!slice) {
       deleg_misses_.Add();
@@ -212,106 +220,26 @@ bool Client::DelegatedServe(const Uuid& dir_ino, const std::string& leader,
     }
   }
 
-  const UserCred cred = req.cred.ToCred();
-  const Inode& dir_inode = slice->dir_inode;
-  auto fill_meta = [&] {
-    out->dir_meta = {true, dir_inode.mode, dir_inode.uid, dir_inode.gid,
-                     dir_inode.acl};
-  };
-  auto finish = [&](const Status& st) {
-    out->code = st.code();
-    out->detail = st.detail();
-    deleg_hits_.Add();
-    return true;
-  };
-  auto find_entry = [&](const std::string& name) -> const Dentry* {
-    auto it = std::lower_bound(
-        slice->entries.begin(), slice->entries.end(), name,
-        [](const Dentry& e, const std::string& n) { return e.name < n; });
-    if (it == slice->entries.end() || it->name != name) return nullptr;
-    return &*it;
-  };
   // Child-file inode: from the slice if the leader had it loaded, else from
   // the store — exactly the lazy load the leader itself would perform (any
-  // journaled change to the inode would have put it in the slice).
-  auto load_child = [&](const Uuid& ino, Inode* child) {
-    if (auto it = slice->child_inodes.find(ino);
-        it != slice->child_inodes.end()) {
-      *child = it->second;
-      return true;
-    }
-    auto loaded = prt_->LoadInode(ino);
-    if (!loaded.ok()) return false;
-    *child = std::move(*loaded);
-    return true;
-  };
-
-  switch (req.op) {
-    case wire::DirOp::kGetAttrDir:
-      out->has_inode = true;
-      out->inode = dir_inode;
-      fill_meta();
-      return finish(Status::Ok());
-
-    case wire::DirOp::kLookup: {
-      if (Status st = CheckAccess(dir_inode, cred, kPermExec); !st.ok()) {
-        return finish(st);
-      }
-      fill_meta();
-      const Dentry* dent = find_entry(req.name);
-      if (!dent) return false;  // negative: forward, the name may be brand new
-      out->has_dentry = true;
-      out->dentry = *dent;
-      if (dent->type != FileType::kDirectory) {
-        Inode child;
-        if (!load_child(dent->ino, &child)) return false;
-        out->has_inode = true;
-        out->inode = std::move(child);
-      }
-      return finish(Status::Ok());
-    }
-
-    case wire::DirOp::kGetAttrChild: {
-      if (Status st = CheckAccess(dir_inode, cred, kPermExec); !st.ok()) {
-        return finish(st);
-      }
-      fill_meta();
-      Uuid ino = req.child_ino;
-      if (!req.name.empty()) {
-        const Dentry* dent = find_entry(req.name);
-        if (!dent) return false;
-        out->has_dentry = true;
-        out->dentry = *dent;
-        if (dent->type == FileType::kDirectory) {
-          // Best-effort store copy, mirroring the leader; authoritative
-          // directory stats go through the child's own leader anyway.
-          auto child = prt_->LoadInode(dent->ino);
-          if (!child.ok()) return false;
-          out->has_inode = true;
-          out->inode = std::move(*child);
-          return finish(Status::Ok());
-        }
-        ino = dent->ino;
-      }
-      Inode child;
-      if (!load_child(ino, &child)) return false;
-      out->has_inode = true;
-      out->inode = std::move(child);
-      return finish(Status::Ok());
-    }
-
-    case wire::DirOp::kReadDir: {
-      if (Status st = CheckAccess(dir_inode, cred, kPermRead); !st.ok()) {
-        return finish(st);
-      }
-      out->entries = slice->entries;
-      fill_meta();
-      return finish(Status::Ok());
-    }
-
-    default:
-      return false;  // not delegable; caller forwards
-  }
+  // journaled change to the inode would have put it in the slice). Nothing
+  // is cached: the slice is shared and immutable.
+  const Metatable& table = slice->table;
+  Status st = ServeRead(
+      table, req, req.cred.ToCred(),
+      [&](const Uuid& ino) -> Result<Inode> {
+        if (const Inode* child = table.FindChildInode(ino)) return *child;
+        return prt_->LoadInode(ino);
+      },
+      out);
+  // kOk and kAccess are answers; anything else forwards — a name absent
+  // from the slice may be brand new, and a failed child load is the
+  // leader's to retry.
+  if (!st.ok() && st.code() != Errc::kAccess) return false;
+  out->code = st.code();
+  out->detail = st.detail();
+  deleg_hits_.Add();
+  return true;
 }
 
 Status Client::LeaderDelegateFetch(DirHandle& dir, wire::DirOpResponse* out) {
@@ -344,7 +272,8 @@ std::string Client::DelegDumpText() {
          << d.token.epoch << "," << d.token.seq << "}"
          << " leader_watermark=" << d.watermark << " slice=";
       if (d.slice) {
-        os << "seq " << d.slice->watermark << " (" << d.slice->entries.size()
+        os << "seq " << d.slice->watermark << " ("
+           << d.slice->table.entry_count()
            << " entries, "
            << (d.slice->watermark >= d.watermark ? "current" : "behind")
            << ")";

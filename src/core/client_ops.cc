@@ -895,6 +895,65 @@ Status Client::DropCaches() {
 }
 
 // ---------------------------------------------------------------------------
+// Delegable reads: one body for a leader's metatable and a delegate's slice
+// ---------------------------------------------------------------------------
+
+Status Client::ServeRead(const Metatable& mt, const wire::DirOpRequest& req,
+                         const UserCred& cred,
+                         const ChildInodeLoader& child_loader,
+                         wire::DirOpResponse* out) {
+  const Inode& dir_inode = mt.dir_inode();
+  auto fill_meta = [&] {
+    out->dir_meta = {true, dir_inode.mode, dir_inode.uid, dir_inode.gid,
+                     dir_inode.acl};
+  };
+  switch (req.op) {
+    case wire::DirOp::kGetAttrDir:
+      out->has_inode = true;
+      out->inode = dir_inode;
+      fill_meta();
+      return Status::Ok();
+
+    case wire::DirOp::kReadDir:
+      ARKFS_RETURN_IF_ERROR(CheckAccess(dir_inode, cred, kPermRead));
+      out->entries = mt.ListEntries();
+      fill_meta();
+      return Status::Ok();
+
+    case wire::DirOp::kLookup:
+    case wire::DirOp::kGetAttrChild:
+      break;
+
+    default:
+      return ErrStatus(Errc::kInval, "not a delegable read");
+  }
+
+  // kLookup / kGetAttrChild: resolve the child under exec permission.
+  ARKFS_RETURN_IF_ERROR(CheckAccess(dir_inode, cred, kPermExec));
+  fill_meta();
+  const bool lookup = req.op == wire::DirOp::kLookup;
+  Uuid ino = req.child_ino;
+  if (lookup || !req.name.empty()) {
+    ARKFS_ASSIGN_OR_RETURN(Dentry d, mt.Lookup(req.name));
+    out->has_dentry = true;
+    out->dentry = d;
+    if (d.type == FileType::kDirectory) {
+      // A lookup stops at the dentry. A getattr serves a best-effort inode
+      // from the store; authoritative stat of a directory goes through its
+      // own leader (the caller does that).
+      if (lookup) return Status::Ok();
+      ARKFS_ASSIGN_OR_RETURN(out->inode, prt_->LoadInode(d.ino));
+      out->has_inode = true;
+      return Status::Ok();
+    }
+    ino = d.ino;
+  }
+  ARKFS_ASSIGN_OR_RETURN(out->inode, child_loader(ino));
+  out->has_inode = true;
+  return Status::Ok();
+}
+
+// ---------------------------------------------------------------------------
 // Leader-local operation bodies (handle.mu held by ServeDirOp)
 // ---------------------------------------------------------------------------
 
@@ -904,24 +963,6 @@ Result<Inode*> Client::LoadChildInodeLocked(DirHandle& dir, const Uuid& ino) {
   ARKFS_ASSIGN_OR_RETURN(Inode loaded, prt_->LoadInode(ino));
   mt.PutChildInode(std::move(loaded));
   return mt.FindMutableChildInode(ino);
-}
-
-Status Client::LeaderLookup(DirHandle& dir, const std::string& name,
-                            const UserCred& cred, wire::DirOpResponse* out) {
-  Metatable& mt = *dir.metatable;
-  const Inode& dir_inode = mt.dir_inode();
-  ARKFS_RETURN_IF_ERROR(CheckAccess(dir_inode, cred, kPermExec));
-  out->dir_meta = {true, dir_inode.mode, dir_inode.uid, dir_inode.gid,
-                   dir_inode.acl};
-  ARKFS_ASSIGN_OR_RETURN(Dentry d, mt.Lookup(name));
-  out->has_dentry = true;
-  out->dentry = d;
-  if (d.type != FileType::kDirectory) {
-    ARKFS_ASSIGN_OR_RETURN(Inode * child, LoadChildInodeLocked(dir, d.ino));
-    out->has_inode = true;
-    out->inode = *child;
-  }
-  return Status::Ok();
 }
 
 Status Client::LeaderCreate(DirHandle& dir, const std::string& name,
@@ -1145,46 +1186,6 @@ Status Client::LeaderRenameLocal(DirHandle& dir, const std::string& from,
   ARKFS_RETURN_IF_ERROR(mt.Erase(from));
   ARKFS_RETURN_IF_ERROR(mt.Insert(renamed, child_inode));
   ARKFS_RETURN_IF_ERROR(journal_->Append(dir.ino, std::move(records)));
-  return Status::Ok();
-}
-
-Status Client::LeaderReadDir(DirHandle& dir, const UserCred& cred,
-                             wire::DirOpResponse* out) {
-  Metatable& mt = *dir.metatable;
-  ARKFS_RETURN_IF_ERROR(CheckAccess(mt.dir_inode(), cred, kPermRead));
-  out->entries = mt.ListEntries();
-  const Inode& dir_inode = mt.dir_inode();
-  out->dir_meta = {true, dir_inode.mode, dir_inode.uid, dir_inode.gid,
-                   dir_inode.acl};
-  return Status::Ok();
-}
-
-Status Client::LeaderGetAttrChild(DirHandle& dir, const std::string& name,
-                                  const Uuid& child_ino, const UserCred& cred,
-                                  wire::DirOpResponse* out) {
-  Metatable& mt = *dir.metatable;
-  const Inode& dir_inode = mt.dir_inode();
-  ARKFS_RETURN_IF_ERROR(CheckAccess(dir_inode, cred, kPermExec));
-  out->dir_meta = {true, dir_inode.mode, dir_inode.uid, dir_inode.gid,
-                   dir_inode.acl};
-  Uuid ino = child_ino;
-  if (!name.empty()) {
-    ARKFS_ASSIGN_OR_RETURN(Dentry d, mt.Lookup(name));
-    out->has_dentry = true;
-    out->dentry = d;
-    if (d.type == FileType::kDirectory) {
-      // Serve a best-effort inode from the store; authoritative stat of a
-      // directory goes through its own leader (the caller does that).
-      ARKFS_ASSIGN_OR_RETURN(Inode child, prt_->LoadInode(d.ino));
-      out->has_inode = true;
-      out->inode = std::move(child);
-      return Status::Ok();
-    }
-    ino = d.ino;
-  }
-  ARKFS_ASSIGN_OR_RETURN(Inode * child, LoadChildInodeLocked(dir, ino));
-  out->has_inode = true;
-  out->inode = *child;
   return Status::Ok();
 }
 

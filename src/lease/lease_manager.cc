@@ -8,9 +8,6 @@
 
 namespace arkfs::lease {
 
-LeaseManager::LeaseManager(rpc::FabricPtr fabric, LeaseManagerConfig config)
-    : LeaseManager(std::move(fabric), nullptr, std::move(config)) {}
-
 LeaseManager::LeaseManager(rpc::FabricPtr fabric, ObjectStorePtr store,
                            LeaseManagerConfig config)
     : config_(std::move(config)),
@@ -49,12 +46,6 @@ std::uint64_t LeaseManager::BaseFenceSeq() const {
 
 // mu_ held.
 void LeaseManager::ResolveRoleLocked() {
-  if (!store_) {
-    // Unreplicated legacy mode: always active, epoch static until Restart().
-    active_ = true;
-    active_hint_ = config_.self_address;
-    return;
-  }
   Result<Bytes> raw = store_->Get(kEpochRecordKey);
   if (raw.ok()) {
     Result<EpochRecord> rec = EpochRecord::Decode(*raw);
@@ -174,7 +165,7 @@ Status LeaseManager::Start() {
     ResolveRoleLocked();
     heartbeat_stop_ = false;
   }
-  if (store_ && config_.group.size() > 1) {
+  if (config_.group.size() > 1) {
     heartbeat_thread_ = std::thread([this] { HeartbeatMain(); });
   }
   return Status::Ok();
@@ -195,7 +186,7 @@ void LeaseManager::Stop() {
 void LeaseManager::Restart() {
   std::lock_guard lock(mu_);
   leases_.clear();
-  if (store_ && active_) {
+  if (active_) {
     // Re-read the record before persisting the bump: a deposed-but-unaware
     // replica (partitioned through the successor's takeover) must not
     // clobber the successor's claim and seize activeness outside the
@@ -221,7 +212,7 @@ void LeaseManager::Restart() {
   quiet_until_ = Now() + config_.lease_period;
   quiet_ms_.Set(
       static_cast<std::uint64_t>(config_.lease_period.count() / 1'000'000));
-  if (store_ && active_) {
+  if (active_) {
     const EpochRecord rec{epoch_, config_.self_address};
     if (Status st = store_->Put(kEpochRecordKey, rec.Encode()); !st.ok()) {
       ARKFS_WLOG << "lease manager restart: cannot persist epoch " << epoch_
@@ -294,7 +285,6 @@ void LeaseManager::HeartbeatMain() {
 }
 
 void LeaseManager::AuditEpochRecord() {
-  if (!store_) return;
   Result<Bytes> raw = store_->Get(kEpochRecordKey);
   if (!raw.ok()) return;
   Result<EpochRecord> rec = EpochRecord::Decode(*raw);
@@ -322,7 +312,6 @@ void LeaseManager::AuditEpochRecord() {
 }
 
 void LeaseManager::TryTakeover() {
-  if (!store_) return;
   std::uint64_t current_epoch;
   {
     std::lock_guard lock(mu_);

@@ -100,11 +100,8 @@ struct LeaseManagerConfig {
 
 class LeaseManager {
  public:
-  // Unreplicated manager (no persisted epoch record): epoch stays at 1 and
-  // only bumps on Restart(). Kept for tests and minimal deployments.
-  LeaseManager(rpc::FabricPtr fabric, LeaseManagerConfig config);
-  // Replica-group manager: role and epoch come from the epoch record in
-  // `store`; standbys heartbeat and take over per the config.
+  // Role and epoch come from the epoch record in `store`; in a replica
+  // group, standbys heartbeat and take over per the config.
   LeaseManager(rpc::FabricPtr fabric, ObjectStorePtr store,
                LeaseManagerConfig config);
   ~LeaseManager();
@@ -188,7 +185,7 @@ class LeaseManager {
 
   const LeaseManagerConfig config_;
   rpc::FabricPtr fabric_;
-  ObjectStorePtr store_;  // null = unreplicated (no epoch record)
+  ObjectStorePtr store_;  // holds the epoch record
   std::shared_ptr<rpc::Endpoint> endpoint_;
 
   mutable std::mutex mu_;

@@ -2,6 +2,18 @@
 
 namespace arkfs {
 
+Metatable::Metatable(Inode dir_inode, std::vector<Dentry> entries,
+                     std::vector<Inode> child_inodes)
+    : dir_inode_(std::move(dir_inode)) {
+  // Sorted input: each insert lands at the end, no search. The pair's key
+  // is copied from d.name before d is moved into its value.
+  for (auto& d : entries) {
+    entries_.emplace_hint(entries_.end(), d.name, std::move(d));
+  }
+  child_inodes_.reserve(child_inodes.size());
+  for (auto& ino : child_inodes) PutChildInode(std::move(ino));
+}
+
 Result<Dentry> Metatable::Lookup(const std::string& name) const {
   auto it = entries_.find(name);
   if (it == entries_.end()) return ErrStatus(Errc::kNoEnt, name);
@@ -39,8 +51,6 @@ Inode* Metatable::FindMutableChildInode(const Uuid& ino) {
 void Metatable::PutChildInode(Inode inode) {
   child_inodes_[inode.ino] = std::move(inode);
 }
-
-void Metatable::EraseChildInode(const Uuid& ino) { child_inodes_.erase(ino); }
 
 std::vector<Dentry> Metatable::ListEntries() const {
   std::vector<Dentry> out;

@@ -24,6 +24,10 @@ namespace arkfs {
 class Metatable {
  public:
   explicit Metatable(Inode dir_inode) : dir_inode_(std::move(dir_inode)) {}
+  // A table over a copy fetched from a leader (a read delegate's slice):
+  // `entries` in ListEntries order, `child_inodes` as ChildInodes lists them.
+  Metatable(Inode dir_inode, std::vector<Dentry> entries,
+            std::vector<Inode> child_inodes);
 
   const Inode& dir_inode() const { return dir_inode_; }
   Inode& mutable_dir_inode() { return dir_inode_; }
@@ -47,7 +51,6 @@ class Metatable {
   const Inode* FindChildInode(const Uuid& ino) const;
   Inode* FindMutableChildInode(const Uuid& ino);
   void PutChildInode(Inode inode);
-  void EraseChildInode(const Uuid& ino);
 
   // Sorted dentries (readdir order).
   std::vector<Dentry> ListEntries() const;

@@ -37,7 +37,6 @@ AsyncObjectIo::AsyncObjectIo(ObjectStorePtr store, AsyncIoConfig config)
         return c;
       }()),
       store_(std::move(store)) {
-  retry_counters_.Attach(config_.metrics, "asyncio.retry");
   ops_submitted_.Attach(config_.metrics, "asyncio.ops_submitted");
   batches_.Attach(config_.metrics, "asyncio.batches");
   helper_runs_.Attach(config_.metrics, "asyncio.helper_runs");
@@ -139,50 +138,38 @@ std::future<R> AsyncObjectIo::SubmitSingle(bool gated, std::function<R()> fn) {
 }
 
 std::future<Result<Bytes>> AsyncObjectIo::SubmitGet(std::string key) {
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   return SubmitSingle<Result<Bytes>>(
-      true, [this, key = std::move(key), deadline] {
-        return Retried(deadline, [&] { return store_->Get(key); });
-      });
+      true, [this, key = std::move(key)] { return store_->Get(key); });
 }
 
 std::future<Result<Bytes>> AsyncObjectIo::SubmitGetRange(std::string key,
                                                          std::uint64_t offset,
                                                          std::uint64_t length) {
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   return SubmitSingle<Result<Bytes>>(
-      true, [this, key = std::move(key), offset, length, deadline] {
-        return Retried(deadline,
-                       [&] { return store_->GetRange(key, offset, length); });
+      true, [this, key = std::move(key), offset, length] {
+        return store_->GetRange(key, offset, length);
       });
 }
 
 std::future<Status> AsyncObjectIo::SubmitPut(std::string key, Bytes data) {
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   return SubmitSingle<Status>(
-      true, [this, key = std::move(key), data = std::move(data), deadline] {
-        return Retried(deadline, [&] { return store_->Put(key, data); });
+      true, [this, key = std::move(key), data = std::move(data)] {
+        return store_->Put(key, data);
       });
 }
 
 std::future<Status> AsyncObjectIo::SubmitPutRange(std::string key,
                                                   std::uint64_t offset,
                                                   Bytes data) {
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   return SubmitSingle<Status>(
-      true,
-      [this, key = std::move(key), offset, data = std::move(data), deadline] {
-        return Retried(deadline,
-                       [&] { return store_->PutRange(key, offset, data); });
+      true, [this, key = std::move(key), offset, data = std::move(data)] {
+        return store_->PutRange(key, offset, data);
       });
 }
 
 std::future<Status> AsyncObjectIo::SubmitDelete(std::string key) {
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   return SubmitSingle<Status>(
-      true, [this, key = std::move(key), deadline] {
-        return Retried(deadline, [&] { return store_->Delete(key); });
-      });
+      true, [this, key = std::move(key)] { return store_->Delete(key); });
 }
 
 std::future<Status> AsyncObjectIo::SubmitTask(std::function<Status()> fn) {
@@ -195,9 +182,6 @@ MultiGetResult AsyncObjectIo::MultiGet(std::vector<BatchGet> gets) {
   out.results.assign(n, Result<Bytes>(ErrStatus(Errc::kIo, "not executed")));
   if (n == 0) return out;
   const TimePoint start = Now();
-  // One retry deadline for the whole batch: a flaky store can stretch the
-  // batch by at most deadline + one op, however many elements retry.
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   auto batch = std::make_shared<Batch>(n);
   std::vector<OpPtr> ops(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -205,11 +189,9 @@ MultiGetResult AsyncObjectIo::MultiGet(std::vector<BatchGet> gets) {
     Result<Bytes>* slot = &out.results[i];
     ops[i] = std::make_shared<Op>();
     ops[i]->batch = batch;
-    ops[i]->body = [this, &g, slot, deadline] {
-      *slot = Retried(deadline, [&] {
-        return g.ranged ? store_->GetRange(g.key, g.offset, g.length)
-                        : store_->Get(g.key);
-      });
+    ops[i]->body = [this, &g, slot] {
+      *slot = g.ranged ? store_->GetRange(g.key, g.offset, g.length)
+                       : store_->Get(g.key);
     };
     Enqueue(ops[i]);
   }
@@ -229,7 +211,6 @@ MultiOpResult AsyncObjectIo::MultiPut(std::vector<BatchPut> puts) {
   out.results.assign(n, Status::Ok());
   if (n == 0) return out;
   const TimePoint start = Now();
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   auto batch = std::make_shared<Batch>(n);
   std::vector<OpPtr> ops(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -237,11 +218,9 @@ MultiOpResult AsyncObjectIo::MultiPut(std::vector<BatchPut> puts) {
     Status* slot = &out.results[i];
     ops[i] = std::make_shared<Op>();
     ops[i]->batch = batch;
-    ops[i]->body = [this, &p, slot, deadline] {
-      *slot = Retried(deadline, [&] {
-        return p.ranged ? store_->PutRange(p.key, p.offset, p.data)
-                        : store_->Put(p.key, p.data);
-      });
+    ops[i]->body = [this, &p, slot] {
+      *slot = p.ranged ? store_->PutRange(p.key, p.offset, p.data)
+                       : store_->Put(p.key, p.data);
     };
     Enqueue(ops[i]);
   }
@@ -256,7 +235,6 @@ MultiOpResult AsyncObjectIo::MultiDelete(std::vector<std::string> keys) {
   out.results.assign(n, Status::Ok());
   if (n == 0) return out;
   const TimePoint start = Now();
-  const TimePoint deadline = RetryDeadlineFor(config_.retry);
   auto batch = std::make_shared<Batch>(n);
   std::vector<OpPtr> ops(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -264,9 +242,7 @@ MultiOpResult AsyncObjectIo::MultiDelete(std::vector<std::string> keys) {
     Status* slot = &out.results[i];
     ops[i] = std::make_shared<Op>();
     ops[i]->batch = batch;
-    ops[i]->body = [this, &key, slot, deadline] {
-      *slot = Retried(deadline, [&] { return store_->Delete(key); });
-    };
+    ops[i]->body = [this, &key, slot] { *slot = store_->Delete(key); };
     Enqueue(ops[i]);
   }
   JoinBatch(batch, ops, start);

@@ -41,23 +41,15 @@
 #include "common/clock.h"
 #include "common/mpmc_queue.h"
 #include "common/status.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "objstore/object_store.h"
-#include "objstore/retry.h"
 
 namespace arkfs {
 
 struct AsyncIoConfig {
   int workers = 8;                 // worker threads executing submissions
   std::size_t max_in_flight = 64;  // cap on concurrently running primitives
-  // Retry policy for PRIMITIVE submissions (Get/GetRange/Put/PutRange/
-  // Delete — all idempotent, see retry.h). Disabled by default. The
-  // policy's deadline is per BATCH: every op of one MultiGet/MultiPut/
-  // MultiDelete shares the budget computed at submission, so a flaky store
-  // cannot stretch a batch beyond deadline + one op. Compound RunAll/
-  // SubmitTask closures are never retried here — they are not idempotent;
-  // the primitives they issue through this layer are retried individually.
-  RetryPolicy retry;
   // Where this layer's "asyncio.*" metric cells attach; null = process
   // default registry.
   obs::MetricsRegistry* metrics = nullptr;
@@ -134,7 +126,6 @@ class AsyncObjectIo {
 
   const AsyncIoConfig& config() const { return config_; }
   ObjectStore& store() { return *store_; }
-  const ObjectStorePtr& store_ptr() const { return store_; }
 
  private:
   // Join state for one batch: completion count and summed busy time.
@@ -170,20 +161,8 @@ class AsyncObjectIo {
   template <typename R>
   std::future<R> SubmitSingle(bool gated, std::function<R()> fn);
 
-  // Wraps one primitive store call in the configured retry policy.
-  // `deadline` is shared by every op of the submitting batch.
-  template <typename Fn>
-  auto Retried(TimePoint deadline, Fn&& fn) -> decltype(fn()) {
-    const std::uint64_t salt =
-        retry_salt_.fetch_add(1, std::memory_order_relaxed) + 1;
-    return RetryCall(config_.retry, salt, &retry_counters_, deadline,
-                     std::forward<Fn>(fn));
-  }
-
   const AsyncIoConfig config_;
   ObjectStorePtr store_;
-  RetryCounters retry_counters_;
-  std::atomic<std::uint64_t> retry_salt_{0};
 
   MpmcQueue<OpPtr> queue_;
   std::vector<std::thread> workers_;

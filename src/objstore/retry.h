@@ -1,8 +1,9 @@
 // Shared retry/backoff engine for object-store operations.
 //
-// One policy type and one call helper, used by RetryingStore (blocking
-// paths) and AsyncObjectIo (batched paths), so "what is retryable and how
-// hard do we try" is defined exactly once:
+// One policy type and one call helper, used by RetryingStore (every store
+// call, blocking or batched through AsyncObjectIo, rides on it) and the
+// lease client's RPCs, so "what is retryable and how hard do we try" is
+// defined exactly once:
 //
 //  * Only transient codes are retried: kIo, kTimedOut, kAgain. Everything
 //    else (kNoEnt, kNotSup, kInval, ...) is a semantic answer, not a fault.
@@ -11,15 +12,15 @@
 //    Get/GetRange/Head/List are pure reads, Put is a full-object replace,
 //    PutRange writes at an absolute offset, and Delete of a gone key just
 //    reports kNoEnt (which is not retried). Compound read-modify-write
-//    closures are NOT idempotent and must not be retried blindly — the
-//    async layer deliberately leaves RunAll tasks un-retried.
+//    closures are NOT idempotent and must not be retried blindly; their
+//    primitives are retried one by one underneath them.
 //  * Backoff is exponential with decorrelated jitter (sleep ~ uniform in
 //    [base, 3*prev], capped) so a fleet of clients hammering a recovering
 //    node spreads out instead of retrying in lockstep. When the failed
 //    status carries a server retry-after hint (admission/fair-queue shed),
 //    the hint replaces the jitter draw for that sleep, still capped.
-//  * A deadline bounds the total time burned on one op (or one batch); an
-//    attempt cap bounds the count. Whichever trips first ends the retries
+//  * A deadline bounds the total time burned on one op; an attempt cap
+//    bounds the count. Whichever trips first ends the retries
 //    and the last error surfaces unchanged.
 #pragma once
 
@@ -40,8 +41,7 @@ struct RetryPolicy {
   int max_attempts = 1;
   Nanos initial_backoff{Millis(2)};
   Nanos max_backoff{Millis(100)};
-  // Budget for one op (RetryingStore) or one batch (AsyncObjectIo).
-  // 0 = unbounded.
+  // Budget for one op. 0 = unbounded.
   Nanos deadline{0};
   // Seeds the per-call jitter stream; mixed with a per-call salt so
   // concurrent retriers do not share a backoff sequence.
@@ -66,7 +66,7 @@ struct RetryPolicy {
 
 // Retry accounting shared by every caller of RetryCall on one layer: four
 // metric cells a layer attaches under its own registry prefix
-// ("objstore.retry", "asyncio.retry", ...).
+// ("objstore.retry").
 struct RetryCounters {
   obs::Counter attempts;       // every execution, incl. first
   obs::Counter retries;        // executions beyond the first
@@ -78,12 +78,6 @@ struct RetryCounters {
     retries.Attach(registry, prefix + ".retries");
     giveups.Attach(registry, prefix + ".giveups");
     deadline_hits.Attach(registry, prefix + ".deadline_hits");
-  }
-  void Reset() {
-    attempts.Reset();
-    retries.Reset();
-    giveups.Reset();
-    deadline_hits.Reset();
   }
 };
 

@@ -8,9 +8,9 @@
 // whole-object Put, which a full rewrite repairs.
 //
 // Composition order matters: RetryingStore(ChaosStore(backend)) gives a
-// flaky backend with a tolerant client; the batched paths get the same
-// behaviour from AsyncIoConfig::retry so both stacks share one policy type
-// and one set of retryable codes.
+// flaky backend with a tolerant client. It is the one retry mechanism for
+// store calls: AsyncObjectIo's batches run over the same stack, so each of
+// their primitives is retried here, one op at a time.
 #pragma once
 
 #include <atomic>
@@ -47,8 +47,6 @@ class RetryingStore : public StoreDecorator {
   Result<std::vector<std::string>> List(const std::string& prefix) override;
 
   std::string name() const override { return "retrying/" + base()->name(); }
-
-  const RetryPolicy& policy() const { return policy_; }
 
  private:
   template <typename Fn>

@@ -20,10 +20,6 @@ Status Prt::StoreInode(const Inode& inode) {
   return store_->Put(InodeKey(inode.ino), inode.Encode());
 }
 
-Status Prt::DeleteInode(const Uuid& ino) {
-  return store_->Delete(InodeKey(ino));
-}
-
 namespace {
 
 // Merges raw live-slot GET results into one entry list; result index i must
@@ -356,18 +352,6 @@ Status Prt::WriteData(const Uuid& ino, std::uint64_t offset, ByteSpan data) {
     tasks.push_back([&write_slice, &s] { return write_slice(s); });
   }
   return async_->RunAll(std::move(tasks));
-}
-
-Status Prt::WriteChunk(const Uuid& ino, std::uint64_t chunk_index,
-                       ByteSpan data) {
-  if (data.size() > chunk_size_) {
-    return ErrStatus(Errc::kInval, "chunk payload exceeds chunk size");
-  }
-  return store_->Put(DataKey(ino, chunk_index), data);
-}
-
-Result<Bytes> Prt::ReadChunk(const Uuid& ino, std::uint64_t chunk_index) {
-  return store_->Get(DataKey(ino, chunk_index));
 }
 
 Status Prt::TruncateData(const Uuid& ino, std::uint64_t old_size,

@@ -37,7 +37,6 @@ class Prt {
   // --- Metadata objects ---
   Result<Inode> LoadInode(const Uuid& ino);
   Status StoreInode(const Inode& inode);
-  Status DeleteInode(const Uuid& ino);
 
   // All per-directory metadata objects fetched with overlapped batches
   // (new-leader fast path). The first MultiGet speculatively covers dir
@@ -103,10 +102,6 @@ class Prt {
   // Writes data at offset, splitting across chunk objects.
   Status WriteData(const Uuid& ino, std::uint64_t offset, ByteSpan data);
 
-  // Writes exactly one whole chunk (cache flush fast path; chunk-aligned).
-  Status WriteChunk(const Uuid& ino, std::uint64_t chunk_index, ByteSpan data);
-  Result<Bytes> ReadChunk(const Uuid& ino, std::uint64_t chunk_index);
-
   // Shrinks/extends file data objects to new_size (drops orphaned chunks and
   // trims the boundary chunk).
   Status TruncateData(const Uuid& ino, std::uint64_t old_size,
@@ -117,14 +112,9 @@ class Prt {
 
   std::uint64_t chunk_size() const { return chunk_size_; }
   ObjectStore& store() { return *store_; }
-  const ObjectStorePtr& store_ptr() const { return store_; }
   // The shared submission layer every hot path above this fans out through.
   AsyncObjectIo& async() { return *async_; }
-  const AsyncObjectIoPtr& async_ptr() const { return async_; }
 
-  std::uint64_t ChunkIndexFor(std::uint64_t offset) const {
-    return offset / chunk_size_;
-  }
   std::uint64_t NumChunksFor(std::uint64_t file_size) const {
     return file_size == 0 ? 0 : (file_size - 1) / chunk_size_ + 1;
   }

@@ -5,13 +5,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "common/clock.h"
 #include "objstore/async_io.h"
 #include "objstore/chaos_store.h"
-#include "objstore/cluster_store.h"
 #include "objstore/memory_store.h"
+#include "objstore/store_decorator.h"
 #include "obs/metrics.h"
 #include "prt/translator.h"
 
@@ -322,16 +324,47 @@ TEST(AsyncObjectIoTest, ConcurrentSubmittersStress) {
             static_cast<std::uint64_t>(kThreads * kRounds * 8));
 }
 
+// A latency-bound store that proves overlap: a Get returns only once at
+// least `quorum` Gets have been inside it together (then it charges a 1 ms
+// round trip). A Get still waiting after `timeout` fails kTimedOut, so a
+// batch that runs its Gets one at a time can never succeed over it.
+class RendezvousStore : public StoreDecorator {
+ public:
+  RendezvousStore(ObjectStorePtr base, std::size_t quorum, Nanos timeout)
+      : StoreDecorator(std::move(base)), quorum_(quorum), timeout_(timeout) {}
+
+  Result<Bytes> Get(const std::string& key) override {
+    {
+      std::unique_lock lock(mu_);
+      if (++inside_ >= quorum_) met_ = true;
+      cv_.notify_all();
+      const bool met = cv_.wait_for(lock, timeout_, [&] { return met_; });
+      --inside_;
+      if (!met) return ErrStatus(Errc::kTimedOut, "Gets did not overlap");
+    }
+    SleepFor(Millis(1));
+    return StoreDecorator::Get(key);
+  }
+
+ private:
+  const std::size_t quorum_;
+  const Nanos timeout_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t inside_ = 0;
+  bool met_ = false;
+};
+
 TEST(AsyncObjectIoTest, OverlapSavingsOnLatencyBoundStore) {
-  // A store that charges real latency per op: a batch of N independent GETs
-  // must finish in well under N serial round trips.
-  ClusterConfig cc = ClusterConfig::RadosLike();
-  cc.num_nodes = 4;
-  auto store = std::make_shared<ClusterObjectStore>(cc);
-  obs::MetricsRegistry registry;
+  // A batch of N independent GETs must run them concurrently: the store
+  // only answers once cfg.workers of them are in flight together.
   AsyncIoConfig cfg;
   cfg.workers = 8;
   cfg.max_in_flight = 16;
+  auto store = std::make_shared<RendezvousStore>(
+      std::make_shared<MemoryObjectStore>(),
+      static_cast<std::size_t>(cfg.workers), Seconds(10));
+  obs::MetricsRegistry registry;
   cfg.metrics = &registry;
   AsyncObjectIo io(store, cfg);
 
@@ -347,28 +380,14 @@ TEST(AsyncObjectIoTest, OverlapSavingsOnLatencyBoundStore) {
   }
   ASSERT_TRUE(io.MultiPut(std::move(puts)).status.ok());
 
-  // Best-of-3 on both sides: ctest runs tests in parallel on tiny hosts,
-  // and a single descheduled batch would otherwise flake the ratio.
-  Nanos serial = Nanos::max();
-  Nanos batched = Nanos::max();
-  for (int rep = 0; rep < 3; ++rep) {
-    const TimePoint serial_start = Now();
-    for (int i = 0; i < kOps; ++i) {
-      ASSERT_TRUE(store->Get("k" + std::to_string(i)).ok());
-    }
-    serial = std::min(
-        serial, std::chrono::duration_cast<Nanos>(Now() - serial_start));
-
-    std::vector<BatchGet> gets(kOps);
-    for (int i = 0; i < kOps; ++i) gets[i].key = "k" + std::to_string(i);
-    const TimePoint batch_start = Now();
-    auto r = io.MultiGet(std::move(gets));
-    batched = std::min(
-        batched, std::chrono::duration_cast<Nanos>(Now() - batch_start));
-    ASSERT_TRUE(r.status.ok());
+  std::vector<BatchGet> gets(kOps);
+  for (int i = 0; i < kOps; ++i) gets[i].key = "k" + std::to_string(i);
+  auto r = io.MultiGet(std::move(gets));
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  for (int i = 0; i < kOps; ++i) {
+    ASSERT_TRUE(r.results[i].ok()) << i;
+    EXPECT_EQ(*r.results[i], bufs[i]) << i;
   }
-
-  EXPECT_LT(batched.count(), serial.count() / 2);  // >=2x speedup
   EXPECT_GT(registry.Snapshot().counter("asyncio.overlap_saved_ns"), 0u);
 }
 

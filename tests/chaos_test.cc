@@ -215,13 +215,16 @@ TEST(ChaosStoreTest, TornJournalTailNeverCommits) {
 // --- async batched path with retries ---
 
 TEST(AsyncIoRetryTest, BatchesRideOutTransientFaults) {
+  // Batches run over the retrying store stack: each primitive of a batch is
+  // retried by RetryingStore, the one retry mechanism for store calls.
   auto chaos = std::make_shared<ChaosStore>(
       std::make_shared<MemoryObjectStore>(), ChaosConfig::Flaky(21, 20.0));
   obs::MetricsRegistry registry;
+  auto retrying = std::make_shared<RetryingStore>(
+      chaos, RetryPolicy::ForTests(), &registry);
   AsyncIoConfig cfg = AsyncIoConfig::ForTests();
-  cfg.retry = RetryPolicy::ForTests();
   cfg.metrics = &registry;
-  AsyncObjectIo io(chaos, cfg);
+  AsyncObjectIo io(retrying, cfg);
 
   std::vector<Bytes> payloads;
   std::vector<BatchPut> puts;
@@ -245,9 +248,9 @@ TEST(AsyncIoRetryTest, BatchesRideOutTransientFaults) {
   }
 
   const obs::MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_GT(snap.counter("asyncio.retry.retries"), 0u);
-  EXPECT_EQ(snap.counter("asyncio.retry.giveups"), 0u);
-  EXPECT_EQ(snap.counter("asyncio.retry.deadline_hits"), 0u);
+  EXPECT_GT(snap.counter("objstore.retry.retries"), 0u);
+  EXPECT_EQ(snap.counter("objstore.retry.giveups"), 0u);
+  EXPECT_EQ(snap.counter("objstore.retry.deadline_hits"), 0u);
 }
 
 // --- satellite regression: journal commit failure must not lose records ---

@@ -3,7 +3,12 @@
 // refetch and fence-token invalidation (DESIGN.md §4.5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <latch>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/cluster.h"
 #include "objstore/memory_store.h"
@@ -143,6 +148,71 @@ TEST_F(DelegationTest, LeadershipChangeInvalidatesDelegation) {
   EXPECT_EQ(entries->size(), 5u);
   const auto delegated_before = c2_->stats().stat_delegated;
   ASSERT_TRUE(c2_->Stat("/hot/late", root_).ok());
+  EXPECT_GT(c2_->stats().stat_delegated, delegated_before);
+}
+
+TEST_F(DelegationTest, ConcurrentDelegatedReadersShareOneSlice) {
+  // Four c2 threads serve stat and readdir from the same shared slice (and
+  // the slices that replace it) while the leader keeps creating files in
+  // /hot. The leader is c3, which took /hot over from c1 and so has not
+  // loaded the seeded files' inodes: the slice lacks them, and every stat of
+  // one loads it on the delegate, from several threads at once.
+  constexpr int kSeeded = 8;
+  constexpr int kReaders = 4;
+  constexpr int kCreates = 40;
+  constexpr int kRounds = 30;
+  SeedHotDir(kSeeded);
+  ASSERT_TRUE(c1_->Shutdown().ok());  // releases /hot
+  auto c3 = cluster_->AddClient("c3").value();
+  ASSERT_TRUE(c3->WriteFileAt("/hot/n0", AsBytes("bbb"), root_).ok());
+  ASSERT_TRUE(c2_->Stat("/hot/f0", root_).ok());  // adopt + first slice
+  const auto delegated_before = c2_->stats().stat_delegated;
+
+  std::latch first_round_done(kReaders);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::set<std::string> seen;  // this thread's last readdir
+      for (int round = 0; round < kRounds; ++round) {
+        const std::string path =
+            "/hot/f" + std::to_string((t + round) % kSeeded);
+        auto st = c2_->Stat(path, root_);
+        if (!st.ok()) {
+          ADD_FAILURE() << path << ": " << st.status().ToString();
+        } else if (st->size != 2u) {
+          ADD_FAILURE() << path << " size " << st->size;
+        }
+        auto entries = c2_->ReadDir("/hot", root_);
+        if (!entries.ok()) {
+          ADD_FAILURE() << "readdir: " << entries.status().ToString();
+        } else {
+          std::set<std::string> now;
+          for (const Dentry& d : *entries) now.insert(d.name);
+          for (int i = 0; i < kSeeded; ++i) {
+            if (!now.contains("f" + std::to_string(i))) {
+              ADD_FAILURE() << "readdir lost f" << i;
+            }
+          }
+          // Names are only ever created here: a later listing must hold
+          // every name an earlier one did.
+          if (!std::includes(now.begin(), now.end(), seen.begin(),
+                             seen.end())) {
+            ADD_FAILURE() << "readdir went back in time";
+          }
+          seen = std::move(now);
+        }
+        if (round == 0) first_round_done.count_down();
+      }
+    });
+  }
+  first_round_done.wait();  // every reader served once before any create
+  for (int i = 1; i < kCreates; ++i) {
+    EXPECT_TRUE(
+        c3->WriteFileAt("/hot/n" + std::to_string(i), AsBytes("bbb"), root_)
+            .ok())
+        << i;
+  }
+  for (auto& r : readers) r.join();
   EXPECT_GT(c2_->stats().stat_delegated, delegated_before);
 }
 

@@ -377,11 +377,12 @@ TEST_F(LeaseHaTest, RevivedReplicaRejoinsAsStandby) {
 
 // Satellite regression: a transient manager blip (dropped packets, brief
 // partition) must be absorbed by the transport retry policy instead of
-// surfacing kTimedOut from one flaky RPC. Uses an unreplicated manager so no
-// failover machinery can mask the retry path under test.
+// surfacing kTimedOut from one flaky RPC. Uses a single-replica manager so
+// no failover machinery can mask the retry path under test.
 TEST(LeaseFlakyFabricTest, AcquireRidesOutManagerBlip) {
   auto fabric = std::make_shared<rpc::Fabric>(sim::NetworkProfile::Instant());
-  LeaseManager manager(fabric, LeaseManagerConfig::ForTests());
+  LeaseManager manager(fabric, std::make_shared<MemoryObjectStore>(),
+                       LeaseManagerConfig::ForTests());
   ASSERT_TRUE(manager.Start().ok());
 
   LeaseClient::Options options;

@@ -6,6 +6,7 @@
 
 #include "lease/lease_client.h"
 #include "lease/lease_manager.h"
+#include "objstore/memory_store.h"
 #include "qos/admission.h"
 
 namespace arkfs::lease {
@@ -15,7 +16,8 @@ class LeaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fabric_ = std::make_shared<rpc::Fabric>(sim::NetworkProfile::Instant());
-    manager_ = std::make_unique<LeaseManager>(fabric_, config_);
+    manager_ = std::make_unique<LeaseManager>(
+        fabric_, std::make_shared<MemoryObjectStore>(), config_);
     ASSERT_TRUE(manager_->Start().ok());
   }
 
@@ -320,7 +322,7 @@ TEST(LeaseQosTest, ManagerAdmissionShedsInBandAsWait) {
   qos::AdmissionController admission(ac, &metrics);
   LeaseManagerConfig config = LeaseManagerConfig::ForTests();
   config.admission = &admission;
-  LeaseManager manager(fabric, config);
+  LeaseManager manager(fabric, std::make_shared<MemoryObjectStore>(), config);
   ASSERT_TRUE(manager.Start().ok());
 
   AcquireRequest req;

@@ -77,7 +77,7 @@ TEST_F(PrtTest, InodeRoundTrip) {
   auto loaded = prt_.LoadInode(i.ino);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->uid, 5u);
-  ASSERT_TRUE(prt_.DeleteInode(i.ino).ok());
+  ASSERT_TRUE(prt_.store().Delete(InodeKey(i.ino)).ok());
   EXPECT_EQ(prt_.LoadInode(i.ino).code(), Errc::kNoEnt);
 }
 
@@ -147,8 +147,6 @@ TEST_F(PrtTest, ChunkMath) {
   EXPECT_EQ(prt_.NumChunksFor(1), 1u);
   EXPECT_EQ(prt_.NumChunksFor(1024), 1u);
   EXPECT_EQ(prt_.NumChunksFor(1025), 2u);
-  EXPECT_EQ(prt_.ChunkIndexFor(1023), 0u);
-  EXPECT_EQ(prt_.ChunkIndexFor(1024), 1u);
 }
 
 TEST(KeySchemaTest, ShardedDentryKeysParse) {
