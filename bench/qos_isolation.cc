@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,9 +66,11 @@ struct ScenarioResult {
 // One victim thread measuring create+stat latency per op; `aggressor_threads`
 // background threads hammering creates in their own directories until the
 // victim finishes (duration-based, so throttling the aggressor cannot
-// stretch the victim's measured window).
-ScenarioResult RunScenario(bool aggressor_on, bool qos_on, int victim_ops,
-                           int aggressor_threads) {
+// stretch the victim's measured window). nullopt, after a message, when a
+// setup mkdir fails; the caller fails the run.
+std::optional<ScenarioResult> RunScenario(bool aggressor_on, bool qos_on,
+                                          int victim_ops,
+                                          int aggressor_threads) {
   obs::MetricsRegistry registry;
   qos::TenantMetrics store_metrics(&registry);
 
@@ -106,8 +109,16 @@ ScenarioResult RunScenario(bool aggressor_on, bool qos_on, int victim_ops,
   auto cluster = ArkFsCluster::Create(store, options).value();
   const UserCred root = UserCred::Root();
 
+  auto setup_mkdir = [&](Client& client, const std::string& dir) {
+    const Status st = client.Mkdir(dir, 0755, root);
+    if (!st.ok()) {
+      std::printf("  setup mkdir %s failed: %s\n", dir.c_str(),
+                  st.ToString().c_str());
+    }
+    return st.ok();
+  };
   auto victim = cluster->AddClient("victim", kVictim).value();
-  if (!victim->Mkdir("/victim", 0755, root).ok()) return {};
+  if (!setup_mkdir(*victim, "/victim")) return std::nullopt;
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> aggr_acked{0};
@@ -116,9 +127,17 @@ ScenarioResult RunScenario(bool aggressor_on, bool qos_on, int victim_ops,
   std::shared_ptr<Client> aggressor;
   if (aggressor_on) {
     aggressor = cluster->AddClient("aggressor", kAggressor).value();
+    // Every directory before any thread, so a setup failure never returns
+    // past running (joinable) aggressor threads. The victim creates them:
+    // setup is not the aggressor's offered load, and its admission cap
+    // would throttle back-to-back mkdirs.
+    for (int t = 0; t < aggressor_threads; ++t) {
+      if (!setup_mkdir(*victim, "/aggr" + std::to_string(t))) {
+        return std::nullopt;
+      }
+    }
     for (int t = 0; t < aggressor_threads; ++t) {
       const std::string dir = "/aggr" + std::to_string(t);
-      if (!aggressor->Mkdir(dir, 0755, root).ok()) return {};
       aggressors.emplace_back([&, dir] {
         const std::string payload = "aggressor-payload";
         for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed);
@@ -329,29 +348,30 @@ int main(int argc, char** argv) {
   const int repeats = smoke ? 3 : 1;
   ScenarioResult baseline{}, protected_run{};
   for (int r = 0; r < repeats; ++r) {
-    const ScenarioResult b =
-        RunScenario(false, true, victim_ops, aggressor_threads);
-    const ScenarioResult p =
-        RunScenario(true, true, victim_ops, aggressor_threads);
+    const auto b = RunScenario(false, true, victim_ops, aggressor_threads);
+    if (!b) return 1;
+    const auto p = RunScenario(true, true, victim_ops, aggressor_threads);
+    if (!p) return 1;
     if (r == 0) {
-      baseline = b;
-      protected_run = p;
+      baseline = *b;
+      protected_run = *p;
     } else {
-      baseline.create_p99 = std::min(baseline.create_p99, b.create_p99);
-      baseline.stat_p99 = std::min(baseline.stat_p99, b.stat_p99);
+      baseline.create_p99 = std::min(baseline.create_p99, b->create_p99);
+      baseline.stat_p99 = std::min(baseline.stat_p99, b->stat_p99);
       protected_run.create_p99 =
-          std::min(protected_run.create_p99, p.create_p99);
-      protected_run.stat_p99 = std::min(protected_run.stat_p99, p.stat_p99);
+          std::min(protected_run.create_p99, p->create_p99);
+      protected_run.stat_p99 = std::min(protected_run.stat_p99, p->stat_p99);
     }
   }
-  const ScenarioResult unprotected =
+  const auto unprotected =
       RunScenario(true, false, victim_ops, aggressor_threads);
+  if (!unprotected) return 1;
 
   std::printf("\n  %-10s %10s %10s %10s %12s %9s %9s %9s\n", "scenario",
               "cr p50us", "cr p99us", "st p99us", "victim op/s", "agg ok",
               "agg rej", "agg shed");
   PrintScenario("baseline", baseline);
-  PrintScenario("no-qos", unprotected);
+  PrintScenario("no-qos", *unprotected);
   PrintScenario("qos", protected_run);
   bench::Note("no-qos: equal weights, no admission — the aggressor's queue "
               "depth lands in the victim's tail");

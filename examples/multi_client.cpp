@@ -83,7 +83,8 @@ int main() {
               static_cast<unsigned long long>(c1->stats().recoveries));
 
   // --- §III-E.2: the lease manager itself can restart ---
-  cluster->lease_manager().Restart();
+  cluster->lease_manager().Stop();
+  CHECK_OK(cluster->lease_manager().Start());
   CHECK_OK(c2->WriteFileAt("/home/after_restart", AsBytes("still here"), root));
   std::printf("cluster still works after a lease-manager restart\n");
 

@@ -56,7 +56,6 @@ ArkFsCluster::ArkFsCluster(ObjectStorePtr store, ArkFsClusterOptions options)
     lease::LeaseManagerConfig config = options_.lease;
     config.self_address = manager_addresses_[static_cast<std::size_t>(i)];
     config.group = manager_addresses_;
-    config.start_active = (i == 0);
     config.admission = admission_.get();
     lease_managers_.push_back(
         std::make_unique<lease::LeaseManager>(fabric_, stack_.store, config));
@@ -86,6 +85,8 @@ Result<std::unique_ptr<ArkFsCluster>> ArkFsCluster::Create(
     auto stats = cluster->store()->Get(kTierStatsKey);
     if (stats.ok()) (void)tiering->LoadAccessStats(*stats);
   }
+  // In rank order: replica 0 finds no epoch record and claims epoch 1; the
+  // rest start as its standbys.
   for (auto& manager : cluster->lease_managers_) {
     ARKFS_RETURN_IF_ERROR(manager->Start());
   }

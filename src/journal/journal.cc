@@ -176,11 +176,12 @@ void JournalManager::DropTenureLocked(DirState& st, bool count_as_dropped) {
   st.watermark.store(0, std::memory_order_relaxed);
 }
 
-void JournalManager::CountDrain(DirState& st, bool lease_event) {
+bool JournalManager::CountDrain(DirState& st, bool lease_event) {
   std::lock_guard lock(st.mu);
-  if (st.running.empty()) return;
+  if (st.running.empty()) return false;
   metrics_.group_drains.Add();
   if (lease_event) metrics_.group_lease_drains.Add();
+  return true;
 }
 
 Status JournalManager::UnregisterDir(const Uuid& dir_ino) {
@@ -459,8 +460,14 @@ Status JournalManager::Checkpoint(const Uuid& dir_ino, DirState& st) {
 Status JournalManager::CommitDir(const Uuid& dir_ino) {
   DirStatePtr st = FindDir(dir_ino);
   if (!st) return Status::Ok();
-  CountDrain(*st, /*lease_event=*/false);
-  return CommitRunning(dir_ino, *st);
+  const bool pending = CountDrain(*st, /*lease_event=*/false);
+  // Even with nothing pending, wait out a commit already in flight.
+  ARKFS_RETURN_IF_ERROR(CommitRunning(dir_ino, *st));
+  // An explicit commit asks for a checkpoint like a flusher round, under
+  // the same per-interval limit. Sync-mode appends have already asked, and
+  // leave nothing pending here.
+  if (pending) ScheduleCheckpoint(*st);
+  return Status::Ok();
 }
 
 Status JournalManager::FlushDir(const Uuid& dir_ino) {

@@ -198,7 +198,9 @@ class JournalManager {
   // return Ok.
   Status Append(const Uuid& dir_ino, std::vector<Record> records);
 
-  // Forces running -> journal object for this directory. No checkpoint.
+  // Forces running -> journal object for this directory. Does not
+  // checkpoint inline; if it committed something, it asks the flusher for a
+  // checkpoint under the per-interval limit, as a flusher round does.
   Status CommitDir(const Uuid& dir_ino);
 
   // Commit + checkpoint everything pending for the directory (fsync path,
@@ -206,10 +208,9 @@ class JournalManager {
   Status FlushDir(const Uuid& dir_ino);
   Status FlushAll();
 
-  // Durability-only flush: commits every directory's running transaction to
-  // its journal object, without checkpointing. This is what fsync()/sync()
-  // need — journaled state is crash-safe; checkpointing remains background
-  // work.
+  // Durability-only flush: CommitDir for every directory, without an inline
+  // checkpoint. This is what fsync()/sync() need — journaled state is
+  // crash-safe; checkpointing remains background work.
   Status CommitAll();
 
   // Two-phase commit for RENAME: atomically (w.r.t. checkpointing) appends
@@ -386,8 +387,8 @@ class JournalManager {
   // three DirState locks held.
   void DropTenureLocked(DirState& st, bool count_as_dropped);
   // Counts an explicit drain (fsync, lease event) of a directory that had
-  // something pending.
-  void CountDrain(DirState& st, bool lease_event);
+  // something pending; returns whether it had.
+  bool CountDrain(DirState& st, bool lease_event);
   // Adds one ApplyTransactions outcome to the dentry-layout counters.
   void NoteApplyOutcome(const ApplyOutcome& outcome);
   // Asks the flusher to checkpoint the directory: at once, or, within

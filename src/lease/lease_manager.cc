@@ -40,92 +40,84 @@ int LeaseManager::Rank() const {
   return static_cast<int>(it - config_.group.begin());
 }
 
-std::uint64_t LeaseManager::BaseFenceSeq() const {
-  return static_cast<std::uint64_t>(Rank()) << 48;
-}
-
-// mu_ held.
-void LeaseManager::ResolveRoleLocked() {
-  Result<Bytes> raw = store_->Get(kEpochRecordKey);
-  if (raw.ok()) {
-    Result<EpochRecord> rec = EpochRecord::Decode(*raw);
-    if (!rec.ok()) {
-      // A torn/corrupt epoch record must not let two replicas both decide
-      // they are active. Come up as a standby; takeover rewrites the record.
-      ARKFS_WLOG << "lease replica " << config_.self_address
-                 << ": undecodable epoch record (" << rec.status().detail()
-                 << "); starting as standby";
-      active_ = false;
-      active_hint_.clear();
-      return;
-    }
-    if (rec->active == config_.self_address) {
-      // The record still names this replica, but this is a fresh process (or
-      // a Stop/Start rejoin) with no memory of the grants its previous life
-      // issued: resuming at the recorded epoch with a reset grant counter
-      // would re-mint those very tokens and double-grant a still-live lease.
-      // Treat it exactly like Restart(): resume only under a NEW persisted
-      // epoch and serve a quiet period of one lease term first.
-      const std::uint64_t new_epoch = std::max(epoch_, rec->epoch) + 1;
-      const EpochRecord bumped{new_epoch, config_.self_address};
-      if (Status st = store_->Put(kEpochRecordKey, bumped.Encode()); !st.ok()) {
-        // Cannot fence the previous life's grants; claiming activeness
-        // anyway would be exactly the double-grant hazard. Stay standby and
-        // let the takeover path (or a retry of Start) sort it out.
+void LeaseManager::SettleRole(bool takeover) {
+  const bool promotion = takeover;
+  for (int pass = 0; pass < 2; ++pass) {
+    Result<Bytes> raw = store_->Get(kEpochRecordKey);
+    std::optional<EpochRecord> rec;
+    if (raw.ok()) {
+      Result<EpochRecord> decoded = EpochRecord::Decode(*raw);
+      if (!decoded.ok()) {
+        // A guarded claim never tears the record, so this is outside damage,
+        // and no replica could say which epoch a claim over it supersedes.
         ARKFS_WLOG << "lease replica " << config_.self_address
-                   << ": named active after restart but cannot persist epoch "
-                   << new_epoch << " (" << st.detail()
-                   << "); starting as standby";
-        active_ = false;
-        active_hint_.clear();
+                   << ": undecodable epoch record ("
+                   << decoded.status().detail() << "); staying standby";
         return;
       }
-      leases_.clear();
-      epoch_ = new_epoch;
-      fence_seq_ = BaseFenceSeq();
-      active_ = true;
-      active_hint_ = config_.self_address;
+      rec = std::move(*decoded);
+    } else if (raw.status().code() != Errc::kNoEnt) {
+      ARKFS_WLOG << "lease replica " << config_.self_address
+                 << ": epoch record unreadable (" << raw.status().detail()
+                 << "); staying standby";
+      return;
+    }
+    {
+      std::lock_guard lock(mu_);
+      if (!started_) return;
+      if (rec && rec->active != config_.self_address &&
+          !(takeover && rec->epoch <= epoch_)) {
+        // Another replica holds (or has just claimed) the role: follow it.
+        epoch_ = std::max(epoch_, rec->epoch);
+        active_hint_ = rec->active;
+        return;
+      }
+    }
+    const Status st =
+        ClaimEpoch(rec ? &*raw : nullptr, rec ? rec->epoch : 0, promotion);
+    if (st.code() != Errc::kStale) return;
+    // Another claim landed first: re-read and follow it. A record naming
+    // this replica is claimed again — it is this replica's own claim, landed
+    // behind an error that a retry then saw as a miss.
+    takeover = false;
+  }
+}
+
+Status LeaseManager::ClaimEpoch(const Bytes* read, std::uint64_t read_epoch,
+                                bool takeover) {
+  const EpochRecord claim{read_epoch + 1, config_.self_address};
+  const WriteGuard guard =
+      read ? WriteGuard{0, *read, /*whole=*/true} : WriteGuard::Absent();
+  if (Status st = store_->PutIf(kEpochRecordKey, claim.Encode(), guard);
+      !st.ok()) {
+    ARKFS_WLOG << "lease replica " << config_.self_address
+               << ": claim of epoch " << claim.epoch << " did not land ("
+               << st.detail() << "); standby";
+    return st;
+  }
+  {
+    std::lock_guard lock(mu_);
+    leases_.clear();
+    epoch_ = claim.epoch;
+    fence_seq_ = 0;
+    active_ = true;
+    active_hint_ = config_.self_address;
+    if (read) {
+      // One full lease term of quiet: any lease granted under the record
+      // this claim superseded may still be live, and this replica has no
+      // record of it. No grant predates the first epoch, so the first claim
+      // serves at once.
       quiet_until_ = Now() + config_.lease_period;
       quiet_ms_.Set(static_cast<std::uint64_t>(config_.lease_period.count() /
                                                1'000'000));
-      ARKFS_ILOG << "lease replica " << config_.self_address
-                 << " resumed active after restart; epoch " << new_epoch
-                 << ", quiet period "
-                 << config_.lease_period.count() / 1e6 << "ms";
-      return;
     }
-    // Another replica is (or was last) active: join as a standby at the
-    // record's epoch.
-    epoch_ = std::max(epoch_, rec->epoch);
-    fence_seq_ = BaseFenceSeq();
-    active_ = false;
-    active_hint_ = rec->active;
-    return;
   }
-  if (raw.status().code() != Errc::kNoEnt) {
-    ARKFS_WLOG << "lease replica " << config_.self_address
-               << ": epoch record unreadable (" << raw.status().detail()
-               << "); starting as standby";
-    active_ = false;
-    active_hint_.clear();
-    return;
-  }
-  // No record yet: the designated bootstrap replica writes {1, self}.
-  if (config_.start_active) {
-    const EpochRecord rec{epoch_, config_.self_address};
-    if (Status st = store_->Put(kEpochRecordKey, rec.Encode()); !st.ok()) {
-      ARKFS_WLOG << "lease replica " << config_.self_address
-                 << ": cannot persist bootstrap epoch record: " << st.detail();
-    }
-    active_ = true;
-    fence_seq_ = BaseFenceSeq();
-    active_hint_ = config_.self_address;
-  } else {
-    active_ = false;
-    // Until the bootstrap replica writes the record, rank 0 is the best
-    // guess for redirects.
-    active_hint_ = config_.group.empty() ? "" : config_.group.front();
-  }
+  if (takeover) takeovers_.Add();
+  ARKFS_ILOG << "lease replica " << config_.self_address << " active at epoch "
+             << claim.epoch
+             << (read ? ", after a quiet period of one lease term" : "");
+  if (read) AnnounceEpoch(claim.epoch);
+  return Status::Ok();
 }
 
 Status LeaseManager::Start() {
@@ -158,13 +150,20 @@ Status LeaseManager::Start() {
     ARKFS_ASSIGN_OR_RETURN(auto request, PingRequest::Decode(req));
     return Ping(request).Encode();
   });
+  {
+    // Standby until a claim lands: a restarted replica must not serve with
+    // its previous life's role while it reads the record.
+    std::lock_guard lock(mu_);
+    active_ = false;
+    active_hint_.clear();
+  }
   ARKFS_RETURN_IF_ERROR(fabric_->Bind(config_.self_address, endpoint_));
   {
     std::lock_guard lock(mu_);
     started_ = true;
-    ResolveRoleLocked();
     heartbeat_stop_ = false;
   }
+  SettleRole(/*takeover=*/false);
   if (config_.group.size() > 1) {
     heartbeat_thread_ = std::thread([this] { HeartbeatMain(); });
   }
@@ -181,46 +180,6 @@ void LeaseManager::Stop() {
   }
   heartbeat_cv_.notify_all();
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
-}
-
-void LeaseManager::Restart() {
-  std::lock_guard lock(mu_);
-  leases_.clear();
-  if (active_) {
-    // Re-read the record before persisting the bump: a deposed-but-unaware
-    // replica (partitioned through the successor's takeover) must not
-    // clobber the successor's claim and seize activeness outside the
-    // takeover protocol. Only a record that still names this replica may be
-    // advanced here; an unreadable record falls through and bumps anyway, so
-    // a store blip cannot strand a single-replica group with no active.
-    if (Result<Bytes> raw = store_->Get(kEpochRecordKey); raw.ok()) {
-      if (Result<EpochRecord> rec = EpochRecord::Decode(*raw);
-          rec.ok() && rec->active != config_.self_address) {
-        active_ = false;
-        epoch_ = std::max(epoch_, rec->epoch);
-        fence_seq_ = BaseFenceSeq();
-        active_hint_ = rec->active;
-        ARKFS_ILOG << "lease manager restart: already deposed by "
-                   << rec->active << " (epoch " << rec->epoch
-                   << "); rejoining as standby";
-        return;
-      }
-    }
-  }
-  ++epoch_;
-  fence_seq_ = BaseFenceSeq();
-  quiet_until_ = Now() + config_.lease_period;
-  quiet_ms_.Set(
-      static_cast<std::uint64_t>(config_.lease_period.count() / 1'000'000));
-  if (active_) {
-    const EpochRecord rec{epoch_, config_.self_address};
-    if (Status st = store_->Put(kEpochRecordKey, rec.Encode()); !st.ok()) {
-      ARKFS_WLOG << "lease manager restart: cannot persist epoch " << epoch_
-                 << ": " << st.detail();
-    }
-  }
-  ARKFS_ILOG << "lease manager restarted; epoch " << epoch_ << ", quiet period "
-             << config_.lease_period.count() / 1e6 << "ms";
 }
 
 void LeaseManager::HeartbeatMain() {
@@ -260,10 +219,7 @@ void LeaseManager::HeartbeatMain() {
         if (Result<PingResponse> resp = PingResponse::Decode(*raw); resp.ok()) {
           probed_ok = resp->active;
           std::lock_guard lock(mu_);
-          if (resp->epoch > epoch_) {
-            epoch_ = resp->epoch;
-            fence_seq_ = BaseFenceSeq();
-          }
+          epoch_ = std::max(epoch_, resp->epoch);
           if (!resp->active && !resp->active_hint.empty() &&
               resp->active_hint != target) {
             active_hint_ = resp->active_hint;  // follow the hint chain
@@ -275,11 +231,11 @@ void LeaseManager::HeartbeatMain() {
       misses = 0;
       continue;
     }
-    // Stagger takeover by rank so standbys don't race each other to the
-    // epoch record: rank r waits r extra missed probes.
+    // Stagger takeover by rank so the lowest-ranked live standby claims
+    // first: rank r waits r extra missed probes.
     if (++misses >= config_.failover_probes + rank) {
       misses = 0;
-      TryTakeover();
+      SettleRole(/*takeover=*/true);
     }
   }
 }
@@ -295,11 +251,8 @@ void LeaseManager::AuditEpochRecord() {
     if (rec->epoch > epoch_) epoch_ = rec->epoch;
     return;
   }
-  // The record names another replica — abdicate at ANY epoch, not just a
-  // higher one. Epoch equality is not proof of ownership: two standbys
-  // racing the non-atomic Get/Put/Get takeover can both confirm the same
-  // new epoch (the loser's Put lands after the winner's confirm read), and
-  // the only durable tiebreak is whose name the record carries now.
+  // The record names another replica: a successor's claim landed over this
+  // replica's record (or an outside writer replaced it). Abdicate.
   ARKFS_ILOG << "lease replica " << config_.self_address
              << " observed the record naming " << rec->active << " at epoch "
              << rec->epoch << " (own epoch " << epoch_ << "); abdicating";
@@ -307,69 +260,7 @@ void LeaseManager::AuditEpochRecord() {
   leases_.clear();
   active_ = false;
   epoch_ = std::max(epoch_, rec->epoch);
-  fence_seq_ = BaseFenceSeq();
   active_hint_ = rec->active;
-}
-
-void LeaseManager::TryTakeover() {
-  std::uint64_t current_epoch;
-  {
-    std::lock_guard lock(mu_);
-    if (active_ || !started_) return;
-    current_epoch = epoch_;
-  }
-  // Serialize through the epoch record: re-read, and only take over if the
-  // group has not already moved past our view (another standby won).
-  Result<Bytes> raw = store_->Get(kEpochRecordKey);
-  if (raw.ok()) {
-    if (Result<EpochRecord> rec = EpochRecord::Decode(*raw); rec.ok()) {
-      if (rec->epoch > current_epoch) {
-        std::lock_guard lock(mu_);
-        epoch_ = rec->epoch;
-        fence_seq_ = BaseFenceSeq();
-        active_hint_ = rec->active;
-        return;  // someone else already took over; follow them
-      }
-      current_epoch = std::max(current_epoch, rec->epoch);
-    }
-  } else if (raw.status().code() != Errc::kNoEnt) {
-    return;  // store unreachable; retry on the next probe cycle
-  }
-  const std::uint64_t new_epoch = current_epoch + 1;
-  const EpochRecord claim{new_epoch, config_.self_address};
-  if (!store_->Put(kEpochRecordKey, claim.Encode()).ok()) return;
-  // Confirm the write won (two standbys may race the Put; last writer wins
-  // and the loser must observe that).
-  Result<Bytes> confirm = store_->Get(kEpochRecordKey);
-  if (!confirm.ok()) return;
-  Result<EpochRecord> rec = EpochRecord::Decode(*confirm);
-  if (!rec.ok()) return;
-  if (rec->active != config_.self_address || rec->epoch != new_epoch) {
-    std::lock_guard lock(mu_);
-    if (rec->epoch > epoch_) {
-      epoch_ = rec->epoch;
-      fence_seq_ = BaseFenceSeq();
-    }
-    active_hint_ = rec->active;
-    return;  // lost the race
-  }
-  {
-    std::lock_guard lock(mu_);
-    leases_.clear();
-    epoch_ = new_epoch;
-    fence_seq_ = BaseFenceSeq();
-    active_ = true;
-    active_hint_ = config_.self_address;
-    // One full lease term of quiet: any lease the dead active granted may
-    // still be live, and this replica has no record of it.
-    quiet_until_ = Now() + config_.lease_period;
-    quiet_ms_.Set(static_cast<std::uint64_t>(config_.lease_period.count() /
-                                             1'000'000));
-  }
-  takeovers_.Add();
-  ARKFS_ILOG << "lease replica " << config_.self_address
-             << " took over as active; epoch " << new_epoch;
-  AnnounceEpoch(new_epoch);
 }
 
 void LeaseManager::AnnounceEpoch(std::uint64_t epoch) {
@@ -398,7 +289,6 @@ PingResponse LeaseManager::Ping(const PingRequest& req) {
     }
     active_ = false;
     epoch_ = req.epoch;
-    fence_seq_ = BaseFenceSeq();
     active_hint_ = req.from;
   }
   PingResponse resp;

@@ -11,25 +11,32 @@
 //    is ACTIVE per fencing epoch, the rest are standbys that answer every
 //    request with a redirect-to-active hint. There is no consensus protocol —
 //    the group serializes failover through a small persisted epoch record in
-//    the object store (kEpochRecordKey), and split brain is made harmless by
-//    fencing at the journal layer (every grant carries a FenceToken; commits
-//    from a deposed epoch are rejected kStale at the store).
+//    the object store (kEpochRecordKey). Every write of it is one guarded
+//    claim (ClaimEpoch): {epoch + 1, self}, landing only if the record still
+//    holds exactly the bytes the claimant read (or, for the first claim, if
+//    there is none). So each epoch has exactly one owner, and a replica is
+//    active only at an epoch it persisted. Split brain across epochs (a
+//    deposed active that has not noticed yet) is made harmless by fencing at
+//    the journal layer: every grant carries a FenceToken, and commits from a
+//    deposed epoch are rejected kStale at the store.
 //  * Failover: standbys heartbeat the active replica; after `failover_probes`
-//    consecutive misses (staggered by replica rank so standbys don't race) a
-//    standby takes over by re-reading the epoch record, writing
-//    {epoch + 1, self}, and confirming its write won. The winner clears all
-//    lease state and serves a quiet period of one lease term — a still-live
-//    leader's lease can therefore never be double-granted — then announces
-//    the new epoch to its peers so a deposed active abdicates immediately.
+//    consecutive misses (staggered by replica rank, so the winner is
+//    predictable) a standby claims the epoch after the one it has seen. A
+//    claim that misses re-reads the record and follows whoever it names. The
+//    winner clears all lease state and serves a quiet period of one lease
+//    term — a still-live leader's lease can therefore never be double-granted
+//    — then announces the new epoch to its peers so a deposed active
+//    abdicates immediately.
 //
 // Fault behaviours implemented:
 //  * leader change with a live predecessor: the grant carries `prev_leader`
 //    so the new leader can request a final flush before loading metadata;
 //  * crashed leader: journal recovery — BeginRecovery fences the directory
 //    (other clients get kWait) and waits out the read/write-lease period;
-//  * manager restart: Restart() clears all state, bumps the fencing epoch
-//    and enters a quiet period of one lease term during which every Acquire
-//    gets kWait, so a still-live leader's lease cannot be double-granted;
+//  * manager restart (Stop + Start, or a fresh process over the same store):
+//    a replica the record still names claims the next epoch and serves a
+//    quiet period of one lease term during which every Acquire gets kWait,
+//    so a still-live leader's lease cannot be double-granted;
 //  * manager crash with standbys: epoch-fenced takeover as above.
 #pragma once
 
@@ -68,9 +75,6 @@ struct LeaseManagerConfig {
   // the index of self_address is the replica's rank (failover stagger).
   // Empty or size 1 == unreplicated.
   std::vector<std::string> group;
-  // Bootstrap hint: when no epoch record exists yet, may this replica write
-  // {1, self} and become active? (Cluster sets it on replica 0 only.)
-  bool start_active = true;
   Nanos heartbeat_interval{Millis(500)};
   int failover_probes = 3;  // missed heartbeats before a takeover attempt
 
@@ -108,20 +112,16 @@ class LeaseManager {
 
   // Binds the manager's endpoint at config.self_address, resolves this
   // replica's role from the epoch record, and (in a group) starts the
-  // heartbeat thread. Start after Stop rejoins the group: if the epoch moved
-  // on while this replica was down it comes back as a standby. If the record
-  // still names this replica it resumes active, but only under a freshly
-  // persisted epoch and a quiet period (Restart() semantics): the process
-  // has no memory of its previous life's grants, so resuming at the old
-  // epoch with a reset grant counter would re-mint still-live tokens.
+  // heartbeat thread. With no record yet, the replica claims epoch 1 and
+  // serves at once (no grant can predate the first epoch). If the record
+  // names another replica, this one joins as its standby. If it still names
+  // this replica — a restart, which Stop then Start models — the replica
+  // claims the next epoch and serves a quiet period first: the process has
+  // no memory of its previous life's grants, so resuming at the old epoch
+  // with a reset grant counter would re-mint still-live tokens (paper
+  // §III-E.2). A claim that does not land leaves the replica a standby.
   Status Start();
   void Stop();
-
-  // Simulates a crash + restart of the active replica in place: all lease
-  // state is lost, the fencing epoch is bumped (persisted when this replica
-  // is store-backed) and a quiet period of one lease term begins
-  // (paper §III-E.2).
-  void Restart();
 
   // --- direct (in-process) API; the RPC handlers call these ---
   AcquireResponse Acquire(const AcquireRequest& req);
@@ -160,28 +160,30 @@ class LeaseManager {
   // kAgain + active-address hint when this replica is a standby (the RPC
   // handlers' answer; LeaseClient's sweep consumes it).
   Status RedirectIfStandby() const;
-  // Role/epoch bootstrap from the epoch record (store-backed replicas).
-  // mu_ held.
-  void ResolveRoleLocked();
-  // Standby heartbeat loop; promotes via TryTakeover on missed probes.
+  // Standby-side role decision, at Start and (`takeover`) after missed
+  // heartbeats: reads the epoch record and claims the next epoch when the
+  // record is absent, names this replica, or — on a takeover — is no newer
+  // than the epoch this replica has seen; otherwise follows the replica it
+  // names. A claim that misses (kStale) re-reads once under the Start rule
+  // and follows whoever won. mu_ not held.
+  void SettleRole(bool takeover);
+  // Writes {read_epoch + 1, self} guarded on `read`, the record's bytes as
+  // read (null: no record, create-only). Only once it lands does this
+  // replica become active at that epoch, with lease state cleared, the
+  // grant sequence restarted and, if it superseded a record, a quiet period
+  // of one lease term. Returns the store's status; on failure the replica
+  // stays a standby.
+  Status ClaimEpoch(const Bytes* read, std::uint64_t read_epoch,
+                    bool takeover);
+  // Standby heartbeat loop; calls SettleRole(true) on missed probes.
   void HeartbeatMain();
   // Active-side deposition check: re-reads the epoch record and abdicates
-  // the moment it stops naming this replica — even at an equal epoch, since
-  // two standbys racing the non-atomic Get/Put/Get takeover can briefly both
-  // confirm the same epoch and the record's named active is the tiebreak.
-  // (Also covers the partitioned-active case where the successor's announce
-  // ping never arrives.)
+  // the moment it stops naming this replica. Covers the partitioned active,
+  // which never receives its successor's announce ping.
   void AuditEpochRecord();
-  void TryTakeover();
   // Announce the (new) epoch to every peer so a deposed active abdicates.
   void AnnounceEpoch(std::uint64_t epoch);
   int Rank() const;  // index of self in group (0 if absent/unreplicated)
-  // Starting value of the per-epoch grant sequence: rank << 48, so two
-  // replicas transiently claiming the same epoch (same-epoch split brain is
-  // resolvable but not instantaneously preventable without a conditional
-  // store write) still mint disjoint, totally ordered FenceTokens and the
-  // journal fence check can always tell their grants apart.
-  std::uint64_t BaseFenceSeq() const;
 
   const LeaseManagerConfig config_;
   rpc::FabricPtr fabric_;
@@ -192,9 +194,10 @@ class LeaseManager {
   std::map<Uuid, DirLease> leases_;
   TimePoint quiet_until_{};  // post-restart / post-takeover quiet period
   bool started_ = false;
-  bool active_ = true;
-  std::uint64_t epoch_ = 1;
-  std::uint64_t fence_seq_ = 0;  // per-epoch grant sequence
+  bool active_ = false;
+  std::uint64_t epoch_ = 0;      // highest epoch seen; 0 = none yet
+  std::uint64_t fence_seq_ = 0;  // grant sequence of the epoch this replica
+                                 // claimed; restarts at 0 with each claim
   std::string active_hint_;      // standby's best guess at the active address
 
   // Heartbeat thread (group deployments only).

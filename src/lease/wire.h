@@ -170,10 +170,11 @@ struct PingResponse {
   static Result<PingResponse> Decode(ByteSpan data);
 };
 
-// The persisted fencing-epoch record at kEpochRecordKey. Takeover = read
-// record, write {epoch + 1, self}, re-read to confirm the write won; every
-// replica adopts whatever the record says on Start(). Strict magic + CRC so
-// a torn record write fails loudly.
+// The persisted fencing-epoch record at kEpochRecordKey. Every write is a
+// claim: {epoch + 1, self}, put with a guard on the exact bytes the claimant
+// read (create-only when there was no record), so it lands only if nobody
+// claimed in between and each epoch has one owner. Replicas follow whoever
+// the record names. Strict magic + CRC, so outside damage fails loudly.
 struct EpochRecord {
   std::uint64_t epoch = 0;
   std::string active;  // fabric address of the active replica

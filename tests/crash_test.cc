@@ -15,7 +15,18 @@ namespace {
 class CrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_ = std::make_shared<MemoryObjectStore>();
+    // While checkpoints are held the store refuses dentry writes, so every
+    // checkpoint fails and committed transactions stay in the journal: how
+    // a test keeps the journal it crashes over, whatever checkpoints its
+    // fsyncs ask for.
+    store_ = std::make_shared<ChaosStore>(
+        std::make_shared<MemoryObjectStore>(), ChaosConfig{},
+        [held = hold_checkpoints_](std::string_view op, const std::string& key) {
+          return held->load() && op.starts_with("put") && !key.empty() &&
+                         key[0] == 'e'
+                     ? Errc::kIo
+                     : Errc::kOk;
+        });
     auto options = ArkFsClusterOptions::ForTests();
     cluster_ = ArkFsCluster::Create(store_, options).value();
   }
@@ -24,6 +35,10 @@ class CrashTest : public ::testing::Test {
     return cluster_->lease_manager().config().lease_period;
   }
 
+  void HoldCheckpoints(bool hold) { hold_checkpoints_->store(hold); }
+
+  std::shared_ptr<std::atomic<bool>> hold_checkpoints_ =
+      std::make_shared<std::atomic<bool>>(false);
   ObjectStorePtr store_;
   std::unique_ptr<ArkFsCluster> cluster_;
   UserCred root_ = UserCred::Root();
@@ -36,6 +51,7 @@ TEST_F(CrashTest, CommittedButNotCheckpointedSurvivesCrash) {
   // before the burst — this test is about the fsynced files surviving, not
   // about the parent riding the async loss window.
   ASSERT_TRUE(c1->SyncAll().ok());
+  HoldCheckpoints(true);
   OpenOptions create;
   create.write = true;
   create.create = true;
@@ -48,6 +64,7 @@ TEST_F(CrashTest, CommittedButNotCheckpointedSurvivesCrash) {
   }
   // Hard crash: no flush, no release, vanishes from the fabric.
   c1->CrashHard();
+  HoldCheckpoints(false);
 
   // A new client takes over after the lease expires; finding valid journal
   // transactions it must replay them before serving the directory.
@@ -118,7 +135,9 @@ TEST_F(CrashTest, LeaseManagerRestartRecovers) {
   auto c1 = cluster_->AddClient("worker").value();
   ASSERT_TRUE(c1->Mkdir("/before", 0755, root_).ok());
 
-  cluster_->lease_manager().Restart();  // crash + restart, state lost
+  // Crash + restart, state lost.
+  cluster_->lease_manager().Stop();
+  ASSERT_TRUE(cluster_->lease_manager().Start().ok());
 
   // After the quiet period, normal operation resumes; leases are re-acquired
   // and no metadata was lost (it lives in the object store + journals).
@@ -148,6 +167,7 @@ TEST_F(CrashTest, RecoveryReplaysRenameTwoPhaseCommit) {
 TEST_F(CrashTest, LeaderLosesLeaseMidBurst) {
   auto c1 = cluster_->AddClient("leader").value();
   ASSERT_TRUE(c1->Mkdir("/burst", 0755, root_).ok());
+  HoldCheckpoints(true);  // the burst stays in the journal until the crash
   OpenOptions create;
   create.write = true;
   create.create = true;
@@ -177,10 +197,10 @@ TEST_F(CrashTest, LeaderLosesLeaseMidBurst) {
   EXPECT_EQ(dir->size(), static_cast<std::size_t>(kAcked));
 
   c1->CrashHard();
+  HoldCheckpoints(false);
 
   // Manager comes back with all lease state lost (crash-restart semantics);
   // wait out the quiet period plus the dead leader's lease.
-  cluster_->lease_manager().Restart();
   ASSERT_TRUE(cluster_->lease_manager().Start().ok());
   SleepFor(LeasePeriod() + Millis(100));
 
@@ -214,6 +234,10 @@ TEST_F(CrashTest, DeposedEpochGrantFencedAtJournalCommit) {
 
   journal::JournalManager deposed(prt, journal::JournalConfig::ForTests());
   journal::JournalManager successor(prt, journal::JournalConfig::ForTests());
+  // No background work: the test drives every commit and checkpoint, so
+  // none of the checkpoints the commits ask for trims a journal behind it.
+  deposed.Halt();
+  successor.Halt();
   const FenceToken old_token{1, 1};
   const FenceToken new_token{2, 1};
 
@@ -262,6 +286,10 @@ TEST_F(CrashTest, DeposedCheckpointTrimIsFenced) {
 
   journal::JournalManager deposed(prt, journal::JournalConfig::ForTests());
   journal::JournalManager successor(prt, journal::JournalConfig::ForTests());
+  // No background work: the test drives every commit and checkpoint, so
+  // none of the checkpoints the commits ask for trims a journal behind it.
+  deposed.Halt();
+  successor.Halt();
   const FenceToken old_token{1, 1};
   const FenceToken new_token{2, 1};
 

@@ -62,6 +62,11 @@ TEST_F(DelegationTest, HotDirStatsServeLocallyWithoutForwarding) {
   const auto deleg_before = c2_->stats().stat_delegated;
   const auto leader_served_before = c1_->stats().served_remote_ops;
   for (int round = 0; round < 10; ++round) {
+    // The leader stays busy on /hot. Its leader-local stat renews its lease
+    // in each term's last quarter, which moves the manager's watermark
+    // report, so c2's next redirect extends the delegation. With an idle
+    // leader the delegation would lapse one term after the last renewal.
+    ASSERT_TRUE(c1_->Stat("/hot/f0", root_).ok());
     for (int i = 0; i < kFiles; ++i) {
       auto st = c2_->Stat("/hot/f" + std::to_string(i), root_);
       ASSERT_TRUE(st.ok());

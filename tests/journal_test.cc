@@ -169,6 +169,9 @@ TEST_F(JournalManagerTest, CommitWithoutCheckpointLeavesJournal) {
   (void)manager_->Append(dir_, {Record::DentryAdd(
                              {"pending", DeterministicUuid(3, 3),
                               FileType::kRegular})});
+  // No background work: the checkpoint CommitDir asks for never runs, so
+  // what is left is exactly what CommitDir itself did.
+  manager_->Halt();
   ASSERT_TRUE(manager_->CommitDir(dir_).ok());
   EXPECT_TRUE(manager_->HasSurvivingJournal(dir_));
 }
@@ -178,6 +181,8 @@ TEST_F(JournalManagerTest, RecoveryReplaysCommittedTransactions) {
   (void)manager_->Append(dir_, {Record::InodeUpsert(child),
                           Record::DentryAdd({"crashy", child.ino,
                                              FileType::kRegular})});
+  // Crash right after the commit: no background checkpoint gets to run.
+  manager_->Halt();
   ASSERT_TRUE(manager_->CommitDir(dir_).ok());
   // Simulate crash: new manager (new client) over the same store.
   auto fresh = std::make_unique<JournalManager>(prt_, JournalConfig::ForTests());
@@ -647,6 +652,7 @@ TEST_F(ShardedDentryTest, TornManifestAdoptionVerifiesGenerations) {
     }
     (void)mgr->Append(dir, std::move(recs));
     ASSERT_TRUE(mgr->FlushDir(dir).ok());
+    mgr->Halt();  // the checkpoint CommitDir asks for never runs
     (void)mgr->Append(dir, {AddEntry("extra", 500)});
     ASSERT_TRUE(mgr->CommitDir(dir).ok());  // journaled, not checkpointed
   }
@@ -704,6 +710,7 @@ TEST_F(ShardedDentryTest, FailedCheckpointRetriesAndSweepsOrphans) {
     recs.push_back(AddEntry("kept" + std::to_string(i), i));
   }
   (void)mgr.Append(dir, std::move(recs));
+  mgr.Halt();  // only the FlushDir calls below checkpoint
   ASSERT_TRUE(mgr.CommitDir(dir).ok());
 
   // A stale orphan generation from some earlier failed reshard; decodable
@@ -776,6 +783,7 @@ TEST_F(ShardedDentryTest, CommitAllCommitsEveryDirectory) {
     Adopt(*mgr, d);
     (void)mgr->Append(d, {AddEntry("pending", 30)});
   }
+  mgr->Halt();  // the checkpoints CommitAll asks for never run
   ASSERT_TRUE(mgr->CommitAll().ok());
   for (const auto& d : dirs) {
     EXPECT_TRUE(mgr->HasSurvivingJournal(d));  // durable, not checkpointed
@@ -789,6 +797,7 @@ TEST(JournalS3Test, AppendWorksOnWholeObjectStore) {
                                                    /*partial=*/false);
   auto prt = std::make_shared<Prt>(store);
   JournalManager manager(prt, JournalConfig::ForTests());
+  manager.Halt();  // no checkpoint trims the journal between the commits
   const Uuid dir = DeterministicUuid(91, 1);
   Adopt(manager, dir);
   (void)manager.Append(dir, {Record::DentryAdd(
@@ -883,6 +892,9 @@ TEST_F(DurabilityModeTest, SyncModeSurfacesCommitFailureToTheAppender) {
   // The records stay sequenced (commit unwind) so a later drain redrives
   // them — the failed op was never acked, but nothing leaks either.
   EXPECT_EQ(mgr->WindowDepth().records, 1u);
+  // No background work from here: neither the flusher's redrive nor the
+  // checkpoint the commit below asks for may race the probes after it.
+  mgr->Halt();
   armed_->store(false);
   ASSERT_TRUE(mgr->CommitDir(dir).ok());
   EXPECT_TRUE(mgr->HasSurvivingJournal(dir));
@@ -1039,6 +1051,7 @@ TEST_F(DurabilityModeTest, CommitAllCountsPerDirectoryFlushErrors) {
     ASSERT_TRUE(mgr.Append(bad[i], {Entry("lost", i)}).ok());
   }
   ASSERT_TRUE(mgr.Append(good, {Entry("kept", 9)}).ok());
+  mgr.Halt();  // the checkpoints CommitAll asks for never run
 
   armed->store(true);
   EXPECT_FALSE(mgr.CommitAll().ok());
@@ -1246,8 +1259,11 @@ class FirstFenceRaceTest : public ::testing::TestWithParam<bool> {
   }
 
   // The leader that wins the race: fences, commits `name` durably, acks.
+  // It runs no background work, so the frame stays in the journal for the
+  // successor's recovery instead of being checkpointed away.
   void CommitFirst(JournalManager& mgr, const FenceToken& token,
                    const std::string& name) {
+    mgr.Halt();
     ASSERT_TRUE(mgr.FenceDir(dir_, token).ok());
     mgr.RegisterDir(dir_, token);
     ASSERT_TRUE(mgr.Append(dir_, {Record::DentryAdd(

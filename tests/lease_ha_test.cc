@@ -3,8 +3,12 @@
 // fencing tokens exist to win.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,9 +16,55 @@
 #include "lease/lease_client.h"
 #include "lease/lease_manager.h"
 #include "objstore/memory_store.h"
+#include "objstore/store_decorator.h"
 
 namespace arkfs::lease {
 namespace {
+
+// Routes every write of the epoch record (Put or PutIf) through a test hook
+// that sees the record being written and the write itself; everything else
+// passes straight through.
+class EpochWriteHookStore : public StoreDecorator {
+ public:
+  using Write = std::function<Status()>;
+  using Hook = std::function<Status(const EpochRecord&, const Write&)>;
+
+  using StoreDecorator::StoreDecorator;
+
+  void SetHook(Hook hook) {
+    std::lock_guard lock(mu_);
+    hook_ = std::move(hook);
+  }
+
+  Status Put(const std::string& key, ByteSpan data) override {
+    return Route(key, data, [&] { return base()->Put(key, data); });
+  }
+  Status PutIf(const std::string& key, ByteSpan data,
+               const WriteGuard& guard) override {
+    return Route(key, data, [&] { return base()->PutIf(key, data, guard); });
+  }
+
+ private:
+  Status Route(const std::string& key, ByteSpan data, const Write& write) {
+    Hook hook;
+    {
+      std::lock_guard lock(mu_);
+      hook = hook_;
+    }
+    Result<EpochRecord> rec = EpochRecord::Decode(data);
+    if (!hook || key != kEpochRecordKey || !rec.ok()) return write();
+    return hook(*rec, write);
+  }
+
+  std::mutex mu_;
+  Hook hook_;
+};
+
+// Runs `fn` on scope exit, whether the test body passes or returns early.
+struct OnExit {
+  std::function<void()> fn;
+  ~OnExit() { fn(); }
+};
 
 class LeaseHaTest : public ::testing::Test {
  protected:
@@ -22,7 +72,9 @@ class LeaseHaTest : public ::testing::Test {
 
   void SetUp() override {
     fabric_ = std::make_shared<rpc::Fabric>(sim::NetworkProfile::Instant());
-    store_ = std::make_shared<MemoryObjectStore>();
+    hooks_ = std::make_shared<EpochWriteHookStore>(
+        std::make_shared<MemoryObjectStore>());
+    store_ = hooks_;
     for (int i = 0; i < kReplicas; ++i) {
       addresses_.push_back("lease-manager-" + std::to_string(i));
     }
@@ -30,14 +82,17 @@ class LeaseHaTest : public ::testing::Test {
       LeaseManagerConfig config = LeaseManagerConfig::ForTests();
       config.self_address = addresses_[static_cast<std::size_t>(i)];
       config.group = addresses_;
-      config.start_active = (i == 0);
       managers_.push_back(
           std::make_unique<LeaseManager>(fabric_, store_, config));
     }
+    // In rank order: replica 0 creates the record and is active.
     for (auto& m : managers_) ASSERT_TRUE(m->Start().ok());
   }
 
-  void TearDown() override {
+  void TearDown() override { StopAll(); }
+
+  // Joins every heartbeat thread, so no replica calls a test hook after.
+  void StopAll() {
     for (auto& m : managers_) m->Stop();
   }
 
@@ -78,8 +133,16 @@ class LeaseHaTest : public ::testing::Test {
     return pred();
   }
 
+  EpochRecord ReadRecord() const {
+    auto raw = store_->Get(kEpochRecordKey);
+    if (!raw.ok()) return {};
+    auto rec = EpochRecord::Decode(*raw);
+    return rec.ok() ? *rec : EpochRecord{};
+  }
+
   LeaseManagerConfig config_ = LeaseManagerConfig::ForTests();
   rpc::FabricPtr fabric_;
+  std::shared_ptr<EpochWriteHookStore> hooks_;
   ObjectStorePtr store_;
   std::vector<std::string> addresses_;
   std::vector<std::unique_ptr<LeaseManager>> managers_;
@@ -192,11 +255,10 @@ TEST_F(LeaseHaTest, PartitionedActiveAbdicatesViaEpochRecord) {
 }
 
 TEST_F(LeaseHaTest, SameEpochRecordNamingPeerForcesAbdication) {
-  // Two standbys racing the non-atomic Get/Put/Get takeover can both confirm
-  // the same new epoch (the loser's Put lands after the winner's confirm
-  // read). Ownership is decided by the record's named active, not by epoch
-  // comparison — simulate the losing side by rewriting the record to name a
-  // peer at replica 0's OWN epoch.
+  // Replicas only ever claim a new epoch, guarded on the record they read,
+  // so no replica writes this; an outside writer does. The audit goes by
+  // the record's named active, not by epoch comparison: rewrite the record
+  // to name a peer at replica 0's OWN epoch.
   ASSERT_TRUE(managers_[0]->is_active());
   const EpochRecord rival{managers_[0]->epoch(), addresses_[1]};
   ASSERT_TRUE(store_->Put(kEpochRecordKey, rival.Encode()).ok());
@@ -206,12 +268,127 @@ TEST_F(LeaseHaTest, SameEpochRecordNamingPeerForcesAbdication) {
   ASSERT_TRUE(WaitFor([&] { return !managers_[0]->is_active(); }));
 }
 
+TEST_F(LeaseHaTest, RacingTakeoverClaimMissesAndFollowsTheWinner) {
+  // Replica 1's takeover claim is held at the store until replica 2 has
+  // claimed the same epoch over the same record. Released, the held claim
+  // must miss: one owner per epoch, and the loser follows the winner.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool held = false;
+  bool release = false;
+  bool returned = false;
+  Status held_status;
+  hooks_->SetHook([&](const EpochRecord& rec,
+                      const EpochWriteHookStore::Write& write) -> Status {
+    {
+      std::unique_lock lock(mu);
+      if (rec.active != addresses_[1] || held) {
+        lock.unlock();
+        return write();
+      }
+      held = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+    Status st = write();
+    {
+      std::lock_guard lock(mu);
+      held_status = st;
+      returned = true;
+    }
+    cv.notify_all();
+    return st;
+  });
+  OnExit unblock{[&] {
+    {
+      std::lock_guard lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    StopAll();
+  }};
+
+  managers_[0]->Stop();
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(3), [&] { return held; }));
+  }
+  // Replica 2's takeover has returned once its announce reached replica 1.
+  ASSERT_TRUE(WaitFor([&] {
+    return managers_[2]->is_active() && managers_[1]->epoch() == 2u;
+  }));
+  EXPECT_EQ(ReadRecord().epoch, 2u);
+  EXPECT_EQ(ReadRecord().active, addresses_[2]);
+
+  {
+    std::unique_lock lock(mu);
+    release = true;
+    cv.notify_all();
+    ASSERT_TRUE(
+        cv.wait_for(lock, std::chrono::seconds(3), [&] { return returned; }));
+    EXPECT_EQ(held_status.code(), Errc::kStale) << held_status.ToString();
+  }
+  const TimePoint until = Now() + Millis(100);
+  do {
+    ASSERT_EQ(ClaimingActiveCount(), 1);
+    ASSERT_TRUE(managers_[2]->is_active());
+    SleepFor(Millis(2));
+  } while (Now() < until);
+  const EpochRecord rec = ReadRecord();
+  EXPECT_EQ(rec.epoch, 2u);
+  EXPECT_EQ(rec.active, addresses_[2]);
+  EXPECT_EQ(managers_[2]->epoch(), 2u);
+  EXPECT_EQ(managers_[1]->epoch(), 2u);
+  AcquireResponse resp = managers_[1]->Acquire(AcquireRequest{dir_, "c1"});
+  EXPECT_EQ(resp.outcome, AcquireOutcome::kNotActive);
+  EXPECT_EQ(resp.leader, addresses_[2]);
+}
+
+TEST_F(LeaseHaTest, ClaimLandedBehindAnErrorStillEndsWithOneActive) {
+  // The first takeover claim lands at the store but its caller sees kIo.
+  // The claimant stays standby (it never serves an epoch it does not know
+  // it persisted); the group must still end with exactly one active, and
+  // never show two.
+  std::atomic<bool> faulted{false};
+  hooks_->SetHook([&](const EpochRecord&,
+                      const EpochWriteHookStore::Write& write) -> Status {
+    Status st = write();
+    if (st.ok() && !faulted.exchange(true)) {
+      return ErrStatus(Errc::kIo, "claim landed, ack lost");
+    }
+    return st;
+  });
+  OnExit stop{[&] { StopAll(); }};
+
+  managers_[0]->Stop();
+  int most_claiming = 0;
+  TimePoint settled{};
+  const TimePoint deadline = Now() + Seconds(3);
+  while (Now() < deadline) {
+    const int claiming = ClaimingActiveCount();
+    most_claiming = std::max(most_claiming, claiming);
+    if (claiming == 1 && settled == TimePoint{}) settled = Now();
+    if (settled != TimePoint{} && Now() > settled + Millis(100)) break;
+    SleepFor(Millis(1));
+  }
+  EXPECT_TRUE(faulted);
+  EXPECT_LE(most_claiming, 1);
+  ASSERT_EQ(ClaimingActiveCount(), 1);
+  const int active = ActiveReplica();
+  ASSERT_GT(active, 0);
+  const EpochRecord rec = ReadRecord();
+  EXPECT_EQ(rec.active, addresses_[static_cast<std::size_t>(active)]);
+  EXPECT_EQ(rec.epoch, managers_[static_cast<std::size_t>(active)]->epoch());
+  // Epoch 2 is the claim whose ack was lost; the active claimed after it.
+  EXPECT_GE(rec.epoch, 3u);
+}
+
 TEST(LeaseAmnesiacRestartTest, CrashRestartedActiveResumesUnderNewEpoch) {
   // A crashed active comes back as a FRESH process over the same store while
   // the epoch record still names it. It must not resume at the recorded
   // epoch with a reset grant counter — that would re-mint the tokens its
   // previous life granted — but bump the epoch and serve a quiet period,
-  // exactly like an in-place Restart(). Single-replica group: no heartbeat
+  // exactly like Stop() + Start(). Single-replica group: no heartbeat
   // thread, so the test is deterministic.
   auto fabric = std::make_shared<rpc::Fabric>(sim::NetworkProfile::Instant());
   auto store = std::make_shared<MemoryObjectStore>();
@@ -264,11 +441,11 @@ TEST(LeaseAmnesiacRestartTest, CrashRestartedActiveResumesUnderNewEpoch) {
 }
 
 TEST(LeaseDeposedRestartTest, RestartWhileDeposedDoesNotClobberSuccessor) {
-  // A deposed-but-unaware active calling Restart() must notice the successor
-  // in the epoch record and rejoin as a standby instead of clobbering the
-  // record and seizing activeness outside the takeover protocol.
-  // Single-replica group: no heartbeat/audit thread, so the manager still
-  // believes it is active when Restart() runs.
+  // A deposed-but-unaware active that restarts (Stop() + Start()) must
+  // notice the successor in the epoch record and rejoin as a standby instead
+  // of clobbering the record and seizing activeness outside the takeover
+  // protocol. Single-replica group: no heartbeat/audit thread, so the
+  // manager still believes it is active when it stops.
   auto fabric = std::make_shared<rpc::Fabric>(sim::NetworkProfile::Instant());
   auto store = std::make_shared<MemoryObjectStore>();
   LeaseManagerConfig config = LeaseManagerConfig::ForTests();
@@ -283,7 +460,8 @@ TEST(LeaseDeposedRestartTest, RestartWhileDeposedDoesNotClobberSuccessor) {
   const EpochRecord successor{5, "lease-manager-1"};
   ASSERT_TRUE(store->Put(kEpochRecordKey, successor.Encode()).ok());
 
-  manager.Restart();
+  manager.Stop();
+  ASSERT_TRUE(manager.Start().ok());
   EXPECT_FALSE(manager.is_active());
   EXPECT_EQ(manager.epoch(), 5u);
 

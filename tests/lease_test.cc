@@ -166,7 +166,8 @@ TEST_F(LeaseTest, EndRecoveryByWrongClientRejected) {
 TEST_F(LeaseTest, ManagerRestartImposesQuietPeriod) {
   auto c1 = MakeClient("c1");
   ASSERT_TRUE(c1.Acquire(dir_).ok());
-  manager_->Restart();
+  manager_->Stop();
+  ASSERT_TRUE(manager_->Start().ok());
   // Within the quiet period every acquire is told to wait.
   LeaseClient::Options tight;
   tight.wait_budget = Millis(20);
