@@ -163,6 +163,11 @@ Status ChaosStore::Delete(const std::string& key) {
   return base()->Delete(key);
 }
 
+Status ChaosStore::DeleteIf(const std::string& key, const WriteGuard& guard) {
+  if (Errc e = Decide("delete", key); e != Errc::kOk) return ErrStatus(e, key);
+  return base()->DeleteIf(key, guard);
+}
+
 Result<ObjectMeta> ChaosStore::Head(const std::string& key) {
   if (Errc e = Decide("head", key); e != Errc::kOk) return ErrStatus(e, key);
   return base()->Head(key);

@@ -25,8 +25,9 @@
 //
 // Every primitive consults the scripted hook first, then the profile. The
 // hook sees the operation name ("get", "getrange", "put", "putrange",
-// "delete", "head", "list"; guarded writes are "put" / "putrange") and key (the prefix for "list"), and returns
-// the error to inject (kOk falls through to the profile). It runs without
+// "delete", "head", "list"; the guarded forms are "put" / "putrange" /
+// "delete") and key (the prefix for "list"), and returns the error to
+// inject (kOk falls through to the profile). It runs without
 // the store's mutex held, so it may block or call back into the store.
 // Tests use it to kill writes after N ops to simulate a client crash
 // mid-commit; hooks matching a whole family should prefix-match
@@ -98,6 +99,7 @@ class ChaosStore : public StoreDecorator {
   Status PutRangeIf(const std::string& key, std::uint64_t offset,
                     ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
+  Status DeleteIf(const std::string& key, const WriteGuard& guard) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
 

@@ -226,14 +226,25 @@ Status ClusterObjectStore::Write(const std::string& key,
 }
 
 Status ClusterObjectStore::Delete(const std::string& key) {
+  return Remove(key, nullptr);
+}
+
+Status ClusterObjectStore::DeleteIf(const std::string& key,
+                                    const WriteGuard& guard) {
+  return Remove(key, &guard);
+}
+
+Status ClusterObjectStore::Remove(const std::string& key,
+                                  const WriteGuard* guard) {
   const auto replicas = ReplicaNodes(key);
   QueueTicket ticket;
   ARKFS_RETURN_IF_ERROR(AdmitToNode(replicas[0], &ticket));
   ARKFS_CLUSTER_REJECT_IF_DOWN(replicas[0], key);
   ChargeOp(replicas[0], 0, false);
   Status st = Status::Ok();
-  for (int node : replicas) {
-    {
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const int node = replicas[i];
+    if (i > 0 || guard == nullptr) {
       std::lock_guard lock(chaos_mu_);
       if (down_[node]) {
         // Backfill resolves a missed delete the same way as a missed write:
@@ -242,7 +253,11 @@ Status ClusterObjectStore::Delete(const std::string& key) {
         continue;
       }
     }
-    Status s = nodes_[node].store->Delete(key);
+    // As in Write: the primary decides the guard, the replicas follow.
+    MemoryObjectStore& store = *nodes_[node].store;
+    Status s =
+        i == 0 && guard ? store.DeleteIf(key, *guard) : store.Delete(key);
+    if (i == 0 && s.code() == Errc::kStale) return s;
     if (!s.ok()) st = s;
   }
   return st;

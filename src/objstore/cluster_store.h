@@ -94,6 +94,8 @@ class ClusterObjectStore : public ObjectStore {
   Status PutRangeIf(const std::string& key, std::uint64_t offset,
                     ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
+  // Like PutIf, the primary decides the guard; the replicas then follow.
+  Status DeleteIf(const std::string& key, const WriteGuard& guard) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
 
@@ -148,6 +150,9 @@ class ClusterObjectStore : public ObjectStore {
   // unconditionally.
   Status Write(const std::string& key, std::optional<std::uint64_t> offset,
                ByteSpan data, const WriteGuard* guard);
+  // The replicated delete behind Delete and DeleteIf; a null guard deletes
+  // unconditionally.
+  Status Remove(const std::string& key, const WriteGuard* guard);
   // PutRange on a whole-object profile: read-modify-write through Get and
   // the (guarded) whole-object Write.
   Status EmulatedPutRange(const std::string& key, std::uint64_t offset,

@@ -1,6 +1,11 @@
 #include "objstore/disk_store.h"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <system_error>
 
@@ -45,9 +50,22 @@ Result<std::shared_ptr<DiskObjectStore>> DiskObjectStore::Open(
   std::error_code ec;
   fs::create_directories(root, ec);
   if (ec) return ErrStatus(Errc::kIo, "create_directories: " + ec.message());
+  const int fd =
+      ::open((root / ".lock").c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) return ErrStatus(Errc::kIo, "open lock file: " + root.string());
   return std::shared_ptr<DiskObjectStore>(
-      new DiskObjectStore(root, max_object_size));
+      new DiskObjectStore(root, max_object_size, fd));
 }
+
+DiskObjectStore::~DiskObjectStore() { ::close(lock_fd_); }
+
+DiskObjectStore::WriteLock::WriteLock(DiskObjectStore& store)
+    : lock_(store.mu_), fd_(store.lock_fd_) {
+  while (::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
+  }
+}
+
+DiskObjectStore::WriteLock::~WriteLock() { ::flock(fd_, LOCK_UN); }
 
 fs::path DiskObjectStore::PathFor(const std::string& key) const {
   return root_ / EncodeKey(key);
@@ -123,7 +141,7 @@ Status DiskObjectStore::DoPut(const std::string& key, ByteSpan data,
   if (data.size() > max_object_size_) {
     return ErrStatus(Errc::kFBig, "object exceeds max object size");
   }
-  std::lock_guard lock(mu_);
+  WriteLock lock(*this);
   ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, guard));
   // Write-then-rename so a crash never leaves a half-written object visible.
   const fs::path tmp = PathFor(key).string() + ".tmp";
@@ -144,7 +162,7 @@ Status DiskObjectStore::DoPutRange(const std::string& key,
   if (offset + data.size() > max_object_size_) {
     return ErrStatus(Errc::kFBig, "range write exceeds max object size");
   }
-  std::lock_guard lock(mu_);
+  WriteLock lock(*this);
   ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, guard));
   std::FILE* f = std::fopen(PathFor(key).c_str(), "r+b");
   if (!f) f = std::fopen(PathFor(key).c_str(), "w+b");
@@ -169,8 +187,18 @@ Status DiskObjectStore::DoPutRange(const std::string& key,
 }
 
 Status DiskObjectStore::Delete(const std::string& key) {
-  std::lock_guard lock(mu_);  // never between a guard check and its write
+  WriteLock lock(*this);  // never between a guard check and its write
   std::error_code ec;
+  if (!fs::remove(PathFor(key), ec) || ec) return ErrStatus(Errc::kNoEnt, key);
+  return Status::Ok();
+}
+
+Status DiskObjectStore::DeleteIf(const std::string& key,
+                                 const WriteGuard& guard) {
+  WriteLock lock(*this);
+  std::error_code ec;
+  if (!fs::exists(PathFor(key), ec)) return ErrStatus(Errc::kNoEnt, key);
+  ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, &guard));
   if (!fs::remove(PathFor(key), ec) || ec) return ErrStatus(Errc::kNoEnt, key);
   return Status::Ok();
 }

@@ -698,6 +698,11 @@ Status EcStore::PutRangeIf(const std::string& key, std::uint64_t offset,
   return ErrStatus(Errc::kNotSup, "ec: no guarded writes on encoded keys");
 }
 
+Status EcStore::DeleteIf(const std::string& key, const WriteGuard& guard) {
+  if (!Encodes(key)) return StoreDecorator::DeleteIf(key, guard);
+  return ErrStatus(Errc::kNotSup, "ec: no guarded writes on encoded keys");
+}
+
 Status EcStore::Delete(const std::string& key) {
   if (!Encodes(key)) return StoreDecorator::Delete(key);
   std::lock_guard<std::mutex> lock(KeyLock(key));

@@ -151,13 +151,15 @@ class EcStore : public StoreDecorator {
   // the stripe and keeps parity consistent).
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
-  // Guarded writes pass through on keys this store does not encode; an
-  // encoded key has no single object to compare against (kNotSup).
+  // Guarded writes and deletes pass through on keys this store does not
+  // encode; an encoded key has no single object to compare against
+  // (kNotSup).
   Status PutIf(const std::string& key, ByteSpan data,
                const WriteGuard& guard) override;
   Status PutRangeIf(const std::string& key, std::uint64_t offset,
                     ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
+  Status DeleteIf(const std::string& key, const WriteGuard& guard) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   // Presents logical keys: EC-internal manifest/shard keys are folded back
   // into the one logical object they belong to.

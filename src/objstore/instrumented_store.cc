@@ -97,6 +97,12 @@ Status InstrumentedStore::Delete(const std::string& key) {
   return Observe(kDelete, [&] { return base()->Delete(key); });
 }
 
+Status InstrumentedStore::DeleteIf(const std::string& key,
+                                   const WriteGuard& guard) {
+  deletes_.Add();
+  return Observe(kDelete, [&] { return base()->DeleteIf(key, guard); });
+}
+
 Result<ObjectMeta> InstrumentedStore::Head(const std::string& key) {
   heads_.Add();
   return Observe(kHead, [&] { return base()->Head(key); });

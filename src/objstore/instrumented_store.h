@@ -50,6 +50,8 @@ class InstrumentedStore : public StoreDecorator {
   Status PutRangeIf(const std::string& key, std::uint64_t offset,
                     ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
+  // A guarded delete counts and times as the delete it is.
+  Status DeleteIf(const std::string& key, const WriteGuard& guard) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
 

@@ -97,6 +97,15 @@ Status MemoryObjectStore::Delete(const std::string& key) {
   return Status::Ok();
 }
 
+Status MemoryObjectStore::DeleteIf(const std::string& key,
+                                   const WriteGuard& guard) {
+  std::lock_guard lock(mu_);
+  if (objects_.count(key) == 0) return ErrStatus(Errc::kNoEnt, key);
+  ARKFS_RETURN_IF_ERROR(CheckGuardLocked(key, &guard));
+  objects_.erase(key);
+  return Status::Ok();
+}
+
 Result<ObjectMeta> MemoryObjectStore::Head(const std::string& key) {
   std::lock_guard lock(mu_);
   auto it = objects_.find(key);

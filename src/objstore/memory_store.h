@@ -26,6 +26,7 @@ class MemoryObjectStore : public ObjectStore {
   Status PutRangeIf(const std::string& key, std::uint64_t offset,
                     ByteSpan data, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
+  Status DeleteIf(const std::string& key, const WriteGuard& guard) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
 

@@ -12,4 +12,9 @@ Status ObjectStore::PutRangeIf(const std::string& key, std::uint64_t /*offset*/,
   return ErrStatus(Errc::kNotSup, "store has no guarded writes: " + key);
 }
 
+Status ObjectStore::DeleteIf(const std::string& key,
+                             const WriteGuard& /*guard*/) {
+  return ErrStatus(Errc::kNotSup, "store has no guarded writes: " + key);
+}
+
 }  // namespace arkfs

@@ -13,10 +13,15 @@
 //    data objects by the PRT.
 //
 // Guarded writes (PutIf / PutRangeIf) land only if the object's current
-// bytes still match what the writer expects (see WriteGuard). The journal
-// fences every write to a directory's journal object this way, so a split-
-// brain leader is refused by the store inside its one write instead of by
-// separate check round trips around it.
+// bytes still match what the writer expects (see WriteGuard), and a guarded
+// delete (DeleteIf) removes an object only on the same condition. The
+// journal fences every write to a directory's journal object this way, so a
+// split-brain leader is refused by the store inside its one write instead
+// of by separate check round trips around it; tier migrations guard every
+// pointer flip and sweep the same way, so a writer in another process is
+// never overwritten or swept. Every backend here makes the check and the
+// write one step for all writers of its objects; the disk store does so
+// across processes with a lock file in its directory.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +52,8 @@ struct ObjectMeta {
 // Real backends carry the same primitive: a RADOS compound write op with a
 // leading `cmpext` (plus a size assert for `whole`, an exclusive create for
 // `absent`), or an S3 conditional PUT with `If-Match` on the ETag of the
-// object as read (`If-None-Match: *` for `absent`).
+// object as read (`If-None-Match: *` for `absent`). DeleteIf is the same
+// compound op ending in `remove`, or an S3 DeleteObject with `If-Match`.
 struct WriteGuard {
   std::uint64_t offset = 0;
   ByteSpan expected;
@@ -103,6 +109,11 @@ class ObjectStore {
                             ByteSpan data, const WriteGuard& guard);
 
   virtual Status Delete(const std::string& key) = 0;
+
+  // Guarded Delete: removes the object only if `guard` holds against its
+  // current bytes (kStale, nothing removed, otherwise). An absent object is
+  // kNoEnt, as for Delete, whatever the guard. Default: kNotSup.
+  virtual Status DeleteIf(const std::string& key, const WriteGuard& guard);
 
   virtual Result<ObjectMeta> Head(const std::string& key) = 0;
 

@@ -35,6 +35,11 @@ Status RetryingStore::Delete(const std::string& key) {
   return Call([&] { return base()->Delete(key); });
 }
 
+Status RetryingStore::DeleteIf(const std::string& key,
+                               const WriteGuard& guard) {
+  return Call([&] { return base()->DeleteIf(key, guard); });
+}
+
 Result<ObjectMeta> RetryingStore::Head(const std::string& key) {
   return Call([&] { return base()->Head(key); });
 }

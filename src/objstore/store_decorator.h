@@ -1,11 +1,12 @@
 // StoreDecorator — the one base every ObjectStore wrapper derives from.
 //
 // Holds the inner store and default-forwards the full ObjectStore surface
-// (nine ops, the two guarded writes included, plus the capability bits),
-// so a decorator overrides exactly the operations it cares about and
-// inherits pass-through behaviour for the rest. The in-tree decorators are Instrumented (counters, histograms,
-// spans), Retrying and Chaos (scripted and seeded faults), plus the EC and
-// tiering placement layers; StackBuilder composes them in one order.
+// (ten ops, the two guarded writes and the guarded delete included, plus
+// the capability bits), so a decorator overrides exactly the operations it
+// cares about and inherits pass-through behaviour for the rest. The in-tree
+// decorators are Instrumented (counters, histograms, spans), Retrying and
+// Chaos (scripted and seeded faults), plus the EC and tiering placement
+// layers; StackBuilder composes them in one order.
 #pragma once
 
 #include "objstore/object_store.h"
@@ -39,6 +40,9 @@ class StoreDecorator : public ObjectStore {
     return base_->PutRangeIf(key, offset, data, guard);
   }
   Status Delete(const std::string& key) override { return base_->Delete(key); }
+  Status DeleteIf(const std::string& key, const WriteGuard& guard) override {
+    return base_->DeleteIf(key, guard);
+  }
   Result<ObjectMeta> Head(const std::string& key) override {
     return base_->Head(key);
   }

@@ -149,8 +149,7 @@ void TieringStore::EvictOneLocked(StateShard& shard) {
   // Sampled LRU: probe a handful of entries (unordered_map iteration order
   // is effectively arbitrary) and drop the longest-idle one. Losing an
   // entry only resets that key's idle clock / read heat — placement and
-  // bytes are re-derived from the store, and fence values come from
-  // shard.next_seq so a recreated entry can never replay an old sequence.
+  // bytes are re-derived from the store.
   if (shard.keys.empty()) return;
   auto victim = shard.keys.begin();
   auto it = victim;
@@ -160,23 +159,6 @@ void TieringStore::EvictOneLocked(StateShard& shard) {
   shard.keys.erase(victim);
 }
 
-std::uint64_t TieringStore::SeqSnapshot(const std::string& key) const {
-  StateShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.keys.find(key);
-  return it == shard.keys.end() ? 0 : it->second.seq;
-}
-
-std::uint64_t TieringStore::BumpSeq(const std::string& key) {
-  StateShard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  KeyState& state = StateLocked(shard, key);
-  state.last_access = Now();
-  state.seq = ++shard.next_seq;
-  stats_dirty_.store(true, std::memory_order_relaxed);
-  return state.seq;
-}
-
 void TieringStore::NoteRead(const std::string& key, bool cold) {
   StateShard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -184,6 +166,16 @@ void TieringStore::NoteRead(const std::string& key, bool cold) {
   state.last_access = Now();
   state.reads++;
   if (cold) state.cold_reads++;
+  stats_dirty_.store(true, std::memory_order_relaxed);
+}
+
+void TieringStore::NoteWrite(const std::string& key) {
+  StateShard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  KeyState& state = StateLocked(shard, key);
+  state.last_access = Now();
+  state.tier = CachedTier::kHot;
+  state.cold_reads = 0;
   stats_dirty_.store(true, std::memory_order_relaxed);
 }
 
@@ -219,16 +211,44 @@ void TieringStore::SeedAccess(const std::string& key) {
   stats_dirty_.store(true, std::memory_order_relaxed);
 }
 
-std::optional<TierPointer> TieringStore::ReadPointer(const std::string& key) {
+Result<TieringStore::PointerRecord> TieringStore::LoadPointer(
+    const std::string& key) {
   auto blob = base()->Get(TierPointerKey(key));
-  if (!blob.ok()) return std::nullopt;
-  auto pointer = DecodeTierPointer(*blob);
-  if (!pointer.ok()) return std::nullopt;
-  return *pointer;
+  if (blob.code() == Errc::kNoEnt) return PointerRecord{};
+  ARKFS_RETURN_IF_ERROR(blob.status());
+  PointerRecord record{std::move(*blob), std::nullopt};
+  if (auto pointer = DecodeTierPointer(*record.raw); pointer.ok()) {
+    record.pointer = *pointer;
+  }
+  return record;
+}
+
+Result<TieringStore::PointerRecord> TieringStore::FlipPointer(
+    const std::string& key, const PointerRecord& prior, Tier tier,
+    ByteSpan covered) {
+  const TierPointer pointer{tier, (prior.pointer ? prior.pointer->gen : 0) + 1,
+                            covered.size(), Crc32c(covered)};
+  PointerRecord next{EncodeTierPointer(pointer), pointer};
+  Status st = base()->PutIf(TierPointerKey(key), *next.raw, prior.guard());
+  if (st.code() == Errc::kStale) {
+    // The record moved since it was read, or this very write landed and
+    // only its ack was lost (a retry below then missed): read it back.
+    auto now = LoadPointer(key);
+    if (now.ok() && !now->raw) return ErrStatus(Errc::kNoEnt, "pointer gone");
+    if (!now.ok() || *now->raw != *next.raw) return st;
+  } else if (!st.ok()) {
+    return st;
+  }
+  pointer_flips_.Add();
+  return next;
 }
 
 bool TieringStore::ShouldTryCold(const std::string& key) {
-  if (auto pointer = ReadPointer(key)) return pointer->tier == Tier::kCold;
+  auto record = LoadPointer(key);
+  // An unreachable pointer cannot tell a current cold copy from a stale
+  // one, so it never sends a read there.
+  if (!record.ok()) return false;
+  if (record->pointer) return record->pointer->tier == Tier::kCold;
   // No decodable pointer. One salvage probe costs a single small read and
   // rescues the bytes behind a lost/corrupt pointer record.
   return true;
@@ -236,13 +256,12 @@ bool TieringStore::ShouldTryCold(const std::string& key) {
 
 // --- foreground ops ---
 
-Result<Bytes> TieringStore::Get(const std::string& key) {
-  if (!Tiers(key)) return base()->Get(key);
-  // Hot first, ALWAYS: the hot copy is authoritative, and the cached tier
-  // can be stale in exactly the states a crash leaves behind (a cold
-  // record over newer acked hot bytes). The cache only orders fallbacks —
-  // on a hot miss, a cached kCold skips the pointer read.
-  auto hot = base()->Get(key);
+template <typename ReadFn>
+Result<Bytes> TieringStore::ReadHotFirst(const std::string& key, ReadFn read) {
+  // Hot first, ALWAYS: the cached tier can be stale in exactly the states a
+  // crash leaves behind (a cold record over newer acked hot bytes), so it
+  // only orders fallbacks — on a hot miss, a cached kCold skips the pointer.
+  auto hot = read(*base(), key);
   if (hot.ok()) {
     NoteRead(key, /*cold=*/false);
     hot_gets_.Add();
@@ -252,7 +271,7 @@ Result<Bytes> TieringStore::Get(const std::string& key) {
   // Hot miss — demoted (kNoEnt) or its node is down; the cold copy's EC
   // stripes reconstruct through outages either way.
   if (GetCachedTier(key) == CachedTier::kCold || ShouldTryCold(key)) {
-    auto cold = cold_->Get(ColdCopyKey(key));
+    auto cold = read(*cold_, ColdCopyKey(key));
     if (cold.ok()) {
       NoteRead(key, /*cold=*/true);
       cold_gets_.Add();
@@ -261,92 +280,59 @@ Result<Bytes> TieringStore::Get(const std::string& key) {
     }
   }
   return hot;
+}
+
+Result<Bytes> TieringStore::Get(const std::string& key) {
+  if (!Tiers(key)) return base()->Get(key);
+  return ReadHotFirst(
+      key, [](ObjectStore& store, const std::string& k) { return store.Get(k); });
 }
 
 Result<Bytes> TieringStore::GetRange(const std::string& key,
                                      std::uint64_t offset,
                                      std::uint64_t length) {
   if (!Tiers(key)) return base()->GetRange(key, offset, length);
-  // Hot first, ALWAYS (see Get).
-  auto hot = base()->GetRange(key, offset, length);
-  if (hot.ok()) {
-    NoteRead(key, /*cold=*/false);
-    hot_gets_.Add();
-    SetCachedTier(key, CachedTier::kHot, false);
-    return hot;
-  }
-  if (GetCachedTier(key) == CachedTier::kCold || ShouldTryCold(key)) {
-    auto cold = cold_->GetRange(ColdCopyKey(key), offset, length);
-    if (cold.ok()) {
-      NoteRead(key, /*cold=*/true);
-      cold_gets_.Add();
-      SetCachedTier(key, CachedTier::kCold, false);
-      return cold;
-    }
-  }
-  return hot;
+  return ReadHotFirst(key, [&](ObjectStore& store, const std::string& k) {
+    return store.GetRange(k, offset, length);
+  });
 }
 
 Status TieringStore::Put(const std::string& key, ByteSpan data) {
   if (!Tiers(key)) return base()->Put(key, data);
-  std::lock_guard<std::mutex> lock(KeyLock(key));
-  // Fence any in-flight migration BEFORE the bytes can land — even a torn
-  // put must abort a concurrent flip.
-  BumpSeq(key);
-  Status st = base()->Put(key, data);
-  if (!st.ok()) return st;
+  ARKFS_RETURN_IF_ERROR(base()->Put(key, data));
   hot_puts_.Add();
-  const CachedTier prior = GetCachedTier(key);
-  SetCachedTier(key, CachedTier::kHot, true);
-  if (prior == CachedTier::kCold) {
-    // Overwrite of a demoted object: flip the pointer back and sweep the
-    // cold copy inline (rare). Failures leave crash-equivalent states the
-    // migrator's reconcile pass repairs — the new hot copy is already
-    // authoritative under hot-first reads.
-    auto prior_ptr = ReadPointer(key);
-    TierPointer next;
-    next.tier = Tier::kHot;
-    next.gen = (prior_ptr ? prior_ptr->gen : 0) + 1;
-    next.object_size = data.size();
-    next.content_crc = Crc32c(data);
-    if (base()->Put(TierPointerKey(key), EncodeTierPointer(next)).ok()) {
-      pointer_flips_.Add();
-      (void)cold_->Delete(ColdCopyKey(key));
+  if (GetCachedTier(key) == CachedTier::kCold) {
+    // Point the record back at the new hot copy, or a hot outage would read
+    // the stale cold copy. Guarded, so a demotion's flip in flight misses;
+    // the cold copy is left to reconcile (a Delete here could remove a
+    // later demotion's fresh copy).
+    if (auto prior = LoadPointer(key); prior.ok()) {
+      (void)FlipPointer(key, *prior, Tier::kHot, data);
     }
   }
-  return st;
+  NoteWrite(key);
+  return Status::Ok();
 }
 
 Status TieringStore::PutRange(const std::string& key, std::uint64_t offset,
                               ByteSpan data) {
   if (!Tiers(key)) return base()->PutRange(key, offset, data);
-  // Residency must be decided UNDER the key lock, never from the cached
-  // tier: base stores create missing objects on PutRange, so a probe that
-  // races a demotion (probe sees hot -> demotion sweeps it -> partial
-  // write lands) would plant a truncated hot fragment that hot-first reads
-  // serve as the whole object — and reconcile's hot-wins rule would then
-  // delete the only complete copy. Holding the lock pins residency: a
-  // demotion either finished before (we see cold and refuse) or re-checks
-  // its fence after our BumpSeq and aborts.
-  std::lock_guard<std::mutex> lock(KeyLock(key));
-  auto hot = base()->Head(key);
-  if (!hot.ok()) {
-    if (hot.status().code() != Errc::kNoEnt) {
-      // Node down: residency is unknowable — don't guess with a write.
-      return hot.status();
-    }
-    if (auto pointer = ReadPointer(key);
-        (pointer && pointer->tier == Tier::kCold) ||
+  // One store call on the hot path: the store lands the range only while a
+  // hot copy exists (a probe before the write could race a demotion).
+  Status st = base()->PutRangeIf(key, offset, data, WriteGuard{});
+  if (st.code() == Errc::kStale) {
+    if (auto record = LoadPointer(key);
+        (record.ok() && record->pointer &&
+         record->pointer->tier == Tier::kCold) ||
         cold_->Head(ColdCopyKey(key)).ok()) {
       // A partial write never lands next to a cold-resident copy: the PRT
       // falls back to read-modify-write (whole-object Put) on kNotSup.
       return ErrStatus(Errc::kNotSup, "cold-resident object: rewrite whole");
     }
     // Fresh object: the partial write creates it hot.
+    st = base()->PutRange(key, offset, data);
   }
-  BumpSeq(key);
-  Status st = base()->PutRange(key, offset, data);
-  if (st.ok()) SetCachedTier(key, CachedTier::kHot, false);
+  if (st.ok()) NoteWrite(key);
   return st;
 }
 
@@ -362,10 +348,14 @@ Status TieringStore::PutRangeIf(const std::string& key, std::uint64_t offset,
   return ErrStatus(Errc::kNotSup, "tiering: no guarded writes on tiered keys");
 }
 
+Status TieringStore::DeleteIf(const std::string& key,
+                              const WriteGuard& guard) {
+  if (!Tiers(key)) return base()->DeleteIf(key, guard);
+  return ErrStatus(Errc::kNotSup, "tiering: no guarded writes on tiered keys");
+}
+
 Status TieringStore::Delete(const std::string& key) {
   if (!Tiers(key)) return base()->Delete(key);
-  std::lock_guard<std::mutex> lock(KeyLock(key));
-  BumpSeq(key);
   Status hot = base()->Delete(key);
   (void)base()->Delete(TierPointerKey(key));
   Status cold = cold_->Delete(ColdCopyKey(key));
@@ -376,7 +366,7 @@ Status TieringStore::Delete(const std::string& key) {
 
 Result<ObjectMeta> TieringStore::Head(const std::string& key) {
   if (!Tiers(key)) return base()->Head(key);
-  // Hot first, ALWAYS (see Get).
+  // Hot first, ALWAYS (see ReadHotFirst).
   auto hot = base()->Head(key);
   if (hot.ok()) return hot;
   if (GetCachedTier(key) == CachedTier::kCold || ShouldTryCold(key)) {
@@ -423,67 +413,75 @@ Result<std::vector<std::string>> TieringStore::List(const std::string& prefix) {
 
 Status TieringStore::DemoteObject(const std::string& key) {
   if (!Tiers(key)) return ErrStatus(Errc::kInval, "not a tiered key");
-  const std::uint64_t s0 = SeqSnapshot(key);
+  ARKFS_ASSIGN_OR_RETURN(const PointerRecord prior, LoadPointer(key));
   auto hot = base()->Get(key);
   if (!hot.ok()) return hot.status();  // kNoEnt: nothing hot to demote
-  // Step 1, the copy (EC encode) — outside the key lock: encoding is the
-  // expensive part and a racing overwrite just aborts below.
+  // Step 1, the copy (EC encode), kept only if the hot copy outlived it: a
+  // Delete that landed first must not come back from cold.
   ARKFS_RETURN_IF_ERROR(cold_->Put(ColdCopyKey(key), *hot));
-  const std::uint32_t crc = Crc32c(*hot);
-  std::lock_guard<std::mutex> lock(KeyLock(key));
-  if (SeqSnapshot(key) != s0) {
-    // An overwrite raced the copy; the cold bytes are stale. Abort and
-    // reclaim them (best effort — reconcile sweeps any leftover).
+  Status still = base()->Head(key).status();
+  if (still.code() == Errc::kNoEnt) {
     races_.Add();
     (void)cold_->Delete(ColdCopyKey(key));
+    return ErrStatus(Errc::kAgain, "deleted during demotion");
+  }
+  ARKFS_RETURN_IF_ERROR(still);
+  // Step 2, the flip. A miss sweeps nothing; if a Delete removed the record
+  // (kNoEnt), the copy would read back as a salvage, so it goes too.
+  auto flipped = FlipPointer(key, prior, Tier::kCold, *hot);
+  if (flipped.code() == Errc::kStale || flipped.code() == Errc::kNoEnt) {
+    races_.Add();
+    if (flipped.code() == Errc::kNoEnt) (void)cold_->Delete(ColdCopyKey(key));
+    return ErrStatus(Errc::kAgain, "pointer moved during demotion");
+  }
+  ARKFS_RETURN_IF_ERROR(flipped.status());
+  // Step 3, the sweep (under hot-first reads, the visibility switch), only
+  // while the hot copy still holds the copied bytes. If it fails, both
+  // byte-identical copies linger and reconcile completes it next pass.
+  Status sweep = base()->DeleteIf(key, WriteGuard{0, *hot, /*whole=*/true});
+  if (sweep.code() == Errc::kStale) {
+    // Overwritten after the copy: the hot copy stays authoritative, and the
+    // record points back at it (see Put); reconcile reclaims the cold copy.
+    races_.Add();
+    (void)FlipPointer(key, *flipped, Tier::kHot, *hot);
     return ErrStatus(Errc::kAgain, "overwritten during demotion");
   }
-  auto prior = ReadPointer(key);
-  TierPointer next;
-  next.tier = Tier::kCold;
-  next.gen = (prior ? prior->gen : 0) + 1;
-  next.object_size = hot->size();
-  next.content_crc = crc;
-  // Step 2, the flip.
-  ARKFS_RETURN_IF_ERROR(
-      base()->Put(TierPointerKey(key), EncodeTierPointer(next)));
-  pointer_flips_.Add();
-  // Step 3, the sweep — under hot-first reads this is the real visibility
-  // switch. If it fails, both (byte-identical) copies linger and reconcile
-  // completes the sweep next pass.
-  Status sweep = base()->Delete(key);
+  // kNoEnt after the Head above saw the hot copy: this sweep landed with its
+  // ack lost, or a later Delete removes the pointer and cold copy itself.
+  if (sweep.code() != Errc::kNoEnt) ARKFS_RETURN_IF_ERROR(sweep);
   SetCachedTier(key, CachedTier::kCold, /*reset_cold_reads=*/true);
   demotions_.Add();
   demoted_bytes_.Add(hot->size());
   MarkStatsDirty();
-  return sweep.ok() || sweep.code() == Errc::kNoEnt ? Status::Ok() : sweep;
+  return Status::Ok();
 }
 
 Status TieringStore::PromoteObject(const std::string& key) {
   if (!Tiers(key)) return ErrStatus(Errc::kInval, "not a tiered key");
-  const std::uint64_t s0 = SeqSnapshot(key);
+  ARKFS_ASSIGN_OR_RETURN(const PointerRecord prior, LoadPointer(key));
   auto cold = cold_->Get(ColdCopyKey(key));
   if (!cold.ok()) return cold.status();  // kNoEnt: nothing cold to promote
-  const std::uint32_t crc = Crc32c(*cold);
-  std::lock_guard<std::mutex> lock(KeyLock(key));
-  if (SeqSnapshot(key) != s0) {
+  // Step 1: the hot copy, authoritative the moment it lands, so create-only:
+  // a hot copy that exists already is a foreground write, and it wins.
+  Status hot = base()->PutIf(key, *cold, WriteGuard::Absent());
+  if (hot.code() == Errc::kStale) {
     races_.Add();
     return ErrStatus(Errc::kAgain, "overwritten during promotion");
   }
-  // Step 1: the hot copy. It is byte-identical to the cold copy and
-  // authoritative the moment it lands, so this must happen under the key
-  // lock — a foreground Put ordering after us must not be shadowed.
-  ARKFS_RETURN_IF_ERROR(base()->Put(key, *cold));
-  auto prior = ReadPointer(key);
-  TierPointer next;
-  next.tier = Tier::kHot;
-  next.gen = (prior ? prior->gen : 0) + 1;
-  next.object_size = cold->size();
-  next.content_crc = crc;
-  // Step 2, the flip; step 3, the sweep (best effort).
-  ARKFS_RETURN_IF_ERROR(
-      base()->Put(TierPointerKey(key), EncodeTierPointer(next)));
-  pointer_flips_.Add();
+  ARKFS_RETURN_IF_ERROR(hot);
+  // Step 2, the flip. If a Delete removed the record (kNoEnt), take back the
+  // hot copy unless a foreground write replaced it; a record that moved on
+  // (an overwrite's flip-back) leaves the cold copy to reconcile.
+  auto flipped = FlipPointer(key, prior, Tier::kHot, *cold);
+  if (flipped.code() == Errc::kStale || flipped.code() == Errc::kNoEnt) {
+    races_.Add();
+    if (flipped.code() == Errc::kNoEnt) {
+      (void)base()->DeleteIf(key, WriteGuard{0, *cold, /*whole=*/true});
+    }
+    return ErrStatus(Errc::kAgain, "pointer moved during promotion");
+  }
+  ARKFS_RETURN_IF_ERROR(flipped.status());
+  // Step 3, the sweep (best effort; reconcile reclaims a leftover).
   (void)cold_->Delete(ColdCopyKey(key));
   SetCachedTier(key, CachedTier::kHot, /*reset_cold_reads=*/true);
   promotions_.Add();
@@ -494,58 +492,42 @@ Status TieringStore::PromoteObject(const std::string& key) {
 
 Result<int> TieringStore::ReconcileObject(const std::string& key) {
   if (!Tiers(key)) return ErrStatus(Errc::kInval, "not a tiered key");
-  std::lock_guard<std::mutex> lock(KeyLock(key));
+  ARKFS_ASSIGN_OR_RETURN(const PointerRecord prior, LoadPointer(key));
   auto hot = base()->Get(key);
   const bool hot_exists = hot.ok();
   const bool cold_exists = cold_->Head(ColdCopyKey(key)).ok();
-  auto pointer = ReadPointer(key);
+  const std::optional<TierPointer>& pointer = prior.pointer;
   int swept = 0;
   if (hot_exists && cold_exists) {
     if (pointer && pointer->tier == Tier::kCold &&
         pointer->object_size == hot->size() &&
         pointer->content_crc == Crc32c(*hot)) {
-      // A demotion crashed after its flip: the copies are byte-identical
-      // (the pointer's content CRC proves it), so complete the sweep.
-      if (base()->Delete(key).ok()) {
+      // A demotion stopped after its flip: the copies are byte-identical
+      // (the pointer's content CRC proves it), so complete the sweep —
+      // guarded on the bytes just checked, so an overwrite since stays.
+      if (base()->DeleteIf(key, WriteGuard{0, *hot, /*whole=*/true}).ok()) {
         swept++;
         SetCachedTier(key, CachedTier::kCold, false);
       }
     } else {
-      // The hot copy differs from what the pointer covered (crashed
-      // pre-flip demotion, crashed promotion, or an overwrite raced a
-      // finished demotion): hot wins. Flip the pointer back first, then
-      // drop the stale cold copy — a crash between the two leaves a
-      // hot-pointing record over a doomed cold orphan, which this same
-      // branch finishes next pass.
-      if (pointer && pointer->tier == Tier::kCold) {
-        TierPointer next;
-        next.tier = Tier::kHot;
-        next.gen = pointer->gen + 1;
-        next.object_size = hot->size();
-        next.content_crc = Crc32c(*hot);
-        ARKFS_RETURN_IF_ERROR(
-            base()->Put(TierPointerKey(key), EncodeTierPointer(next)));
-        pointer_flips_.Add();
-      }
+      // The hot copy is not what the pointer covered (a migration stopped
+      // part way, or an overwrite of a demoted object): hot wins. The guarded
+      // re-point makes the stale cold copy this pass's to drop; a crash in
+      // between is finished by this same branch next pass.
+      ARKFS_RETURN_IF_ERROR(FlipPointer(key, prior, Tier::kHot, *hot).status());
       if (cold_->Delete(ColdCopyKey(key)).ok()) swept++;
       SetCachedTier(key, CachedTier::kHot, true);
     }
   } else if (hot_exists && pointer && pointer->tier == Tier::kCold) {
     // Pointer says cold but no cold copy survives (external sweep or a
     // reconcile crash): repair the record so it matches reality.
-    TierPointer next;
-    next.tier = Tier::kHot;
-    next.gen = pointer->gen + 1;
-    next.object_size = hot->size();
-    next.content_crc = Crc32c(*hot);
-    ARKFS_RETURN_IF_ERROR(
-        base()->Put(TierPointerKey(key), EncodeTierPointer(next)));
-    pointer_flips_.Add();
+    ARKFS_RETURN_IF_ERROR(FlipPointer(key, prior, Tier::kHot, *hot).status());
     swept++;
     SetCachedTier(key, CachedTier::kHot, false);
-  } else if (!hot_exists && !cold_exists && pointer) {
-    // Dangling pointer: no copy left anywhere. Reclaim the record.
-    if (base()->Delete(TierPointerKey(key)).ok()) swept++;
+  } else if (!hot_exists && !cold_exists && prior.raw) {
+    // Dangling pointer: no copy left anywhere. Reclaim the record unless a
+    // migration has rewritten it since.
+    if (base()->DeleteIf(TierPointerKey(key), prior.guard()).ok()) swept++;
     EraseState(key);
   }
   if (swept > 0) {
@@ -581,7 +563,9 @@ Result<TieringStore::TierProbe> TieringStore::ProbeTier(
   // Cold-side errors are treated as absent: a wrong "absent" only re-demotes
   // (an idempotent overwrite), never loses bytes.
   probe.cold_exists = cold_->Head(ColdCopyKey(key)).ok();
-  probe.pointer = ReadPointer(key);
+  if (auto record = LoadPointer(key); record.ok()) {
+    probe.pointer = record->pointer;
+  }
   StateShard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.keys.find(key);
@@ -696,14 +680,17 @@ TieringStore::Counters TieringStore::counters() const {
   c.races = races_.value();
   c.orphans_swept = orphans_swept_.value();
   c.pointer_flips = pointer_flips_.value();
+  for (const StateShard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    c.tracked_keys += shard.keys.size();
+  }
   return c;
 }
 
 std::string TieringStore::StatsText() const {
-  std::size_t tracked = 0, hot = 0, cold = 0;
+  std::size_t hot = 0, cold = 0;
   for (const StateShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    tracked += shard.keys.size();
     for (const auto& [key, state] : shard.keys) {
       (void)key;
       if (state.tier == CachedTier::kHot) hot++;
@@ -712,7 +699,7 @@ std::string TieringStore::StatsText() const {
   }
   const Counters c = counters();
   std::string s;
-  s += "tracked=" + std::to_string(tracked);
+  s += "tracked=" + std::to_string(c.tracked_keys);
   s += " hot=" + std::to_string(hot);
   s += " cold=" + std::to_string(cold);
   s += " hot_gets=" + std::to_string(c.hot_gets);
@@ -851,6 +838,7 @@ void Migrator::ProcessKey(const std::string& key, MigrationReport* report,
 }
 
 Result<MigrationReport> Migrator::RunOnce() {
+  std::lock_guard<std::mutex> run(run_mu_);
   ARKFS_ASSIGN_OR_RETURN(const auto keys,
                          store_->ListTiered(options_.prefix));
   MigrationReport report;

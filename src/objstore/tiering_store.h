@@ -1,5 +1,5 @@
 // TieringStore — access-driven hot/cold data placement (the tiering half of
-// the archive tier; EcStore from PR 7 is the durability half).
+// the archive tier; EcStore is the durability half).
 //
 // A StoreDecorator that keeps selected objects (by default: everything; the
 // cluster wires a data-chunk-only predicate) on the wrapped *hot* store —
@@ -20,34 +20,30 @@
 //               EC cold tier its stripes become K..cold..ecm* / ..ecs*)
 //
 // Read semantics: THE HOT COPY, WHEN PRESENT, IS AUTHORITATIVE. Reads try
-// hot first — ALWAYS, on every read — and consult the pointer/cold copy
-// only on a hot miss. The in-memory cached tier is purely a fallback-
-// ordering hint (on a hot miss it skips the pointer read); it never
-// routes a read past the hot copy, because the cache can be stale in
-// exactly the states a crash leaves behind. This is what makes every
-// crash state safe (see the matrix in DESIGN.md §4.9): a stale cold copy
-// or a stale pointer can linger after a crash, but it can never shadow
-// newer acked hot bytes — it is storage to reclaim (the migrator's
-// reconcile pass sweeps it), never a correctness hazard.
+// hot first, always, and consult the pointer/cold copy only on a hot miss.
+// The in-memory cached tier only orders fallbacks (on a hot miss it skips
+// the pointer read), because it can be stale in exactly the states a crash
+// leaves behind. So a stale cold copy or pointer left by a crash never
+// shadows newer acked hot bytes: it is storage for the migrator's reconcile
+// pass to reclaim (the crash matrix is in DESIGN.md §4.9).
 //
-// Migration protocol (copy -> flip -> sweep, same discipline as dentry
-// shards and EC generations):
-//   demote:  1. PUT K..cold (EC encode) — the copy;
-//            2. PUT K..tp {cold, gen+1} — the flip;
-//            3. DELETE K — the sweep (and, under hot-first reads, the real
-//               visibility switch).
-//   promote: 1. PUT K (byte-identical hot copy) — authoritative at once;
-//            2. PUT K..tp {hot, gen+1}; 3. DELETE K..cold.
-// Steps 2+3 (and promote's 1-3) run under the per-key lock with a mutation-
-// sequence re-check, so a concurrent overwrite aborts the migration
-// (kAgain) instead of being destroyed. Cross-process crash safety needs no
-// locks: any prefix of the protocol leaves either the hot copy authoritative
-// or a complete cold object behind the flipped pointer.
-//
-// Concurrent writers to the SAME logical key must be serialized by the
-// layer above (the PRT's chunk-write locks and file leases already do);
-// like EcStore, one in-process instance is additionally safe by
-// construction via its internal per-key locks.
+// Migration protocol (copy -> flip -> sweep, as for dentry shards and EC
+// generations). Every step that could destroy another writer's bytes is a
+// guarded store op, so the store, not process memory, orders migrations
+// against foreground writers in every process:
+//   demote:  1. PUT K..cold (EC encode), dropped again if K is gone by then;
+//            2. PUT K..tp {cold, gen+1} IF K..tp is what the migration read
+//               (IF ABSENT when there was none) — the flip;
+//            3. DELETE K IF it still holds the copied bytes — the sweep, and
+//               under hot-first reads the visibility switch.
+//   promote: 1. PUT K IF ABSENT; 2. the guarded flip to {hot, gen+1};
+//            3. DELETE K..cold.
+// A miss aborts kAgain and leaves the winner's bytes alone; a lost ack is
+// told from a miss by re-reading the store. Any prefix of the protocol (a
+// crash) leaves the hot copy authoritative or a complete cold object behind
+// the flipped pointer. DESIGN.md §4.9 has the rule for who writes K, K..tp
+// and K..cold; the pointer's generation keeps byte guards ABA-safe.
+// Foreground writers to one key are serialized above (the PRT's file leases).
 #pragma once
 
 #include <array>
@@ -131,9 +127,7 @@ struct TieringOptions {
   // Bound on the in-memory per-key access/placement entries (and therefore
   // on the persisted stats blob). Past the cap the longest-idle tracked key
   // is evicted (sampled LRU) — losing an entry only resets that key's idle
-  // clock / read heat, never bytes or fencing (mutation sequences are
-  // shard-monotonic, so an evicted-and-recreated key can never replay a
-  // fence value a migration already snapshotted).
+  // clock / read heat, never bytes.
   std::size_t max_tracked_keys = 65536;
 
   static TieringOptions Defaults() { return {}; }
@@ -146,23 +140,24 @@ class TieringStore : public StoreDecorator {
   Result<Bytes> Get(const std::string& key) override;
   Result<Bytes> GetRange(const std::string& key, std::uint64_t offset,
                          std::uint64_t length) override;
+  // Writes the hot copy. Over a key this instance saw cold it also flips
+  // the pointer back to hot (guarded), so a hot outage cannot fall back to
+  // the stale cold copy, which the migrator's reconcile pass reclaims.
   Status Put(const std::string& key, ByteSpan data) override;
-  // Partial writes only ever land on the hot copy. On a cold-resident key
-  // this returns kNotSup so the PRT falls back to read-modify-write, which
-  // reads through the cold path and rewrites the whole chunk hot.
-  // Residency is decided under the per-key lock (never from the cached
-  // tier): base stores create missing objects on PutRange, so a partial
-  // write racing a demotion must not plant a truncated hot fragment that
-  // hot-first reads would then serve as the whole object.
+  // Partial writes land only on an existing hot copy (one PutRangeIf), so a
+  // write racing a demotion never plants a truncated hot fragment. A
+  // cold-resident key returns kNotSup; the PRT then falls back to
+  // read-modify-write, which rewrites the whole chunk hot.
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
-  // Guarded writes pass through on keys this store does not tier; a tiered
-  // key may live in either tier, so it has no one object to compare
-  // against (kNotSup).
+  // Guarded writes and deletes pass through on keys this store does not
+  // tier; a tiered key may live in either tier, so it has no one object to
+  // compare against (kNotSup).
   Status PutIf(const std::string& key, ByteSpan data,
                const WriteGuard& guard) override;
   Status PutRangeIf(const std::string& key, std::uint64_t offset,
                     ByteSpan data, const WriteGuard& guard) override;
+  Status DeleteIf(const std::string& key, const WriteGuard& guard) override;
   Status Delete(const std::string& key) override;
   Result<ObjectMeta> Head(const std::string& key) override;
   // Presents logical keys: pointer records and cold copies (and, under an
@@ -183,19 +178,20 @@ class TieringStore : public StoreDecorator {
   const ObjectStorePtr& cold_store() const;
 
   // --- migration primitives (the Migrator is policy; the ordering rules
-  // live here). All three serialize against foreground Put/Delete via the
-  // per-key lock and abort kAgain when an overwrite raced the copy. ---
+  // live here). Each aborts kAgain, counting a race, when a foreground
+  // Put/PutRange/Delete in any process got there first. ---
 
   // Hot -> cold: EC-encode the cold copy, flip the pointer, sweep the hot
   // copy. kNoEnt when there is no hot copy to demote.
   Status DemoteObject(const std::string& key);
-  // Cold -> hot: rewrite the hot copy (authoritative immediately), flip the
+  // Cold -> hot: create the hot copy (authoritative immediately), flip the
   // pointer, sweep the cold copy. kNoEnt when there is no cold copy.
   Status PromoteObject(const std::string& key);
-  // Crash repair for a key with BOTH copies resident: if the hot bytes
-  // still match the pointer's content CRC the demotion is completed (hot
-  // swept); otherwise the hot copy is newer and wins (pointer flipped back,
-  // cold copy swept). Dangling pointers (no copy left) are deleted.
+  // Repair for a key with BOTH copies resident (a crash, or an overwrite of
+  // a demoted object): if the hot bytes match the pointer's content CRC the
+  // demotion is completed (hot swept); otherwise hot wins (pointer flipped
+  // back, cold copy swept). Cold pointers with no cold copy are flipped
+  // back; dangling pointers are deleted.
   // Returns the number of orphaned objects removed (0 = nothing to do).
   Result<int> ReconcileObject(const std::string& key);
 
@@ -244,9 +240,10 @@ class TieringStore : public StoreDecorator {
     std::uint64_t promotions = 0;
     std::uint64_t demoted_bytes = 0;
     std::uint64_t promoted_bytes = 0;
-    std::uint64_t races = 0;          // migrations aborted by an overwrite
+    std::uint64_t races = 0;          // migrations a foreground op aborted
     std::uint64_t orphans_swept = 0;  // stale copies/pointers reclaimed
     std::uint64_t pointer_flips = 0;
+    std::uint64_t tracked_keys = 0;   // per-key state entries held in memory
   };
   Counters counters() const;
 
@@ -255,7 +252,6 @@ class TieringStore : public StoreDecorator {
 
   struct KeyState {
     TimePoint last_access{};
-    std::uint64_t seq = 0;         // in-memory mutation counter (fencing)
     std::uint64_t reads = 0;       // cumulative foreground reads
     std::uint32_t cold_reads = 0;  // reads served cold since last demotion
     CachedTier tier = CachedTier::kUnknown;
@@ -263,17 +259,21 @@ class TieringStore : public StoreDecorator {
   struct StateShard {
     mutable std::mutex mu;
     std::unordered_map<std::string, KeyState> keys;
-    // Fence values are drawn from this shard-wide counter, never per-entry:
-    // an entry evicted under the tracking cap and later recreated must not
-    // replay a sequence a concurrent migration already snapshotted.
-    std::uint64_t next_seq = 0;
+  };
+
+  // The pointer record as a migration read it: the exact bytes its flip is
+  // guarded on (nullopt = absent) and their decode (nullopt = undecodable).
+  struct PointerRecord {
+    std::optional<Bytes> raw;
+    std::optional<TierPointer> pointer;
+
+    WriteGuard guard() const {
+      return raw ? WriteGuard{0, *raw, /*whole=*/true} : WriteGuard::Absent();
+    }
   };
 
   StateShard& ShardFor(const std::string& key) const {
     return shards_[std::hash<std::string>{}(key) % shards_.size()];
-  }
-  std::mutex& KeyLock(const std::string& key) {
-    return key_mu_[std::hash<std::string>{}(key) % key_mu_.size()];
   }
 
   // State-map helpers (each takes the shard lock internally). Entry
@@ -282,9 +282,9 @@ class TieringStore : public StoreDecorator {
   // blob encoded from it) stays bounded on arbitrarily large namespaces.
   KeyState& StateLocked(StateShard& shard, const std::string& key);
   void EvictOneLocked(StateShard& shard);
-  std::uint64_t SeqSnapshot(const std::string& key) const;
   void NoteRead(const std::string& key, bool cold);
-  std::uint64_t BumpSeq(const std::string& key);  // returns the new seq
+  // A foreground write landed hot: restarts the idle clock, caches kHot.
+  void NoteWrite(const std::string& key);
   void SetCachedTier(const std::string& key, CachedTier tier,
                      bool reset_cold_reads);
   CachedTier GetCachedTier(const std::string& key) const;
@@ -293,20 +293,26 @@ class TieringStore : public StoreDecorator {
   // Enumerates both the hot and cold namespaces under `prefix` and folds
   // internal keys to their logical keys (shared by List and ListTiered).
   Result<std::vector<std::string>> FoldListings(const std::string& prefix);
-  // Reads + strictly decodes the pointer record. nullopt = kNoEnt or a
-  // record that failed strict decode (treated as absent: reads salvage via
-  // the cold copy, the migrator rewrites it on the next flip).
-  std::optional<TierPointer> ReadPointer(const std::string& key);
-  // Shared hot-miss logic for Get/GetRange/Head: true when the cold copy
-  // should be consulted for this key (pointer says cold, or is missing and
-  // a salvage attempt is warranted).
+  // Reads the pointer record (kNoEnt = absent); any other error fails the
+  // migration, which cannot guard a flip on bytes it did not see.
+  Result<PointerRecord> LoadPointer(const std::string& key);
+  // Writes {tier, gen+1, size and CRC of `covered`} to K..tp, guarded on
+  // `prior`. kStale: the record moved since; kNoEnt: a Delete removed it. A
+  // flip whose ack was lost reads back its own bytes and counts as landed.
+  Result<PointerRecord> FlipPointer(const std::string& key,
+                                    const PointerRecord& prior, Tier tier,
+                                    ByteSpan covered);
+  // The body of Get and GetRange; `read(store, key)` is the store call.
+  template <typename ReadFn>
+  Result<Bytes> ReadHotFirst(const std::string& key, ReadFn read);
+  // Shared hot-miss logic for Get/GetRange/Head: true when the pointer says
+  // cold, or is absent or corrupt (a salvage probe); never when unreachable.
   bool ShouldTryCold(const std::string& key);
 
   const TieringOptions options_;
   ObjectStorePtr cold_;  // options_.cold, or base() when null
   std::size_t shard_key_cap_ = 0;  // max_tracked_keys / shard count
   mutable std::array<StateShard, 16> shards_;
-  std::array<std::mutex, 64> key_mu_;
   std::atomic<bool> stats_dirty_{false};
 
   // "tier.*" metric cells.
@@ -323,8 +329,11 @@ using TieringStorePtr = std::shared_ptr<TieringStore>;
 // cannot starve foreground I/O. Each pass walks every tiered key, sweeps
 // crash leftovers (both-copies-resident, dangling pointers), demotes keys
 // idle past demote_after, and promotes cold keys whose read heat crossed
-// promote_reads. All mutations are sequence-fenced inside TieringStore, so
-// a pass racing foreground writes aborts per-key instead of losing bytes.
+// promote_reads. Every mutation is guarded at the store inside
+// TieringStore, so a pass racing foreground writes — from this process or
+// another — aborts per key instead of losing bytes. One migrator runs per
+// image: passes within a process are serialized; two processes migrating
+// one image at once are not coordinated.
 
 struct MigratorOptions {
   int threads = 2;              // keys migrated concurrently
@@ -372,7 +381,8 @@ class Migrator {
   Migrator& operator=(const Migrator&) = delete;
 
   // One full migration pass, synchronously. Safe to call concurrently with
-  // foreground I/O (every mutation is sequence-fenced per key).
+  // foreground I/O (every mutation is guarded at the store) and with the
+  // background loop (passes are serialized).
   Result<MigrationReport> RunOnce();
 
   // Background loop: RunOnce every options.interval until Stop().
@@ -394,6 +404,7 @@ class Migrator {
   const MigratorOptions options_;
   TieringStorePtr store_;
 
+  std::mutex run_mu_;  // one pass at a time
   std::mutex pace_mu_;
   TimePoint next_slot_{};
 

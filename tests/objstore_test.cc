@@ -7,6 +7,8 @@
 #include <mutex>
 #include <thread>
 
+#include <unistd.h>
+
 #include "common/fence.h"
 #include "objstore/chaos_store.h"
 #include "objstore/cluster_store.h"
@@ -229,6 +231,27 @@ TEST_P(StoreContractTest, GuardedPutRangeAppliesOnlyOnMatch) {
   EXPECT_EQ(store_->Head("absent").code(), Errc::kNoEnt);
 }
 
+// A guarded delete removes the object only while the guard holds: a
+// mismatch is kStale with the object intact, and an absent object is
+// kNoEnt whatever the guard, as for Delete.
+TEST_P(StoreContractTest, GuardedDeleteAppliesOnlyOnMatch) {
+  ASSERT_TRUE(store_->Put("g", ToBytes("HDR:body")).ok());
+  const Bytes wrong = ToBytes("HDR!");
+  const Bytes hdr = ToBytes("HDR:");
+  EXPECT_EQ(store_->DeleteIf("g", WriteGuard{0, wrong}).code(), Errc::kStale);
+  EXPECT_EQ(store_->DeleteIf("g", WriteGuard{0, hdr, true}).code(),
+            Errc::kStale);
+  EXPECT_EQ(store_->DeleteIf("g", WriteGuard::Absent()).code(), Errc::kStale);
+  EXPECT_EQ(ToString(store_->Get("g").value()), "HDR:body");
+
+  const Bytes all = ToBytes("HDR:body");
+  ASSERT_TRUE(store_->DeleteIf("g", WriteGuard{0, all, true}).ok());
+  EXPECT_EQ(store_->Get("g").code(), Errc::kNoEnt);
+  EXPECT_EQ(store_->DeleteIf("g", WriteGuard{0, all, true}).code(),
+            Errc::kNoEnt);
+  EXPECT_EQ(store_->DeleteIf("g", WriteGuard::Absent()).code(), Errc::kNoEnt);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, StoreContractTest,
                          ::testing::Values(Backend::kMemory, Backend::kDisk,
                                            Backend::kClusterRados,
@@ -253,6 +276,41 @@ TEST(DiskStoreTest, PersistsAcrossReopen) {
   }
   auto store = DiskObjectStore::Open(dir).value();
   EXPECT_EQ(ToString(store->Get("persisted").value()), "value");
+}
+
+// Two stores open on one directory stand in for two processes sharing a
+// disk image. The directory's lock file, not either store's mutex, keeps
+// each guard check and its write one step, so no guarded increment is lost.
+TEST(DiskStoreTest, GuardsHoldAcrossStoresOnOneDirectory) {
+  auto dir = std::filesystem::temp_directory_path() /
+             ("arkfs_store_two_opens_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  auto first = DiskObjectStore::Open(dir).value();
+  auto second = DiskObjectStore::Open(dir).value();
+  ASSERT_TRUE(first->Put("counter", ToBytes("0")).ok());
+  constexpr int kIncrements = 200;
+  auto bump = [](ObjectStore* store) {
+    for (int done = 0; done < kIncrements;) {
+      const Bytes seen = store->Get("counter").value();
+      const std::string next = std::to_string(std::stoi(ToString(seen)) + 1);
+      Status st = store->PutIf("counter", ToBytes(next),
+                               WriteGuard{0, seen, /*whole=*/true});
+      if (st.ok()) {
+        ++done;
+      } else {
+        ASSERT_EQ(st.code(), Errc::kStale) << st.ToString();
+      }
+    }
+  };
+  std::thread a(bump, first.get());
+  std::thread b(bump, second.get());
+  a.join();
+  b.join();
+  EXPECT_EQ(ToString(first->Get("counter").value()),
+            std::to_string(2 * kIncrements));
+  first.reset();
+  second.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ClusterStoreTest, ReplicationFactorRespected) {
@@ -397,11 +455,13 @@ TEST(GuardedWriteTest, StoreWithoutGuardsFailsSafe) {
             Errc::kNotSup);
   EXPECT_EQ(store.PutRangeIf("k", 0, AsBytes("x"), WriteGuard{}).code(),
             Errc::kNotSup);
+  EXPECT_EQ(store.DeleteIf("k", WriteGuard{}).code(), Errc::kNotSup);
 }
 
-// Every decorator forwards the guard: a match lands, a mismatch comes back
-// kStale with the bytes untouched. The placement layers forward on keys
-// they leave alone and refuse (kNotSup) on keys they encode or tier.
+// Every decorator forwards the guard, on writes and deletes: a match
+// lands, a mismatch comes back kStale with the bytes untouched. The
+// placement layers forward on keys they leave alone and refuse (kNotSup)
+// on keys they encode or tier.
 TEST(GuardedWriteTest, EveryDecoratorForwardsTheGuard) {
   const auto data_key = [](const std::string& key) { return key[0] == 'd'; };
   auto base = std::make_shared<MemoryObjectStore>();
@@ -411,8 +471,10 @@ TEST(GuardedWriteTest, EveryDecoratorForwardsTheGuard) {
   ec.should_encode = data_key;
   TieringOptions tiering;
   tiering.should_tier = data_key;
+  obs::MetricsRegistry registry;
+  auto instrumented = std::make_shared<InstrumentedStore>(base, &registry);
   const std::vector<std::pair<std::string, ObjectStorePtr>> stacks = {
-      {"instrumented", std::make_shared<InstrumentedStore>(base)},
+      {"instrumented", instrumented},
       {"retrying",
        std::make_shared<RetryingStore>(base, RetryPolicy::ForTests())},
       {"chaos", std::make_shared<ChaosStore>(base, ChaosConfig{})},
@@ -443,7 +505,17 @@ TEST(GuardedWriteTest, EveryDecoratorForwardsTheGuard) {
     EXPECT_TRUE(
         store->PutIf(key + "-new", ToBytes("new"), WriteGuard::Absent()).ok())
         << name;
+    EXPECT_EQ(store->DeleteIf(key, WriteGuard{0, wrong}).code(), Errc::kStale)
+        << name;
+    EXPECT_TRUE(base->Head(key).ok()) << name;
+    EXPECT_TRUE(store->DeleteIf(key, WriteGuard{0, hdr}).ok()) << name;
+    EXPECT_EQ(base->Head(key).code(), Errc::kNoEnt) << name;
+    EXPECT_EQ(store->DeleteIf(key, WriteGuard{0, hdr}).code(), Errc::kNoEnt)
+        << name;
   }
+  // Each guarded delete counts and times as one delete.
+  EXPECT_EQ(instrumented->Snapshot().deletes, 3u);
+  EXPECT_EQ(instrumented->latencies().For("delete").count(), 3u);
   for (std::size_t i : {3u, 4u}) {  // ec, tiering: a key they own
     const auto& [name, store] = stacks[i];
     EXPECT_EQ(store->PutIf("d1", ToBytes("x"), WriteGuard{}).code(),
@@ -451,6 +523,8 @@ TEST(GuardedWriteTest, EveryDecoratorForwardsTheGuard) {
         << name;
     EXPECT_EQ(store->PutRangeIf("d1", 0, AsBytes("x"), WriteGuard{}).code(),
               Errc::kNotSup)
+        << name;
+    EXPECT_EQ(store->DeleteIf("d1", WriteGuard{}).code(), Errc::kNotSup)
         << name;
   }
 }

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
+#include <functional>
+#include <string_view>
 
 #include "objstore/chaos_store.h"
 #include "objstore/cluster_store.h"
 #include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
+#include "objstore/retrying_store.h"
 #include "objstore/stack_builder.h"
 #include "objstore/tiering_store.h"
 
@@ -163,6 +165,14 @@ TEST_F(TieringStoreTest, HotPathAddsNoExtraIo) {
   EXPECT_EQ(c.puts, 1u);
   EXPECT_EQ(c.gets, 1u);
   EXPECT_FALSE(mem_->Head(TierPointerKey("d-hot")).ok());
+
+  // A partial write to a hot chunk is exactly one store call: the guarded
+  // range write itself, with no residency probe in front of it.
+  counting_->Reset();
+  ASSERT_TRUE(tiering_->PutRange("d-hot", 8, Payload(2, 16)).ok());
+  const InstrumentedStore::Counters r = counting_->Snapshot();
+  EXPECT_EQ(r.puts, 1u);
+  EXPECT_EQ(r.gets + r.heads + r.deletes + r.lists, 0u);
 }
 
 TEST_F(TieringStoreTest, DemoteThenReadServesColdBytes) {
@@ -224,7 +234,9 @@ TEST_F(TieringStoreTest, OverwriteAfterDemotionFlipsBack) {
   auto got = tiering_->Get("d-o");
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, fresh);
-  // The inline flip-back swept the stale cold copy and re-pointed hot.
+  // Reconcile (the migrator's pass) sweeps the stale cold copy and
+  // re-points hot.
+  ASSERT_TRUE(tiering_->ReconcileObject("d-o").ok());
   auto probe = tiering_->ProbeTier("d-o");
   ASSERT_TRUE(probe.ok());
   EXPECT_TRUE(probe->hot_exists);
@@ -270,9 +282,10 @@ TEST_F(TieringStoreTest, NonTieredAndSentinelKeysPassThrough) {
 
 TEST_F(TieringStoreTest, HotCopyAlwaysWinsOverStaleColdCache) {
   // The cached tier says kCold (a real demotion set it), but newer hot
-  // bytes land behind this instance's back — e.g. another process's Put
-  // whose inline pointer flip never ran. Hot-first reads must serve the
-  // new bytes anyway: the cache is an ordering hint, never a route.
+  // bytes land behind this instance's back — e.g. another process's Put,
+  // which writes only the hot copy and leaves the pointer to reconcile.
+  // Hot-first reads must serve the new bytes anyway: the cache is an
+  // ordering hint, never a route.
   const Bytes v1 = Payload(90, 256);
   ASSERT_TRUE(tiering_->Put("d-stale", v1).ok());
   ASSERT_TRUE(tiering_->DemoteObject("d-stale").ok());
@@ -295,10 +308,10 @@ TEST_F(TieringStoreTest, HotCopyAlwaysWinsOverStaleColdCache) {
 
 TEST_F(TieringStoreTest, StaleStatsBlobNeverRoutesReadsToStaleCold) {
   // Crash shape: demotion completed and its stats blob (tier=cold) was
-  // checkpointed; then an overwrite's hot bytes landed but the process
-  // died before the inline pointer flip / cold sweep. A restarted process
-  // that loads the blob must serve the newer hot bytes, not the cold
-  // orphan the blob still points at.
+  // checkpointed; then an overwrite's hot bytes landed, and the process
+  // died before any reconcile pass flipped the pointer back and swept the
+  // cold copy. A restarted process that loads the blob must serve the
+  // newer hot bytes, not the cold orphan the blob still points at.
   const Bytes v1 = Payload(92, 256);
   ASSERT_TRUE(tiering_->Put("d-blob", v1).ok());
   ASSERT_TRUE(tiering_->DemoteObject("d-blob").ok());
@@ -382,10 +395,7 @@ TEST_F(TieringStoreTest, TrackedKeyStateStaysBounded) {
     ASSERT_TRUE(
         bounded.Put("d-churn." + std::to_string(i), Payload(i, 32)).ok());
   }
-  std::size_t tracked = 0;
-  ASSERT_EQ(std::sscanf(bounded.StatsText().c_str(), "tracked=%zu", &tracked),
-            1);
-  EXPECT_LE(tracked, 16u);
+  EXPECT_LE(bounded.counters().tracked_keys, 16u);
   // Reads and migration stay correct for evicted keys — state re-derives.
   auto got = bounded.Get("d-churn.0");
   ASSERT_TRUE(got.ok());
@@ -741,6 +751,286 @@ TEST_F(TieringCrashSafetyTest, MigratorPassSweepsCrashLeftovers) {
     ASSERT_TRUE(got.ok()) << key;
     EXPECT_EQ(*got, data) << key;
   }
+}
+
+// --- cross-instance races: the store orders writers from two processes ---
+//
+// A second TieringStore over the same memory store stands in for another
+// process (an `arkfs_cli put` next to a migrating client): it shares no
+// memory with the migrating instance. The migrating instance's store hook
+// runs one foreground op through the other instance at each step of a
+// demotion (of a fresh key, and of one whose pointer an earlier promotion
+// left behind) and of a promotion. The migration may return any status; after
+// it and one reconcile, reads return what the foreground op acked, a
+// deleted key leaves no hot copy, pointer or cold copy, and at most one
+// data copy is resident. No threads, no sleeps: the hook is the schedule.
+
+enum class Foreground { kPut, kPutRange, kDelete };
+enum class Migration { kDemote, kDemotePromoted, kPromote };
+
+struct RaceStep {
+  const char* name;
+  std::string_view op;                         // the hooked store op
+  std::string (*target)(const std::string&);  // the key it touches
+};
+
+std::string HotCopyKey(const std::string& key) { return key; }
+
+const RaceStep kDemoteSteps[] = {{"before copy", "put", ColdCopyKey},
+                                 {"before flip", "put", TierPointerKey},
+                                 {"before sweep", "delete", HotCopyKey}};
+const RaceStep kPromoteSteps[] = {{"before hot write", "put", HotCopyKey},
+                                  {"before flip", "put", TierPointerKey},
+                                  {"before cold sweep", "delete", ColdCopyKey}};
+
+class TieringCrossInstanceTest : public ::testing::Test {
+ protected:
+  TieringCrossInstanceTest() {
+    mem_ = std::make_shared<MemoryObjectStore>();
+    auto hook = [this](std::string_view op, const std::string& key) {
+      if (armed_ && op == armed_op_ && key == armed_key_) {
+        armed_ = false;
+        inject_();
+      }
+      return Errc::kOk;
+    };
+    auto hooked = std::make_shared<ChaosStore>(mem_, ChaosConfig{}, hook);
+    TieringOptions options;
+    options.should_tier = IsDataKey;
+    migrating_ = std::make_shared<TieringStore>(hooked, options);
+    other_ = std::make_shared<TieringStore>(mem_, options);
+  }
+
+  void RunCell(Migration migration, const RaceStep& step, Foreground fg) {
+    static const char* const kMigrations[] = {"demote ", "demote promoted ",
+                                              "promote "};
+    static const char* const kOps[] = {"Put", "PutRange", "Delete"};
+    SCOPED_TRACE(std::string(kMigrations[static_cast<int>(migration)]) +
+                 step.name + " / " + kOps[static_cast<int>(fg)]);
+    const std::string key = "d-race." + std::to_string(next_key_++);
+    const Bytes v1 = Payload(1, 256);
+    ASSERT_TRUE(migrating_->Put(key, v1).ok());
+    if (migration != Migration::kDemote) {
+      ASSERT_TRUE(migrating_->DemoteObject(key).ok());
+    }
+    if (migration == Migration::kDemotePromoted) {
+      ASSERT_TRUE(migrating_->PromoteObject(key).ok());
+    }
+
+    Bytes expect = v1;
+    bool deleted = false;
+    inject_ = [&] {
+      switch (fg) {
+        case Foreground::kPut:
+          expect = Payload(2, 300);
+          EXPECT_TRUE(other_->Put(key, expect).ok());
+          break;
+        case Foreground::kPutRange: {
+          const Bytes patch = Payload(99, 8);
+          Status st = other_->PutRange(key, 16, patch);
+          if (st.ok()) {
+            std::copy(patch.begin(), patch.end(), expect.begin() + 16);
+          } else {
+            EXPECT_EQ(st.code(), Errc::kNotSup) << st.ToString();
+          }
+          break;
+        }
+        case Foreground::kDelete:
+          EXPECT_TRUE(other_->Delete(key).ok());
+          deleted = true;
+          break;
+      }
+    };
+    armed_op_ = step.op;
+    armed_key_ = step.target(key);
+    armed_ = true;
+    (void)(migration == Migration::kPromote ? migrating_->PromoteObject(key)
+                                            : migrating_->DemoteObject(key));
+    ASSERT_FALSE(armed_) << "the migration never reached the hooked step";
+    ASSERT_TRUE(migrating_->ReconcileObject(key).ok());
+
+    for (TieringStore* reader : {migrating_.get(), other_.get()}) {
+      auto got = reader->Get(key);
+      if (deleted) {
+        EXPECT_EQ(got.status().code(), Errc::kNoEnt) << "deleted key reads";
+      } else {
+        ASSERT_TRUE(got.ok()) << "acked bytes lost";
+        EXPECT_EQ(*got, expect) << "reads do not return the acked bytes";
+      }
+    }
+    if (deleted) {
+      for (const std::string& k :
+           {key, TierPointerKey(key), ColdCopyKey(key)}) {
+        EXPECT_FALSE(mem_->Head(k).ok()) << k << " outlived the Delete";
+      }
+    }
+    EXPECT_FALSE(mem_->Head(key).ok() && mem_->Head(ColdCopyKey(key)).ok())
+        << "both data copies resident";
+  }
+
+  std::shared_ptr<MemoryObjectStore> mem_;
+  TieringStorePtr migrating_;
+  TieringStorePtr other_;
+  bool armed_ = false;
+  std::string_view armed_op_;
+  std::string armed_key_;
+  std::function<void()> inject_;
+  int next_key_ = 0;
+};
+
+TEST_F(TieringCrossInstanceTest, ForegroundOpsRacingADemotion) {
+  for (Migration migration : {Migration::kDemote, Migration::kDemotePromoted}) {
+    for (const RaceStep& step : kDemoteSteps) {
+      for (Foreground fg :
+           {Foreground::kPut, Foreground::kPutRange, Foreground::kDelete}) {
+        RunCell(migration, step, fg);
+      }
+    }
+  }
+}
+
+TEST_F(TieringCrossInstanceTest, ForegroundOpsRacingAPromotion) {
+  for (const RaceStep& step : kPromoteSteps) {
+    for (Foreground fg :
+         {Foreground::kPut, Foreground::kPutRange, Foreground::kDelete}) {
+      RunCell(Migration::kPromote, step, fg);
+    }
+  }
+}
+
+// A demotion's sweep lands at the store but its ack is lost (the hook
+// applies the guarded delete, then fails the call); the retry finds no hot
+// copy. That is this demotion's own sweep, not a racing Delete: the
+// demotion completes, the key reads back from cold, and no race is counted.
+TEST_F(TieringCrossInstanceTest, AmbiguousSweepAckCompletesTheDemotion) {
+  const std::string key = "d-ambiguous";
+  const Bytes data = Payload(5, 320);
+  bool lost_ack = false;
+  auto faulty = std::make_shared<ChaosStore>(
+      mem_, ChaosConfig{},
+      [&](std::string_view op, const std::string& k) {
+        if (op != "delete" || k != key || lost_ack) return Errc::kOk;
+        lost_ack = true;
+        EXPECT_TRUE(mem_->DeleteIf(k, WriteGuard{0, data, true}).ok());
+        return Errc::kIo;
+      });
+  TieringOptions options;
+  options.should_tier = IsDataKey;
+  TieringStore tiering(
+      std::make_shared<RetryingStore>(faulty, RetryPolicy::ForTests()),
+      options);
+  ASSERT_TRUE(tiering.Put(key, data).ok());
+  ASSERT_TRUE(tiering.DemoteObject(key).ok());
+  EXPECT_TRUE(lost_ack);
+  auto got = tiering.Get(key);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, data);
+  EXPECT_TRUE(mem_->Head(ColdCopyKey(key)).ok());
+  EXPECT_EQ(tiering.counters().races, 0u);
+  EXPECT_EQ(tiering.counters().demotions, 1u);
+}
+
+// The same lost ack on a promotion's flip: the retry misses on the record
+// the flip itself wrote. The promotion completes instead of taking back its
+// hot copy, which another instance (it has only the store to go by) reads.
+TEST_F(TieringCrossInstanceTest, AmbiguousFlipAckCompletesThePromotion) {
+  const std::string key = "d-ambiguous-promote";
+  const Bytes data = Payload(6, 320);
+  bool armed = false;
+  bool lost_ack = false;
+  auto faulty = std::make_shared<ChaosStore>(
+      mem_, ChaosConfig{},
+      [&](std::string_view op, const std::string& k) {
+        if (!armed || op != "put" || k != TierPointerKey(key)) {
+          return Errc::kOk;
+        }
+        armed = false;
+        lost_ack = true;
+        auto prior = DecodeTierPointer(mem_->Get(k).value());
+        EXPECT_TRUE(prior.ok());
+        TierPointer next = *prior;
+        next.tier = Tier::kHot;
+        next.gen++;
+        EXPECT_TRUE(mem_->Put(k, EncodeTierPointer(next)).ok());
+        return Errc::kIo;
+      });
+  TieringOptions options;
+  options.should_tier = IsDataKey;
+  TieringStore tiering(
+      std::make_shared<RetryingStore>(faulty, RetryPolicy::ForTests()),
+      options);
+  ASSERT_TRUE(tiering.Put(key, data).ok());
+  ASSERT_TRUE(tiering.DemoteObject(key).ok());
+  armed = true;
+  ASSERT_TRUE(tiering.PromoteObject(key).ok());
+  EXPECT_TRUE(lost_ack);
+  auto got = other_->Get(key);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, data);
+  EXPECT_TRUE(mem_->Head(key).ok());
+  EXPECT_FALSE(mem_->Head(ColdCopyKey(key)).ok());
+  EXPECT_EQ(tiering.counters().races, 0u);
+  EXPECT_EQ(tiering.counters().promotions, 1u);
+}
+
+// --- an overwrite of a demoted key under a hot-primary outage ---
+//
+// Reads fall back to the cold copy on any hot error, so the pointer must
+// stop saying "cold" once newer bytes land hot. With the overwritten hot
+// copy's primary down, a read may fail, but it must never serve the
+// pre-overwrite bytes: not in the writing instance, and not in a fresh one.
+
+TEST(TieringOutageTest, OverwriteOfDemotedKeyNeverServesStaleCold) {
+  TieringOptions topts;
+  topts.should_tier = IsDataKey;
+  auto built = objstore::StackBuilder()
+                   .Cluster(ClusterConfig::Instant(8))
+                   .Tiering(topts, MigratorOptions{})
+                   .Build();
+  ASSERT_TRUE(built.ok());
+  objstore::StoreStack stack = *built;
+  const std::string key = "d-outage";
+  const Bytes v1 = Payload(11, 2048);
+  const Bytes v2 = Payload(12, 2100);
+  ASSERT_TRUE(stack.store->Put(key, v1).ok());
+  ASSERT_TRUE(stack.tiering->DemoteObject(key).ok());
+  ASSERT_TRUE(stack.store->Put(key, v2).ok());
+
+  TieringStore restarted(stack.cluster, stack.tiering->options());
+  auto expect_no_stale_read = [&] {
+    for (ObjectStore* reader :
+         {stack.store.get(), static_cast<ObjectStore*>(&restarted)}) {
+      auto got = reader->Get(key);
+      EXPECT_FALSE(got.ok() && *got == v1) << "stale bytes served by Get";
+      auto range = reader->GetRange(key, 0, 64);
+      EXPECT_FALSE(range.ok() && *range == Bytes(v1.begin(), v1.begin() + 64))
+          << "stale bytes served by GetRange";
+      auto head = reader->Head(key);
+      EXPECT_FALSE(head.ok() && head->size == v1.size())
+          << "stale size served by Head";
+    }
+  };
+  // The hot copy's primary down: the pointer says hot, so no cold read.
+  const int primary = stack.cluster->ReplicaNodes(key).front();
+  stack.cluster->SetNodeDown(primary, true);
+  {
+    SCOPED_TRACE("hot primary down");
+    expect_no_stale_read();
+  }
+  // The pointer's primary down too (the EC cold copy still reads through
+  // two outages): an unreachable pointer is no licence to read cold.
+  const int pointer_primary =
+      stack.cluster->ReplicaNodes(TierPointerKey(key)).front();
+  stack.cluster->SetNodeDown(pointer_primary, true);
+  {
+    SCOPED_TRACE("hot and pointer primaries down");
+    expect_no_stale_read();
+  }
+  stack.cluster->SetNodeDown(pointer_primary, false);
+  stack.cluster->SetNodeDown(primary, false);
+  auto got = restarted.Get(key);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, v2);
 }
 
 // --- StackBuilder: the one canonical assembly path ---
