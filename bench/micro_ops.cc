@@ -556,7 +556,7 @@ std::vector<DurabilityRow> RunDurabilitySection(int creates,
     const double wall = SecondsSince(t0);
     // The realized dirty window at burst end IS the mode's crash exposure;
     // snapshot it before the drain below hides it.
-    const std::string window_text = client->Introspect().journal_text;
+    const auto window = client->Introspect().journal;
     (void)client->SyncAll();  // not timed: drain before teardown
 
     std::sort(lat.begin(), lat.end());
@@ -572,19 +572,14 @@ std::vector<DurabilityRow> RunDurabilitySection(int creates,
     row.ops_per_sec = creates / wall;
     std::printf("  %-8s %10.1f %10.1f %10.1f %12.0f\n", row.mode.c_str(),
                 row.p50_us, row.p95_us, row.p99_us, row.ops_per_sec);
-    // First two lines of the introspection: mode + dirty-window depth.
-    std::string head = window_text.substr(0, window_text.find('\n'));
-    const auto second = window_text.find('\n');
-    if (second != std::string::npos) {
-      const auto third = window_text.find('\n', second + 1);
-      head = window_text.substr(0, third == std::string::npos
-                                       ? window_text.size()
-                                       : third);
+    if (window) {
+      std::printf("           [durability mode: %s; dirty window: %llu records"
+                  " / %llu bytes (est), oldest %.3f ms]\n",
+                  journal::DurabilityModeName(window->durability),
+                  static_cast<unsigned long long>(window->depth.records),
+                  static_cast<unsigned long long>(window->depth.bytes),
+                  static_cast<double>(window->depth.oldest_age.count()) / 1e6);
     }
-    for (auto& c : head) {
-      if (c == '\n') c = ';';
-    }
-    std::printf("           [%s]\n", head.c_str());
     if (json != nullptr) {
       json->Add({"create", row.mode, row.p50_us, row.p95_us, row.p99_us,
                  row.ops_per_sec});

@@ -17,18 +17,6 @@ Knob MakeKnob(const char* name, const char* description) {
   return k;
 }
 
-bool ParseBool(const std::string& raw, bool* out) {
-  if (raw == "1" || raw == "true" || raw == "on" || raw == "yes") {
-    *out = true;
-    return true;
-  }
-  if (raw == "0" || raw == "false" || raw == "off" || raw == "no") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
 bool ParseU64(const std::string& raw, std::uint64_t max, std::uint64_t* out) {
   // strtoull silently wraps "-3" to a huge value; digits only.
   if (raw.empty() || raw[0] < '0' || raw[0] > '9') return false;
@@ -60,15 +48,6 @@ EnvConfig EnvConfig::FromEnvironment() {
   }
   placement.value = c.placement_;
   c.knobs_.push_back(std::move(placement));
-
-  Knob tiering = MakeKnob(
-      "ARKFS_TIERING", "force tiered placement (overrides ARKFS_PLACEMENT)");
-  if (tiering.from_env && !ParseBool(tiering.raw, &c.tiering_)) {
-    tiering.valid = false;
-    tiering.error = "expected 1|0|true|false|on|off|yes|no";
-  }
-  tiering.value = c.tiering_ ? "on" : "off";
-  c.knobs_.push_back(std::move(tiering));
 
   Knob durability = MakeKnob(
       "ARKFS_DURABILITY", "journal durability mode: sync | group | async");

@@ -41,9 +41,6 @@ class EnvConfig {
 
   // ARKFS_PLACEMENT: "replica" | "ec" | "tiered". Default "replica".
   const std::string& placement() const { return placement_; }
-  // ARKFS_TIERING: truthy ("1"/"true"/"on"/"yes") forces tiered placement
-  // regardless of ARKFS_PLACEMENT. Default off.
-  bool tiering() const { return tiering_; }
   // ARKFS_DURABILITY: "sync" | "group" | "async". Empty = journal default.
   const std::string& durability() const { return durability_; }
   // ARKFS_TENANT: decimal tenant id (fits uint32). nullopt = unset.
@@ -63,7 +60,6 @@ class EnvConfig {
 
  private:
   std::string placement_ = "replica";
-  bool tiering_ = false;
   std::string durability_;
   std::optional<std::uint32_t> tenant_;
   bool bench_verbose_ = false;

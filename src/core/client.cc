@@ -603,12 +603,12 @@ Vfs::IntrospectReport Client::Introspect() {
   IntrospectReport report;
   obs::MetricsRegistry& registry =
       config_.metrics ? *config_.metrics : obs::MetricsRegistry::Default();
-  report.metrics_text = registry.DumpText();
+  report.metrics = registry.Snapshot();
   report.spans = tracer_.Spans();
-  report.delegations_text = DelegDumpText();
-  if (scrub_reporter_) report.scrub_text = scrub_reporter_();
-  if (tiering_reporter_) report.tiering_text = tiering_reporter_();
-  report.journal_text = journal_->IntrospectText();
+  report.journal = JournalState{journal_->durability(),
+                                journal_->WindowDepth(),
+                                journal_->config().group_window};
+  report.delegations = DelegEntries();
   return report;
 }
 

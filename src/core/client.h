@@ -86,8 +86,8 @@ struct ClientConfig {
   // directory leader; `quota` charges namespace usage on the mutation path.
   qos::AdmissionController* admission = nullptr;
   qos::QuotaManager* quota = nullptr;
-  // Capacity of the per-client span ring buffer (Vfs::Introspect /
-  // tools/arktrace read it back).
+  // Capacity of the per-client span ring buffer (Vfs::Introspect reads it
+  // back).
   std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
 
   static ClientConfig ForTests(std::string address) {
@@ -200,18 +200,8 @@ class Client : public Vfs {
   // The per-client span ring (also surfaced through Vfs::Introspect).
   obs::Tracer& tracer() { return tracer_; }
 
-  // Supplies IntrospectReport.scrub_text (set by the cluster when an EC
-  // scrubber exists; a plain client reports an empty section).
-  void SetScrubReporter(std::function<std::string()> reporter) {
-    scrub_reporter_ = std::move(reporter);
-  }
-
-  // Supplies IntrospectReport.tiering_text (set by the cluster under
-  // DataPlacement::kTiered; a plain client reports an empty section).
-  void SetTieringReporter(std::function<std::string()> reporter) {
-    tiering_reporter_ = std::move(reporter);
-  }
-
+  // The metrics snapshot of config_.metrics (or the process default), the
+  // span ring, the journal's mode and window, and the held delegations.
   IntrospectReport Introspect() override;
 
  private:
@@ -322,7 +312,7 @@ class Client : public Vfs {
   DelegSlicePtr DelegFetchSlice(const Uuid& dir_ino,
                                 const std::string& leader);
   void DelegDropAll();
-  std::string DelegDumpText();  // Introspect / arkfs_cli introspect
+  std::vector<DelegationEntry> DelegEntries();  // for Introspect
 
   // --- permission/dentry cache (pcache mode) ---
   struct CachedDirMeta {
@@ -515,8 +505,6 @@ class Client : public Vfs {
   // deeper layers (lease RPCs, journal commits, object-store ops) land in
   // the rooting client's ring via the thread-local active trace.
   obs::Tracer tracer_;
-  std::function<std::string()> scrub_reporter_;
-  std::function<std::string()> tiering_reporter_;
 };
 
 }  // namespace arkfs

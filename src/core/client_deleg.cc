@@ -24,7 +24,6 @@
 // slice may have been created a moment ago, so the op falls through to
 // forwarding and gets the authoritative answer.
 #include <algorithm>
-#include <sstream>
 
 #include "common/log.h"
 #include "core/client.h"
@@ -258,39 +257,20 @@ Status Client::LeaderDelegateFetch(DirHandle& dir, wire::DirOpResponse* out) {
   return Status::Ok();
 }
 
-std::string Client::DelegDumpText() {
-  std::ostringstream os;
-  const TimePoint now = Now();
-  {
-    std::lock_guard lock(deleg_mu_);
-    os << "delegations held: " << delegations_.size() << "\n";
-    for (const auto& [ino, d] : delegations_) {
-      const auto ttl_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(d.until - now)
-              .count();
-      os << "  dir " << ino.ToString() << " leader=" << d.leader << " token={"
-         << d.token.epoch << "," << d.token.seq << "}"
-         << " leader_watermark=" << d.watermark << " slice=";
-      if (d.slice) {
-        os << "seq " << d.slice->watermark << " ("
-           << d.slice->table.entry_count()
-           << " entries, "
-           << (d.slice->watermark >= d.watermark ? "current" : "behind")
-           << ")";
-      } else {
-        os << "none";
-      }
-      os << " ttl_ms=" << ttl_ms << "\n";
+std::vector<Vfs::DelegationEntry> Client::DelegEntries() {
+  std::lock_guard lock(deleg_mu_);
+  std::vector<DelegationEntry> out;
+  out.reserve(delegations_.size());
+  for (const auto& [ino, d] : delegations_) {
+    DelegationEntry e{ino, d.leader, d.token, d.watermark, std::nullopt, 0,
+                      d.until};
+    if (d.slice) {
+      e.slice_watermark = d.slice->watermark;
+      e.slice_entries = d.slice->table.entry_count();
     }
+    out.push_back(std::move(e));
   }
-  os << "deleg hits=" << deleg_hits_.value()
-     << " misses=" << deleg_misses_.value()
-     << " refetches=" << deleg_refetches_.value()
-     << " invalidations=" << deleg_invalidations_.value() << "\n";
-  os << "stat local=" << stat_local_.value()
-     << " forwarded=" << stat_forwarded_.value()
-     << " delegated=" << stat_delegated_.value() << "\n";
-  return os.str();
+  return out;
 }
 
 }  // namespace arkfs

@@ -174,34 +174,8 @@ Result<std::shared_ptr<Client>> ArkFsCluster::AddClient(std::string name,
   }
   ARKFS_ASSIGN_OR_RETURN(
       auto client, Client::Create(stack_.store, fabric_, std::move(config)));
-  if (stack_.scrubber) {
-    client->SetScrubReporter(
-        [scrubber = stack_.scrubber] { return scrubber->ReportText(); });
-  }
-  if (stack_.tiering) {
-    client->SetTieringReporter(
-        [tiering = stack_.tiering, migrator = stack_.migrator] {
-          std::string text = tiering->StatsText();
-          if (migrator) text += "migrator: " + migrator->ReportText();
-          return text;
-        });
-  }
   clients_.push_back(client);
   return client;
-}
-
-std::string ArkFsCluster::QosIntrospectText() const {
-  std::string out;
-  if (admission_) {
-    out += "admission:\n";
-    out += admission_->DumpText();
-  }
-  if (quota_) {
-    out += "quota:\n";
-    out += quota_->DumpText();
-  }
-  if (out.empty()) out = "qos: disabled\n";
-  return out;
 }
 
 VfsPtr ArkFsCluster::WithFuse(const std::shared_ptr<Client>& client,

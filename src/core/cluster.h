@@ -163,9 +163,6 @@ class ArkFsCluster {
   qos::AdmissionController* admission() { return admission_.get(); }
   qos::QuotaManager* quota() { return quota_.get(); }
   qos::TenantMetrics* tenant_metrics() { return tenant_metrics_.get(); }
-  // Human-readable QoS state (admission buckets + quota usage) for
-  // introspection tooling.
-  std::string QosIntrospectText() const;
 
  private:
   ArkFsCluster(ObjectStorePtr store, ArkFsClusterOptions options);

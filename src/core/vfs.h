@@ -11,15 +11,20 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/clock.h"
+#include "common/fence.h"
 #include "common/status.h"
 #include "common/uuid.h"
+#include "journal/group_commit.h"
 #include "meta/acl.h"
 #include "meta/dentry.h"
 #include "meta/inode.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace arkfs {
@@ -118,27 +123,34 @@ class Vfs {
   // implementations without caches.
   virtual Status DropCaches() { return Status::Ok(); }
 
-  // One-stop observability hook: the metric registry this implementation
-  // reports into, rendered as text, plus its recent trace spans (oldest
-  // first). Baselines without a tracer return an empty report.
-  // tools/arktrace pretty-prints the binary span form (Tracer::DumpBinary).
+  // The journal state that is not a metric: the ack mode, the dirty
+  // window's depth and the limits group mode enforces against it.
+  struct JournalState {
+    journal::DurabilityMode durability = journal::DurabilityMode::kAsync;
+    journal::GroupWindow::Depth depth;
+    journal::GroupWindowLimits limits;
+  };
+  // One held read delegation: the grant and the cached slice it serves.
+  struct DelegationEntry {
+    Uuid dir;
+    std::string leader;
+    FenceToken token;
+    std::uint64_t leader_watermark = 0;
+    std::optional<std::uint64_t> slice_watermark;  // nullopt = no slice
+    std::uint64_t slice_entries = 0;
+    TimePoint until{};
+  };
+  // One-stop observability hook, one typed record. `metrics` snapshots the
+  // registry this implementation reports into (every tier.*, ec.scrub.*,
+  // journal.*, client.deleg.* and tenant.* cell lives there); `spans` are
+  // its recent trace spans, oldest first. Baselines without these planes
+  // return the empty default. obs::FormatMetrics and
+  // obs::Tracer::FormatText render the two generic parts as text.
   struct IntrospectReport {
-    std::string metrics_text;
+    obs::MetricsSnapshot metrics;
     std::vector<obs::SpanRecord> spans;
-    // Read-delegation cache state (per-directory cached slice seq vs the
-    // leader watermark, hit rates); empty for implementations without
-    // delegations.
-    std::string delegations_text;
-    // EC scrub-and-repair state (cumulative counters + last pass); empty
-    // when the deployment has no erasure-coded tier.
-    std::string scrub_text;
-    // Hot/cold tiering state (placement counts, tier.* counters, migrator
-    // pass summary); empty when the deployment is not tiered.
-    std::string tiering_text;
-    // Journal durability state: active mode, dirty-window depth
-    // (records/bytes/oldest-age) and cumulative flush/stall/drain counts;
-    // empty for implementations without a journal.
-    std::string journal_text;
+    std::optional<JournalState> journal;  // nullopt without a journal
+    std::vector<DelegationEntry> delegations;
   };
   virtual IntrospectReport Introspect() { return {}; }
 

@@ -1,7 +1,6 @@
 #include "journal/journal.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
@@ -1110,36 +1109,6 @@ void JournalManager::FlusherMain() {
     // once — back off instead of hot-looping.
     if (!first.ok()) SleepFor(Millis(2));
   }
-}
-
-std::string JournalManager::IntrospectText() const {
-  const GroupWindow::Depth d = window_.depth();
-  const GroupWindowLimits& lim = window_.limits();
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "durability mode: %s\n"
-      "dirty window: %llu records / %llu bytes (est), oldest %.3f ms"
-      " (limits %llu records / %llu bytes / %lld ms)\n"
-      "drains: %llu (lease-event %llu)  stalls: %llu\n"
-      "flushes: %llu (txns %llu)  dropped records: %llu  flush errors: %llu\n",
-      DurabilityModeName(config_.durability),
-      static_cast<unsigned long long>(d.records),
-      static_cast<unsigned long long>(d.bytes),
-      static_cast<double>(d.oldest_age.count()) / 1e6,
-      static_cast<unsigned long long>(lim.max_records),
-      static_cast<unsigned long long>(lim.max_bytes),
-      static_cast<long long>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(lim.max_age)
-              .count()),
-      static_cast<unsigned long long>(metrics_.group_drains.value()),
-      static_cast<unsigned long long>(metrics_.group_lease_drains.value()),
-      static_cast<unsigned long long>(metrics_.group_stalls.value()),
-      static_cast<unsigned long long>(metrics_.group_flushes.value()),
-      static_cast<unsigned long long>(metrics_.group_flushed_txns.value()),
-      static_cast<unsigned long long>(metrics_.group_dropped_records.value()),
-      static_cast<unsigned long long>(metrics_.flush_errors.value()));
-  return buf;
 }
 
 }  // namespace arkfs::journal

@@ -245,10 +245,6 @@ class JournalManager {
   // introspection is uniform; only group mode enforces limits against it.
   GroupWindow::Depth WindowDepth() const { return window_.depth(); }
 
-  // Human-readable durability/introspection summary (mode, window depth,
-  // cumulative flush/stall/drain counters) for Vfs::Introspect.
-  std::string IntrospectText() const;
-
   // Tags the caller's next CommitDir/FlushDir as a lease-event drain
   // (handoff, lame-duck deposition warning) for the introspection counters;
   // release tags itself inside UnregisterDir.

@@ -120,11 +120,6 @@ Result<ScrubReport> Scrubber::RunOnce() {
   orphans_swept_.Add(report.orphans_swept);
   last_stripes_.Set(report.stripes);
   last_repaired_.Set(report.repaired);
-  {
-    std::lock_guard<std::mutex> lock(last_mu_);
-    last_ = report;
-    ever_ran_ = true;
-  }
   return report;
 }
 
@@ -156,28 +151,6 @@ void Scrubber::BackgroundMain() {
     }
     (void)RunOnce();
   }
-}
-
-std::string Scrubber::ReportText() const {
-  std::string s;
-  s += "passes=" + std::to_string(passes_.value());
-  s += " scanned=" + std::to_string(scanned_.value());
-  s += " corrupt=" + std::to_string(corrupt_.value());
-  s += " missing=" + std::to_string(missing_.value());
-  s += " repaired=" + std::to_string(repaired_.value());
-  s += " repair_failures=" + std::to_string(repair_failures_.value());
-  s += " unrecoverable=" + std::to_string(unrecoverable_.value());
-  s += " orphans_swept=" + std::to_string(orphans_swept_.value());
-  s += "\n";
-  {
-    std::lock_guard<std::mutex> lock(last_mu_);
-    if (ever_ran_) {
-      s += "last pass: " + last_.ToString() + "\n";
-    } else {
-      s += "last pass: (none)\n";
-    }
-  }
-  return s;
 }
 
 }  // namespace arkfs

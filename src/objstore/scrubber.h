@@ -83,9 +83,6 @@ class Scrubber {
   void Stop();
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  // Cumulative counters + last-pass summary, for Vfs::Introspect().
-  std::string ReportText() const;
-
  private:
   void Pace();  // token bucket: blocks until this stripe may proceed
   void BackgroundMain();
@@ -95,10 +92,6 @@ class Scrubber {
 
   std::mutex pace_mu_;
   TimePoint next_slot_{};
-
-  mutable std::mutex last_mu_;
-  ScrubReport last_;
-  bool ever_ran_ = false;
 
   std::atomic<bool> running_{false};
   std::thread background_;

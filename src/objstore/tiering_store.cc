@@ -356,12 +356,22 @@ Status TieringStore::DeleteIf(const std::string& key,
 
 Status TieringStore::Delete(const std::string& key) {
   if (!Tiers(key)) return base()->Delete(key);
-  Status hot = base()->Delete(key);
-  (void)base()->Delete(TierPointerKey(key));
-  Status cold = cold_->Delete(ColdCopyKey(key));
+  // Hot, then cold, then the pointer. Hot goes first: a demotion checks
+  // the hot copy after its cold copy lands, so either it finds the hot copy
+  // gone and drops its copy, or its copy landed before the cold removal
+  // below. The pointer goes last, so a failed cold removal leaves a
+  // consistent cold object that a retried Delete finishes.
   EraseState(key);
-  if (hot.ok() || cold.ok()) return Status::Ok();
-  return hot;
+  auto failed = [](const Status& st) {
+    return !st.ok() && st.code() != Errc::kNoEnt;
+  };
+  const Status hot = base()->Delete(key);
+  if (failed(hot)) return hot;
+  const Status cold = cold_->Delete(ColdCopyKey(key));
+  if (failed(cold)) return cold;
+  const Status pointer = base()->Delete(TierPointerKey(key));
+  if (failed(pointer)) return pointer;
+  return hot.ok() || cold.ok() ? Status::Ok() : hot;
 }
 
 Result<ObjectMeta> TieringStore::Head(const std::string& key) {
@@ -573,6 +583,15 @@ Result<TieringStore::TierProbe> TieringStore::ProbeTier(
     probe.ever_accessed = true;
     probe.idle = std::chrono::duration_cast<Nanos>(Now() - it->second.last_access);
     probe.cold_reads = it->second.cold_reads;
+    // What the store just showed becomes the cached tier: a process that
+    // loaded its stats blob (whose tier byte is never applied) learns the
+    // placement of its tracked keys here.
+    if (probe.hot_exists) {
+      it->second.tier = CachedTier::kHot;
+    } else if (probe.cold_exists && probe.pointer &&
+               probe.pointer->tier == Tier::kCold) {
+      it->second.tier = CachedTier::kCold;
+    }
   }
   return probe;
 }
@@ -683,38 +702,12 @@ TieringStore::Counters TieringStore::counters() const {
   for (const StateShard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     c.tracked_keys += shard.keys.size();
-  }
-  return c;
-}
-
-std::string TieringStore::StatsText() const {
-  std::size_t hot = 0, cold = 0;
-  for (const StateShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [key, state] : shard.keys) {
-      (void)key;
-      if (state.tier == CachedTier::kHot) hot++;
-      if (state.tier == CachedTier::kCold) cold++;
+      if (state.tier == CachedTier::kHot) c.hot_keys++;
+      if (state.tier == CachedTier::kCold) c.cold_keys++;
     }
   }
-  const Counters c = counters();
-  std::string s;
-  s += "tracked=" + std::to_string(c.tracked_keys);
-  s += " hot=" + std::to_string(hot);
-  s += " cold=" + std::to_string(cold);
-  s += " hot_gets=" + std::to_string(c.hot_gets);
-  s += " cold_gets=" + std::to_string(c.cold_gets);
-  s += " hot_puts=" + std::to_string(c.hot_puts);
-  s += "\n";
-  s += "demotions=" + std::to_string(c.demotions);
-  s += " promotions=" + std::to_string(c.promotions);
-  s += " demoted_bytes=" + std::to_string(c.demoted_bytes);
-  s += " promoted_bytes=" + std::to_string(c.promoted_bytes);
-  s += " races=" + std::to_string(c.races);
-  s += " orphans_swept=" + std::to_string(c.orphans_swept);
-  s += " pointer_flips=" + std::to_string(c.pointer_flips);
-  s += "\n";
-  return s;
+  return c;
 }
 
 // --- Migrator ---
@@ -865,11 +858,6 @@ Result<MigrationReport> Migrator::RunOnce() {
   races_.Add(report.races);
   last_scanned_.Set(report.scanned);
   last_demoted_.Set(report.demoted);
-  {
-    std::lock_guard<std::mutex> lock(last_mu_);
-    last_ = report;
-    ever_ran_ = true;
-  }
   return report;
 }
 
@@ -901,28 +889,6 @@ void Migrator::BackgroundMain() {
     }
     (void)RunOnce();
   }
-}
-
-std::string Migrator::ReportText() const {
-  std::string s;
-  s += "passes=" + std::to_string(passes_.value());
-  s += " scanned=" + std::to_string(scanned_.value());
-  s += " demoted=" + std::to_string(demoted_.value());
-  s += " promoted=" + std::to_string(promoted_.value());
-  s += " demote_failures=" + std::to_string(demote_failures_.value());
-  s += " promote_failures=" + std::to_string(promote_failures_.value());
-  s += " orphans_swept=" + std::to_string(orphans_swept_.value());
-  s += " races=" + std::to_string(races_.value());
-  s += "\n";
-  {
-    std::lock_guard<std::mutex> lock(last_mu_);
-    if (ever_ran_) {
-      s += "last pass: " + last_.ToString() + "\n";
-    } else {
-      s += "last pass: (none)\n";
-    }
-  }
-  return s;
 }
 
 }  // namespace arkfs

@@ -200,7 +200,8 @@ class TieringStore : public StoreDecorator {
   Result<std::vector<std::string>> ListTiered(const std::string& prefix);
 
   // One key's placement + heat, as seen by one probe (migrator policy
-  // input; also how `arkfs_cli tier` explains a key).
+  // input; also how `arkfs_cli tier status` learns placement). A tracked
+  // key's cached tier takes the residency the probe saw.
   struct TierProbe {
     bool hot_exists = false;
     bool cold_exists = false;
@@ -221,16 +222,14 @@ class TieringStore : public StoreDecorator {
   // Ages are encoded relative to now (steady clocks do not survive a
   // restart) and reinstated as now-minus-age at load. Tolerant load: a
   // corrupt blob resets the stats, which only delays demotion. The cached
-  // tier byte travels in the blob (for `tier status` debugging) but is
-  // never applied on load — a restarted process re-derives placement from
-  // the store, so a stale blob can never route reads at stale cold bytes.
+  // tier byte travels in the blob but is never applied on load — a
+  // restarted process re-derives placement from the store (reads,
+  // migrations, ProbeTier), so a stale blob can never route reads at stale
+  // cold bytes.
   Bytes EncodeAccessStats() const;
   Status LoadAccessStats(ByteSpan data);
   bool ConsumeStatsDirty() { return stats_dirty_.exchange(false); }
   void MarkStatsDirty() { stats_dirty_.store(true); }
-
-  // Human-readable placement + counter summary for Introspect().
-  std::string StatsText() const;
 
   struct Counters {
     std::uint64_t hot_gets = 0;
@@ -244,6 +243,8 @@ class TieringStore : public StoreDecorator {
     std::uint64_t orphans_swept = 0;  // stale copies/pointers reclaimed
     std::uint64_t pointer_flips = 0;
     std::uint64_t tracked_keys = 0;   // per-key state entries held in memory
+    std::uint64_t hot_keys = 0;       // ...of which cached as hot
+    std::uint64_t cold_keys = 0;      // ...of which cached as cold
   };
   Counters counters() const;
 
@@ -390,9 +391,6 @@ class Migrator {
   void Stop();
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  // Cumulative counters + last-pass summary, for Vfs::Introspect().
-  std::string ReportText() const;
-
   const MigratorOptions& options() const { return options_; }
 
  private:
@@ -407,10 +405,6 @@ class Migrator {
   std::mutex run_mu_;  // one pass at a time
   std::mutex pace_mu_;
   TimePoint next_slot_{};
-
-  mutable std::mutex last_mu_;
-  MigrationReport last_;
-  bool ever_ran_ = false;
 
   std::atomic<bool> running_{false};
   std::thread background_;

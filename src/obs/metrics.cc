@@ -131,16 +131,19 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-std::string MetricsRegistry::DumpText() const {
-  MetricsSnapshot snap = Snapshot();
+std::string FormatMetrics(const MetricsSnapshot& snap,
+                          std::string_view prefix) {
   std::ostringstream out;
   for (const auto& [name, v] : snap.counters) {
+    if (!name.starts_with(prefix)) continue;
     out << "counter " << name << " " << v << "\n";
   }
   for (const auto& [name, v] : snap.gauges) {
+    if (!name.starts_with(prefix)) continue;
     out << "gauge " << name << " " << v << "\n";
   }
   for (const auto& [name, h] : snap.histograms) {
+    if (!name.starts_with(prefix)) continue;
     out << "hist " << name << " count=" << h.count << " mean=" << h.mean_ns
         << "ns p50=" << h.p50_ns << "ns p95=" << h.p95_ns
         << "ns p99=" << h.p99_ns << "ns max=" << h.max_ns << "ns\n";

@@ -24,6 +24,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -118,6 +119,12 @@ struct MetricsSnapshot {
   HistogramSummary histogram(const std::string& name) const;
 };
 
+// One metric per line: "counter <name> <value>", "gauge <name> <value>",
+// "hist <name> count=... mean=... p50=... p95=... p99=... max=...". Only
+// names starting with `prefix` are listed; the empty prefix lists all.
+std::string FormatMetrics(const MetricsSnapshot& snap,
+                          std::string_view prefix = {});
+
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -133,9 +140,6 @@ class MetricsRegistry {
   void UnregisterHistograms(const OpLatencySet* set);
 
   MetricsSnapshot Snapshot() const;
-  // One metric per line: "counter <name> <value>", "gauge <name> <value>",
-  // "hist <name> count=... p50=... p95=... p99=... max=...".
-  std::string DumpText() const;
 
  private:
   friend class Counter;

@@ -6,14 +6,10 @@
 #include <sstream>
 
 #include "common/clock.h"
-#include "common/codec.h"
 
 namespace arkfs::obs {
 
 namespace {
-
-constexpr std::uint32_t kTraceDumpMagic = 0x414B5452;  // "AKTR"
-constexpr std::uint32_t kTraceDumpVersion = 1;
 
 std::atomic<std::uint64_t> g_next_id{1};
 
@@ -64,53 +60,6 @@ void Tracer::Clear() {
   ring_.clear();
   next_ = 0;
   wrapped_ = false;
-}
-
-Bytes Tracer::EncodeSpans(const std::vector<SpanRecord>& spans) {
-  Encoder enc;
-  enc.PutU32(kTraceDumpMagic);
-  enc.PutU32(kTraceDumpVersion);
-  enc.PutVarint(spans.size());
-  for (const SpanRecord& s : spans) {
-    enc.PutU64(s.trace_id);
-    enc.PutU64(s.span_id);
-    enc.PutU64(s.parent_span);
-    enc.PutI64(s.start_ns);
-    enc.PutI64(s.end_ns);
-    enc.PutString(s.name);
-  }
-  return std::move(enc).Take();
-}
-
-Bytes Tracer::DumpBinary() const { return EncodeSpans(Spans()); }
-
-Result<std::vector<SpanRecord>> Tracer::ParseBinary(ByteSpan data) {
-  Decoder dec(data);
-  ARKFS_ASSIGN_OR_RETURN(auto magic, dec.GetU32());
-  if (magic != kTraceDumpMagic) {
-    return ErrStatus(Errc::kInval, "not a trace dump (bad magic)");
-  }
-  ARKFS_ASSIGN_OR_RETURN(auto version, dec.GetU32());
-  if (version != kTraceDumpVersion) {
-    return ErrStatus(Errc::kInval, "unsupported trace dump version");
-  }
-  ARKFS_ASSIGN_OR_RETURN(auto count, dec.GetVarint());
-  std::vector<SpanRecord> spans;
-  spans.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    SpanRecord s;
-    ARKFS_ASSIGN_OR_RETURN(s.trace_id, dec.GetU64());
-    ARKFS_ASSIGN_OR_RETURN(s.span_id, dec.GetU64());
-    ARKFS_ASSIGN_OR_RETURN(s.parent_span, dec.GetU64());
-    ARKFS_ASSIGN_OR_RETURN(s.start_ns, dec.GetI64());
-    ARKFS_ASSIGN_OR_RETURN(s.end_ns, dec.GetI64());
-    ARKFS_ASSIGN_OR_RETURN(s.name, dec.GetString());
-    spans.push_back(std::move(s));
-  }
-  if (!dec.done()) {
-    return ErrStatus(Errc::kInval, "trailing bytes after trace dump");
-  }
-  return spans;
 }
 
 std::string Tracer::FormatText(const std::vector<SpanRecord>& spans) {

@@ -17,15 +17,16 @@
 // overwritten; the default ring keeps the last 1024 spans per client).
 // Without an active trace every Span/TraceScope is a no-op, so traced code
 // paths cost nothing when nobody is looking.
+//
+// Vfs::Introspect() hands the ring back as typed SpanRecords, and
+// Tracer::FormatText renders them (that is what `arkfs_cli introspect`
+// prints). Spans have no serialized form.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "common/bytes.h"
-#include "common/status.h"
 
 namespace arkfs::obs {
 
@@ -69,11 +70,6 @@ class Tracer {
   void Clear();
   std::size_t capacity() const { return capacity_; }
 
-  // Binary span-dump codec (what tools/arktrace reads): "AKTR" magic,
-  // version, count, then per-span fixed fields + varint-length name.
-  Bytes DumpBinary() const;
-  static Bytes EncodeSpans(const std::vector<SpanRecord>& spans);
-  static Result<std::vector<SpanRecord>> ParseBinary(ByteSpan data);
   // Pretty-print: one line per span, grouped by trace, indented by depth.
   static std::string FormatText(const std::vector<SpanRecord>& spans);
 

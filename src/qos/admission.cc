@@ -1,7 +1,6 @@
 #include "qos/admission.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/retry_hint.h"
 
@@ -55,21 +54,6 @@ Status AdmissionController::Admit(TenantId tenant, double cost) {
       FormatRetryAfterHint(Nanos(std::max<std::int64_t>(wait_ns, 1)),
                            "tenant " + std::to_string(tenant) +
                                " over admission rate"));
-}
-
-std::string AdmissionController::DumpText() const {
-  std::lock_guard lock(mu_);
-  std::ostringstream out;
-  for (const auto& [tenant, b] : buckets_) {
-    out << "tenant " << tenant << ": ";
-    if (b.rate.rate_per_sec <= 0) {
-      out << "unlimited\n";
-    } else {
-      out << b.tokens << "/" << b.rate.burst << " tokens at "
-          << b.rate.rate_per_sec << "/s\n";
-    }
-  }
-  return out.str();
 }
 
 }  // namespace arkfs::qos

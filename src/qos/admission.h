@@ -49,8 +49,6 @@ class AdmissionController {
   Status Admit(TenantId tenant, double cost = 1.0);
 
   bool enabled() const { return config_.enabled; }
-  // Introspection: one line per tenant bucket ("tenant 7: 3.2/50 tokens").
-  std::string DumpText() const;
 
  private:
   struct Bucket {

@@ -1,6 +1,5 @@
 #include "qos/quota.h"
 
-#include <sstream>
 
 #include "common/codec.h"
 
@@ -118,20 +117,6 @@ bool QuotaManager::ConsumeDirty() {
 void QuotaManager::MarkDirty() {
   std::lock_guard lock(mu_);
   dirty_ = true;
-}
-
-std::string QuotaManager::DumpText() const {
-  std::lock_guard lock(mu_);
-  std::ostringstream out;
-  for (const auto& [tenant, u] : usage_) {
-    const QuotaLimits limits = LimitsFor(tenant);
-    out << "tenant " << tenant << ": inodes " << u.inodes << "/"
-        << (limits.max_inodes ? std::to_string(limits.max_inodes) : "inf")
-        << " bytes " << u.bytes << "/"
-        << (limits.max_bytes ? std::to_string(limits.max_bytes) : "inf")
-        << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace arkfs::qos

@@ -80,7 +80,6 @@ class QuotaManager {
   void MarkDirty();
 
   bool enabled() const { return config_.enabled; }
-  std::string DumpText() const;  // introspection: one line per tenant
 
  private:
   QuotaLimits LimitsFor(TenantId tenant) const;

@@ -296,7 +296,6 @@ class EnvConfigTest : public ::testing::Test {
 TEST_F(EnvConfigTest, DefaultsWhenUnset) {
   const env::EnvConfig c = env::EnvConfig::FromEnvironment();
   EXPECT_EQ(c.placement(), "replica");
-  EXPECT_FALSE(c.tiering());
   EXPECT_EQ(c.durability(), "");
   EXPECT_FALSE(c.tenant().has_value());
   EXPECT_FALSE(c.bench_verbose());
@@ -309,14 +308,12 @@ TEST_F(EnvConfigTest, DefaultsWhenUnset) {
 
 TEST_F(EnvConfigTest, ParsesEveryKnob) {
   Set("ARKFS_PLACEMENT", "tiered");
-  Set("ARKFS_TIERING", "on");
   Set("ARKFS_DURABILITY", "group");
   Set("ARKFS_TENANT", "42");
   Set("ARKFS_BENCH_VERBOSE", "1");
   Set("ARKFS_CHAOS_SEED", "12345");
   const env::EnvConfig c = env::EnvConfig::FromEnvironment();
   EXPECT_EQ(c.placement(), "tiered");
-  EXPECT_TRUE(c.tiering());
   EXPECT_EQ(c.durability(), "group");
   ASSERT_TRUE(c.tenant().has_value());
   EXPECT_EQ(*c.tenant(), 42u);
@@ -333,21 +330,18 @@ TEST_F(EnvConfigTest, ParsesEveryKnob) {
 
 TEST_F(EnvConfigTest, MalformedValuesKeepDefaultsAndReport) {
   Set("ARKFS_PLACEMENT", "raid6");
-  Set("ARKFS_TIERING", "maybe");
   Set("ARKFS_DURABILITY", "eventually");
   Set("ARKFS_TENANT", "-3");
   Set("ARKFS_CHAOS_SEED", "0x10");
   const env::EnvConfig c = env::EnvConfig::FromEnvironment();
   // Typed accessors fall back to the defaults...
   EXPECT_EQ(c.placement(), "replica");
-  EXPECT_FALSE(c.tiering());
   EXPECT_EQ(c.durability(), "");
   EXPECT_FALSE(c.tenant().has_value());
   EXPECT_FALSE(c.chaos_seed().has_value());
   // ...and the knob table records what went wrong for `arkfs_cli config`.
-  for (const char* name : {"ARKFS_PLACEMENT", "ARKFS_TIERING",
-                           "ARKFS_DURABILITY", "ARKFS_TENANT",
-                           "ARKFS_CHAOS_SEED"}) {
+  for (const char* name : {"ARKFS_PLACEMENT", "ARKFS_DURABILITY",
+                           "ARKFS_TENANT", "ARKFS_CHAOS_SEED"}) {
     const env::Knob* knob = c.Find(name);
     ASSERT_NE(knob, nullptr) << name;
     EXPECT_TRUE(knob->from_env) << name;
@@ -360,9 +354,9 @@ TEST_F(EnvConfigTest, MalformedValuesKeepDefaultsAndReport) {
 TEST_F(EnvConfigTest, DumpTextListsEveryKnobOnce) {
   const env::EnvConfig c = env::EnvConfig::FromEnvironment();
   const std::string dump = c.DumpText();
-  for (const char* name : {"ARKFS_PLACEMENT", "ARKFS_TIERING",
-                           "ARKFS_DURABILITY", "ARKFS_TENANT",
-                           "ARKFS_BENCH_VERBOSE", "ARKFS_CHAOS_SEED"}) {
+  for (const char* name : {"ARKFS_PLACEMENT", "ARKFS_DURABILITY",
+                           "ARKFS_TENANT", "ARKFS_BENCH_VERBOSE",
+                           "ARKFS_CHAOS_SEED"}) {
     // Anchor on "NAME source=" — knob descriptions may cross-reference
     // other knobs by name.
     const std::string line = std::string(name) + " source=";

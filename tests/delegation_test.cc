@@ -263,18 +263,21 @@ TEST_F(DelegationTest, IntrospectExposesDelegationCacheState) {
   SeedHotDir(3);
   ASSERT_TRUE(c2_->Stat("/hot/f0", root_).ok());
 
+  auto hot = c1_->Stat("/hot", root_);
+  ASSERT_TRUE(hot.ok());
   const auto report = c2_->Introspect();
-  EXPECT_NE(report.delegations_text.find("delegations held:"),
-            std::string::npos);
-  EXPECT_NE(report.delegations_text.find("dir "), std::string::npos);
-  EXPECT_NE(report.delegations_text.find("deleg hits="), std::string::npos);
-  EXPECT_NE(report.delegations_text.find("stat local="), std::string::npos);
+  // c1 leads both "/" and /hot, so c2 holds a delegation for each.
+  ASSERT_EQ(report.delegations.size(), 2u);
+  const auto held = std::find_if(
+      report.delegations.begin(), report.delegations.end(),
+      [&](const Vfs::DelegationEntry& d) { return d.dir == hot->ino; });
+  ASSERT_NE(held, report.delegations.end());
+  EXPECT_EQ(held->leader, c1_->address());
+  EXPECT_TRUE(held->token.valid());
+  EXPECT_GT(report.metrics.counter("client.deleg.hits"), 0u);
 
-  // A client holding no delegations reports an empty cache but still the
-  // counter lines.
-  const auto leader_report = c1_->Introspect();
-  EXPECT_NE(leader_report.delegations_text.find("delegations held: 0"),
-            std::string::npos);
+  // A client holding no delegations reports an empty list.
+  EXPECT_TRUE(c1_->Introspect().delegations.empty());
 }
 
 }  // namespace

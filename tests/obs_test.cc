@@ -1,6 +1,7 @@
 // Tests for the unified observability plane: MetricsRegistry cell
 // attachment/rollup, the runtime enable switch, concurrent mutation under
-// Snapshot() (the TSan lane's target), and the Tracer ring + binary codec.
+// Snapshot() (the TSan lane's target), the text renderers, and the Tracer
+// ring.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,10 +97,13 @@ TEST(MetricsRegistryTest, DumpTextListsEveryKind) {
   lat.Record("get", Nanos(500));
   c.Add(7);
   g.Set(3);
-  const std::string text = registry.DumpText();
+  const MetricsSnapshot snap = registry.Snapshot();
+  const std::string text = FormatMetrics(snap);
   EXPECT_NE(text.find("counter a.count 7"), std::string::npos);
   EXPECT_NE(text.find("gauge b.gauge 3"), std::string::npos);
   EXPECT_NE(text.find("hist c.get"), std::string::npos);
+  // A prefix keeps only the names under it.
+  EXPECT_EQ(FormatMetrics(snap, "b."), "gauge b.gauge 3\n");
   registry.UnregisterHistograms(&lat);
 }
 
@@ -173,6 +177,12 @@ TEST(TracerTest, RootSpanNestsChildrenUnderOneTraceId) {
   EXPECT_EQ(spans[1].parent_span, spans[2].span_id);
   EXPECT_EQ(spans[0].name, "objstore.put");
   EXPECT_EQ(spans[0].parent_span, spans[1].span_id);
+  // The text form lists the trace root-first, indented by depth.
+  const std::string text = Tracer::FormatText(spans);
+  EXPECT_EQ(text.rfind("trace " + std::to_string(trace_id) + "\n  vfs.op ", 0),
+            0u);
+  EXPECT_NE(text.find("\n    lease.acquire span="), std::string::npos);
+  EXPECT_NE(text.find("\n      objstore.put span="), std::string::npos);
 }
 
 TEST(TracerTest, NestedRootSpanJoinsTheActiveTrace) {
@@ -219,31 +229,37 @@ TEST(TracerTest, CaptureReplaysOnAnotherThread) {
   EXPECT_EQ(spans[0].name, "journal.commit");
 }
 
+// The name predates the removal of the AKTR binary span codec. The span dump
+// is now the Spans() snapshot rendered by FormatText, so the round trip
+// checked here is that every recorded field of every span reaches the text.
 TEST(TracerTest, BinaryDumpRoundTrips) {
   Tracer tracer(16);
   {
     RootSpan root(&tracer, "vfs.mkdir");
     Span child("journal.append");
   }
-  const Bytes blob = tracer.DumpBinary();
-  auto parsed = Tracer::ParseBinary(blob);
-  ASSERT_TRUE(parsed.ok());
-  const auto original = tracer.Spans();
-  ASSERT_EQ(parsed->size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ((*parsed)[i].trace_id, original[i].trace_id);
-    EXPECT_EQ((*parsed)[i].span_id, original[i].span_id);
-    EXPECT_EQ((*parsed)[i].parent_span, original[i].parent_span);
-    EXPECT_EQ((*parsed)[i].name, original[i].name);
+  {
+    RootSpan root(&tracer, "vfs.stat");
   }
-  const std::string text = Tracer::FormatText(*parsed);
-  EXPECT_NE(text.find("vfs.mkdir"), std::string::npos);
-  EXPECT_NE(text.find("journal.append"), std::string::npos);
-}
-
-TEST(TracerTest, ParseRejectsGarbage) {
-  EXPECT_FALSE(Tracer::ParseBinary(AsBytes("not a span dump")).ok());
-  EXPECT_FALSE(Tracer::ParseBinary(ByteSpan{}).ok());
+  const auto spans = tracer.Spans();
+  ASSERT_EQ(spans.size(), 3u);
+  const std::string text = Tracer::FormatText(spans);
+  for (const SpanRecord& s : spans) {
+    const std::string line = s.name + " span=" + std::to_string(s.span_id) +
+                             " parent=" + std::to_string(s.parent_span) +
+                             " dur=" + std::to_string(s.end_ns - s.start_ns) +
+                             "ns\n";
+    EXPECT_NE(text.find(line), std::string::npos) << line;
+    const std::string header = "trace " + std::to_string(s.trace_id) + "\n";
+    EXPECT_NE(text.find(header), std::string::npos) << header;
+  }
+  // One header per trace: two traces, two headers.
+  std::size_t headers = 0;
+  for (std::size_t at = text.find("trace "); at != std::string::npos;
+       at = text.find("trace ", at + 1)) {
+    ++headers;
+  }
+  EXPECT_EQ(headers, 2u);
 }
 
 }  // namespace

@@ -255,6 +255,37 @@ TEST_F(TieringStoreTest, DeleteRemovesEveryResidentCopy) {
   EXPECT_EQ(tiering_->Get("d-del").status().code(), Errc::kNoEnt);
 }
 
+// A fault on the cold removal of a demoted key fails the Delete and keeps
+// the object whole behind its pointer; a retried Delete finishes it.
+TEST(TieringDeleteTest, FailedColdRemovalKeepsTheObjectForARetry) {
+  const std::string key = "d-del-fault";
+  const Bytes data = Payload(9, 256);
+  auto mem = std::make_shared<MemoryObjectStore>();
+  bool armed = false;
+  auto faulty = std::make_shared<ChaosStore>(
+      mem, ChaosConfig{}, [&](std::string_view op, const std::string& k) {
+        return armed && op == "delete" && k == ColdCopyKey(key) ? Errc::kIo
+                                                                : Errc::kOk;
+      });
+  TieringOptions options;
+  options.should_tier = IsDataKey;
+  TieringStore tiering(faulty, options);
+  ASSERT_TRUE(tiering.Put(key, data).ok());
+  ASSERT_TRUE(tiering.DemoteObject(key).ok());
+
+  armed = true;
+  EXPECT_EQ(tiering.Delete(key).code(), Errc::kIo);
+  auto got = tiering.Get(key);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, data);
+
+  armed = false;
+  EXPECT_TRUE(tiering.Delete(key).ok());
+  EXPECT_EQ(tiering.Get(key).status().code(), Errc::kNoEnt);
+  EXPECT_FALSE(mem->Head(TierPointerKey(key)).ok());
+  EXPECT_FALSE(mem->Head(ColdCopyKey(key)).ok());
+}
+
 TEST_F(TieringStoreTest, ListFoldsInternalKeysToLogical) {
   ASSERT_TRUE(tiering_->Put("d-a", Payload(7, 64)).ok());
   ASSERT_TRUE(tiering_->Put("d-b", Payload(8, 64)).ok());
@@ -340,10 +371,11 @@ TEST_F(TieringStoreTest, StaleStatsBlobNeverRoutesReadsToStaleCold) {
 
 TEST_F(TieringStoreTest, PutRangeRechecksResidencyUnderLock) {
   // The cached tier says kHot, but a demotion (another instance = another
-  // process/migrator epoch) swept the hot copy since. PutRange must probe
-  // residency under the key lock and refuse — base stores create missing
-  // objects on a range write, so trusting the cache would plant a
-  // truncated hot fragment that hot-first reads serve as the whole object.
+  // process/migrator epoch) swept the hot copy since. PutRange's must-exist
+  // guarded write misses, and the residency check behind it refuses — base
+  // stores create missing objects on a range write, so trusting the cache
+  // would plant a truncated hot fragment that hot-first reads serve as the
+  // whole object.
   const Bytes data = Payload(94, 400);
   ASSERT_TRUE(tiering_->Put("d-pr-race", data).ok());
   ASSERT_TRUE(tiering_->Get("d-pr-race").ok());  // caches kHot

@@ -15,9 +15,9 @@
 //   arkfs_cli <store-dir> chmod 640 /campaign/2026/data.bin
 //   arkfs_cli <store-dir> ln -s /target /link
 //   arkfs_cli <store-dir> objects          # dump the raw object keys
-//   arkfs_cli <store-dir> introspect [p]   # delegation cache + metrics plane
+//   arkfs_cli <store-dir> introspect [p]   # delegations, journal, metrics, spans
 //   arkfs_cli <store-dir> scrub            # one EC scrub pass + ec.* metrics
-//   arkfs_cli <store-dir> tier [status]    # hot/cold placement summary
+//   arkfs_cli <store-dir> tier [status]    # hot/cold placement + tier counters
 //   arkfs_cli <store-dir> tier migrate     # one migration pass (policy knobs)
 //   arkfs_cli <store-dir> tier demote      # one pass demoting everything idle
 //   arkfs_cli <store-dir> config           # dump every ARKFS_* knob
@@ -29,14 +29,15 @@
 //
 // ARKFS_PLACEMENT=ec switches data chunks to the erasure-coded archive tier
 // (k=4/m=2 stripes, ec_store.h); `scrub` implies it. ARKFS_PLACEMENT=tiered
-// (or ARKFS_TIERING=1) runs the hot/cold tiered data path (tiering_store.h);
-// the `tier` commands imply it. The image's resident layout is probed up
+// runs the hot/cold tiered data path (tiering_store.h); the `tier` commands
+// imply it. The image's resident layout is probed up
 // front (ProbePlacementEvidence): a mode that cannot decode the resident
 // data chunks — tiered over data-path EC stripes, or EC over tier
 // pointers/cold copies — fails fast instead of silently serving kNoEnt,
 // and when no placement is forced the CLI auto-selects the one the image
 // was written with. All knobs parse through common/env_config; `config`
 // dumps what this process would pick up.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,7 +61,6 @@ int Usage() {
                "          ln -s <target> <p> | objects | introspect [p] |\n"
                "          scrub | tier [status|migrate|demote] | config\n"
                "env: ARKFS_PLACEMENT=replica|ec|tiered  data-chunk placement\n"
-               "     ARKFS_TIERING=1  force tiered placement\n"
                "     ARKFS_DURABILITY=sync|group|async  journal ack mode\n"
                "     ARKFS_TENANT=<id>  QoS tenant this invocation runs as\n"
                "     (`config` dumps every knob, its source and its value)\n");
@@ -86,6 +86,72 @@ Status WriteLocalFile(const std::string& path, ByteSpan data) {
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
   return out.good() ? Status::Ok() : ErrStatus(Errc::kIo, "short write");
+}
+
+long long Ms(Nanos d) {
+  return static_cast<long long>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(d).count());
+}
+
+// Renders the typed introspection report, one section per part.
+void PrintReport(const Vfs::IntrospectReport& report) {
+  std::printf("--- delegations ---\ndelegations held: %zu\n",
+              report.delegations.size());
+  const TimePoint now = Now();
+  for (const auto& d : report.delegations) {
+    std::printf("  dir %s leader=%s token={%llu,%llu} leader_watermark=%llu",
+                d.dir.ToString().c_str(), d.leader.c_str(),
+                static_cast<unsigned long long>(d.token.epoch),
+                static_cast<unsigned long long>(d.token.seq),
+                static_cast<unsigned long long>(d.leader_watermark));
+    if (d.slice_watermark) {
+      std::printf(" slice=%llu (%llu entries)",
+                  static_cast<unsigned long long>(*d.slice_watermark),
+                  static_cast<unsigned long long>(d.slice_entries));
+    } else {
+      std::printf(" slice=none");
+    }
+    std::printf(" ttl_ms=%lld\n", Ms(d.until - now));
+  }
+  if (report.journal) {
+    const auto& j = *report.journal;
+    std::printf(
+        "--- journal ---\ndurability mode: %s\n"
+        "dirty window: %llu records / %llu bytes (est), oldest %.3f ms"
+        " (limits %llu records / %llu bytes / %lld ms)\n",
+        journal::DurabilityModeName(j.durability),
+        static_cast<unsigned long long>(j.depth.records),
+        static_cast<unsigned long long>(j.depth.bytes),
+        static_cast<double>(j.depth.oldest_age.count()) / 1e6,
+        static_cast<unsigned long long>(j.limits.max_records),
+        static_cast<unsigned long long>(j.limits.max_bytes),
+        Ms(j.limits.max_age));
+  }
+  std::printf("--- metrics ---\n%s", obs::FormatMetrics(report.metrics).c_str());
+  std::printf("--- spans ---\n%s",
+              obs::Tracer::FormatText(report.spans).c_str());
+}
+
+void PrintTierCounters(const TieringStore::Counters& c) {
+  std::printf(
+      "--- tiering ---\n"
+      "tracked_keys=%llu hot_keys=%llu cold_keys=%llu hot_gets=%llu "
+      "cold_gets=%llu hot_puts=%llu\n"
+      "demotions=%llu promotions=%llu demoted_bytes=%llu promoted_bytes=%llu "
+      "races=%llu orphans_swept=%llu pointer_flips=%llu\n",
+      static_cast<unsigned long long>(c.tracked_keys),
+      static_cast<unsigned long long>(c.hot_keys),
+      static_cast<unsigned long long>(c.cold_keys),
+      static_cast<unsigned long long>(c.hot_gets),
+      static_cast<unsigned long long>(c.cold_gets),
+      static_cast<unsigned long long>(c.hot_puts),
+      static_cast<unsigned long long>(c.demotions),
+      static_cast<unsigned long long>(c.promotions),
+      static_cast<unsigned long long>(c.demoted_bytes),
+      static_cast<unsigned long long>(c.promoted_bytes),
+      static_cast<unsigned long long>(c.races),
+      static_cast<unsigned long long>(c.orphans_swept),
+      static_cast<unsigned long long>(c.pointer_flips));
 }
 
 const char* TypeName(FileType t) {
@@ -157,8 +223,8 @@ int main(int argc, char** argv) {
   auto evidence_or = ProbePlacementEvidence(*store);
   if (!evidence_or.ok()) return Fail(evidence_or.status(), "probe image");
   const PlacementEvidence evidence = *evidence_or;
-  const bool want_tiered = command == "tier" || env_config.tiering() ||
-                           env_config.placement() == "tiered";
+  const bool want_tiered =
+      command == "tier" || env_config.placement() == "tiered";
   const bool want_ec =
       !want_tiered && (command == "scrub" || env_config.placement() == "ec");
   const env::Knob* placement_knob = env_config.Find("ARKFS_PLACEMENT");
@@ -293,24 +359,22 @@ int main(int argc, char** argv) {
     // With a path, touch it first so the lease / delegation plane reflects
     // at least that directory (a fresh CLI process starts cold).
     if (argc == 4) (void)fs->Stat(argv[3], user);
-    const auto report = fs->Introspect();
-    std::printf("--- delegation cache ---\n%s", report.delegations_text.c_str());
-    if (!report.journal_text.empty()) {
-      std::printf("--- journal ---\n%s", report.journal_text.c_str());
-    }
-    std::printf("--- metrics ---\n%s", report.metrics_text.c_str());
-    if (!report.scrub_text.empty()) {
-      std::printf("--- scrub ---\n%s", report.scrub_text.c_str());
-    }
-    if (!report.tiering_text.empty()) {
-      std::printf("--- tiering ---\n%s", report.tiering_text.c_str());
-    }
-    std::printf("--- qos ---\n%s", cluster->QosIntrospectText().c_str());
+    PrintReport(fs->Introspect());
   } else if (command == "tier" && (argc == 3 || argc == 4)) {
+    TieringStore& tiering = *cluster->tiering_store();
     if (tier_sub == "status") {
-      std::printf("--- tiering ---\n%s",
-                  cluster->tiering_store()->StatsText().c_str());
-      std::printf("migrator: %s", cluster->migrator()->ReportText().c_str());
+      // A fresh process has cached no placement; one probe per tiered key
+      // brings the hot/cold split below in line with the store.
+      auto keys = tiering.ListTiered("");
+      if (!keys.ok()) {
+        rc = Fail(keys.status(), "tier status");
+      } else {
+        for (const auto& key : *keys) (void)tiering.ProbeTier(key);
+        PrintTierCounters(tiering.counters());
+        std::printf("%s", obs::FormatMetrics(fs->Introspect().metrics,
+                                             "tier.migrate.")
+                              .c_str());
+      }
     } else if (tier_sub == "migrate" || tier_sub == "demote") {
       auto report = cluster->migrator()->RunOnce();
       if (!report.ok()) {
@@ -319,29 +383,19 @@ int main(int argc, char** argv) {
         std::printf("tier %s: %s\n", tier_sub.c_str(),
                     report->ToString().c_str());
         // A one-shot CLI process exits before any journal checkpoint, so
-        // the advisory access stats (and their cached hot/cold split) would
-        // never reach the store; flush them here so the next invocation's
-        // `tier status` reflects this pass.
-        if (cluster->tiering_store()->ConsumeStatsDirty()) {
-          const Bytes blob = cluster->tiering_store()->EncodeAccessStats();
+        // the advisory access stats would never reach the store; flush them
+        // here so the next invocation tracks the keys this pass touched.
+        if (tiering.ConsumeStatsDirty()) {
+          const Bytes blob = tiering.EncodeAccessStats();
           if (!cluster->store()->Put(kTierStatsKey, blob).ok()) {
-            cluster->tiering_store()->MarkStatsDirty();
+            tiering.MarkStatsDirty();
           }
         }
         // The tier.* slice of the metrics plane, for operators watching
-        // placement drift. DumpText lines read "counter <name> <value>".
-        const auto intro = fs->Introspect();
-        std::string line;
-        for (char c : intro.metrics_text) {
-          if (c == '\n') {
-            if (line.find(" tier.") != std::string::npos) {
-              std::printf("%s\n", line.c_str());
-            }
-            line.clear();
-          } else {
-            line.push_back(c);
-          }
-        }
+        // placement drift.
+        std::printf("%s",
+                    obs::FormatMetrics(fs->Introspect().metrics, "tier.")
+                        .c_str());
       }
     } else {
       rc = Usage();
@@ -353,19 +407,8 @@ int main(int argc, char** argv) {
     } else {
       std::printf("scrub: %s\n", report->ToString().c_str());
       // The ec.* slice of the metrics plane, for operators watching decay.
-      // DumpText lines read "counter <name> <value>".
-      const auto intro = fs->Introspect();
-      std::string line;
-      for (char c : intro.metrics_text) {
-        if (c == '\n') {
-          if (line.find(" ec.") != std::string::npos) {
-            std::printf("%s\n", line.c_str());
-          }
-          line.clear();
-        } else {
-          line.push_back(c);
-        }
-      }
+      std::printf("%s",
+                  obs::FormatMetrics(fs->Introspect().metrics, "ec.").c_str());
     }
   } else {
     rc = Usage();
