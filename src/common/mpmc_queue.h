@@ -42,28 +42,6 @@ class MpmcQueue {
     return item;
   }
 
-  // Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::lock_guard lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  template <typename Rep, typename Period>
-  std::optional<T> PopFor(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout,
-                      [&] { return !items_.empty() || closed_; })) {
-      return std::nullopt;
-    }
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   // After Close, Push fails and Pop drains remaining items then returns
   // nullopt. Idempotent.
   void Close() {

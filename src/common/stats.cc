@@ -60,18 +60,6 @@ Nanos LatencyHistogram::Percentile(double p) const {
   return max();
 }
 
-std::string LatencyHistogram::Summary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.1fus p50=%.1fus p95=%.1fus p99=%.1fus "
-                "max=%.1fus",
-                static_cast<unsigned long long>(count()),
-                mean().count() / 1e3, Percentile(50).count() / 1e3,
-                Percentile(95).count() / 1e3, Percentile(99).count() / 1e3,
-                max().count() / 1e3);
-  return buf;
-}
-
 OpLatencySet::OpLatencySet(std::vector<std::string> op_names)
     : names_(std::move(op_names)) {
   names_.emplace_back("other");

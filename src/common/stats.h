@@ -26,7 +26,6 @@ class LatencyHistogram {
   Nanos mean() const;
   Nanos Percentile(double p) const;  // p in [0, 100]
 
-  std::string Summary() const;
   void Reset();
 
  private:

@@ -48,8 +48,7 @@ Client::Client(ObjectStorePtr store, rpc::FabricPtr fabric,
         return c;
       }()),
       store_(std::move(store)),
-      fabric_(std::move(fabric)),
-      tracer_(config_.trace_capacity) {
+      fabric_(std::move(fabric)) {
   local_meta_ops_.Attach(config_.metrics, "client.local_meta_ops");
   forwarded_ops_.Attach(config_.metrics, "client.forwarded_ops");
   served_remote_ops_.Attach(config_.metrics, "client.served_remote_ops");

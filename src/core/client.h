@@ -67,9 +67,8 @@ struct ClientConfig {
   CacheConfig cache;
   journal::JournalConfig journal;
   lease::LeaseClient::Options lease_options;
-  // Forwarding retry policy (leader crash / lease churn).
+  // Forwarding attempts per op (leader crash / lease churn), 20 ms apart.
   int op_retries = 50;
-  Nanos op_retry_backoff{Millis(20)};
 
   // Where this client's metric cells attach (propagated into the journal
   // and async-I/O configs when those leave theirs null); null = process
@@ -86,9 +85,6 @@ struct ClientConfig {
   // directory leader; `quota` charges namespace usage on the mutation path.
   qos::AdmissionController* admission = nullptr;
   qos::QuotaManager* quota = nullptr;
-  // Capacity of the per-client span ring buffer (Vfs::Introspect reads it
-  // back).
-  std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
 
   static ClientConfig ForTests(std::string address) {
     ClientConfig c;

@@ -42,6 +42,9 @@ Status ApplySetAttr(Inode& inode, const SetAttrRequest& req,
 
 constexpr int kMaxSymlinkDepth = 40;
 
+// Pause between forwarding attempts (leader crash / lease churn).
+constexpr Nanos kOpRetryBackoff = Millis(20);
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -66,11 +69,11 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
   // A throttled leader's kAgain carries a retry-after hint; when present it
   // replaces the fixed backoff for the next attempt (capped so a bogus hint
   // cannot stall the loop).
-  Nanos retry_sleep = config_.op_retry_backoff;
+  Nanos retry_sleep = kOpRetryBackoff;
   for (int attempt = 0; attempt < config_.op_retries; ++attempt) {
     if (attempt > 0) {
       SleepFor(retry_sleep);
-      retry_sleep = config_.op_retry_backoff;
+      retry_sleep = kOpRetryBackoff;
     }
     auto ref = EnsureDirAccess(dir_ino);
     if (!ref.ok()) {
@@ -632,7 +635,7 @@ Status Client::Rename(const std::string& from, const std::string& to,
   // controlled-environment assumption; EBUSY if another client holds one).
   DirHandlePtr src_handle, dst_handle;
   for (int attempt = 0; attempt < config_.op_retries; ++attempt) {
-    if (attempt > 0) SleepFor(config_.op_retry_backoff);
+    if (attempt > 0) SleepFor(kOpRetryBackoff);
     auto sref = EnsureDirAccess(src.parent);
     if (!sref.ok()) return sref.status();
     auto dref = EnsureDirAccess(dst.parent);

@@ -38,10 +38,6 @@ ArkFsCluster::ArkFsCluster(ObjectStorePtr store, ArkFsClusterOptions options)
   }
   // Canonically composed over a live base: Build() cannot fail here.
   stack_ = builder.Build().value();  // clients AND lease managers share it
-  if (stack_.scrubber && options_.scrub_background) stack_.scrubber->Start();
-  if (stack_.migrator && options_.migrate_background) {
-    stack_.migrator->Start();
-  }
   fabric_ = std::make_shared<rpc::Fabric>(options_.network);
 
   const int replicas = options_.lease_replicas < 1 ? 1 : options_.lease_replicas;
@@ -94,8 +90,6 @@ Result<std::unique_ptr<ArkFsCluster>> ArkFsCluster::Create(
 }
 
 ArkFsCluster::~ArkFsCluster() {
-  if (stack_.migrator) stack_.migrator->Stop();
-  if (stack_.scrubber) stack_.scrubber->Stop();
   // Shut clients down before the lease managers so their releases land.
   for (auto& client : clients_) {
     (void)client->Shutdown();

@@ -27,9 +27,9 @@ namespace arkfs {
 enum class DataPlacement {
   kReplica,  // whole objects, store-level replication (the historic layout)
   kEc,       // k+m Reed–Solomon stripes with reconstruct-on-read (ec_store.h)
-  kTiered,   // hot replica tier + cold EC tier with background migration
-             // (tiering_store.h); new data lands at replica speed, cold
-             // bytes demote to EC overhead
+  kTiered,   // hot replica tier + cold EC tier with operator-run
+             // migration passes (tiering_store.h); new data lands at
+             // replica speed, cold bytes demote to EC overhead
 };
 
 struct ArkFsClusterOptions {
@@ -54,22 +54,20 @@ struct ArkFsClusterOptions {
   DataPlacement placement = DataPlacement::kReplica;
   int ec_data_shards = 4;    // k
   int ec_parity_shards = 2;  // m
+  // Scrub and migration passes run only when called (scrubber()->RunOnce,
+  // migrator()->RunOnce): the CLI's `scrub` / `tier migrate`, a bench or a
+  // test; the cluster starts no background loop.
   ScrubberOptions scrub = ScrubberOptions::ForTests();
-  // Start the background scrub loop at cluster creation. Off by default:
-  // tests and the CLI drive explicit RunOnce passes; long-lived deployments
-  // opt in.
-  bool scrub_background = false;
   // kTiered only: migration policy (demote-after idle, promote-on-heat
-  // read threshold, pass pacing) and whether the background loop starts at
-  // creation (same opt-in contract as scrub_background).
+  // read threshold).
   MigratorOptions migrate = MigratorOptions::ForTests();
-  bool migrate_background = false;
 
   // --- multi-tenant QoS (all disabled by default) ---
-  // Token-bucket admission, enforced at lease Acquire/Renew on the manager
-  // and at RunDirOp on the serving leader. The cluster owns one shared
-  // AdmissionController and injects it into every lease-manager config and
-  // every client it creates.
+  // Token-bucket admission, charged at ServeDirOp on the leader that serves
+  // an op, and on the manager for an Acquire that grants or renews a lease
+  // (a redirect is free, so a forwarded op pays once). The cluster owns one
+  // shared AdmissionController and injects it into every lease-manager
+  // config and every client it creates.
   qos::AdmissionConfig admission;
   // Per-tenant namespace quotas (inodes + bytes), charged at the directory
   // leader and persisted to qos::kQuotaUsageKey after journal checkpoints.
@@ -78,17 +76,6 @@ struct ArkFsClusterOptions {
   // the store the caller builds — the store exists before the cluster does.
 
   static ArkFsClusterOptions ForTests() { return {}; }
-  // Paper-like deployment: datacenter network, 5 s leases, HA managers.
-  static ArkFsClusterOptions PaperLike() {
-    ArkFsClusterOptions o;
-    o.network = sim::NetworkProfile::Datacenter10G();
-    o.lease = lease::LeaseManagerConfig{};
-    o.lease_replicas = 3;
-    ClientConfig c;
-    c.address = "";
-    o.client_template = c;
-    return o;
-  }
 };
 
 class ArkFsCluster {
@@ -124,7 +111,7 @@ class ArkFsCluster {
   // the handle.
   const EcStorePtr& ec_store() const { return stack_.ec; }
   // Non-null whenever ec_store() is (kEc and kTiered both scrub their
-  // stripes); background loop only runs if options.scrub_background.
+  // stripes); a pass runs only when its RunOnce is called.
   const ScrubberPtr& scrubber() const { return stack_.scrubber; }
   // Null unless options.placement == kTiered.
   const TieringStorePtr& tiering_store() const { return stack_.tiering; }

@@ -132,8 +132,6 @@ Record Record::Decision(const Uuid& txid, bool commit) {
   return r;
 }
 
-bool Transaction::IsPrepared() const { return FindPrepare() != nullptr; }
-
 const Record* Transaction::FindPrepare() const {
   for (const auto& r : records) {
     if (r.type == RecordType::kPrepare) return &r;

@@ -77,8 +77,7 @@ struct Transaction {
   FenceToken fence;
   std::vector<Record> records;
 
-  bool IsPrepared() const;   // contains a kPrepare record
-  const Record* FindPrepare() const;
+  const Record* FindPrepare() const;  // the kPrepare record, or null
 };
 
 // Serializes one framed transaction (magic/seq/epoch/fseq/len/payload/crc).

@@ -162,13 +162,4 @@ Status LeaseClient::EndRecovery(const Uuid& dir_ino) {
   return CallManager(kMethodRecovery, req.Encode()).status();
 }
 
-Result<std::optional<std::string>> LeaseClient::LookupLeader(
-    const Uuid& dir_ino) {
-  const LookupRequest req{dir_ino};
-  ARKFS_ASSIGN_OR_RETURN(Bytes raw, CallManager(kMethodLookup, req.Encode()));
-  ARKFS_ASSIGN_OR_RETURN(auto resp, LookupResponse::Decode(raw));
-  if (!resp.has_leader) return std::optional<std::string>{};
-  return std::optional<std::string>{resp.leader};
-}
-
 }  // namespace arkfs::lease

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -110,9 +109,6 @@ class LeaseClient {
   Status Release(const Uuid& dir_ino, const FenceToken& token);
   Status BeginRecovery(const Uuid& dir_ino);
   Status EndRecovery(const Uuid& dir_ino);
-
-  // Current leader if any (does not take the lease).
-  Result<std::optional<std::string>> LookupLeader(const Uuid& dir_ino);
 
   const std::string& self_address() const { return self_; }
 

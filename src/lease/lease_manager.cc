@@ -8,6 +8,13 @@
 
 namespace arkfs::lease {
 
+namespace {
+
+// Missed heartbeats before the rank-0 standby attempts a takeover.
+constexpr int kFailoverProbes = 3;
+
+}  // namespace
+
 LeaseManager::LeaseManager(rpc::FabricPtr fabric, ObjectStorePtr store,
                            LeaseManagerConfig config)
     : config_(std::move(config)),
@@ -141,11 +148,6 @@ Status LeaseManager::Start() {
     ARKFS_RETURN_IF_ERROR(Recovery(request));
     return Bytes{};
   });
-  endpoint_->RegisterMethod(kMethodLookup, [this](ByteSpan req) -> Result<Bytes> {
-    ARKFS_ASSIGN_OR_RETURN(auto request, LookupRequest::Decode(req));
-    ARKFS_RETURN_IF_ERROR(RedirectIfStandby());
-    return Lookup(request).Encode();
-  });
   endpoint_->RegisterMethod(kMethodPing, [this](ByteSpan req) -> Result<Bytes> {
     ARKFS_ASSIGN_OR_RETURN(auto request, PingRequest::Decode(req));
     return Ping(request).Encode();
@@ -233,7 +235,7 @@ void LeaseManager::HeartbeatMain() {
     }
     // Stagger takeover by rank so the lowest-ranked live standby claims
     // first: rank r waits r extra missed probes.
-    if (++misses >= config_.failover_probes + rank) {
+    if (++misses >= kFailoverProbes + rank) {
       misses = 0;
       SettleRole(/*takeover=*/true);
     }
@@ -319,24 +321,6 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
     return resp;
   }
 
-  // Admission control gates the active replica's lease traffic before any
-  // lease state is touched — an over-rate tenant's acquire storm must not
-  // even read the lease table. The rejection is in-band (kWait + the
-  // bucket's retry-after), NOT a status-level kAgain: the client reserves
-  // that for standby-redirect hints.
-  if (config_.admission) {
-    const Status admitted = config_.admission->Admit(req.tenant);
-    if (!admitted.ok()) {
-      waits_.Add();
-      resp.outcome = AcquireOutcome::kWait;
-      Nanos hint{};
-      if (ParseRetryAfterHint(admitted.detail(), &hint)) {
-        resp.retry_after_ns = hint.count();
-      }
-      return resp;
-    }
-  }
-
   if (now < quiet_until_) {
     waits_.Add();
     resp.outcome = AcquireOutcome::kWait;
@@ -351,25 +335,8 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
     return resp;
   }
 
-  if (!Expired(l, now)) {
-    if (l.leader == req.client) {
-      // Extension by the current leader: same tenure, same fencing token.
-      extensions_.Add();
-      l.expires = now + config_.lease_period;
-      // Renewals carry the leader's current journal watermark; remember it
-      // (with its report time) so delegations hand out a bound no staler
-      // than one lease term.
-      if (req.watermark >= l.watermark) {
-        l.watermark = req.watermark;
-        l.watermark_at = now;
-      }
-      resp.outcome = AcquireOutcome::kGranted;
-      resp.fresh = true;
-      resp.lease_until_ns = l.expires.time_since_epoch().count();
-      resp.token = l.token;
-      resp.watermark = l.watermark;
-      return resp;
-    }
+  const bool live = !Expired(l, now);
+  if (live && l.leader != req.client) {
     redirects_.Add();
     resp.outcome = AcquireOutcome::kRedirect;
     resp.leader = l.leader;
@@ -388,6 +355,43 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
       resp.deleg_until_ns =
           (based_on + config_.lease_period).time_since_epoch().count();
     }
+    return resp;
+  }
+
+  // Admission control charges the acquires that grant or extend a lease.
+  // A redirect is free: the op behind it is charged once, by the leader
+  // that serves it (Client::ServeDirOp). The rejection is in-band (kWait +
+  // the bucket's retry-after), NOT a status-level kAgain: the client
+  // reserves that for standby-redirect hints.
+  if (config_.admission) {
+    const Status admitted = config_.admission->Admit(req.tenant);
+    if (!admitted.ok()) {
+      waits_.Add();
+      resp.outcome = AcquireOutcome::kWait;
+      Nanos hint{};
+      if (ParseRetryAfterHint(admitted.detail(), &hint)) {
+        resp.retry_after_ns = hint.count();
+      }
+      return resp;
+    }
+  }
+
+  if (live) {
+    // Extension by the current leader: same tenure, same fencing token.
+    extensions_.Add();
+    l.expires = now + config_.lease_period;
+    // Renewals carry the leader's current journal watermark; remember it
+    // (with its report time) so delegations hand out a bound no staler
+    // than one lease term.
+    if (req.watermark >= l.watermark) {
+      l.watermark = req.watermark;
+      l.watermark_at = now;
+    }
+    resp.outcome = AcquireOutcome::kGranted;
+    resp.fresh = true;
+    resp.lease_until_ns = l.expires.time_since_epoch().count();
+    resp.token = l.token;
+    resp.watermark = l.watermark;
     return resp;
   }
 
@@ -490,19 +494,6 @@ Status LeaseManager::Recovery(const RecoveryRequest& req) {
   l.expires = Now() + config_.lease_period;
   // The recovery ran under the token granted at Acquire time; keep it.
   return Status::Ok();
-}
-
-LookupResponse LeaseManager::Lookup(const LookupRequest& req) {
-  std::lock_guard lock(mu_);
-  LookupResponse resp;
-  if (!active_) return resp;
-  auto it = leases_.find(req.dir_ino);
-  if (it != leases_.end() && !Expired(it->second, Now()) &&
-      !it->second.recovering) {
-    resp.has_leader = true;
-    resp.leader = it->second.leader;
-  }
-  return resp;
 }
 
 std::size_t LeaseManager::ActiveLeaseCount() const {

@@ -19,8 +19,8 @@
 //    deposed active that has not noticed yet) is made harmless by fencing at
 //    the journal layer: every grant carries a FenceToken, and commits from a
 //    deposed epoch are rejected kStale at the store.
-//  * Failover: standbys heartbeat the active replica; after `failover_probes`
-//    consecutive misses (staggered by replica rank, so the winner is
+//  * Failover: standbys heartbeat the active replica; after kFailoverProbes
+//    (3) consecutive misses (staggered by replica rank, so the winner is
 //    predictable) a standby claims the epoch after the one it has seen. A
 //    claim that misses re-reads the record and follows whoever it names. The
 //    winner clears all lease state and serves a quiet period of one lease
@@ -76,15 +76,15 @@ struct LeaseManagerConfig {
   // Empty or size 1 == unreplicated.
   std::vector<std::string> group;
   Nanos heartbeat_interval{Millis(500)};
-  int failover_probes = 3;  // missed heartbeats before a takeover attempt
 
   // Where this manager's "lease.*" metric cells attach; null = process
   // default registry.
   obs::MetricsRegistry* metrics = nullptr;
   // Optional per-tenant admission control (must outlive the manager). When
-  // set, every Acquire runs the requesting tenant through the token bucket
-  // FIRST; a throttled tenant gets kWait with retry_after_ns — in-band, so
-  // it cannot be confused with the standby-redirect kAgain convention.
+  // set, an Acquire that would grant or extend a lease first runs the
+  // requesting tenant through the token bucket (a redirect is not charged);
+  // a throttled tenant gets kWait with retry_after_ns — in-band, so it
+  // cannot be confused with the standby-redirect kAgain convention.
   qos::AdmissionController* admission = nullptr;
   // Optional span sink. When set, request handlers record manager-side spans
   // under the trace context CARRIED IN THE WIRE FRAMES (trace_id/parent_span
@@ -127,7 +127,6 @@ class LeaseManager {
   AcquireResponse Acquire(const AcquireRequest& req);
   void Release(const ReleaseRequest& req);
   Status Recovery(const RecoveryRequest& req);
-  LookupResponse Lookup(const LookupRequest& req);
   PingResponse Ping(const PingRequest& req);
 
   // Introspection for tests.

@@ -133,38 +133,6 @@ Result<RecoveryRequest> RecoveryRequest::Decode(ByteSpan data) {
   return req;
 }
 
-Bytes LookupRequest::Encode() const {
-  Encoder enc(24);
-  enc.PutUuid(dir_ino);
-  return std::move(enc).Take();
-}
-
-Result<LookupRequest> LookupRequest::Decode(ByteSpan data) {
-  Decoder dec(data);
-  LookupRequest req;
-  ARKFS_ASSIGN_OR_RETURN(req.dir_ino, dec.GetUuid());
-  ARKFS_RETURN_IF_ERROR(RequireDone(dec, "lookup request"));
-  return req;
-}
-
-Bytes LookupResponse::Encode() const {
-  Encoder enc(48);
-  enc.PutU8(has_leader ? 1 : 0);
-  enc.PutString(leader);
-  return std::move(enc).Take();
-}
-
-Result<LookupResponse> LookupResponse::Decode(ByteSpan data) {
-  Decoder dec(data);
-  LookupResponse resp;
-  ARKFS_ASSIGN_OR_RETURN(std::uint8_t has, dec.GetU8());
-  if (has > 1) return ErrStatus(Errc::kIo, "bad has_leader flag");
-  resp.has_leader = has != 0;
-  ARKFS_ASSIGN_OR_RETURN(resp.leader, dec.GetString());
-  ARKFS_RETURN_IF_ERROR(RequireDone(dec, "lookup response"));
-  return resp;
-}
-
 Bytes PingRequest::Encode() const {
   Encoder enc(48);
   enc.PutU64(epoch);

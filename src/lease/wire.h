@@ -22,7 +22,6 @@ namespace arkfs::lease {
 inline constexpr char kMethodAcquire[] = "lease.acquire";
 inline constexpr char kMethodRelease[] = "lease.release";
 inline constexpr char kMethodRecovery[] = "lease.recovery";
-inline constexpr char kMethodLookup[] = "lease.lookup";
 inline constexpr char kMethodPing[] = "lease.ping";  // replica heartbeat
 
 // The canonical fabric address of a single-replica lease manager; replicated
@@ -133,21 +132,6 @@ struct RecoveryRequest {
 
   Bytes Encode() const;
   static Result<RecoveryRequest> Decode(ByteSpan data);
-};
-
-struct LookupRequest {
-  Uuid dir_ino;
-
-  Bytes Encode() const;
-  static Result<LookupRequest> Decode(ByteSpan data);
-};
-
-struct LookupResponse {
-  bool has_leader = false;
-  std::string leader;
-
-  Bytes Encode() const;
-  static Result<LookupResponse> Decode(ByteSpan data);
 };
 
 // Replica heartbeat / epoch announcement. Standbys ping the active replica;

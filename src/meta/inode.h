@@ -46,7 +46,6 @@ struct Inode {
   std::uint64_t version = 0;    // bumped on every metadata mutation
 
   bool IsDir() const { return type == FileType::kDirectory; }
-  bool IsRegular() const { return type == FileType::kRegular; }
   bool IsSymlink() const { return type == FileType::kSymlink; }
 
   void EncodeTo(Encoder& enc) const;

@@ -86,15 +86,13 @@ void AsyncObjectIo::Execute(const OpPtr& op) {
   }
   const Nanos busy = Now() - t0;
   if (op->gated) ReleaseSlot();
-  if (op->batch) {
-    bool last = false;
-    {
-      std::lock_guard lock(op->batch->mu);
-      op->batch->busy += busy;
-      last = --op->batch->remaining == 0;
-    }
-    if (last) op->batch->cv.notify_all();
+  bool last = false;
+  {
+    std::lock_guard lock(op->batch->mu);
+    op->batch->busy += busy;
+    last = --op->batch->remaining == 0;
   }
+  if (last) op->batch->cv.notify_all();
 }
 
 void AsyncObjectIo::Enqueue(const OpPtr& op) {
@@ -124,56 +122,6 @@ void AsyncObjectIo::JoinBatch(const std::shared_ptr<Batch>& batch,
         static_cast<std::uint64_t>((batch->busy - wall).count()));
   }
   batches_.Add();
-}
-
-template <typename R>
-std::future<R> AsyncObjectIo::SubmitSingle(bool gated, std::function<R()> fn) {
-  auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-  std::future<R> future = task->get_future();
-  auto op = std::make_shared<Op>();
-  op->gated = gated;
-  op->body = [task] { (*task)(); };
-  Enqueue(op);
-  return future;
-}
-
-std::future<Result<Bytes>> AsyncObjectIo::SubmitGet(std::string key) {
-  return SubmitSingle<Result<Bytes>>(
-      true, [this, key = std::move(key)] { return store_->Get(key); });
-}
-
-std::future<Result<Bytes>> AsyncObjectIo::SubmitGetRange(std::string key,
-                                                         std::uint64_t offset,
-                                                         std::uint64_t length) {
-  return SubmitSingle<Result<Bytes>>(
-      true, [this, key = std::move(key), offset, length] {
-        return store_->GetRange(key, offset, length);
-      });
-}
-
-std::future<Status> AsyncObjectIo::SubmitPut(std::string key, Bytes data) {
-  return SubmitSingle<Status>(
-      true, [this, key = std::move(key), data = std::move(data)] {
-        return store_->Put(key, data);
-      });
-}
-
-std::future<Status> AsyncObjectIo::SubmitPutRange(std::string key,
-                                                  std::uint64_t offset,
-                                                  Bytes data) {
-  return SubmitSingle<Status>(
-      true, [this, key = std::move(key), offset, data = std::move(data)] {
-        return store_->PutRange(key, offset, data);
-      });
-}
-
-std::future<Status> AsyncObjectIo::SubmitDelete(std::string key) {
-  return SubmitSingle<Status>(
-      true, [this, key = std::move(key)] { return store_->Delete(key); });
-}
-
-std::future<Status> AsyncObjectIo::SubmitTask(std::function<Status()> fn) {
-  return SubmitSingle<Status>(false, std::move(fn));
 }
 
 MultiGetResult AsyncObjectIo::MultiGet(std::vector<BatchGet> gets) {

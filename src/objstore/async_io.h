@@ -7,7 +7,6 @@
 // objects; submitting them concurrently pays ~one. This layer is the single
 // place that concurrency lives:
 //
-//  * future-based single submissions (SubmitGet/Put/Delete/...),
 //  * MultiGet/MultiPut/MultiDelete batch helpers that fan out, join, and
 //    aggregate errors (first-error status + per-key results),
 //  * RunAll for compound per-item closures (read-modify-write chunks, cache
@@ -30,7 +29,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -104,24 +102,13 @@ class AsyncObjectIo {
   AsyncObjectIo(const AsyncObjectIo&) = delete;
   AsyncObjectIo& operator=(const AsyncObjectIo&) = delete;
 
-  // --- future-based single submissions ---
-  std::future<Result<Bytes>> SubmitGet(std::string key);
-  std::future<Result<Bytes>> SubmitGetRange(std::string key,
-                                            std::uint64_t offset,
-                                            std::uint64_t length);
-  std::future<Status> SubmitPut(std::string key, Bytes data);
-  std::future<Status> SubmitPutRange(std::string key, std::uint64_t offset,
-                                     Bytes data);
-  std::future<Status> SubmitDelete(std::string key);
-  // Compound work (may itself issue batches on this layer). Not gated by the
-  // in-flight cap; the primitives it issues are.
-  std::future<Status> SubmitTask(std::function<Status()> fn);
-
   // --- batch helpers: fan out, join, aggregate ---
   MultiGetResult MultiGet(std::vector<BatchGet> gets);
   MultiOpResult MultiPut(std::vector<BatchPut> puts);
   MultiOpResult MultiDelete(std::vector<std::string> keys);
-  // Runs compound closures concurrently; returns the first error.
+  // Runs compound closures concurrently (each may itself issue batches on
+  // this layer); returns the first error. The closures are not gated by
+  // the in-flight cap; the primitives they issue are.
   Status RunAll(std::vector<std::function<Status()>> tasks);
 
   const AsyncIoConfig& config() const { return config_; }
@@ -139,7 +126,7 @@ class AsyncObjectIo {
 
   struct Op {
     std::function<void()> body;
-    std::shared_ptr<Batch> batch;  // null for single-future submissions
+    std::shared_ptr<Batch> batch;
     std::atomic<bool> claimed{false};
     bool gated = true;  // primitive store op: counts against max_in_flight
     // Submitter's trace, re-installed around body() so ops executed by pool
@@ -157,9 +144,6 @@ class AsyncObjectIo {
                  TimePoint start);
   void AcquireSlot();
   void ReleaseSlot();
-
-  template <typename R>
-  std::future<R> SubmitSingle(bool gated, std::function<R()> fn);
 
   const AsyncIoConfig config_;
   ObjectStorePtr store_;

@@ -1,6 +1,17 @@
 #include "objstore/chaos_store.h"
 
+#include <iterator>
+
 namespace arkfs {
+
+namespace {
+
+constexpr Nanos kLatencySpike = Millis(2);
+// The codes a transient fault draws from: exactly the ones the retry stack
+// (retry.h) considers retryable.
+constexpr Errc kTransientPool[] = {Errc::kIo, Errc::kTimedOut, Errc::kAgain};
+
+}  // namespace
 
 ChaosStore::ChaosStore(ObjectStorePtr base, ChaosConfig config, FaultFn hook,
                        obs::MetricsRegistry* registry)
@@ -27,11 +38,6 @@ void ChaosStore::ClearPersistentFault(const std::string& key) {
   persistent_.erase(key);
 }
 
-void ChaosStore::ClearPersistentFaults() {
-  std::lock_guard lock(mu_);
-  persistent_.clear();
-}
-
 Errc ChaosStore::Decide(std::string_view op, const std::string& key) {
   ops_.Add();
   if (hook_) {
@@ -53,14 +59,13 @@ Errc ChaosStore::Decide(std::string_view op, const std::string& key) {
       latency_spikes_.Add();
       spike = true;
     }
-    if (config_.fault_rate > 0.0 && !config_.transient_pool.empty() &&
-        rng_.NextDouble() < config_.fault_rate) {
+    if (config_.fault_rate > 0.0 && rng_.NextDouble() < config_.fault_rate) {
       transient_faults_.Add();
-      verdict = config_.transient_pool[rng_.Below(config_.transient_pool.size())];
+      verdict = kTransientPool[rng_.Below(std::size(kTransientPool))];
     }
   }
   // Sleep outside the lock so a spiking op does not serialize the store.
-  if (spike) SleepFor(config_.latency_spike);
+  if (spike) SleepFor(kLatencySpike);
   return verdict;
 }
 

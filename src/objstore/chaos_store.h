@@ -13,7 +13,7 @@
 //    transient pool (kIo / kTimedOut / kAgain) — exactly the codes the
 //    retry stack (retry.h) considers retryable;
 //  * persistent per-key faults (Add/Clear) for dead-object scenarios;
-//  * latency spikes with probability `latency_spike_rate`;
+//  * 2 ms latency spikes with probability `latency_spike_rate`;
 //  * torn whole-object Puts with probability `torn_put_rate`: a random
 //    prefix of the payload lands in the store and the op reports kIo —
 //    the crash-atomicity hazard a whole-object backend really has. Layers
@@ -49,8 +49,7 @@ namespace arkfs {
 struct ChaosConfig {
   std::uint64_t seed = 1;
   double fault_rate = 0.0;          // per-op transient error probability
-  double latency_spike_rate = 0.0;  // per-op latency spike probability
-  Nanos latency_spike{Millis(2)};
+  double latency_spike_rate = 0.0;  // per-op 2 ms latency spike probability
   double torn_put_rate = 0.0;       // whole-object Put only
   // Read-path bit flips with probability `bit_flip_rate` per Get/GetRange:
   // one random bit of the returned payload is inverted (the op still
@@ -61,7 +60,6 @@ struct ChaosConfig {
   // replay). Null = every key is fair game.
   double bit_flip_rate = 0.0;
   std::function<bool(const std::string&)> bit_flip_filter = nullptr;
-  std::vector<Errc> transient_pool{Errc::kIo, Errc::kTimedOut, Errc::kAgain};
 
   // The profile used by the chaos test lanes: `percent`% transient faults.
   static ChaosConfig Flaky(std::uint64_t seed, double percent) {
@@ -84,7 +82,6 @@ class ChaosStore : public StoreDecorator {
   // cleared. Models a dead/corrupt object rather than a flaky node.
   void AddPersistentFault(const std::string& key, Errc e);
   void ClearPersistentFault(const std::string& key);
-  void ClearPersistentFaults();
 
   // Every primitive can fail; whole-object Put can also tear, and reads can
   // come back with a flipped bit.

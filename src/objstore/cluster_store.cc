@@ -9,6 +9,11 @@
 namespace arkfs {
 namespace {
 
+constexpr int kVirtualNodes = 64;  // ring positions per node
+// What an op on a key whose primary node is down reports: a transient,
+// retryable error, as an unreachable RADOS primary times out.
+constexpr Errc kDownError = Errc::kTimedOut;
+
 std::uint64_t HashKey(const std::string& key) {
   // FNV-1a 64.
   std::uint64_t h = 0xCBF29CE484222325ull;
@@ -52,7 +57,7 @@ ClusterObjectStore::ClusterObjectStore(const ClusterConfig& config)
           config_.fair_queue, config_.tenant_metrics);
     }
     nodes_.push_back(std::move(n));
-    for (int v = 0; v < config_.virtual_nodes; ++v) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
       ring_.emplace(rng.Next(), i);
     }
   }
@@ -98,13 +103,13 @@ void ClusterObjectStore::ChargeOp(int node, std::uint64_t payload_bytes,
   if (payload_bytes > 0) nodes_[node].link->Transfer(payload_bytes);
 }
 
-// Returns the down_error status if `node` is down, bumping rejected_ops.
+// Returns the kDownError status if `node` is down, bumping rejected_ops.
 #define ARKFS_CLUSTER_REJECT_IF_DOWN(node, key)                        \
   do {                                                                 \
     std::lock_guard _lock(chaos_mu_);                                  \
     if (down_[node]) {                                                 \
       rejected_ops_.Add();                                             \
-      return ErrStatus(config_.down_error,                             \
+      return ErrStatus(kDownError,                                     \
                        "node " + std::to_string(node) + " down: " + (key)); \
     }                                                                  \
   } while (0)
@@ -290,7 +295,7 @@ Result<std::vector<std::string>> ClusterObjectStore::List(
     if (!part.ok()) return part.status();
     merged.insert(merged.end(), part->begin(), part->end());
   }
-  if (live == 0) return ErrStatus(config_.down_error, "all nodes down");
+  if (live == 0) return ErrStatus(kDownError, "all nodes down");
   std::sort(merged.begin(), merged.end());
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
   return merged;

@@ -29,13 +29,9 @@ namespace arkfs {
 struct ClusterConfig {
   int num_nodes = 16;            // paper Table I: 16 storage nodes
   int replication = 3;           // RADOS default pool size
-  int virtual_nodes = 64;        // ring positions per node
   std::uint64_t max_object_size = kDefaultMaxObjectSize;
   sim::CostProfile profile = sim::CostProfile::RadosLike();
   std::uint64_t seed = 42;       // ring placement seed
-  // What an op on a key whose primary node is down reports (chaos tests
-  // flip between kTimedOut and kIo; both are transient/retryable).
-  Errc down_error = Errc::kTimedOut;
   // Where the "cluster.outage.*" counters attach; null = process default.
   obs::MetricsRegistry* metrics = nullptr;
 
@@ -115,7 +111,7 @@ class ClusterObjectStore : public ObjectStore {
 
   // --- node outage / recovery (chaos controls) ---
   // While node i is down, every op whose PRIMARY replica hashes there fails
-  // with config().down_error (no read failover — the paper's Ceph pool
+  // with kTimedOut (no read failover — the paper's Ceph pool
   // behaves the same while a PG's primary is unreachable). Writes whose
   // primary is up simply skip a down secondary; the skipped keys are
   // remembered and backfilled from a live replica when the node rejoins

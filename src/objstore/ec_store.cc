@@ -35,6 +35,11 @@ bool ParseHex(std::string_view s, std::uint64_t* out) {
   return true;
 }
 
+// Salts probed per shard / manifest copy before settling for a repeated
+// node (placement permitting, they land on pairwise-distinct primaries).
+// A salt is one byte, so this stays at most 256.
+constexpr int kPlacementProbes = 64;
+
 // FNV-1a over the key, salted — used for stripe ids and the manifest-salt
 // derivation so both are deterministic per key without touching the clock.
 std::uint64_t KeyHash(const std::string& key, std::uint64_t salt) {
@@ -53,7 +58,6 @@ std::uint64_t KeyHash(const std::string& key, std::uint64_t salt) {
 EcStoreOptions SanitizeEcOptions(EcStoreOptions o) {
   o.m = std::clamp(o.m, 0, 15);
   o.k = std::clamp(o.k, 1, 255 - o.m);
-  if (o.placement_probes < 1) o.placement_probes = 1;
   return o;
 }
 
@@ -282,8 +286,7 @@ std::array<std::uint8_t, 16> EcStore::ManifestSalts(
   std::set<int> used;
   for (int copy = 0; copy <= options_.m; ++copy) {
     std::uint8_t pick = 0;
-    for (int salt = 0; salt < options_.placement_probes && salt < 256;
-         ++salt) {
+    for (int salt = 0; salt < kPlacementProbes; ++salt) {
       const int node = options_.placement(
           EcManifestKey(key, copy, static_cast<std::uint8_t>(salt)));
       if (used.insert(node).second) {
@@ -609,8 +612,7 @@ Status EcStore::Put(const std::string& key, ByteSpan data) {
     info.crc = Crc32c(shards[static_cast<std::size_t>(i)]);
     info.salt = 0;
     if (options_.placement) {
-      for (int salt = 0; salt < options_.placement_probes && salt < 256;
-           ++salt) {
+      for (int salt = 0; salt < kPlacementProbes; ++salt) {
         const int node = options_.placement(EcShardKey(
             key, i, static_cast<std::uint8_t>(salt), manifest.gen));
         if (used_nodes.insert(node).second) {

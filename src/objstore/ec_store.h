@@ -120,9 +120,6 @@ struct EcStoreOptions {
   // (and the m+1 manifest copies) across distinct nodes. Null = rely on the
   // base store's hash placement only.
   std::function<int(const std::string&)> placement;
-  // Salts probed per shard before settling for a repeated node (placement
-  // permitting, shards land on pairwise-distinct primaries).
-  int placement_probes = 64;
   // Fan-out pool for shard/manifest batches.
   AsyncIoConfig async;
   // Where the "ec.*" cells attach; null = process default registry.

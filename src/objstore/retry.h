@@ -43,9 +43,6 @@ struct RetryPolicy {
   Nanos max_backoff{Millis(100)};
   // Budget for one op. 0 = unbounded.
   Nanos deadline{0};
-  // Seeds the per-call jitter stream; mixed with a per-call salt so
-  // concurrent retriers do not share a backoff sequence.
-  std::uint64_t jitter_seed = 0x5bd1e995u;
 
   bool enabled() const { return max_attempts > 1; }
 
@@ -107,7 +104,10 @@ auto RetryCall(const RetryPolicy& policy, std::uint64_t salt,
       !RetryPolicy::Retryable(result.code())) {
     return result;
   }
-  Rng rng(policy.jitter_seed ^ salt);
+  // The jitter stream's seed is mixed with a per-call salt so concurrent
+  // retriers do not share a backoff sequence.
+  constexpr std::uint64_t kJitterSeed = 0x5bd1e995u;
+  Rng rng(kJitterSeed ^ salt);
   Nanos prev = policy.initial_backoff;
   for (int attempt = 2; attempt <= policy.max_attempts; ++attempt) {
     const std::int64_t lo = policy.initial_backoff.count();

@@ -1,6 +1,7 @@
 #include "objstore/scrubber.h"
 
 #include <algorithm>
+#include <mutex>
 
 namespace arkfs {
 
@@ -32,25 +33,9 @@ Scrubber::Scrubber(EcStorePtr store, ScrubberOptions options)
   last_repaired_.Attach(options_.metrics, "ec.scrub.last_repaired");
 }
 
-Scrubber::~Scrubber() { Stop(); }
-
-void Scrubber::Pace() {
-  if (options_.stripes_per_sec <= 0) return;
-  const auto period =
-      Nanos(static_cast<std::int64_t>(1e9 / options_.stripes_per_sec));
-  TimePoint slot;
-  {
-    std::lock_guard<std::mutex> lock(pace_mu_);
-    slot = std::max(next_slot_, Now());
-    next_slot_ = slot + period;
-  }
-  const auto delay = slot - Now();
-  if (delay > Nanos(0)) SleepFor(std::chrono::duration_cast<Nanos>(delay));
-}
-
 Result<ScrubReport> Scrubber::RunOnce() {
   ARKFS_ASSIGN_OR_RETURN(const auto keys,
-                         store_->ListStripes(options_.prefix));
+                         store_->ListStripes(""));
   ScrubReport report;
   std::mutex report_mu;
   ThreadPool pool(static_cast<std::size_t>(std::max(1, options_.threads)));
@@ -58,7 +43,6 @@ Result<ScrubReport> Scrubber::RunOnce() {
   for (const auto& key : keys) {
     wg.Add();
     pool.Submit([this, &key, &report, &report_mu, &wg] {
-      Pace();
       ScrubReport local;
       local.stripes = 1;
       auto probe = store_->ProbeStripe(key);
@@ -121,36 +105,6 @@ Result<ScrubReport> Scrubber::RunOnce() {
   last_stripes_.Set(report.stripes);
   last_repaired_.Set(report.repaired);
   return report;
-}
-
-void Scrubber::Start() {
-  if (running_.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_ = false;
-  }
-  background_ = std::thread([this] { BackgroundMain(); });
-}
-
-void Scrubber::Stop() {
-  if (!running_.exchange(false)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_ = true;
-  }
-  stop_cv_.notify_all();
-  if (background_.joinable()) background_.join();
-}
-
-void Scrubber::BackgroundMain() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(stop_mu_);
-      stop_cv_.wait_for(lock, options_.interval, [this] { return stop_; });
-      if (stop_) return;
-    }
-    (void)RunOnce();
-  }
 }
 
 }  // namespace arkfs

@@ -1,4 +1,4 @@
-// Scrubber — background scrub-and-repair for the EC archive tier.
+// Scrubber — scrub-and-repair passes for the EC archive tier.
 //
 // Archived data is written once and read rarely, so latent shard damage
 // (bit rot, a torn write that slipped past its own generation fencing, an
@@ -17,18 +17,12 @@
 // will return at rejoin-backfill; rewriting them from a degraded stripe
 // would only churn. They are counted and retried next pass.
 //
-// The walk is thread-pool driven and rate-limited (stripes/second token
-// bucket) so a scrub pass over a cold archive cannot starve foreground I/O
-// — the same reason Ceph paces deep scrub.
+// A pass is a thread-pool walk over every stripe, run when an operator or a
+// bench calls RunOnce (`arkfs_cli scrub`); nothing scrubs in the background.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <thread>
 
-#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "objstore/ec_store.h"
 #include "obs/metrics.h"
@@ -37,16 +31,12 @@ namespace arkfs {
 
 struct ScrubberOptions {
   int threads = 2;                // stripes verified concurrently
-  double stripes_per_sec = 0;     // token-bucket pace; 0 = unpaced
-  Nanos interval = Seconds(30);   // idle time between background passes
-  std::string prefix;             // restrict the walk (default: everything)
   // Where the "ec.scrub.*" cells attach; null = process default registry.
   obs::MetricsRegistry* metrics = nullptr;
 
   static ScrubberOptions ForTests() {
     ScrubberOptions o;
     o.threads = 4;
-    o.interval = Millis(50);
     return o;
   }
 };
@@ -69,7 +59,6 @@ struct ScrubReport {
 class Scrubber {
  public:
   Scrubber(EcStorePtr store, ScrubberOptions options);
-  ~Scrubber();
 
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
@@ -78,26 +67,9 @@ class Scrubber {
   // foreground I/O (repair is generation-fenced against overwrites).
   Result<ScrubReport> RunOnce();
 
-  // Background loop: RunOnce every options.interval until Stop().
-  void Start();
-  void Stop();
-  bool running() const { return running_.load(std::memory_order_relaxed); }
-
  private:
-  void Pace();  // token bucket: blocks until this stripe may proceed
-  void BackgroundMain();
-
   const ScrubberOptions options_;
   EcStorePtr store_;
-
-  std::mutex pace_mu_;
-  TimePoint next_slot_{};
-
-  std::atomic<bool> running_{false};
-  std::thread background_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
 
   // "ec.scrub.*" cells.
   obs::Counter passes_, scanned_, corrupt_, missing_, repaired_,

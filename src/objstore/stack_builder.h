@@ -99,8 +99,8 @@ class StackBuilder {
   StackBuilder& Tiering(TieringOptions options, MigratorOptions migrate,
                         EcStoreOptions cold_geometry = EcStoreOptions());
 
-  // Background scrub over the EC tier (requires Ec or Tiering before it).
-  // Does not Start() the loop — the owner decides.
+  // A Scrubber over the EC tier (requires Ec or Tiering before it); its
+  // owner runs the passes.
   StackBuilder& Scrub(ScrubberOptions options);
 
   // --- fault / client-behaviour layers ---

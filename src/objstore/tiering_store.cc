@@ -739,25 +739,8 @@ Migrator::Migrator(TieringStorePtr store, MigratorOptions options)
   last_demoted_.Attach(options_.metrics, "tier.migrate.last_demoted");
 }
 
-Migrator::~Migrator() { Stop(); }
-
-void Migrator::Pace() {
-  if (options_.objects_per_sec <= 0) return;
-  const auto period =
-      Nanos(static_cast<std::int64_t>(1e9 / options_.objects_per_sec));
-  TimePoint slot;
-  {
-    std::lock_guard<std::mutex> lock(pace_mu_);
-    slot = std::max(next_slot_, Now());
-    next_slot_ = slot + period;
-  }
-  const auto delay = slot - Now();
-  if (delay > Nanos(0)) SleepFor(std::chrono::duration_cast<Nanos>(delay));
-}
-
 void Migrator::ProcessKey(const std::string& key, MigrationReport* report,
                           std::mutex* report_mu) {
-  Pace();
   MigrationReport local;
   auto probe_or = store_->ProbeTier(key);
   if (!probe_or.ok()) {
@@ -833,7 +816,7 @@ void Migrator::ProcessKey(const std::string& key, MigrationReport* report,
 Result<MigrationReport> Migrator::RunOnce() {
   std::lock_guard<std::mutex> run(run_mu_);
   ARKFS_ASSIGN_OR_RETURN(const auto keys,
-                         store_->ListTiered(options_.prefix));
+                         store_->ListTiered(""));
   MigrationReport report;
   std::mutex report_mu;
   ThreadPool pool(static_cast<std::size_t>(std::max(1, options_.threads)));
@@ -859,36 +842,6 @@ Result<MigrationReport> Migrator::RunOnce() {
   last_scanned_.Set(report.scanned);
   last_demoted_.Set(report.demoted);
   return report;
-}
-
-void Migrator::Start() {
-  if (running_.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_ = false;
-  }
-  background_ = std::thread([this] { BackgroundMain(); });
-}
-
-void Migrator::Stop() {
-  if (!running_.exchange(false)) return;
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stop_ = true;
-  }
-  stop_cv_.notify_all();
-  if (background_.joinable()) background_.join();
-}
-
-void Migrator::BackgroundMain() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(stop_mu_);
-      stop_cv_.wait_for(lock, options_.interval, [this] { return stop_; });
-      if (stop_) return;
-    }
-    (void)RunOnce();
-  }
 }
 
 }  // namespace arkfs

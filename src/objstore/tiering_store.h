@@ -48,11 +48,9 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "common/clock.h"
@@ -323,11 +321,11 @@ class TieringStore : public StoreDecorator {
 
 using TieringStorePtr = std::shared_ptr<TieringStore>;
 
-// --- Migrator — background demote/promote policy over a TieringStore ---
+// --- Migrator — demote/promote passes over a TieringStore ---
 //
-// Modeled on the Scrubber: a thread-pool walk, rate-limited by an
-// objects/second token bucket so a migration pass over a large namespace
-// cannot starve foreground I/O. Each pass walks every tiered key, sweeps
+// Modeled on the Scrubber: a thread-pool walk, run when an operator or a
+// bench calls RunOnce (`arkfs_cli tier migrate`/`tier demote`); nothing
+// migrates in the background. Each pass walks every tiered key, sweeps
 // crash leftovers (both-copies-resident, dangling pointers), demotes keys
 // idle past demote_after, and promotes cold keys whose read heat crossed
 // promote_reads. Every mutation is guarded at the store inside
@@ -338,9 +336,6 @@ using TieringStorePtr = std::shared_ptr<TieringStore>;
 
 struct MigratorOptions {
   int threads = 2;              // keys migrated concurrently
-  double objects_per_sec = 0;   // token-bucket pace; 0 = unpaced
-  Nanos interval = Seconds(30); // idle time between background passes
-  std::string prefix;           // restrict the walk (default: everything)
   // Policy knobs.
   Nanos demote_after = Seconds(300);  // idle time before demotion; 0 = at once
   std::uint32_t promote_reads = 3;    // cold reads before promotion
@@ -353,7 +348,6 @@ struct MigratorOptions {
   static MigratorOptions ForTests() {
     MigratorOptions o;
     o.threads = 4;
-    o.interval = Millis(50);
     o.demote_after = Millis(50);
     return o;
   }
@@ -376,41 +370,25 @@ struct MigrationReport {
 class Migrator {
  public:
   Migrator(TieringStorePtr store, MigratorOptions options);
-  ~Migrator();
 
   Migrator(const Migrator&) = delete;
   Migrator& operator=(const Migrator&) = delete;
 
   // One full migration pass, synchronously. Safe to call concurrently with
-  // foreground I/O (every mutation is guarded at the store) and with the
-  // background loop (passes are serialized).
+  // foreground I/O (every mutation is guarded at the store) and with
+  // another RunOnce on this migrator (passes are serialized).
   Result<MigrationReport> RunOnce();
-
-  // Background loop: RunOnce every options.interval until Stop().
-  void Start();
-  void Stop();
-  bool running() const { return running_.load(std::memory_order_relaxed); }
 
   const MigratorOptions& options() const { return options_; }
 
  private:
-  void Pace();  // token bucket: blocks until this key may proceed
   void ProcessKey(const std::string& key, MigrationReport* report,
                   std::mutex* report_mu);
-  void BackgroundMain();
 
   const MigratorOptions options_;
   TieringStorePtr store_;
 
   std::mutex run_mu_;  // one pass at a time
-  std::mutex pace_mu_;
-  TimePoint next_slot_{};
-
-  std::atomic<bool> running_{false};
-  std::thread background_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
 
   // "tier.migrate.*" cells.
   obs::Counter passes_, scanned_, demoted_, promoted_, demote_failures_,

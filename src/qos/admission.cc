@@ -13,7 +13,7 @@ AdmissionController::Bucket& AdmissionController::BucketFor(TenantId tenant,
     Bucket b;
     auto rate_it = config_.tenants.find(tenant);
     b.rate = rate_it != config_.tenants.end() ? rate_it->second
-                                              : config_.default_rate;
+                                              : TenantRate{};
     if (b.rate.burst <= 0) b.rate.burst = b.rate.rate_per_sec;
     b.tokens = b.rate.burst;  // a new tenant starts with a full burst
     b.refilled = now;

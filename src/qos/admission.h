@@ -2,10 +2,12 @@
 //
 // The first QoS gate on the request path: one bucket per tenant, refilled
 // continuously on the monotonic clock, spent once per admitted operation.
-// Enforced where a tenant's burst first touches shared capacity — lease
-// Acquire/Renew at the manager, and RunDirOp on the serving leader — so an
-// aggressor's mdtest storm is turned away at the door instead of filling
-// the queues every other tenant shares.
+// Enforced where a tenant's burst first touches shared capacity — a lease
+// Acquire that grants or renews at the manager, and RunDirOp on the serving
+// leader — so an aggressor's mdtest storm is turned away at the door
+// instead of filling the queues every other tenant shares. An Acquire the
+// manager answers with a redirect is not charged: the op it belongs to is
+// charged once, by the leader that serves it.
 //
 // Rejections are graceful, never silent: kAgain whose detail carries a
 // "retry-after-ns=<n>" hint computed from the bucket (when the next token
@@ -34,8 +36,8 @@ struct TenantRate {
 
 struct AdmissionConfig {
   bool enabled = false;
-  TenantRate default_rate;                 // tenants without an override
-  std::map<TenantId, TenantRate> tenants;  // per-tenant overrides
+  // Per-tenant rates; a tenant without an entry is unlimited.
+  std::map<TenantId, TenantRate> tenants;
 };
 
 class AdmissionController {

@@ -22,17 +22,17 @@ Status WeightedFairQueue::ShedStatus(TenantId tenant) const {
 }
 
 void WeightedFairQueue::GrantLocked() {
-  const double quantum = config_.quantum > 0 ? config_.quantum : 1.0;
   bool granted = false;
   while (slots_in_use_ < config_.service_slots && depth_ > 0) {
     const TenantId t = rotation_.front();
     rotation_.pop_front();
     auto it = queues_.find(t);
     SubQueue& sq = it->second;
-    // Quantum is credited once per rotation visit: a tenant parked at the
-    // head because the slots filled (below) resumes with its BANKED credit,
-    // it does not accrue more just because Release called us again.
-    if (sq.deficit < 1.0) sq.deficit += quantum * WeightFor(t);
+    // The quantum (one request per unit of weight) is credited once per
+    // rotation visit: a tenant parked at the head because the slots filled
+    // (below) resumes with its BANKED credit, it does not accrue more just
+    // because Release called us again.
+    if (sq.deficit < 1.0) sq.deficit += WeightFor(t);
     while (sq.deficit >= 1.0 && !sq.waiters.empty() &&
            slots_in_use_ < config_.service_slots) {
       Waiter* w = sq.waiters.front();

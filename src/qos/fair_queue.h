@@ -35,9 +35,7 @@ struct FairQueueConfig {
   std::size_t service_slots = 1;
   // Total parked waiters (across all tenants) before shedding starts.
   std::size_t max_depth = 64;
-  // Deficit added per round-robin visit; a tenant drains
-  // quantum * weight requests per pass over the active tenants.
-  double quantum = 1.0;
+  // A tenant drains `weight` requests per pass over the active tenants.
   std::map<TenantId, double> weights;  // default weight 1.0
   // Waiters parked longer than this shed themselves (0 = wait forever).
   Nanos max_wait = Millis(2000);

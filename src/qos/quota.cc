@@ -13,7 +13,7 @@ constexpr std::uint32_t kUsageMagic = 0x55514B41;
 
 QuotaLimits QuotaManager::LimitsFor(TenantId tenant) const {
   auto it = config_.tenants.find(tenant);
-  return it != config_.tenants.end() ? it->second : config_.default_limits;
+  return it != config_.tenants.end() ? it->second : QuotaLimits{};
 }
 
 Status QuotaManager::Charge(TenantId tenant, std::int64_t delta,

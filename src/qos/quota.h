@@ -40,7 +40,7 @@ struct QuotaLimits {
 
 struct QuotaConfig {
   bool enabled = false;
-  QuotaLimits default_limits;
+  // Per-tenant limits; a tenant without an entry is unlimited.
   std::map<TenantId, QuotaLimits> tenants;
 };
 

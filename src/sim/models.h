@@ -42,23 +42,6 @@ class LatencyModel {
   mutable std::atomic<std::uint64_t> seq_{0};
 };
 
-// Transfer-time calculator: latency floor + bytes / bandwidth.
-class BandwidthModel {
- public:
-  BandwidthModel() = default;
-  explicit BandwidthModel(double bytes_per_sec) : bps_(bytes_per_sec) {}
-
-  Nanos TransferTime(std::uint64_t bytes) const {
-    if (bps_ <= 0) return Nanos(0);
-    return Nanos(static_cast<std::int64_t>(
-        static_cast<double>(bytes) / bps_ * 1e9));
-  }
-  double bytes_per_sec() const { return bps_; }
-
- private:
-  double bps_ = 0;  // 0 => infinite bandwidth
-};
-
 // A backend cost profile. The defaults are chosen to mirror the relative
 // magnitudes of the paper's testbed (intra-cluster RTT in the 100s of
 // microseconds; S3 operations in the milliseconds), scaled down uniformly so

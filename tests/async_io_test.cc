@@ -94,48 +94,29 @@ class ConcurrencyProbeStore : public ObjectStore {
   std::atomic<std::size_t> peak_{0};
 };
 
-TEST(AsyncObjectIoTest, SingleSubmissionsRoundTrip) {
-  auto store = std::make_shared<MemoryObjectStore>();
-  AsyncObjectIo io(store, AsyncIoConfig::ForTests());
-
-  auto put = io.SubmitPut("k1", MakeData(64, 1));
-  ASSERT_TRUE(put.get().ok());
-
-  auto get = io.SubmitGet("k1");
-  auto got = get.get();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, MakeData(64, 1));
-
-  auto range = io.SubmitGetRange("k1", 8, 16);
-  auto part = range.get();
-  ASSERT_TRUE(part.ok());
-  EXPECT_EQ(part->size(), 16u);
-  EXPECT_EQ((*part)[0], MakeData(64, 1)[8]);
-
-  auto del = io.SubmitDelete("k1");
-  ASSERT_TRUE(del.get().ok());
-  EXPECT_EQ(io.SubmitGet("k1").get().code(), Errc::kNoEnt);
-}
-
 TEST(AsyncObjectIoTest, MultiGetReturnsPerKeyResults) {
   auto store = std::make_shared<MemoryObjectStore>();
   AsyncObjectIo io(store, AsyncIoConfig::ForTests());
   ASSERT_TRUE(store->Put("a", MakeData(10, 1)).ok());
   ASSERT_TRUE(store->Put("c", MakeData(20, 3)).ok());
 
-  std::vector<BatchGet> gets(3);
+  std::vector<BatchGet> gets(4);
   gets[0].key = "a";
   gets[1].key = "b";  // missing
   gets[2].key = "c";
+  gets[3] = BatchGet{"c", /*ranged=*/true, /*offset=*/8, /*length=*/4};
   auto r = io.MultiGet(std::move(gets));
 
   EXPECT_EQ(r.status.code(), Errc::kNoEnt);  // first error surfaces
-  ASSERT_EQ(r.results.size(), 3u);
+  ASSERT_EQ(r.results.size(), 4u);
   ASSERT_TRUE(r.results[0].ok());
   EXPECT_EQ(*r.results[0], MakeData(10, 1));
   EXPECT_EQ(r.results[1].code(), Errc::kNoEnt);
   ASSERT_TRUE(r.results[2].ok());
   EXPECT_EQ(*r.results[2], MakeData(20, 3));
+  ASSERT_TRUE(r.results[3].ok());
+  const Bytes whole = MakeData(20, 3);
+  EXPECT_EQ(*r.results[3], Bytes(whole.begin() + 8, whole.begin() + 12));
   // Callers with hole semantics can ignore the kNoEnt.
   EXPECT_TRUE(r.FirstErrorIgnoringNoEnt().ok());
 }

@@ -489,10 +489,9 @@ TEST_F(LeaseHaTest, ReleaseFromDeposedLeaderIgnored) {
   // The deposed leader's release arrives late. Its token no longer matches
   // the live lease, so it must not evict the successor.
   ASSERT_TRUE(c1.Release(dir_, old_grant->token).ok());
-  auto leader = c2.LookupLeader(dir_);
-  ASSERT_TRUE(leader.ok());
-  ASSERT_TRUE(leader->has_value());
-  EXPECT_EQ(**leader, "c2");
+  auto probe = MakeClient("probe").Acquire(dir_);
+  ASSERT_TRUE(IsRedirect(probe.status()));
+  EXPECT_EQ(probe.status().detail(), "c2");
 }
 
 TEST_F(LeaseHaTest, LateReleaseAfterReacquireBySameClientIgnored) {
@@ -508,16 +507,16 @@ TEST_F(LeaseHaTest, LateReleaseAfterReacquireBySameClientIgnored) {
 
   // A delayed release from the first tenure must not kill the second.
   ASSERT_TRUE(c1.Release(dir_, first->token).ok());
-  auto leader = c1.LookupLeader(dir_);
-  ASSERT_TRUE(leader.ok());
-  ASSERT_TRUE(leader->has_value());
-  EXPECT_EQ(**leader, "c1");
+  auto probe = MakeClient("probe");
+  auto redirected = probe.Acquire(dir_);
+  ASSERT_TRUE(IsRedirect(redirected.status()));
+  EXPECT_EQ(redirected.status().detail(), "c1");
 
-  // The live token does release it.
+  // The live token does release it: no one leads, so the probe is granted.
   ASSERT_TRUE(c1.Release(dir_, second->token).ok());
-  leader = c1.LookupLeader(dir_);
-  ASSERT_TRUE(leader.ok());
-  EXPECT_FALSE(leader->has_value());
+  auto granted = probe.Acquire(dir_);
+  ASSERT_TRUE(granted.ok());
+  EXPECT_EQ(granted->prev_leader, "c1");
 }
 
 TEST_F(LeaseHaTest, DoubleAcquireAcrossExpiryLeavesOneLiveLease) {

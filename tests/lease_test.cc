@@ -114,18 +114,6 @@ TEST_F(LeaseTest, IndependentDirectoriesIndependentLeases) {
   EXPECT_EQ(manager_->ActiveLeaseCount(), 2u);
 }
 
-TEST_F(LeaseTest, LookupReportsLeader) {
-  auto c1 = MakeClient("c1");
-  auto before = c1.LookupLeader(dir_);
-  ASSERT_TRUE(before.ok());
-  EXPECT_FALSE(before->has_value());
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
-  auto after = c1.LookupLeader(dir_);
-  ASSERT_TRUE(after.ok());
-  ASSERT_TRUE(after->has_value());
-  EXPECT_EQ(**after, "c1");
-}
-
 TEST_F(LeaseTest, RecoveryFencesAcquisition) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
@@ -346,6 +334,40 @@ TEST(LeaseQosTest, ManagerAdmissionShedsInBandAsWait) {
   manager.Stop();
 }
 
+// Only acquires that grant or extend a lease are charged: a redirect is
+// free (the op behind it is charged by the leader that serves it), so an
+// over-rate tenant still learns who leads the directory.
+TEST(LeaseQosTest, ManagerAdmissionDoesNotChargeRedirects) {
+  auto fabric = std::make_shared<rpc::Fabric>(sim::NetworkProfile::Instant());
+  qos::TenantMetrics metrics;
+  qos::AdmissionConfig ac;
+  ac.enabled = true;
+  ac.tenants[5] = qos::TenantRate{1.0, 1.0};  // one token, 1/s refill
+  qos::AdmissionController admission(ac, &metrics);
+  LeaseManagerConfig config = LeaseManagerConfig::ForTests();
+  config.admission = &admission;
+  LeaseManager manager(fabric, std::make_shared<MemoryObjectStore>(), config);
+  ASSERT_TRUE(manager.Start().ok());
+
+  AcquireRequest lead;
+  lead.dir_ino = DeterministicUuid(3, 3);
+  lead.client = "c1";
+  lead.tenant = 5;
+  ASSERT_EQ(manager.Acquire(lead).outcome, AcquireOutcome::kGranted);
+  const std::uint64_t shed_before = metrics.For(5).shed.value();
+
+  AcquireRequest probe = lead;  // bucket of tenant 5 now empty
+  probe.client = "c2";
+  AcquireResponse redirected = manager.Acquire(probe);
+  EXPECT_EQ(redirected.outcome, AcquireOutcome::kRedirect);
+  EXPECT_EQ(redirected.leader, "c1");
+  EXPECT_EQ(metrics.For(5).shed.value(), shed_before);
+
+  // The bucket was empty all along: the leader's own renewal is shed.
+  EXPECT_EQ(manager.Acquire(lead).outcome, AcquireOutcome::kWait);
+  manager.Stop();
+}
+
 TEST(LeaseWireTest, AcquireResponseRejectsUnknownOutcome) {
   AcquireResponse resp;
   resp.outcome = AcquireOutcome::kNotActive;
@@ -371,16 +393,6 @@ TEST(LeaseWireTest, RecoveryRequestCodec) {
   req.client = "client-2";
   req.phase = RecoveryPhase::kEnd;
   ExpectStrictCodec(req);
-}
-
-TEST(LeaseWireTest, LookupCodecs) {
-  LookupRequest req;
-  req.dir_ino = DeterministicUuid(9, 3);
-  ExpectStrictCodec(req);
-  LookupResponse resp;
-  resp.has_leader = true;
-  resp.leader = "c9";
-  ExpectStrictCodec(resp);
 }
 
 TEST(LeaseWireTest, PingCodecs) {

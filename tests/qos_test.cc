@@ -114,7 +114,7 @@ TEST(AdmissionTest, BucketEmptiesAndRejectsWithHint) {
 
 TEST(AdmissionTest, UnlimitedDefaultNeverRejects) {
   AdmissionConfig config;
-  config.enabled = true;  // default_rate rate 0 = unlimited
+  config.enabled = true;  // a tenant without an entry is unlimited
   AdmissionController admission(config, nullptr);
   for (int i = 0; i < 1000; ++i) ASSERT_TRUE(admission.Admit(1).ok());
 }

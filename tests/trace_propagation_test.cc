@@ -260,5 +260,38 @@ TEST(TenantPropagationTest, TenantReachesTheServingLeaderAdmission) {
   EXPECT_EQ(snap.counter("tenant.9.shed"), 0u);
 }
 
+// A forwarded op is admitted once, by the leader that serves it: the
+// peer's lease acquire that only redirects it to that leader is free.
+TEST(TenantPropagationTest, ForwardedOpIsAdmittedOnce) {
+  obs::MetricsRegistry registry;
+  auto store = std::make_shared<MemoryObjectStore>();
+  ArkFsClusterOptions opts = ArkFsClusterOptions::ForTests();
+  opts.client_template.metrics = &registry;
+  opts.admission.enabled = true;  // unlimited default rate: admit and count
+  // Leases outlast the run, so the peer never takes a directory over.
+  opts.lease.lease_period = Seconds(10);
+  auto cluster = ArkFsCluster::Create(store, opts).value();
+  const UserCred root = UserCred::Root();
+
+  auto leader = cluster->AddClient("leader", /*tenant=*/3).value();
+  ASSERT_TRUE(leader->Mkdir("/t", 0755, root).ok());
+  ASSERT_TRUE(leader->WriteFileAt("/t/file", AsBytes("x"), root).ok());
+  auto peer = cluster->AddClient("peer", /*tenant=*/9).value();
+  ASSERT_TRUE(peer->Mkdir("/t/warm", 0755, root).ok());
+
+  const std::uint64_t admitted_before =
+      registry.Snapshot().counter("tenant.9.admitted");
+  const std::uint64_t forwarded_before = peer->stats().forwarded_ops;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(peer->Mkdir("/t/d" + std::to_string(i), 0755, root).ok());
+  }
+  const std::uint64_t forwarded =
+      peer->stats().forwarded_ops - forwarded_before;
+  EXPECT_GE(forwarded, 8u);
+  EXPECT_EQ(registry.Snapshot().counter("tenant.9.admitted") - admitted_before,
+            forwarded);
+  EXPECT_EQ(peer->stats().lease_acquires, 0u);
+}
+
 }  // namespace
 }  // namespace arkfs

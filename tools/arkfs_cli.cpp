@@ -259,9 +259,7 @@ int main(int argc, char** argv) {
   }
   if (want_tiered || (!want_ec && !replica_forced && evidence.tier_records)) {
     options.placement = DataPlacement::kTiered;
-    // An operator-driven pass should not be rate-limited; `tier demote`
-    // additionally ignores idle clocks and pushes everything down.
-    options.migrate.objects_per_sec = 0;
+    // `tier demote` ignores idle clocks and pushes everything down.
     if (command == "tier" && tier_sub == "demote") {
       options.migrate.demote_after = Nanos(0);
     }

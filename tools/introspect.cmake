@@ -1,7 +1,9 @@
 # The CLI renders the typed introspection report: on a fresh disk image,
 # `introspect` prints every section (with at least one span and a journal
 # counter), `tier demote` then `tier status` show a demotion and a
-# cold-resident key, and `scrub` prints the ec.* slice.
+# cold-resident key, `tier migrate` runs and counts one pass (nothing
+# migrates in the background, so an operator's pass is how migration runs),
+# and `scrub` prints the ec.* slice.
 #
 #   cmake -DCLI=<path to arkfs_cli> -DDIR=<scratch dir> -P introspect.cmake
 file(REMOVE_RECURSE "${DIR}")
@@ -45,6 +47,9 @@ cli(tiered "${tiered}" tier demote)
 expect("counter tier\\.demotions [0-9]+\n")
 cli(tiered "${tiered}" tier status)
 expect(" cold_keys=[1-9][0-9]* ")
+cli(tiered "${tiered}" tier migrate)
+expect("tier migrate: ")
+expect("counter tier\\.migrate\\.passes [1-9]")
 
 set(ec ARKFS_PLACEMENT=ec)
 cli(ec "${ec}" format)
