@@ -244,11 +244,6 @@ int RunShedSmoke() {
   options.client_template.metrics = &registry;
   options.client_template.journal.durability =
       journal::DurabilityMode::kSync;
-  // Few retries: enough for a mix of acked and nacked creates, few enough
-  // that sheds still surface to the application instead of being fully
-  // absorbed by the client's retry loop (which would mask the accounting
-  // this gate audits).
-  options.client_template.op_retries = 4;
   auto cluster = ArkFsCluster::Create(store, options).value();
   const UserCred root = UserCred::Root();
 

@@ -458,6 +458,26 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
     return resp;
   }
 
+  // kCommitDir (fsync / sync) checks the lease under the handle lock but
+  // commits without it, so the journal write does not stall the
+  // directory's other ops. kStale means a successor fenced us and the
+  // commit did not land: drop leadership and fail the fsync, since no retry
+  // could make those records durable now. Like kDelegateFetch below it is
+  // exempt from admission: it only makes already-admitted ops durable.
+  if (req.op == wire::DirOp::kCommitDir) {
+    {
+      std::shared_lock lock(handle->mu);
+      if (Status st = ValidateLeaseLocked(*handle); !st.ok()) {
+        fill_error(st);
+        return resp;
+      }
+    }
+    Status st = journal_->CommitDir(req.dir_ino);
+    if (st.code() == Errc::kStale) HandleDeposed(req.dir_ino);
+    fill_error(st);
+    return resp;
+  }
+
   // Admission control on the serving leader: an over-rate tenant is turned
   // away before any lease or metatable work, with the bucket's retry-after
   // riding in the kAgain detail — RunDirOp's retry loop sleeps exactly that
@@ -552,6 +572,7 @@ wire::DirOpResponse Client::ServeDirOp(const wire::DirOpRequest& req) {
       st = LeaderDelegateFetch(*handle, &resp);
       break;
     case wire::DirOp::kFlushDir:
+    case wire::DirOp::kCommitDir:
       break;  // handled above
   }
   if (st.code() == Errc::kStale && wire::IsMutation(req.op)) {

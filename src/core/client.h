@@ -67,8 +67,6 @@ struct ClientConfig {
   CacheConfig cache;
   journal::JournalConfig journal;
   lease::LeaseClient::Options lease_options;
-  // Forwarding attempts per op (leader crash / lease churn), 20 ms apart.
-  int op_retries = 50;
 
   // Where this client's metric cells attach (propagated into the journal
   // and async-I/O configs when those leave theirs null); null = process
@@ -427,6 +425,9 @@ class Client : public Vfs {
   // else as a remote DirOpRequest. Retries through lease churn.
   Result<wire::DirOpResponse> RunDirOp(const Uuid& dir_ino,
                                        wire::DirOpRequest req);
+  // fsync/sync durability for one directory: commits its running journal
+  // transaction at whichever client leads it (kCommitDir via RunDirOp).
+  Status CommitAtLeader(const Uuid& dir_ino);
 
   // --- path resolution (client_ops.cc) ---
   // Resolves a directory path to its inode, enforcing exec permission on
@@ -453,7 +454,8 @@ class Client : public Vfs {
   void BroadcastFlush(DirHandle& dir, const Uuid& ino,
                       const std::string& except);
 
-  // Fsync body shared by Fsync/Close.
+  // Writes back one open file's cached data and pushes its size to the
+  // parent's leader (Fsync, SyncAll).
   Status FlushOpenFile(OpenFile& of);
 
   const ClientConfig config_;
@@ -474,6 +476,11 @@ class Client : public Vfs {
 
   std::mutex deleg_mu_;
   std::unordered_map<Uuid, DirDelegation> delegations_;
+
+  // Directories this client forwarded a mutation to since its last SyncAll
+  // (their leaders hold the records; SyncAll commits there).
+  std::mutex forwarded_mu_;
+  std::set<Uuid> forwarded_dirs_;
 
   std::mutex fd_mu_;
   std::map<Fd, OpenFile> open_files_;

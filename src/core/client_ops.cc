@@ -42,7 +42,9 @@ Status ApplySetAttr(Inode& inode, const SetAttrRequest& req,
 
 constexpr int kMaxSymlinkDepth = 40;
 
-// Pause between forwarding attempts (leader crash / lease churn).
+// Forwarding attempts per op (leader crash / lease churn), and the pause
+// between them.
+constexpr int kOpRetries = 50;
 constexpr Nanos kOpRetryBackoff = Millis(20);
 
 }  // namespace
@@ -70,7 +72,7 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
   // replaces the fixed backoff for the next attempt (capped so a bogus hint
   // cannot stall the loop).
   Nanos retry_sleep = kOpRetryBackoff;
-  for (int attempt = 0; attempt < config_.op_retries; ++attempt) {
+  for (int attempt = 0; attempt < kOpRetries; ++attempt) {
     if (attempt > 0) {
       SleepFor(retry_sleep);
       retry_sleep = kOpRetryBackoff;
@@ -114,6 +116,11 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
     }
     forwarded_ops_.Add();
     if (IsStatFamily(req.op)) stat_forwarded_.Add();
+    if (wire::IsMutation(req.op)) {
+      // The leader journals it: SyncAll must commit there too.
+      std::lock_guard lock(forwarded_mu_);
+      forwarded_dirs_.insert(dir_ino);
+    }
     auto raw = fabric_->Call(ref->remote, wire::kMethodDirOp, req.Encode());
     if (!raw.ok()) {
       // Leader unreachable (crash): wait for its lease to expire, then the
@@ -521,17 +528,16 @@ Status Client::Fsync(Fd fd) {
     auto it = open_files_.find(fd);
     if (it != open_files_.end()) it->second.size_dirty = false;
   }
-  // Make the parent directory's journal durable (it already is — journal
-  // appends are synchronous — but force the running transaction out so the
-  // size/mtime update commits now).
-  Status st = journal_->CommitDir(snapshot.parent);
-  if (st.code() == Errc::kStale) {
-    // A successor fenced the directory between our append and this commit:
-    // the write was never acked durable, and it is not — drop leadership so
-    // the next op reacquires (and possibly redrives) under the new epoch.
-    HandleDeposed(snapshot.parent);
-  }
-  return st;
+  // The create and size/mtime updates sit in the running transaction of the
+  // parent's LEADER, which may be another client: commit there.
+  return CommitAtLeader(snapshot.parent);
+}
+
+Status Client::CommitAtLeader(const Uuid& dir_ino) {
+  wire::DirOpRequest req;
+  req.op = wire::DirOp::kCommitDir;
+  ARKFS_ASSIGN_OR_RETURN(auto resp, RunDirOp(dir_ino, std::move(req)));
+  return resp.ToStatus();
 }
 
 Result<StatResult> Client::Stat(const std::string& path,
@@ -634,7 +640,7 @@ Status Client::Rename(const std::string& from, const std::string& to,
   // Cross-directory rename: this client must lead both directories (the
   // controlled-environment assumption; EBUSY if another client holds one).
   DirHandlePtr src_handle, dst_handle;
-  for (int attempt = 0; attempt < config_.op_retries; ++attempt) {
+  for (int attempt = 0; attempt < kOpRetries; ++attempt) {
     if (attempt > 0) SleepFor(kOpRetryBackoff);
     auto sref = EnsureDirAccess(src.parent);
     if (!sref.ok()) return sref.status();
@@ -886,7 +892,22 @@ Status Client::SyncAll() {
     for (auto& [_, of] : open_files_) of.size_dirty = false;
   }
   // fsync durability = journaled; checkpointing stays in the background.
-  return journal_->CommitAll();
+  ARKFS_RETURN_IF_ERROR(journal_->CommitAll());
+  // Mutations this client forwarded sit in other leaders' journals.
+  std::set<Uuid> forwarded;
+  {
+    std::lock_guard lock(forwarded_mu_);
+    forwarded.swap(forwarded_dirs_);
+  }
+  Status first = Status::Ok();
+  for (const Uuid& dir : forwarded) {
+    Status st = CommitAtLeader(dir);
+    if (st.ok()) continue;
+    if (first.ok()) first = st;
+    std::lock_guard lock(forwarded_mu_);
+    forwarded_dirs_.insert(dir);  // the next SyncAll tries again
+  }
+  return first;
 }
 
 Status Client::DropCaches() {
@@ -1120,7 +1141,7 @@ Status Client::LeaderRmdir(DirHandle& dir, const std::string& name,
     if (child->leader && child->metatable) {
       empty = child->metatable->empty();
     } else {
-      auto entries = prt_->LoadDentries(d.ino);  // either layout
+      auto entries = prt_->LoadDentries(d.ino);  // manifest, then all shards
       empty = entries.ok() && entries->empty() &&
               !journal_->HasSurvivingJournal(d.ino);
     }

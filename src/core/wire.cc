@@ -73,7 +73,7 @@ Result<DirOpRequest> DirOpRequest::Decode(ByteSpan data) {
   Decoder dec(data);
   DirOpRequest req;
   ARKFS_ASSIGN_OR_RETURN(std::uint8_t op, dec.GetU8());
-  if (op > static_cast<std::uint8_t>(DirOp::kDelegateFetch)) {
+  if (op > static_cast<std::uint8_t>(DirOp::kCommitDir)) {
     return ErrStatus(Errc::kIo, "bad dir op");
   }
   req.op = static_cast<DirOp>(op);

@@ -47,6 +47,8 @@ enum class DirOp : std::uint8_t {
   kFlushDir = 18,     // lease-handoff flush request from the next leader
   kIsEmptyDir = 19,   // used by a remote parent running rmdir
   kDelegateFetch = 20,  // read delegate pulling a versioned metatable slice
+  kCommitDir = 21,    // fsync/sync: commit the directory's running journal
+                      // transaction at its leader
 };
 
 // Ops that change directory state (journaled metatable mutations). A

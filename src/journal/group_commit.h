@@ -26,7 +26,10 @@
 // In every mode, acked-durable ops (fsync/SyncAll returned Ok, or any op in
 // sync mode) are never lost; crash recovery treats a torn group tail
 // exactly like a torn single frame (ParseJournal stops at the first
-// incomplete/corrupt frame — those bytes never committed).
+// incomplete/corrupt frame — those bytes never committed). A forwarded op
+// is journaled by the directory's leader, not by the client that issued
+// it, so fsync commits at that leader (a kCommitDir op), and SyncAll does
+// the same for every directory the client forwarded a mutation to.
 #pragma once
 
 #include <condition_variable>

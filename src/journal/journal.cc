@@ -477,14 +477,6 @@ Status JournalManager::FlushDir(const Uuid& dir_ino) {
   return Checkpoint(dir_ino, *st);
 }
 
-Status JournalManager::FlushAll() {
-  // Per-directory journals are independent, so sync() fans the flushes out
-  // across directories and overlaps their store round trips. RunAll runs
-  // every task even after a failure (first-error-wins, not abort-on-first):
-  // one bad directory must not leave the rest of the namespace unsynced.
-  return ForEachDir([this](const Uuid& ino) { return FlushDir(ino); });
-}
-
 Status JournalManager::CommitAll() {
   return ForEachDir([this](const Uuid& ino) { return CommitDir(ino); });
 }
@@ -496,9 +488,13 @@ JournalManager::SnapshotDirs() {
 }
 
 Status JournalManager::ForEachDir(std::function<Status(const Uuid&)> op) {
-  // The returned Status is first-error-wins; the per-directory failure
-  // COUNT is only visible through the journal.flush.errors counter, so bump
-  // it for every failing directory here.
+  // Per-directory journals are independent, so the work fans out across
+  // directories and overlaps their store round trips. RunAll runs every
+  // task even after a failure (first-error-wins, not abort-on-first): one
+  // bad directory must not leave the rest of the namespace unsynced. The
+  // per-directory failure COUNT is only visible through the
+  // journal.flush.errors counter, so bump it for every failing directory
+  // here.
   std::vector<std::function<Status()>> tasks;
   for (const auto& [ino, st] : SnapshotDirs()) {
     tasks.push_back([this, &op, ino = ino] {
@@ -507,11 +503,6 @@ Status JournalManager::ForEachDir(std::function<Status(const Uuid&)> op) {
       return s;
     });
   }
-  return FanOut(std::move(tasks));
-}
-
-Status JournalManager::FanOut(std::vector<std::function<Status()>> tasks) {
-  if (tasks.size() == 1) return tasks[0]();
   return prt_->async().RunAll(std::move(tasks));
 }
 
@@ -1102,7 +1093,7 @@ void JournalManager::FlusherMain() {
     metrics_.group_flushes.Add();
     metrics_.group_flushed_txns.Add(round.size());
     const TimePoint t0 = Now();
-    const Status first = FanOut(std::move(round));
+    const Status first = prt_->async().RunAll(std::move(round));
     op_latencies_.Record("group_flush", Now() - t0);
     // Store trouble: the failed directories' records were unwound onto
     // their running queues, still due, so the next AwaitDirty returns at

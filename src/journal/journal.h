@@ -108,7 +108,7 @@ struct JournalMetrics {
   obs::Counter fence_checks;
   obs::Counter fence_rejections;
   obs::Counter fence_violations;
-  // Per-directory failures inside CommitAll/FlushAll/flusher fan-outs. The
+  // Per-directory failures inside CommitAll and flusher fan-outs. The
   // Status those calls return is first-error-wins; this counter makes every
   // failing directory visible to Introspect.
   obs::Counter flush_errors;
@@ -206,7 +206,6 @@ class JournalManager {
   // Commit + checkpoint everything pending for the directory (fsync path,
   // lease handoff).
   Status FlushDir(const Uuid& dir_ino);
-  Status FlushAll();
 
   // Durability-only flush: CommitDir for every directory, without an inline
   // checkpoint. This is what fsync()/sync() need — journaled state is
@@ -362,9 +361,6 @@ class JournalManager {
   // Runs `op` against every registered directory, fanned out through the
   // async layer (first-error-wins; every directory is attempted).
   Status ForEachDir(std::function<Status(const Uuid&)> op);
-  // Runs every task — inline when there is only one, else overlapped
-  // through the async layer (first-error-wins; every task is attempted).
-  Status FanOut(std::vector<std::function<Status()>> tasks);
 
   void CheckpointThreadMain(int index);
   // The one background commit loop, in every mode: commits every directory

@@ -79,12 +79,10 @@ Result<LeaseClient::Grant> LeaseClient::Acquire(const Uuid& dir_ino,
                                                 Delegation* deleg) {
   obs::Span span("lease.acquire");
   AcquireRequest req{dir_ino, self_};
-  const obs::TraceContext ctx = obs::CurrentContext();
-  req.trace_id = ctx.trace_id;
-  req.parent_span = ctx.parent_span;
   req.want_delegation = opts.want_delegation;
   req.watermark = opts.watermark;
-  req.tenant = ctx.tenant;  // QoS identity rides with the trace context
+  // QoS identity rides with the trace context.
+  req.tenant = obs::CurrentContext().tenant;
   const Bytes payload = req.Encode();
   Nanos backoff = options_.initial_backoff;
   const TimePoint deadline = Now() + options_.wait_budget;
@@ -138,27 +136,18 @@ Result<LeaseClient::Grant> LeaseClient::Acquire(const Uuid& dir_ino,
 Status LeaseClient::Release(const Uuid& dir_ino, const FenceToken& token) {
   obs::Span span("lease.release");
   ReleaseRequest req{dir_ino, self_, token};
-  const obs::TraceContext ctx = obs::CurrentContext();
-  req.trace_id = ctx.trace_id;
-  req.parent_span = ctx.parent_span;
   return CallManager(kMethodRelease, req.Encode()).status();
 }
 
 Status LeaseClient::BeginRecovery(const Uuid& dir_ino) {
   obs::Span span("lease.recovery.begin");
   RecoveryRequest req{dir_ino, self_, RecoveryPhase::kBegin};
-  const obs::TraceContext ctx = obs::CurrentContext();
-  req.trace_id = ctx.trace_id;
-  req.parent_span = ctx.parent_span;
   return CallManager(kMethodRecovery, req.Encode()).status();
 }
 
 Status LeaseClient::EndRecovery(const Uuid& dir_ino) {
   obs::Span span("lease.recovery.end");
   RecoveryRequest req{dir_ino, self_, RecoveryPhase::kEnd};
-  const obs::TraceContext ctx = obs::CurrentContext();
-  req.trace_id = ctx.trace_id;
-  req.parent_span = ctx.parent_span;
   return CallManager(kMethodRecovery, req.Encode()).status();
 }
 

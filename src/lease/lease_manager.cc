@@ -301,14 +301,8 @@ PingResponse LeaseManager::Ping(const PingRequest& req) {
 }
 
 AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
-  // Wire-configured deployments re-root the handler span under the trace
-  // context carried in the frame; in-process callers keep their ambient
-  // thread-local trace (the fabric dispatches on the caller's thread).
-  std::optional<obs::TraceScope> traced;
-  if (config_.tracer) {
-    traced.emplace(config_.tracer,
-                   obs::TraceContext{req.trace_id, req.parent_span});
-  }
+  // The handler span nests under the caller's ambient trace: the fabric
+  // dispatches on the caller's thread.
   obs::Span span("lease.manager.acquire");
 
   std::lock_guard lock(mu_);
@@ -420,11 +414,6 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
 }
 
 void LeaseManager::Release(const ReleaseRequest& req) {
-  std::optional<obs::TraceScope> traced;
-  if (config_.tracer) {
-    traced.emplace(config_.tracer,
-                   obs::TraceContext{req.trace_id, req.parent_span});
-  }
   obs::Span span("lease.manager.release");
 
   std::lock_guard lock(mu_);
@@ -446,11 +435,6 @@ void LeaseManager::Release(const ReleaseRequest& req) {
 }
 
 Status LeaseManager::Recovery(const RecoveryRequest& req) {
-  std::optional<obs::TraceScope> traced;
-  if (config_.tracer) {
-    traced.emplace(config_.tracer,
-                   obs::TraceContext{req.trace_id, req.parent_span});
-  }
   obs::Span span("lease.manager.recovery");
 
   if (req.phase == RecoveryPhase::kBegin) {

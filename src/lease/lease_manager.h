@@ -86,12 +86,6 @@ struct LeaseManagerConfig {
   // a throttled tenant gets kWait with retry_after_ns — in-band, so it
   // cannot be confused with the standby-redirect kAgain convention.
   qos::AdmissionController* admission = nullptr;
-  // Optional span sink. When set, request handlers record manager-side spans
-  // under the trace context CARRIED IN THE WIRE FRAMES (trace_id/parent_span
-  // next to the fence token) — the cross-host propagation path. When null,
-  // handlers piggyback the caller's ambient thread-local trace, which the
-  // in-process fabric preserves.
-  obs::Tracer* tracer = nullptr;
 
   static LeaseManagerConfig ForTests() {
     LeaseManagerConfig c;

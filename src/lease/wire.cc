@@ -18,8 +18,6 @@ Bytes AcquireRequest::Encode() const {
   Encoder enc(64);
   enc.PutUuid(dir_ino);
   enc.PutString(client);
-  enc.PutU64(trace_id);
-  enc.PutU64(parent_span);
   enc.PutU8(want_delegation ? 1 : 0);
   enc.PutU64(watermark);
   enc.PutU32(tenant);
@@ -31,8 +29,6 @@ Result<AcquireRequest> AcquireRequest::Decode(ByteSpan data) {
   AcquireRequest req;
   ARKFS_ASSIGN_OR_RETURN(req.dir_ino, dec.GetUuid());
   ARKFS_ASSIGN_OR_RETURN(req.client, dec.GetString());
-  ARKFS_ASSIGN_OR_RETURN(req.trace_id, dec.GetU64());
-  ARKFS_ASSIGN_OR_RETURN(req.parent_span, dec.GetU64());
   ARKFS_ASSIGN_OR_RETURN(std::uint8_t want, dec.GetU8());
   if (want > 1) return ErrStatus(Errc::kIo, "bad want_delegation flag");
   req.want_delegation = want != 0;
@@ -89,8 +85,6 @@ Bytes ReleaseRequest::Encode() const {
   enc.PutString(client);
   enc.PutU64(token.epoch);
   enc.PutU64(token.seq);
-  enc.PutU64(trace_id);
-  enc.PutU64(parent_span);
   return std::move(enc).Take();
 }
 
@@ -101,8 +95,6 @@ Result<ReleaseRequest> ReleaseRequest::Decode(ByteSpan data) {
   ARKFS_ASSIGN_OR_RETURN(req.client, dec.GetString());
   ARKFS_ASSIGN_OR_RETURN(req.token.epoch, dec.GetU64());
   ARKFS_ASSIGN_OR_RETURN(req.token.seq, dec.GetU64());
-  ARKFS_ASSIGN_OR_RETURN(req.trace_id, dec.GetU64());
-  ARKFS_ASSIGN_OR_RETURN(req.parent_span, dec.GetU64());
   ARKFS_RETURN_IF_ERROR(RequireDone(dec, "release request"));
   return req;
 }
@@ -112,8 +104,6 @@ Bytes RecoveryRequest::Encode() const {
   enc.PutUuid(dir_ino);
   enc.PutString(client);
   enc.PutU8(static_cast<std::uint8_t>(phase));
-  enc.PutU64(trace_id);
-  enc.PutU64(parent_span);
   return std::move(enc).Take();
 }
 
@@ -127,8 +117,6 @@ Result<RecoveryRequest> RecoveryRequest::Decode(ByteSpan data) {
     return ErrStatus(Errc::kIo, "bad recovery phase");
   }
   req.phase = static_cast<RecoveryPhase>(phase);
-  ARKFS_ASSIGN_OR_RETURN(req.trace_id, dec.GetU64());
-  ARKFS_ASSIGN_OR_RETURN(req.parent_span, dec.GetU64());
   ARKFS_RETURN_IF_ERROR(RequireDone(dec, "recovery request"));
   return req;
 }

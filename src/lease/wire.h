@@ -36,10 +36,6 @@ inline constexpr char kEpochRecordKey[] = "sys.lease-epoch";
 struct AcquireRequest {
   Uuid dir_ino;
   std::string client;  // requester's fabric address (the paper's <ip, port>)
-  // Caller's trace context (obs::TraceContext, 0 = untraced), carried next
-  // to the fencing fields so a grant shows up in the requesting op's trace.
-  std::uint64_t trace_id = 0;
-  std::uint64_t parent_span = 0;
 
   // Read delegations: a non-leader asking to serve reads from a cached
   // metatable slice; a live lease answers kRedirect + a delegation stamped
@@ -114,8 +110,6 @@ struct ReleaseRequest {
   // the live lease is ignored (late release from a deposed leader must not
   // evict the successor).
   FenceToken token;
-  std::uint64_t trace_id = 0;  // caller's trace context, 0 = untraced
-  std::uint64_t parent_span = 0;
 
   Bytes Encode() const;
   static Result<ReleaseRequest> Decode(ByteSpan data);
@@ -127,8 +121,6 @@ struct RecoveryRequest {
   Uuid dir_ino;
   std::string client;
   RecoveryPhase phase = RecoveryPhase::kBegin;
-  std::uint64_t trace_id = 0;  // caller's trace context, 0 = untraced
-  std::uint64_t parent_span = 0;
 
   Bytes Encode() const;
   static Result<RecoveryRequest> Decode(ByteSpan data);

@@ -124,26 +124,39 @@ void AsyncObjectIo::JoinBatch(const std::shared_ptr<Batch>& batch,
   batches_.Add();
 }
 
-MultiGetResult AsyncObjectIo::MultiGet(std::vector<BatchGet> gets) {
-  MultiGetResult out;
-  const std::size_t n = gets.size();
-  out.results.assign(n, Result<Bytes>(ErrStatus(Errc::kIo, "not executed")));
-  if (n == 0) return out;
+void AsyncObjectIo::RunBatch(std::vector<std::function<void()>>& bodies,
+                             bool gated) {
+  const std::size_t n = bodies.size();
+  if (n == 0) return;
+  if (n == 1) {
+    bodies[0]();  // nothing to overlap: run it as a plain call
+    return;
+  }
   const TimePoint start = Now();
   auto batch = std::make_shared<Batch>(n);
   std::vector<OpPtr> ops(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const BatchGet& g = gets[i];
-    Result<Bytes>* slot = &out.results[i];
     ops[i] = std::make_shared<Op>();
     ops[i]->batch = batch;
-    ops[i]->body = [this, &g, slot] {
-      *slot = g.ranged ? store_->GetRange(g.key, g.offset, g.length)
-                       : store_->Get(g.key);
-    };
+    ops[i]->gated = gated;
+    ops[i]->body = std::move(bodies[i]);
     Enqueue(ops[i]);
   }
   JoinBatch(batch, ops, start);
+}
+
+MultiGetResult AsyncObjectIo::MultiGet(std::vector<BatchGet> gets) {
+  MultiGetResult out;
+  const std::size_t n = gets.size();
+  out.results.assign(n, Result<Bytes>(ErrStatus(Errc::kIo, "not executed")));
+  std::vector<std::function<void()>> bodies(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bodies[i] = [this, &g = gets[i], slot = &out.results[i]] {
+      *slot = g.ranged ? store_->GetRange(g.key, g.offset, g.length)
+                       : store_->Get(g.key);
+    };
+  }
+  RunBatch(bodies, /*gated=*/true);
   for (const auto& r : out.results) {
     if (!r.ok()) {
       out.status = r.status();
@@ -157,22 +170,14 @@ MultiOpResult AsyncObjectIo::MultiPut(std::vector<BatchPut> puts) {
   MultiOpResult out;
   const std::size_t n = puts.size();
   out.results.assign(n, Status::Ok());
-  if (n == 0) return out;
-  const TimePoint start = Now();
-  auto batch = std::make_shared<Batch>(n);
-  std::vector<OpPtr> ops(n);
+  std::vector<std::function<void()>> bodies(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const BatchPut& p = puts[i];
-    Status* slot = &out.results[i];
-    ops[i] = std::make_shared<Op>();
-    ops[i]->batch = batch;
-    ops[i]->body = [this, &p, slot] {
+    bodies[i] = [this, &p = puts[i], slot = &out.results[i]] {
       *slot = p.ranged ? store_->PutRange(p.key, p.offset, p.data)
                        : store_->Put(p.key, p.data);
     };
-    Enqueue(ops[i]);
   }
-  JoinBatch(batch, ops, start);
+  RunBatch(bodies, /*gated=*/true);
   out.status = FirstError(out.results, /*ignore_noent=*/false);
   return out;
 }
@@ -181,40 +186,27 @@ MultiOpResult AsyncObjectIo::MultiDelete(std::vector<std::string> keys) {
   MultiOpResult out;
   const std::size_t n = keys.size();
   out.results.assign(n, Status::Ok());
-  if (n == 0) return out;
-  const TimePoint start = Now();
-  auto batch = std::make_shared<Batch>(n);
-  std::vector<OpPtr> ops(n);
+  std::vector<std::function<void()>> bodies(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string& key = keys[i];
-    Status* slot = &out.results[i];
-    ops[i] = std::make_shared<Op>();
-    ops[i]->batch = batch;
-    ops[i]->body = [this, &key, slot] { *slot = store_->Delete(key); };
-    Enqueue(ops[i]);
+    bodies[i] = [this, &key = keys[i], slot = &out.results[i]] {
+      *slot = store_->Delete(key);
+    };
   }
-  JoinBatch(batch, ops, start);
+  RunBatch(bodies, /*gated=*/true);
   out.status = FirstError(out.results, /*ignore_noent=*/false);
   return out;
 }
 
 Status AsyncObjectIo::RunAll(std::vector<std::function<Status()>> tasks) {
   const std::size_t n = tasks.size();
-  if (n == 0) return Status::Ok();
   std::vector<Status> results(n, Status::Ok());
-  const TimePoint start = Now();
-  auto batch = std::make_shared<Batch>(n);
-  std::vector<OpPtr> ops(n);
+  std::vector<std::function<void()>> bodies(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::function<Status()>* fn = &tasks[i];
-    Status* slot = &results[i];
-    ops[i] = std::make_shared<Op>();
-    ops[i]->batch = batch;
-    ops[i]->gated = false;  // compound: its primitives gate themselves
-    ops[i]->body = [fn, slot] { *slot = (*fn)(); };
-    Enqueue(ops[i]);
+    bodies[i] = [fn = &tasks[i], slot = &results[i]] { *slot = (*fn)(); };
   }
-  JoinBatch(batch, ops, start);
+  // Compound closures are not gated: the primitives they issue gate
+  // themselves.
+  RunBatch(bodies, /*gated=*/false);
   return FirstError(results, /*ignore_noent=*/false);
 }
 

@@ -23,6 +23,10 @@
 // concurrently across the whole layer (a real client bounds its outstanding
 // ops the same way); compound closures are not gated themselves — the
 // primitives they issue are.
+//
+// A one-element batch has nothing to overlap, so it runs inline on the
+// calling thread: no queue hop, no in-flight slot, and no asyncio.* count.
+// Callers therefore never special-case a single op; they always batch.
 #pragma once
 
 #include <atomic>
@@ -135,6 +139,10 @@ class AsyncObjectIo {
   };
   using OpPtr = std::shared_ptr<Op>;
 
+  // Runs every body — one inline, more overlapped through the pool — and
+  // returns once all have finished. `gated` bodies count against
+  // max_in_flight.
+  void RunBatch(std::vector<std::function<void()>>& bodies, bool gated);
   void WorkerMain();
   void Execute(const OpPtr& op);
   void Enqueue(const OpPtr& op);

@@ -147,55 +147,21 @@ Status ClusterObjectStore::PutIf(const std::string& key, ByteSpan data,
 
 Status ClusterObjectStore::PutRange(const std::string& key,
                                     std::uint64_t offset, ByteSpan data) {
-  if (!supports_partial_write()) {
-    return EmulatedPutRange(key, offset, data, nullptr);
-  }
   return Write(key, offset, data, nullptr);
 }
 
 Status ClusterObjectStore::PutRangeIf(const std::string& key,
                                       std::uint64_t offset, ByteSpan data,
                                       const WriteGuard& guard) {
-  if (!supports_partial_write()) {
-    return EmulatedPutRange(key, offset, data, &guard);
-  }
   return Write(key, offset, data, &guard);
-}
-
-Status ClusterObjectStore::EmulatedPutRange(const std::string& key,
-                                            std::uint64_t offset,
-                                            ByteSpan data,
-                                            const WriteGuard* guard) {
-  if (!config_.emulate_partial_write) {
-    return ErrStatus(Errc::kNotSup, "cluster profile is whole-object only");
-  }
-  // Read-modify-write emulation (S3 profile): fetch the current object
-  // (absent = empty), zero-fill any gap, splice the range in, and rewrite
-  // the whole object through the normal replicated write. Each call
-  // recomputes from current state, so a retried RMW is idempotent. Get and
-  // the write each take their own fair-queue pass — an emulated partial
-  // write IS two node operations and should queue like them. A guard is
-  // evaluated on the final write, against the object as it is then.
-  Bytes whole;
-  auto current = Get(key);
-  if (current.ok()) {
-    whole = std::move(*current);
-  } else if (current.status().code() != Errc::kNoEnt) {
-    return current.status();
-  }
-  const std::uint64_t end = offset + data.size();
-  if (end > config_.max_object_size) {
-    return ErrStatus(Errc::kInval, "partial write beyond max object size");
-  }
-  if (whole.size() < end) whole.resize(end, 0);
-  std::copy(data.begin(), data.end(),
-            whole.begin() + static_cast<std::ptrdiff_t>(offset));
-  return Write(key, std::nullopt, whole, guard);
 }
 
 Status ClusterObjectStore::Write(const std::string& key,
                                  std::optional<std::uint64_t> offset,
                                  ByteSpan data, const WriteGuard* guard) {
+  if (offset && !supports_partial_write()) {
+    return ErrStatus(Errc::kNotSup, "cluster profile is whole-object only");
+  }
   const auto replicas = ReplicaNodes(key);
   QueueTicket ticket;
   ARKFS_RETURN_IF_ERROR(AdmitToNode(replicas[0], &ticket));

@@ -45,22 +45,11 @@ struct ClusterConfig {
   // Per-tenant shed/queued accounting; null = none. Must outlive the store.
   qos::TenantMetrics* tenant_metrics = nullptr;
 
-  // Emulate PutRange on whole-object-only profiles (S3) as a
-  // read-modify-write: read current object, zero-fill/splice, rewrite
-  // through the normal replicated Put. supports_partial_write() stays false
-  // — the PRT/journal layers still plan around whole objects — but callers
-  // that issue the occasional partial write (and tests) get real bytes
-  // instead of kNotSup. Concurrent RMWs to one key can lose an update;
-  // ArkFS serializes writers per object (file leases), so this mirrors
-  // S3's own read-modify-write reality, not a new hazard.
-  bool emulate_partial_write = false;
-
   static ClusterConfig RadosLike() { return ClusterConfig{}; }
   static ClusterConfig S3Like() {
     ClusterConfig c;
     c.profile = sim::CostProfile::S3Like();
     c.max_object_size = 64ull << 20;  // S3 multipart-part-sized objects
-    c.emulate_partial_write = true;
     return c;
   }
   // No injected latency; used by unit tests that only need placement logic.
@@ -80,6 +69,9 @@ class ClusterObjectStore : public ObjectStore {
   Result<Bytes> GetRange(const std::string& key, std::uint64_t offset,
                          std::uint64_t length) override;
   Status Put(const std::string& key, ByteSpan data) override;
+  // A whole-object profile (S3) answers PutRange and PutRangeIf with
+  // kNotSup, before any node is charged; the PRT rewrites the chunk
+  // instead (Prt::WriteData).
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
   // Guarded writes are evaluated atomically at the primary (one call into
@@ -149,10 +141,6 @@ class ClusterObjectStore : public ObjectStore {
   // The replicated delete behind Delete and DeleteIf; a null guard deletes
   // unconditionally.
   Status Remove(const std::string& key, const WriteGuard* guard);
-  // PutRange on a whole-object profile: read-modify-write through Get and
-  // the (guarded) whole-object Write.
-  Status EmulatedPutRange(const std::string& key, std::uint64_t offset,
-                          ByteSpan data, const WriteGuard* guard);
   void ChargeOp(int node, std::uint64_t payload_bytes, bool data_op);
   // Records that `node` missed a write for `key` while down. chaos_mu_ held.
   void MarkStaleLocked(int node, const std::string& key);

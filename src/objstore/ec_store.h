@@ -144,8 +144,8 @@ class EcStore : public StoreDecorator {
                          std::uint64_t length) override;
   Status Put(const std::string& key, ByteSpan data) override;
   // EC objects are whole-stripe writes; PutRange on an encoded key returns
-  // kNotSup so the PRT falls back to read-modify-write (which re-encodes
-  // the stripe and keeps parity consistent).
+  // kNotSup, and Prt::WriteData rewrites the whole chunk instead (its
+  // read-modify-write re-encodes the stripe and keeps parity consistent).
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
   // Guarded writes and deletes pass through on keys this store does not

@@ -325,8 +325,8 @@ Status TieringStore::PutRange(const std::string& key, std::uint64_t offset,
         (record.ok() && record->pointer &&
          record->pointer->tier == Tier::kCold) ||
         cold_->Head(ColdCopyKey(key)).ok()) {
-      // A partial write never lands next to a cold-resident copy: the PRT
-      // falls back to read-modify-write (whole-object Put) on kNotSup.
+      // A partial write never lands next to a cold-resident copy:
+      // Prt::WriteData rewrites the chunk whole (a Put) on kNotSup.
       return ErrStatus(Errc::kNotSup, "cold-resident object: rewrite whole");
     }
     // Fresh object: the partial write creates it hot.

@@ -144,8 +144,8 @@ class TieringStore : public StoreDecorator {
   Status Put(const std::string& key, ByteSpan data) override;
   // Partial writes land only on an existing hot copy (one PutRangeIf), so a
   // write racing a demotion never plants a truncated hot fragment. A
-  // cold-resident key returns kNotSup; the PRT then falls back to
-  // read-modify-write, which rewrites the whole chunk hot.
+  // cold-resident key returns kNotSup; Prt::WriteData then rewrites the
+  // whole chunk (read-modify-write), which lands it hot.
   Status PutRange(const std::string& key, std::uint64_t offset,
                   ByteSpan data) override;
   // Guarded writes and deletes pass through on keys this store does not

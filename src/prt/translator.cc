@@ -172,58 +172,23 @@ Result<Bytes> Prt::LoadJournal(const Uuid& dir_ino) {
   return store_->Get(JournalKey(dir_ino));
 }
 
-Result<Bytes> Prt::ReadData(const Uuid& ino, std::uint64_t offset,
-                            std::uint64_t length, std::uint64_t file_size) {
-  if (offset >= file_size) return Bytes{};
-  length = std::min(length, file_size - offset);
-  Bytes out(length, 0);
-
-  // Plan the per-chunk pieces up front; a single-chunk read goes straight to
-  // the store, multi-chunk reads fan out as one batch so independent chunk
-  // GETs overlap their round trips.
-  struct Piece {
-    std::uint64_t done;  // destination offset in `out`
-    std::uint64_t n;
-  };
-  std::vector<Piece> pieces;
-  std::vector<BatchGet> gets;
+std::vector<Prt::ChunkPiece> Prt::SliceChunks(std::uint64_t offset,
+                                              std::uint64_t length) const {
+  std::vector<ChunkPiece> pieces;
   std::uint64_t done = 0;
   while (done < length) {
     const std::uint64_t pos = offset + done;
-    const std::uint64_t chunk = pos / chunk_size_;
     const std::uint64_t in_chunk = pos % chunk_size_;
     const std::uint64_t n = std::min(length - done, chunk_size_ - in_chunk);
-    BatchGet g;
-    g.key = DataKey(ino, chunk);
-    g.ranged = true;
-    g.offset = in_chunk;
-    g.length = n;
-    gets.push_back(std::move(g));
-    pieces.push_back({done, n});
+    pieces.push_back({pos / chunk_size_, in_chunk, done, n});
     done += n;
   }
+  return pieces;
+}
 
-  if (gets.size() == 1) {
-    auto part = store_->GetRange(gets[0].key, gets[0].offset, gets[0].length);
-    if (!part.ok()) {
-      if (part.code() == Errc::kNoEnt) return out;  // hole: stays zero
-      return part.status();
-    }
-    std::memcpy(out.data() + pieces[0].done, part->data(), part->size());
-    return out;
-  }
-
-  auto mg = async_->MultiGet(std::move(gets));
-  for (std::size_t i = 0; i < mg.results.size(); ++i) {
-    auto& part = mg.results[i];
-    if (!part.ok()) {
-      if (part.code() == Errc::kNoEnt) continue;  // hole: stays zero
-      return part.status();
-    }
-    // Short chunk (sparse tail within the chunk) also reads as zeros.
-    std::memcpy(out.data() + pieces[i].done, part->data(), part->size());
-  }
-  return out;
+Result<Bytes> Prt::ReadData(const Uuid& ino, std::uint64_t offset,
+                            std::uint64_t length, std::uint64_t file_size) {
+  return std::move(MultiReadData(ino, {{offset, length}}, file_size)[0]);
 }
 
 std::vector<Result<Bytes>> Prt::MultiReadData(
@@ -231,125 +196,115 @@ std::vector<Result<Bytes>> Prt::MultiReadData(
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& segments,
     std::uint64_t file_size) {
   // Flatten all segments' chunk pieces into one MultiGet, then reassemble.
-  struct Piece {
+  struct Dest {
     std::size_t segment;
     std::uint64_t done;  // destination offset within the segment buffer
   };
-  std::vector<Piece> pieces;
+  std::vector<Dest> dests;
   std::vector<BatchGet> gets;
-  std::vector<std::uint64_t> lengths(segments.size(), 0);
+  std::vector<Result<Bytes>> out;
+  out.reserve(segments.size());
   for (std::size_t s = 0; s < segments.size(); ++s) {
-    const std::uint64_t offset = segments[s].first;
-    if (offset >= file_size) continue;  // empty segment
+    const auto [offset, want] = segments[s];
     const std::uint64_t length =
-        std::min(segments[s].second, file_size - offset);
-    lengths[s] = length;
-    std::uint64_t done = 0;
-    while (done < length) {
-      const std::uint64_t pos = offset + done;
-      const std::uint64_t chunk = pos / chunk_size_;
-      const std::uint64_t in_chunk = pos % chunk_size_;
-      const std::uint64_t n = std::min(length - done, chunk_size_ - in_chunk);
+        offset >= file_size ? 0 : std::min(want, file_size - offset);
+    out.emplace_back(Bytes(length, 0));
+    for (const ChunkPiece& p : SliceChunks(offset, length)) {
       BatchGet g;
-      g.key = DataKey(ino, chunk);
+      g.key = DataKey(ino, p.chunk);
       g.ranged = true;
-      g.offset = in_chunk;
-      g.length = n;
+      g.offset = p.in_chunk;
+      g.length = p.n;
       gets.push_back(std::move(g));
-      pieces.push_back({s, done});
-      done += n;
+      dests.push_back({s, p.done});
     }
   }
 
   auto mg = async_->MultiGet(std::move(gets));
-
-  std::vector<Result<Bytes>> out(segments.size(), Result<Bytes>(Bytes{}));
-  for (std::size_t s = 0; s < segments.size(); ++s) {
-    out[s] = Bytes(lengths[s], 0);
-  }
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
+  for (std::size_t i = 0; i < dests.size(); ++i) {
     auto& part = mg.results[i];
-    const Piece& piece = pieces[i];
-    if (!out[piece.segment].ok()) continue;  // already failed
+    const Dest& dest = dests[i];
+    if (!out[dest.segment].ok()) continue;  // already failed
     if (!part.ok()) {
       if (part.code() == Errc::kNoEnt) continue;  // hole: stays zero
-      out[piece.segment] = part.status();
+      out[dest.segment] = part.status();
       continue;
     }
-    std::memcpy(out[piece.segment]->data() + piece.done, part->data(),
+    // A short chunk (sparse tail within the chunk) also reads as zeros.
+    std::memcpy(out[dest.segment]->data() + dest.done, part->data(),
                 part->size());
   }
   return out;
 }
 
+Status Prt::ReadModifyWrite(const std::string& key,
+                            const std::function<bool(Bytes&)>& edit) {
+  std::lock_guard guard(ChunkWriteLock(key));
+  Bytes chunk;
+  auto existing = store_->Get(key);
+  if (existing.ok()) {
+    chunk = std::move(*existing);
+  } else if (existing.code() != Errc::kNoEnt) {
+    return existing.status();
+  }
+  if (!edit(chunk)) return Status::Ok();
+  return store_->Put(key, chunk);
+}
+
+Status Prt::RewriteChunk(const std::string& key, std::uint64_t in_chunk,
+                         ByteSpan span) {
+  if (in_chunk == 0 && span.size() == chunk_size_) {
+    // Full-chunk replacement needs no read, even on a whole-object store.
+    std::lock_guard guard(ChunkWriteLock(key));
+    return store_->Put(key, span);
+  }
+  // Read, patch, rewrite: the write amplification S3-style stores impose on
+  // partial updates.
+  return ReadModifyWrite(key, [&](Bytes& chunk) {
+    const std::uint64_t end = in_chunk + span.size();
+    if (chunk.size() < end) chunk.resize(end, 0);
+    std::memcpy(chunk.data() + in_chunk, span.data(), span.size());
+    return true;
+  });
+}
+
 Status Prt::WriteData(const Uuid& ino, std::uint64_t offset, ByteSpan data) {
-  // Plan per-chunk slices.
-  struct Slice {
-    std::string key;
-    std::uint64_t in_chunk;
-    ByteSpan span;
-  };
-  std::vector<Slice> slices;
-  std::uint64_t done = 0;
-  while (done < data.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t chunk = pos / chunk_size_;
-    const std::uint64_t in_chunk = pos % chunk_size_;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(data.size() - done, chunk_size_ - in_chunk);
-    slices.push_back({DataKey(ino, chunk), in_chunk, data.subspan(done, n)});
-    done += n;
-  }
-  if (slices.empty()) return Status::Ok();
-
-  // Per-chunk store op, identical semantics for every backend capability.
-  auto write_slice = [this](const Slice& s) -> Status {
-    if (store_->supports_partial_write()) {
-      return store_->PutRange(s.key, s.in_chunk, s.span);
-    }
-    std::lock_guard guard(ChunkWriteLock(s.key));
-    if (s.in_chunk == 0 && s.span.size() == chunk_size_) {
-      // Full-chunk replacement needs no read-modify-write even on S3.
-      return store_->Put(s.key, s.span);
-    }
-    // Whole-object-only backend: read, patch, rewrite the chunk. This is
-    // the write amplification S3-style stores impose on partial updates.
-    Bytes chunk_data;
-    auto existing = store_->Get(s.key);
-    if (existing.ok()) {
-      chunk_data = std::move(*existing);
-    } else if (existing.code() != Errc::kNoEnt) {
-      return existing.status();
-    }
-    const std::uint64_t end = s.in_chunk + s.span.size();
-    if (chunk_data.size() < end) chunk_data.resize(end, 0);
-    std::memcpy(chunk_data.data() + s.in_chunk, s.span.data(), s.span.size());
-    return store_->Put(s.key, chunk_data);
-  };
-
-  if (slices.size() == 1) return write_slice(slices[0]);
-
+  const std::vector<ChunkPiece> pieces = SliceChunks(offset, data.size());
+  // Pieces that must be rewritten whole: all of them on a whole-object
+  // store, else those whose ranged write the store refused (kNotSup, e.g. a
+  // cold-resident tiered chunk).
+  std::vector<const ChunkPiece*> rewrite;
   if (store_->supports_partial_write()) {
-    // All slices are single primitive PUT-ranges: one MultiPut batch.
     std::vector<BatchPut> puts;
-    puts.reserve(slices.size());
-    for (const auto& s : slices) {
-      BatchPut p;
-      p.key = s.key;
-      p.data = s.span;
-      p.ranged = true;
-      p.offset = s.in_chunk;
-      puts.push_back(std::move(p));
+    puts.reserve(pieces.size());
+    for (const ChunkPiece& p : pieces) {
+      BatchPut put;
+      put.key = DataKey(ino, p.chunk);
+      put.data = data.subspan(p.done, p.n);
+      put.ranged = true;
+      put.offset = p.in_chunk;
+      puts.push_back(std::move(put));
     }
-    return async_->MultiPut(std::move(puts)).status;
+    auto mp = async_->MultiPut(std::move(puts));
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      const Status& st = mp.results[i];
+      if (st.code() == Errc::kNotSup) {
+        rewrite.push_back(&pieces[i]);
+      } else if (!st.ok()) {
+        return st;
+      }
+    }
+  } else {
+    for (const ChunkPiece& p : pieces) rewrite.push_back(&p);
   }
-
-  // Whole-object backend: boundary chunks need read-modify-write, so run the
-  // per-chunk closures concurrently instead (RMW GET+PUT pairs overlap too).
+  // Rewrites run concurrently: their GET+PUT pairs overlap too.
   std::vector<std::function<Status()>> tasks;
-  tasks.reserve(slices.size());
-  for (const auto& s : slices) {
-    tasks.push_back([&write_slice, &s] { return write_slice(s); });
+  tasks.reserve(rewrite.size());
+  for (const ChunkPiece* p : rewrite) {
+    tasks.push_back([this, &ino, &data, p] {
+      return RewriteChunk(DataKey(ino, p->chunk), p->in_chunk,
+                          data.subspan(p->done, p->n));
+    });
   }
   return async_->RunAll(std::move(tasks));
 }
@@ -359,47 +314,27 @@ Status Prt::TruncateData(const Uuid& ino, std::uint64_t old_size,
   if (new_size >= old_size) return Status::Ok();  // extension = lazy hole
   const std::uint64_t old_chunks = NumChunksFor(old_size);
   const std::uint64_t new_chunks = NumChunksFor(new_size);
-  if (old_chunks > new_chunks) {
-    std::vector<std::string> keys;
-    keys.reserve(old_chunks - new_chunks);
-    for (std::uint64_t c = new_chunks; c < old_chunks; ++c) {
-      keys.push_back(DataKey(ino, c));
-    }
-    if (keys.size() == 1) {
-      Status st = store_->Delete(keys[0]);
-      if (!st.ok() && st.code() != Errc::kNoEnt) return st;
-    } else {
-      ARKFS_RETURN_IF_ERROR(
-          async_->MultiDelete(std::move(keys)).FirstErrorIgnoringNoEnt());
-    }
+  std::vector<std::string> keys;
+  for (std::uint64_t c = new_chunks; c < old_chunks; ++c) {
+    keys.push_back(DataKey(ino, c));
   }
+  ARKFS_RETURN_IF_ERROR(
+      async_->MultiDelete(std::move(keys)).FirstErrorIgnoringNoEnt());
   // Trim the boundary chunk if the new size cuts into it.
-  if (new_chunks > 0 && new_size % chunk_size_ != 0) {
-    const std::uint64_t boundary = new_chunks - 1;
-    const std::uint64_t keep = new_size - boundary * chunk_size_;
-    std::lock_guard guard(ChunkWriteLock(DataKey(ino, boundary)));
-    auto chunk = store_->Get(DataKey(ino, boundary));
-    if (chunk.ok() && chunk->size() > keep) {
-      chunk->resize(keep);
-      ARKFS_RETURN_IF_ERROR(store_->Put(DataKey(ino, boundary), *chunk));
-    } else if (!chunk.ok() && chunk.code() != Errc::kNoEnt) {
-      return chunk.status();
-    }
-  }
-  return Status::Ok();
+  if (new_chunks == 0 || new_size % chunk_size_ == 0) return Status::Ok();
+  const std::uint64_t keep = new_size - (new_chunks - 1) * chunk_size_;
+  return ReadModifyWrite(DataKey(ino, new_chunks - 1), [keep](Bytes& chunk) {
+    if (chunk.size() <= keep) return false;
+    chunk.resize(keep);
+    return true;
+  });
 }
 
 Status Prt::DeleteData(const Uuid& ino, std::uint64_t file_size) {
-  const std::uint64_t chunks = NumChunksFor(file_size);
-  if (chunks == 0) return Status::Ok();
-  if (chunks == 1) {
-    Status st = store_->Delete(DataKey(ino, 0));
-    if (!st.ok() && st.code() != Errc::kNoEnt) return st;
-    return Status::Ok();
-  }
   std::vector<std::string> keys;
-  keys.reserve(chunks);
-  for (std::uint64_t c = 0; c < chunks; ++c) keys.push_back(DataKey(ino, c));
+  for (std::uint64_t c = 0; c < NumChunksFor(file_size); ++c) {
+    keys.push_back(DataKey(ino, c));
+  }
   return async_->MultiDelete(std::move(keys)).FirstErrorIgnoringNoEnt();
 }
 

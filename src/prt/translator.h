@@ -9,11 +9,13 @@
 //    ("The PRT module divides the file data into multiple objects if the
 //    file size exceeds the maximum object size"),
 //  * hides backend capability differences: on a store without partial
-//    writes (S3-style) a sub-chunk write becomes read-modify-write of the
-//    whole chunk — the same amplification S3FS pays for random writes.
+//    writes (S3-style), or for a chunk whose ranged write the store refuses,
+//    a sub-chunk write becomes read-modify-write of the whole chunk — the
+//    same amplification S3FS pays for random writes.
 #pragma once
 
 #include <array>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -88,6 +90,7 @@ class Prt {
 
   // --- File data ---
   // Reads [offset, offset+length) clamped to file_size. Holes read as zeros.
+  // MultiReadData of one segment.
   Result<Bytes> ReadData(const Uuid& ino, std::uint64_t offset,
                          std::uint64_t length, std::uint64_t file_size);
 
@@ -99,7 +102,10 @@ class Prt {
       const Uuid& ino, const std::vector<std::pair<std::uint64_t, std::uint64_t>>& segments,
       std::uint64_t file_size);
 
-  // Writes data at offset, splitting across chunk objects.
+  // Writes data at offset, splitting across chunk objects: one ranged write
+  // per chunk where the store supports them, else a whole-chunk rewrite.
+  // A ranged write the store refuses with kNotSup (a cold-resident tiered
+  // chunk) falls back to the rewrite as well.
   Status WriteData(const Uuid& ino, std::uint64_t offset, ByteSpan data);
 
   // Shrinks/extends file data objects to new_size (drops orphaned chunks and
@@ -120,11 +126,35 @@ class Prt {
   }
 
  private:
-  // On whole-object backends a sub-chunk write is read-modify-write of the
-  // chunk. With batched submissions two callers can now RMW the *same*
-  // chunk concurrently (e.g. cache flush of several entries that share one
-  // chunk), which loses updates; writes to one chunk key must serialize.
-  // Striped so unrelated chunks still overlap.
+  // One chunk's share of a byte range: chunk index, offset inside the
+  // chunk, offset inside the range, and length.
+  struct ChunkPiece {
+    std::uint64_t chunk;
+    std::uint64_t in_chunk;
+    std::uint64_t done;
+    std::uint64_t n;
+  };
+  // The one chunk planner: splits [offset, offset+length) at chunk
+  // boundaries, for reads and writes alike.
+  std::vector<ChunkPiece> SliceChunks(std::uint64_t offset,
+                                      std::uint64_t length) const;
+
+  // The one read-modify-write: under the chunk's write lock, the current
+  // bytes (a missing chunk reads as empty) go through `edit`, and the
+  // chunk is rewritten whole unless `edit` returns false. Serves sub-chunk
+  // writes on whole-object stores, ranged writes a store refuses (kNotSup),
+  // and truncation's boundary trim.
+  Status ReadModifyWrite(const std::string& key,
+                         const std::function<bool(Bytes&)>& edit);
+  // Writes `span` at `in_chunk` by rewriting the whole chunk object: a
+  // plain Put when it covers the chunk, else ReadModifyWrite.
+  Status RewriteChunk(const std::string& key, std::uint64_t in_chunk,
+                      ByteSpan span);
+
+  // Whole-chunk rewrites read and then write the chunk. Two callers can
+  // rewrite the *same* chunk concurrently (e.g. cache flush of several
+  // entries that share one chunk), which loses updates, so rewrites of one
+  // chunk key serialize. Striped so unrelated chunks still overlap.
   std::mutex& ChunkWriteLock(const std::string& key) {
     return chunk_write_mu_[std::hash<std::string>{}(key) % chunk_write_mu_.size()];
   }

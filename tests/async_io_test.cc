@@ -390,6 +390,64 @@ TEST(AsyncObjectIoTest, RunAllAggregatesFirstError) {
   EXPECT_EQ(ran.load(), 8);  // every task still ran
 }
 
+// Records the thread each Get runs on.
+class ThreadRecordingStore : public StoreDecorator {
+ public:
+  using StoreDecorator::StoreDecorator;
+  Result<Bytes> Get(const std::string& key) override {
+    std::lock_guard lock(mu_);
+    threads_.push_back(std::this_thread::get_id());
+    return StoreDecorator::Get(key);
+  }
+  std::vector<std::thread::id> threads() {
+    std::lock_guard lock(mu_);
+    return threads_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+};
+
+// A one-element batch has nothing to overlap: every helper runs it inline
+// on the caller, with no queue hop and no asyncio.* count.
+TEST(AsyncObjectIoTest, SingleOpBatchRunsOnTheCallingThread) {
+  auto store = std::make_shared<ThreadRecordingStore>(
+      std::make_shared<MemoryObjectStore>());
+  obs::MetricsRegistry registry;
+  AsyncIoConfig config = AsyncIoConfig::ForTests();
+  config.metrics = &registry;
+  AsyncObjectIo io(store, config);
+  const auto caller = std::this_thread::get_id();
+
+  std::vector<BatchPut> puts(1);
+  puts[0].key = "one";
+  const Bytes data = MakeData(16, 5);
+  puts[0].data = data;
+  ASSERT_TRUE(io.MultiPut(std::move(puts)).status.ok());
+  std::vector<BatchGet> gets(1);
+  gets[0].key = "one";
+  auto got = io.MultiGet(std::move(gets));
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_EQ(*got.results[0], data);
+  std::thread::id task_thread;
+  std::vector<std::function<Status()>> tasks;
+  tasks.push_back([&task_thread] {
+    task_thread = std::this_thread::get_id();
+    return Status::Ok();
+  });
+  ASSERT_TRUE(io.RunAll(std::move(tasks)).ok());
+  ASSERT_TRUE(io.MultiDelete({"one"}).status.ok());
+
+  EXPECT_EQ(store->threads(), std::vector<std::thread::id>{caller});
+  EXPECT_EQ(task_thread, caller);
+  EXPECT_EQ(store->Get("one").code(), Errc::kNoEnt);
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter("asyncio.batches"), 0u);
+  EXPECT_EQ(snap.counter("asyncio.ops_submitted"), 0u);
+  EXPECT_EQ(snap.gauge("asyncio.peak_in_flight"), 0u);
+}
+
 // Regression: on a whole-object backend a sub-chunk write is read-modify-
 // write of the chunk; concurrent writers hitting disjoint ranges of the
 // SAME chunk (exactly what a batched cache flush does when cache entries

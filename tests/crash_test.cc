@@ -81,6 +81,49 @@ TEST_F(CrashTest, CommittedButNotCheckpointedSurvivesCrash) {
   EXPECT_GT(c2->stats().recoveries, 0u);
 }
 
+TEST_F(CrashTest, ForwardedFsyncSurvivesLeaderCrash) {
+  // Async durability with a long linger: a record commits only when an
+  // fsync or sync asks for it.
+  auto options = ArkFsClusterOptions::ForTests();
+  options.client_template.journal.durability =
+      journal::DurabilityMode::kAsync;
+  options.client_template.journal.commit_interval = Seconds(5);
+  cluster_.reset();
+  cluster_ = ArkFsCluster::Create(store_, options).value();
+
+  auto leader = cluster_->AddClient("leader").value();
+  ASSERT_TRUE(leader->Mkdir("/d", 0755, root_).ok());
+  ASSERT_TRUE(leader->SyncAll().ok());
+  ASSERT_TRUE(leader->ReadDir("/d", root_).ok());  // leader now leads /d
+
+  // Another client's create, write and fsync: every /d mutation is
+  // forwarded to the leader and sits in the leader's journal.
+  auto writer = cluster_->AddClient("writer").value();
+  OpenOptions create;
+  create.write = true;
+  create.create = true;
+  auto fd = writer->Open("/d/f", create, root_);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(writer->Write(*fd, 0, AsBytes("data")).ok());
+  ASSERT_TRUE(writer->Fsync(*fd).ok());
+  ASSERT_TRUE(writer->Close(*fd).ok());
+  EXPECT_GT(writer->stats().forwarded_ops, 0u);
+  // SyncAll commits at the leader of every directory it forwarded to.
+  ASSERT_TRUE(writer->WriteFileAt("/d/g", AsBytes("synced"), root_).ok());
+  ASSERT_TRUE(writer->SyncAll().ok());
+
+  leader->CrashHard();
+  SleepFor(LeasePeriod() + Millis(100));
+  auto reader = cluster_->AddClient("reader").value();
+  auto st = reader->Stat("/d/f", root_);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  EXPECT_EQ(st->size, 4u);
+  EXPECT_EQ(ToString(*reader->ReadWholeFile("/d/f", root_)), "data");
+  auto synced = reader->ReadWholeFile("/d/g", root_);
+  ASSERT_TRUE(synced.ok()) << synced.status().ToString();
+  EXPECT_EQ(ToString(*synced), "synced");
+}
+
 TEST_F(CrashTest, UnsyncedDataIsLostButFsConsistent) {
   auto c1 = cluster_->AddClient("crasher").value();
   ASSERT_TRUE(c1->Mkdir("/d", 0755, root_).ok());

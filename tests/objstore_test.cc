@@ -40,10 +40,9 @@ ObjectStorePtr MakeStore(Backend backend, const std::string& tag) {
       return std::make_shared<ClusterObjectStore>(ClusterConfig::Instant(4));
     case Backend::kClusterS3Semantics: {
       ClusterConfig c = ClusterConfig::Instant(4);
+      // Like ClusterConfig::S3Like(): whole-object semantics, so PutRange
+      // answers kNotSup (the PRT rewrites whole chunks on this backend).
       c.profile.supports_partial_write = false;
-      // Like ClusterConfig::S3Like(): whole-object semantics at the node
-      // stores, PutRange served by read-modify-write emulation.
-      c.emulate_partial_write = true;
       return std::make_shared<ClusterObjectStore>(c);
     }
   }
@@ -115,10 +114,10 @@ TEST_P(StoreContractTest, PartialWriteOrNotSup) {
   ASSERT_TRUE(store_->Put("k", ToBytes("AAAAAAAA")).ok());
   Status st = store_->PutRange("k", 2, AsBytes("bb"));
   if (st.code() == Errc::kNotSup) {
-    // kNotSup is only legitimate when the backend neither supports partial
-    // writes natively nor emulates them; no stock backend is configured
-    // that way any more (S3 semantics emulate via read-modify-write).
+    // kNotSup is only legitimate on a whole-object backend (S3 semantics),
+    // and it leaves the object as it was.
     EXPECT_FALSE(store_->supports_partial_write());
+    EXPECT_EQ(ToString(store_->Get("k").value()), "AAAAAAAA");
     return;
   }
   ASSERT_TRUE(st.ok());
@@ -129,9 +128,13 @@ TEST_P(StoreContractTest, PartialWriteOrNotSup) {
 }
 
 TEST_P(StoreContractTest, PartialWriteCreatesAndZeroFills) {
-  // Every stock backend serves PutRange — natively, or (S3 semantics)
-  // through the cluster store's read-modify-write emulation — so the old
-  // reasoned skip for whole-object profiles is a real assertion now.
+  if (!store_->supports_partial_write()) {
+    // A whole-object backend refuses the ranged write and creates nothing.
+    EXPECT_EQ(store_->PutRange("new", 4, AsBytes("xy")).code(),
+              Errc::kNotSup);
+    EXPECT_EQ(store_->Head("new").code(), Errc::kNoEnt);
+    return;
+  }
   ASSERT_TRUE(store_->PutRange("new", 4, AsBytes("xy")).ok());
   auto got = store_->Get("new");
   ASSERT_TRUE(got.ok());
@@ -215,6 +218,14 @@ TEST_P(StoreContractTest, CreateOnlyGuardLandsOnlyOnAnAbsentObject) {
 TEST_P(StoreContractTest, GuardedPutRangeAppliesOnlyOnMatch) {
   ASSERT_TRUE(store_->Put("g", ToBytes("HDR:ab")).ok());
   const Bytes hdr = ToBytes("HDR:");
+  if (!store_->supports_partial_write()) {
+    // A whole-object backend refuses even a matching guarded range write.
+    EXPECT_EQ(
+        store_->PutRangeIf("g", 6, AsBytes("cd"), WriteGuard{0, hdr}).code(),
+        Errc::kNotSup);
+    EXPECT_EQ(ToString(store_->Get("g").value()), "HDR:ab");
+    return;
+  }
   ASSERT_TRUE(
       store_->PutRangeIf("g", 6, AsBytes("cd"), WriteGuard{0, hdr}).ok());
   EXPECT_EQ(ToString(store_->Get("g").value()), "HDR:abcd");

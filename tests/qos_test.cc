@@ -426,24 +426,5 @@ TEST(ClusterStoreQosTest, ConcurrentTenantsAllSucceedUnderWfq) {
   }
 }
 
-TEST(ClusterStoreQosTest, EmulatedPartialWritePassesThroughTheQueue) {
-  ClusterConfig config = ClusterConfig::S3Like();
-  config.num_nodes = 2;
-  config.profile = sim::CostProfile::Instant();
-  config.profile.supports_partial_write = false;  // keep S3 semantics
-  config.fair_queue.enabled = true;
-  config.fair_queue.service_slots = 1;
-  ClusterObjectStore store(config);
-  ASSERT_FALSE(store.supports_partial_write());
-
-  ASSERT_TRUE(store.Put("obj", AsBytes("AAAA")).ok());
-  // RMW emulation re-enters Get+Put; each leg takes and releases the node
-  // queue on its own — no self-deadlock, real bytes at the end.
-  ASSERT_TRUE(store.PutRange("obj", 2, AsBytes("bb")).ok());
-  auto got = store.Get("obj");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(std::string(got->begin(), got->end()), "AAbb");
-}
-
 }  // namespace
 }  // namespace arkfs::qos

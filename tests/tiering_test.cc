@@ -15,6 +15,8 @@
 #include "objstore/retrying_store.h"
 #include "objstore/stack_builder.h"
 #include "objstore/tiering_store.h"
+#include "prt/key_schema.h"
+#include "prt/translator.h"
 
 namespace arkfs {
 namespace {
@@ -1063,6 +1065,49 @@ TEST(TieringOutageTest, OverwriteOfDemotedKeyNeverServesStaleCold) {
   auto got = restarted.Get(key);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, v2);
+}
+
+// --- PRT writes over a demoted chunk ---
+//
+// The tiering store refuses a ranged write to a cold-resident chunk
+// (kNotSup); the PRT must then rewrite the chunk whole instead of failing
+// the write.
+
+TEST(TieringPrtTest, OverwriteOfDemotedChunkFallsBackToRewrite) {
+  TieringOptions topts;
+  topts.should_tier = IsDataKey;
+  auto built = objstore::StackBuilder()
+                   .Cluster(ClusterConfig::Instant(8))
+                   .Tiering(topts, MigratorOptions{})
+                   .Build();
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE(built->store->supports_partial_write());
+  constexpr std::uint64_t kChunk = 4096;
+  Prt prt(built->store, kChunk, AsyncIoConfig::ForTests());
+  const Uuid ino = NewUuid();
+  Bytes expected = Payload(21, 2 * kChunk);
+  ASSERT_TRUE(prt.WriteData(ino, 0, expected).ok());
+  ASSERT_TRUE(built->tiering->DemoteObject(DataKey(ino, 0)).ok());
+  ASSERT_EQ(built->store->PutRange(DataKey(ino, 0), 100, AsBytes("x")).code(),
+            Errc::kNotSup);
+
+  // A 4-byte overwrite inside the cold chunk.
+  const Bytes small = Payload(22, 4);
+  ASSERT_TRUE(prt.WriteData(ino, 100, small).ok());
+  std::copy(small.begin(), small.end(), expected.begin() + 100);
+  auto read = prt.ReadData(ino, 0, 2 * kChunk, 2 * kChunk);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, expected);
+
+  // A write across a cold chunk and a hot one: one batch of ranged writes,
+  // with only the refused piece rewritten.
+  ASSERT_TRUE(built->tiering->DemoteObject(DataKey(ino, 0)).ok());
+  const Bytes span = Payload(23, 200);
+  ASSERT_TRUE(prt.WriteData(ino, kChunk - 100, span).ok());
+  std::copy(span.begin(), span.end(), expected.begin() + kChunk - 100);
+  read = prt.ReadData(ino, 0, 2 * kChunk, 2 * kChunk);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, expected);
 }
 
 // --- StackBuilder: the one canonical assembly path ---
