@@ -648,9 +648,9 @@ void RunLeaseFailoverSection() {
   for (int i = 0; i < kSteady; ++i) {
     const Uuid dir = DeterministicUuid(9, static_cast<std::uint64_t>(i));
     const TimePoint t0 = Now();
-    auto g = lc.Acquire(dir);
+    auto g = lease::GrantOf(lc.Acquire(dir));
     lat.Record("acquire steady", Now() - t0);
-    if (g.ok()) (void)lc.Release(dir, g->token);
+    if (g) (void)lc.Release(dir, g->token);
   }
 
   const Nanos lease = cluster->lease_manager().config().lease_period;
@@ -661,9 +661,9 @@ void RunLeaseFailoverSection() {
   for (std::uint64_t i = 0; Now() < window_end; ++i) {
     const Uuid dir = DeterministicUuid(10, i);
     const TimePoint t0 = Now();
-    auto g = lc.Acquire(dir);
+    auto g = lease::GrantOf(lc.Acquire(dir));
     lat.Record("acquire failover", Now() - t0);
-    if (g.ok()) {
+    if (g) {
       (void)lc.Release(dir, g->token);
     } else {
       ++failures;

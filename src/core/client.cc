@@ -63,6 +63,7 @@ Client::Client(ObjectStorePtr store, rpc::FabricPtr fabric,
   deleg_misses_.Attach(config_.metrics, "client.deleg.misses");
   deleg_refetches_.Attach(config_.metrics, "client.deleg.refetches");
   deleg_invalidations_.Attach(config_.metrics, "client.deleg.invalidations");
+  leader_hint_stale_.Attach(config_.metrics, "client.leader_hint.stale");
   prt_ = std::make_shared<Prt>(store_, config_.chunk_size, config_.async);
   lease_ = std::make_unique<lease::LeaseClient>(fabric_, config_.address,
                                                 config_.lease_options);
@@ -169,10 +170,16 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
   lease::LeaseClient::AcquireOptions opts;
   opts.want_delegation = config_.read_delegations;
   opts.watermark = journal_->Watermark(dir_ino);
-  lease::LeaseClient::Delegation deleg;
-  auto grant = lease_->Acquire(dir_ino, opts, &deleg);
-  if (grant.ok()) {
+  auto answer = lease_->Acquire(dir_ino, opts);
+  if (auto redirect = lease::RedirectOf(answer)) {
+    lease_redirects_.Add();
+    AdoptRedirect(dir_ino, *redirect);
+    return DirRef{nullptr, std::move(redirect->leader)};
+  }
+  if (auto grant = lease::GrantOf(answer)) {
     lease_acquires_.Add();
+    // We lead now: a hint or delegation naming a remote leader is void.
+    ForgetRemoteDir(dir_ino);
     std::lock_guard grant_lock(handle->grant_mu);
     // Leadership changes hands (the manager names a previous leader only on
     // a non-fresh grant): ask the predecessor to flush its pending journal
@@ -208,14 +215,7 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
     handle->lame_duck = false;
     return DirRef{handle, {}};
   }
-  if (lease::IsRedirect(grant.status())) {
-    lease_redirects_.Add();
-    if (deleg.granted) {
-      DelegAdopt(dir_ino, grant.status().detail(), deleg);
-    }
-    return DirRef{nullptr, grant.status().detail()};
-  }
-  if (grant.code() == Errc::kTimedOut || grant.code() == Errc::kBusy) {
+  if (answer.code() == Errc::kTimedOut || answer.code() == Errc::kBusy) {
     // Renewal failed outright (manager unreachable/overloaded) but our
     // current lease has not expired: degrade to lame duck instead of
     // failing the whole op. Reads stay served from the metatable; ServeDirOp
@@ -234,7 +234,7 @@ Result<Client::DirRef> Client::EnsureDirAccess(const Uuid& dir_ino) {
       return DirRef{handle, {}};
     }
   }
-  return grant.status();
+  return answer.status();
 }
 
 Status Client::BecomeLeader(const DirHandlePtr& handle,
@@ -616,6 +616,7 @@ ClientStats Client::stats() const {
   s.deleg_misses = deleg_misses_.value();
   s.deleg_refetches = deleg_refetches_.value();
   s.deleg_invalidations = deleg_invalidations_.value();
+  s.leader_hint_stale = leader_hint_stale_.value();
   return s;
 }
 

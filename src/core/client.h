@@ -120,6 +120,9 @@ struct ClientStats {
   std::uint64_t deleg_misses = 0;         // delegable ops that fell through
   std::uint64_t deleg_refetches = 0;      // slice pulls from the leader
   std::uint64_t deleg_invalidations = 0;  // slices dropped (watermark/token)
+  // Leader hints dropped because the hinted client answered "not leader" /
+  // "lease expired" or could not be reached.
+  std::uint64_t leader_hint_stale = 0;
 };
 
 class Client : public Vfs {
@@ -258,16 +261,24 @@ class Client : public Vfs {
   };
   using DelegSlicePtr = std::shared_ptr<const DelegSlice>;
 
-  // Per-directory delegation state. `token`/`watermark`/`until` come from
-  // the lease manager's grant (refreshed on every redirect); the slice is
-  // pulled lazily from the leader and dropped the moment its watermark falls
-  // behind or the tenure changes.
+  // Per-directory record of a directory another client leads: the leader
+  // hint RunDirOp routes by, plus the read delegation when one rode along
+  // with the redirect. `leader`/`token`/`until` come from the lease
+  // manager's redirect (refreshed on every one). While now < `until` ops go
+  // straight to `leader` without asking the manager; the leader still checks
+  // its own lease on every op, so a stale hint costs a round trip, never a
+  // wrong answer. The slice is pulled lazily from the leader and dropped the
+  // moment its watermark falls behind or the tenure changes; a changed
+  // tenure voids the whole record.
   struct DirDelegation {
-    FenceToken token;             // live lease's fencing token at grant time
-    std::uint64_t watermark = 0;  // newest leader watermark observed
-    TimePoint until{};            // hard expiry: one lease term past the
-                                  // watermark report the grant rests on
     std::string leader;
+    FenceToken token;             // the live lease's fencing token
+    // The lease's expiry, capped by the delegation's when one rode along
+    // (one lease term past the watermark report it rests on), so a lapsed
+    // delegation re-asks the manager.
+    TimePoint until{};
+    bool delegated = false;       // a read delegation rode along
+    std::uint64_t watermark = 0;  // newest leader watermark observed
     TimePoint last_fetch{};           // refetch-pacing clock
     // Quiet detector: the dir counts as quiet only when two forwarded
     // replies at least kQuietBeforeRefetch apart reported the SAME
@@ -292,9 +303,18 @@ class Client : public Vfs {
   // failed fetch, or a ServeRead outcome other than kOk/kAccess.
   bool DelegatedServe(const Uuid& dir_ino, const std::string& leader,
                       const wire::DirOpRequest& req, wire::DirOpResponse* out);
-  // Records a delegation granted alongside a lease redirect.
-  void DelegAdopt(const Uuid& dir_ino, const std::string& leader,
-                  const lease::LeaseClient::Delegation& deleg);
+  // Records a lease redirect: the leader hint, and the delegation when one
+  // rode along.
+  void AdoptRedirect(const Uuid& dir_ino,
+                     const lease::LeaseClient::Redirect& redirect);
+  // The hinted leader of dir_ino while its hint is live, else empty.
+  std::string LeaderHint(const Uuid& dir_ino);
+  // `leader` answered "not leader"/"lease expired" or was unreachable: drop
+  // its record so the next attempt asks the manager. A record naming
+  // another leader (a newer redirect) is kept.
+  void DropLeaderHint(const Uuid& dir_ino, const std::string& leader);
+  // This client leads dir_ino now: the record for a remote leader is void.
+  void ForgetRemoteDir(const Uuid& dir_ino);
   // Folds the {fence, watermark} stamp piggybacked on a leader-served reply
   // into the delegation cache: a moved watermark strands the slice (next
   // delegated op refetches), a changed token voids the delegation. This is
@@ -503,6 +523,7 @@ class Client : public Vfs {
   obs::Counter deleg_misses_;
   obs::Counter deleg_refetches_;
   obs::Counter deleg_invalidations_;
+  obs::Counter leader_hint_stale_;
 
   // Span ring: every Vfs entry point roots a trace here; spans recorded by
   // deeper layers (lease RPCs, journal commits, object-store ops) land in

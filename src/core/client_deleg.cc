@@ -5,9 +5,11 @@
 // names the live lease's fencing token and the leader's last-reported
 // journal watermark; the delegate pulls one versioned metatable slice from
 // the leader (kDelegateFetch) as a read-only Metatable and serves
-// stat/lookup/readdir from it with zero fabric round trips, through the very
-// read body (ServeRead) the leader answers those ops with — permission
-// checks included.
+// stat/lookup/readdir from it through the very read body (ServeRead) the
+// leader answers those ops with — permission checks included. The
+// delegation lives in the same per-directory record as the leader hint, so
+// while the hint is live a hit costs zero fabric round trips: no forward and
+// no lease-manager call.
 //
 // Invalidation is watermark-driven, never broadcast:
 //  * every leader-served reply and every delegation grant carries the
@@ -71,25 +73,53 @@ bool Client::IsStatFamily(wire::DirOp op) {
   }
 }
 
-void Client::DelegAdopt(const Uuid& dir_ino, const std::string& leader,
-                        const lease::LeaseClient::Delegation& deleg) {
+void Client::AdoptRedirect(const Uuid& dir_ino,
+                           const lease::LeaseClient::Redirect& redirect) {
+  const auto& deleg = redirect.deleg;
   std::lock_guard lock(deleg_mu_);
   DirDelegation& d = delegations_[dir_ino];
-  if (d.token != deleg.token) {
+  if (d.token != redirect.token) {
     if (d.slice) deleg_invalidations_.Add();
     d.slice.reset();
-    d.token = deleg.token;
-    d.watermark = deleg.watermark;
-  } else if (deleg.watermark > d.watermark) {
-    d.watermark = deleg.watermark;
-    if (deleg.watermark != d.last_seen_wm) {
-      d.last_seen_wm = deleg.watermark;
+    d.token = redirect.token;
+    d.watermark = deleg ? deleg->watermark : 0;
+  } else if (deleg && deleg->watermark > d.watermark) {
+    d.watermark = deleg->watermark;
+    if (deleg->watermark != d.last_seen_wm) {
+      d.last_seen_wm = deleg->watermark;
       d.first_seen_at = Now();  // renewal reported fresh movement
     }
     d.last_obs_at = Now();
   }
-  d.until = deleg.until;  // manager-authoritative: watermark report + term
-  d.leader = leader;
+  d.leader = redirect.leader;
+  d.delegated = deleg.has_value();
+  // Manager-authoritative: the lease's expiry, and the delegation's
+  // (watermark report + term) when one rode along.
+  d.until = deleg ? std::min(redirect.until, deleg->until) : redirect.until;
+}
+
+std::string Client::LeaderHint(const Uuid& dir_ino) {
+  std::lock_guard lock(deleg_mu_);
+  auto it = delegations_.find(dir_ino);
+  if (it == delegations_.end() || Now() >= it->second.until) return {};
+  return it->second.leader;
+}
+
+void Client::DropLeaderHint(const Uuid& dir_ino, const std::string& leader) {
+  std::lock_guard lock(deleg_mu_);
+  auto it = delegations_.find(dir_ino);
+  if (it == delegations_.end() || it->second.leader != leader) return;
+  leader_hint_stale_.Add();
+  if (it->second.slice) deleg_invalidations_.Add();
+  delegations_.erase(it);
+}
+
+void Client::ForgetRemoteDir(const Uuid& dir_ino) {
+  std::lock_guard lock(deleg_mu_);
+  auto it = delegations_.find(dir_ino);
+  if (it == delegations_.end()) return;
+  if (it->second.slice) deleg_invalidations_.Add();
+  delegations_.erase(it);
 }
 
 void Client::DelegObserve(const Uuid& dir_ino, const FenceToken& fence,
@@ -181,6 +211,10 @@ bool Client::DelegatedServe(const Uuid& dir_ino, const std::string& leader,
       return false;
     }
     DirDelegation& d = it->second;
+    if (!d.delegated) {
+      deleg_misses_.Add();
+      return false;
+    }
     if (now >= d.until) {
       // The watermark report the grant rests on is a full lease term old:
       // beyond this point the staleness bound no longer holds. Expire.
@@ -262,6 +296,7 @@ std::vector<Vfs::DelegationEntry> Client::DelegEntries() {
   std::vector<DelegationEntry> out;
   out.reserve(delegations_.size());
   for (const auto& [ino, d] : delegations_) {
+    if (!d.delegated) continue;  // a bare leader hint
     DelegationEntry e{ino, d.leader, d.token, d.watermark, std::nullopt, 0,
                       d.until};
     if (d.slice) {

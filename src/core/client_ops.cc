@@ -70,46 +70,52 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
   Status last = ErrStatus(Errc::kAgain, "no attempts made");
   // A throttled leader's kAgain carries a retry-after hint; when present it
   // replaces the fixed backoff for the next attempt (capped so a bogus hint
-  // cannot stall the loop).
+  // cannot stall the loop). A stale leader hint retries at once.
   Nanos retry_sleep = kOpRetryBackoff;
   for (int attempt = 0; attempt < kOpRetries; ++attempt) {
-    if (attempt > 0) {
-      SleepFor(retry_sleep);
-      retry_sleep = kOpRetryBackoff;
-    }
-    auto ref = EnsureDirAccess(dir_ino);
-    if (!ref.ok()) {
-      last = ref.status();
-      if (last.code() == Errc::kBusy || last.code() == Errc::kTimedOut ||
-          last.code() == Errc::kStale) {
-        // kBusy/kTimedOut: recovery fence / manager failover; wait it out.
-        // kStale: our grant's epoch was deposed before we could fence the
-        // directory — reacquire under the new epoch.
-        continue;
-      }
-      return last;
-    }
-    if (ref->local) {
-      local_meta_ops_.Add();
-      if (IsStatFamily(req.op)) stat_local_.Add();
-      wire::DirOpResponse resp = ServeDirOp(req);
-      if (resp.code == Errc::kAgain) {
-        last = resp.ToStatus();
-        Nanos hint{};
-        if (ParseRetryAfterHint(resp.detail, &hint)) {
-          retry_sleep = std::min<Nanos>(hint, Millis(500));
+    if (attempt > 0 && retry_sleep > Nanos(0)) SleepFor(retry_sleep);
+    retry_sleep = kOpRetryBackoff;
+    // A live leader hint (the manager's last redirect) routes straight to
+    // the leader; only without one is the lease manager asked.
+    std::string remote = LeaderHint(dir_ino);
+    const bool hinted = !remote.empty();
+    if (!hinted) {
+      auto ref = EnsureDirAccess(dir_ino);
+      if (!ref.ok()) {
+        last = ref.status();
+        if (last.code() == Errc::kBusy || last.code() == Errc::kTimedOut ||
+            last.code() == Errc::kStale) {
+          // kBusy/kTimedOut: recovery fence / manager failover; wait it
+          // out. kStale: our grant's epoch was deposed before we could
+          // fence the directory — reacquire under the new epoch.
+          continue;
         }
-        continue;  // lost the lease between acquire and serve, or throttled
+        return last;
       }
-      return resp;
+      if (ref->local) {
+        local_meta_ops_.Add();
+        if (IsStatFamily(req.op)) stat_local_.Add();
+        wire::DirOpResponse resp = ServeDirOp(req);
+        if (resp.code == Errc::kAgain) {
+          last = resp.ToStatus();
+          Nanos hint{};
+          if (ParseRetryAfterHint(resp.detail, &hint)) {
+            retry_sleep = std::min<Nanos>(hint, Millis(500));
+          }
+          continue;  // lost the lease between acquire and serve, or throttled
+        }
+        return resp;
+      }
+      remote = std::move(ref->remote);
     }
     // Someone else leads. Delegable reads first try the delegation cache —
-    // a hit is zero fabric round trips (the slice was paid for once and is
-    // invalidated by watermark/tenure, so this never serves metadata older
-    // than one lease term).
+    // with a live hint a hit is zero fabric round trips: no forward and no
+    // lease-manager call (the slice was paid for once and is invalidated by
+    // watermark/tenure, so this never serves metadata older than one lease
+    // term).
     if (config_.read_delegations && IsDelegable(req.op)) {
       wire::DirOpResponse dresp;
-      if (DelegatedServe(dir_ino, ref->remote, req, &dresp)) {
+      if (DelegatedServe(dir_ino, remote, req, &dresp)) {
         if (IsStatFamily(req.op)) stat_delegated_.Add();
         return dresp;
       }
@@ -121,10 +127,11 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
       std::lock_guard lock(forwarded_mu_);
       forwarded_dirs_.insert(dir_ino);
     }
-    auto raw = fabric_->Call(ref->remote, wire::kMethodDirOp, req.Encode());
+    auto raw = fabric_->Call(remote, wire::kMethodDirOp, req.Encode());
     if (!raw.ok()) {
-      // Leader unreachable (crash): wait for its lease to expire, then the
-      // next EnsureDirAccess attempt takes over and recovers.
+      // Leader unreachable (crash): forget it and wait for its lease to
+      // expire; an attempt after that takes over and recovers.
+      DropLeaderHint(dir_ino, remote);
       last = raw.status();
       continue;
     }
@@ -137,9 +144,16 @@ Result<wire::DirOpResponse> Client::RunDirOp(const Uuid& dir_ino,
       last = resp->ToStatus();
       Nanos hint{};
       if (ParseRetryAfterHint(resp->detail, &hint)) {
+        // A live leader throttled us: keep the hint, sleep the retry-after.
         retry_sleep = std::min<Nanos>(hint, Millis(500));
+      } else {
+        // Not the leader (any more), or its lease lapsed mid-flight. A
+        // cached hint was stale: ask the manager at once. A redirect just
+        // now named it: back off before asking again.
+        DropLeaderHint(dir_ino, remote);
+        if (hinted) retry_sleep = Nanos(0);
       }
-      continue;  // leader's lease lapsed mid-flight, or throttled us
+      continue;
     }
     return *resp;
   }

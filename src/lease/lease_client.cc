@@ -66,17 +66,15 @@ Result<Bytes> LeaseClient::CallManager(const std::string& method,
       options_.rpc_retry, salt, nullptr, RetryDeadlineFor(options_.rpc_retry),
       [&] { return SweepManagers(method, payload); });
   if (!r.ok() && r.status().code() == Errc::kAgain) {
-    // Never leak a manager-side kAgain to callers: Acquire's kAgain+detail
-    // contract means "redirect to this directory LEADER", and a stale
-    // manager hint must not be mistaken for one.
+    // Never leak a manager-side kAgain to callers: it only means no active
+    // replica answered, which is a timeout from their point of view.
     return ErrStatus(Errc::kTimedOut, "no active lease manager");
   }
   return r;
 }
 
-Result<LeaseClient::Grant> LeaseClient::Acquire(const Uuid& dir_ino,
-                                                const AcquireOptions& opts,
-                                                Delegation* deleg) {
+Result<LeaseClient::Answer> LeaseClient::Acquire(const Uuid& dir_ino,
+                                                 const AcquireOptions& opts) {
   obs::Span span("lease.acquire");
   AcquireRequest req{dir_ino, self_};
   req.want_delegation = opts.want_delegation;
@@ -98,16 +96,19 @@ Result<LeaseClient::Grant> LeaseClient::Acquire(const Uuid& dir_ino,
         grant.prev_leader = resp.prev_leader;
         grant.token = resp.token;
         grant.watermark = resp.watermark;
-        return grant;
+        return Answer(std::move(grant));
       }
-      case AcquireOutcome::kRedirect:
-        if (deleg != nullptr && resp.deleg) {
-          deleg->granted = true;
-          deleg->token = resp.token;
-          deleg->watermark = resp.watermark;
-          deleg->until = TimePoint(Nanos(resp.deleg_until_ns));
+      case AcquireOutcome::kRedirect: {
+        Redirect redirect;
+        redirect.leader = std::move(resp.leader);
+        redirect.token = resp.token;
+        redirect.until = TimePoint(Nanos(resp.lease_until_ns));
+        if (resp.deleg) {
+          redirect.deleg = Delegation{resp.watermark,
+                                      TimePoint(Nanos(resp.deleg_until_ns))};
         }
-        return ErrStatus(Errc::kAgain, resp.leader);
+        return Answer(std::move(redirect));
+      }
       case AcquireOutcome::kNotActive:
         // In-process standby answer (the RPC path converts this to a
         // status-level redirect inside CallManager). Treat like kWait: the

@@ -14,7 +14,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/clock.h"
@@ -82,26 +84,37 @@ class LeaseClient {
 
   // A read delegation granted alongside a redirect: permission to serve
   // stat/lookup/readdir from a cached metatable slice no older than
-  // `watermark`, valid only while the leader's tenure keeps `token` and only
-  // until `until` (one lease term past the watermark report it rests on).
+  // `watermark`, valid only while the leader's tenure keeps the redirect's
+  // token and only until `until` (one lease term past the watermark report
+  // it rests on).
   struct Delegation {
-    bool granted = false;
-    FenceToken token;  // the LIVE lease's fencing token (tenure identity)
     std::uint64_t watermark = 0;
     TimePoint until{};
   };
 
+  // Someone else leads the directory. `token` and `until` are the live
+  // lease's fencing token and expiry: until then `leader` serves the
+  // directory under that tenure, so a caller may route to it without asking
+  // again. `deleg` is set when a read delegation was asked for and granted.
+  struct Redirect {
+    std::string leader;
+    FenceToken token;
+    TimePoint until{};
+    std::optional<Delegation> deleg;
+  };
+
+  // What the manager answered: this client leads (Grant), or another one
+  // does (Redirect).
+  using Answer = std::variant<Grant, Redirect>;
+
   // Acquire (or extend) the lease on dir_ino.
-  //   ok            -> caller is leader; see Grant
-  //   kAgain+detail -> redirect; detail() is the current leader's address
-  //                    (when deleg != null, *deleg may carry a delegation)
-  //   kTimedOut     -> no manager reachable within the rpc_retry budget
-  //   kBusy         -> wait budget exhausted (recovery/quiet period)
-  Result<Grant> Acquire(const Uuid& dir_ino) {
-    return Acquire(dir_ino, AcquireOptions{}, nullptr);
+  //   ok        -> a Grant (caller is leader) or a Redirect
+  //   kTimedOut -> no manager reachable within the rpc_retry budget
+  //   kBusy     -> wait budget exhausted (recovery/quiet period)
+  Result<Answer> Acquire(const Uuid& dir_ino) {
+    return Acquire(dir_ino, AcquireOptions{});
   }
-  Result<Grant> Acquire(const Uuid& dir_ino, const AcquireOptions& opts,
-                        Delegation* deleg);
+  Result<Answer> Acquire(const Uuid& dir_ino, const AcquireOptions& opts);
 
   // `token` is the grant's fencing token; the manager ignores a release
   // whose token does not match the live lease (late release from a deposed
@@ -128,9 +141,19 @@ class LeaseClient {
   std::atomic<std::uint64_t> call_salt_{0};
 };
 
-// Status detail carries the leader address on redirect.
-inline bool IsRedirect(const Status& st) {
-  return st.code() == Errc::kAgain && !st.detail().empty();
+// The grant or the redirect an Acquire answered with; nullopt when it
+// answered the other one or failed.
+inline std::optional<LeaseClient::Grant> GrantOf(
+    const Result<LeaseClient::Answer>& answer) {
+  if (!answer.ok()) return std::nullopt;
+  const auto* grant = std::get_if<LeaseClient::Grant>(&*answer);
+  return grant ? std::optional(*grant) : std::nullopt;
+}
+inline std::optional<LeaseClient::Redirect> RedirectOf(
+    const Result<LeaseClient::Answer>& answer) {
+  if (!answer.ok()) return std::nullopt;
+  const auto* redirect = std::get_if<LeaseClient::Redirect>(&*answer);
+  return redirect ? std::optional(*redirect) : std::nullopt;
 }
 
 }  // namespace arkfs::lease

@@ -334,6 +334,10 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
     redirects_.Add();
     resp.outcome = AcquireOutcome::kRedirect;
     resp.leader = l.leader;
+    // The live lease's tenure and expiry: the requester may route to the
+    // leader directly until then without asking again.
+    resp.lease_until_ns = l.expires.time_since_epoch().count();
+    resp.token = l.token;
     resp.watermark = l.watermark;
     if (req.want_delegation && l.token.valid()) {
       // Read delegation against the live lease: the delegate may serve
@@ -343,7 +347,6 @@ AcquireResponse LeaseManager::Acquire(const AcquireRequest& req) {
       // invalidates every outstanding delegation by construction.
       delegations_.Add();
       resp.deleg = true;
-      resp.token = l.token;
       const TimePoint based_on =
           l.watermark_at == TimePoint{} ? now : l.watermark_at;
       resp.deleg_until_ns =

@@ -66,7 +66,9 @@ struct AcquireResponse {
   AcquireOutcome outcome = AcquireOutcome::kWait;
   std::string leader;            // kRedirect: current leader address;
                                  // kNotActive: active-manager hint
-  std::int64_t lease_until_ns = 0;  // kGranted: steady-clock expiry
+  // kGranted: steady-clock expiry of the caller's lease. kRedirect: expiry
+  // of the live lease, so the caller may route to `leader` until then.
+  std::int64_t lease_until_ns = 0;
   // kGranted: true when the caller was also the previous leader and nobody
   // led in between — its in-memory metatable is still authoritative and need
   // not be reloaded (paper's lease-extension optimization).
@@ -77,8 +79,8 @@ struct AcquireResponse {
   // kGranted: the fencing token (manager epoch, per-epoch grant sequence)
   // the journal layer stamps into commit records. A grant from a deposed
   // epoch is rejected at the store (kStale) — split-brain-proof commits.
-  // kRedirect with deleg=true: the LIVE lease's token, identifying the
-  // tenure the delegation is valid under.
+  // kRedirect: the LIVE lease's token, identifying the tenure `leader`
+  // serves under (and a delegation's validity with it).
   FenceToken token;
 
   // Read delegations: the leader's journal watermark as last reported on a
@@ -95,7 +97,7 @@ struct AcquireResponse {
   // kWait only: server-computed retry-after hint (0 = none). Admission
   // throttling travels IN-BAND as kWait + this field — never as a
   // status-level kAgain, whose detail the client reserves for
-  // standby-redirect hints (see lease::IsRedirect). The client sleeps this
+  // standby-redirect hints (LeaseClient::SweepManagers). The client sleeps this
   // long before retrying instead of its doubling backoff.
   std::int64_t retry_after_ns = 0;
 

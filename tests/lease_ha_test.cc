@@ -184,16 +184,16 @@ TEST_F(LeaseHaTest, ClientFollowsStandbyHintTransparently) {
   options.initial_backoff = Millis(2);
   options.managers = {addresses_[1], addresses_[2], addresses_[0]};
   LeaseClient c1(fabric_, "c1", options);
-  auto grant = c1.Acquire(dir_);
-  ASSERT_TRUE(grant.ok());
+  auto grant = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(grant);
   EXPECT_EQ(grant->token.epoch, 1u);
   ASSERT_TRUE(grant->token.valid());
 }
 
 TEST_F(LeaseHaTest, FailoverElectsStandbyAndBumpsEpoch) {
   auto c1 = MakeClient("c1");
-  auto before = c1.Acquire(dir_);
-  ASSERT_TRUE(before.ok());
+  auto before = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(before);
   EXPECT_EQ(before->token.epoch, 1u);
 
   managers_[0]->Stop();
@@ -210,8 +210,8 @@ TEST_F(LeaseHaTest, FailoverElectsStandbyAndBumpsEpoch) {
   // Acquisition works again once the quiet period drains (the client's wait
   // budget rides it out), and the new grant is strictly fence-ordered after
   // every old-epoch grant.
-  auto after = c1.Acquire(dir_);
-  ASSERT_TRUE(after.ok());
+  auto after = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(after);
   EXPECT_EQ(after->token.epoch, 2u);
   EXPECT_TRUE(before->token < after->token);
   // The successor lost all lease state, so no previous leader is known.
@@ -220,7 +220,7 @@ TEST_F(LeaseHaTest, FailoverElectsStandbyAndBumpsEpoch) {
 
 TEST_F(LeaseHaTest, TakeoverServesQuietPeriodFirst) {
   auto c1 = MakeClient("c1");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
   managers_[0]->Stop();
   ASSERT_TRUE(WaitFor([&] { return ActiveReplica() > 0; }));
 
@@ -407,8 +407,8 @@ TEST(LeaseAmnesiacRestartTest, CrashRestartedActiveResumesUnderNewEpoch) {
   options.managers = {config.self_address};
   LeaseClient c1(fabric, "c1", options);
   const Uuid dir = DeterministicUuid(2, 2);
-  auto old_grant = c1.Acquire(dir);
-  ASSERT_TRUE(old_grant.ok());
+  auto old_grant = GrantOf(c1.Acquire(dir));
+  ASSERT_TRUE(old_grant);
   EXPECT_EQ(old_grant->token.epoch, 1u);
 
   // Hard crash: destroy the process's state, start a fresh manager.
@@ -433,8 +433,8 @@ TEST(LeaseAmnesiacRestartTest, CrashRestartedActiveResumesUnderNewEpoch) {
 
   // Once the quiet period drains, the new tenure's grants strictly dominate
   // every pre-crash token — never equal one.
-  auto new_grant = c1.Acquire(dir);
-  ASSERT_TRUE(new_grant.ok());
+  auto new_grant = GrantOf(c1.Acquire(dir));
+  ASSERT_TRUE(new_grant);
   EXPECT_EQ(new_grant->token.epoch, 2u);
   EXPECT_TRUE(old_grant->token < new_grant->token);
   manager->Stop();
@@ -475,67 +475,66 @@ TEST(LeaseDeposedRestartTest, RestartWhileDeposedDoesNotClobberSuccessor) {
 TEST_F(LeaseHaTest, ReleaseFromDeposedLeaderIgnored) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  auto old_grant = c1.Acquire(dir_);
-  ASSERT_TRUE(old_grant.ok());
+  auto old_grant = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(old_grant);
 
   managers_[0]->Stop();
   ASSERT_TRUE(WaitFor([&] { return ActiveReplica() > 0; }));
 
   // Successor takes the directory under the new epoch.
-  auto new_grant = c2.Acquire(dir_);
-  ASSERT_TRUE(new_grant.ok());
+  auto new_grant = GrantOf(c2.Acquire(dir_));
+  ASSERT_TRUE(new_grant);
   EXPECT_EQ(new_grant->token.epoch, 2u);
 
   // The deposed leader's release arrives late. Its token no longer matches
   // the live lease, so it must not evict the successor.
   ASSERT_TRUE(c1.Release(dir_, old_grant->token).ok());
-  auto probe = MakeClient("probe").Acquire(dir_);
-  ASSERT_TRUE(IsRedirect(probe.status()));
-  EXPECT_EQ(probe.status().detail(), "c2");
+  auto probe = RedirectOf(MakeClient("probe").Acquire(dir_));
+  ASSERT_TRUE(probe);
+  EXPECT_EQ(probe->leader, "c2");
 }
 
 TEST_F(LeaseHaTest, LateReleaseAfterReacquireBySameClientIgnored) {
   auto c1 = MakeClient("c1");
-  auto first = c1.Acquire(dir_);
-  ASSERT_TRUE(first.ok());
+  auto first = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(first);
   SleepFor(config_.lease_period + Millis(50));
 
   // Same client, new tenure: a fresh fencing token.
-  auto second = c1.Acquire(dir_);
-  ASSERT_TRUE(second.ok());
+  auto second = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(second);
   EXPECT_TRUE(first->token < second->token);
 
   // A delayed release from the first tenure must not kill the second.
   ASSERT_TRUE(c1.Release(dir_, first->token).ok());
   auto probe = MakeClient("probe");
-  auto redirected = probe.Acquire(dir_);
-  ASSERT_TRUE(IsRedirect(redirected.status()));
-  EXPECT_EQ(redirected.status().detail(), "c1");
+  auto redirected = RedirectOf(probe.Acquire(dir_));
+  ASSERT_TRUE(redirected);
+  EXPECT_EQ(redirected->leader, "c1");
 
   // The live token does release it: no one leads, so the probe is granted.
   ASSERT_TRUE(c1.Release(dir_, second->token).ok());
-  auto granted = probe.Acquire(dir_);
-  ASSERT_TRUE(granted.ok());
+  auto granted = GrantOf(probe.Acquire(dir_));
+  ASSERT_TRUE(granted);
   EXPECT_EQ(granted->prev_leader, "c1");
 }
 
 TEST_F(LeaseHaTest, DoubleAcquireAcrossExpiryLeavesOneLiveLease) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  auto g1 = c1.Acquire(dir_);
-  ASSERT_TRUE(g1.ok());
+  auto g1 = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(g1);
   SleepFor(config_.lease_period + Millis(50));
 
-  auto g2 = c2.Acquire(dir_);
-  ASSERT_TRUE(g2.ok());
+  auto g2 = GrantOf(c2.Acquire(dir_));
+  ASSERT_TRUE(g2);
   EXPECT_TRUE(g1->token < g2->token);
 
   // The original holder's extension attempt is a redirect, not a grant:
   // exactly one live lease exists.
-  auto denied = c1.Acquire(dir_);
-  ASSERT_FALSE(denied.ok());
-  ASSERT_TRUE(IsRedirect(denied.status()));
-  EXPECT_EQ(denied.status().detail(), "c2");
+  auto denied = RedirectOf(c1.Acquire(dir_));
+  ASSERT_TRUE(denied);
+  EXPECT_EQ(denied->leader, "c2");
   EXPECT_EQ(managers_[0]->ActiveLeaseCount(), 1u);
 }
 
@@ -576,9 +575,11 @@ TEST(LeaseFlakyFabricTest, AcquireRidesOutManagerBlip) {
     SleepFor(Millis(25));
     fabric->SetUnreachable(kManagerAddress, false);
   });
-  auto grant = c1.Acquire(DeterministicUuid(5, 5));
+  auto answer = c1.Acquire(DeterministicUuid(5, 5));
   healer.join();
-  ASSERT_TRUE(grant.ok()) << grant.status().ToString();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  auto grant = GrantOf(answer);
+  ASSERT_TRUE(grant);
   EXPECT_TRUE(grant->token.valid());
   manager.Stop();
 }

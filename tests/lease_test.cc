@@ -43,42 +43,41 @@ class LeaseTest : public ::testing::Test {
 TEST_F(LeaseTest, FirstComeFirstServed) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  auto grant = c1.Acquire(dir_);
-  ASSERT_TRUE(grant.ok());
+  auto grant = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(grant);
   EXPECT_FALSE(grant->fresh);  // first acquisition ever
   EXPECT_TRUE(grant->prev_leader.empty());
 
-  auto denied = c2.Acquire(dir_);
-  ASSERT_FALSE(denied.ok());
-  ASSERT_TRUE(IsRedirect(denied.status()));
-  EXPECT_EQ(denied.status().detail(), "c1");
+  auto denied = RedirectOf(c2.Acquire(dir_));
+  ASSERT_TRUE(denied);
+  EXPECT_EQ(denied->leader, "c1");
   EXPECT_EQ(manager_->ActiveLeaseCount(), 1u);
 }
 
 TEST_F(LeaseTest, HolderExtensionIsFresh) {
   auto c1 = MakeClient("c1");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
-  auto again = c1.Acquire(dir_);
-  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
+  auto again = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(again);
   EXPECT_TRUE(again->fresh);
 }
 
 TEST_F(LeaseTest, ReacquireAfterExpiryBySameClientIsFresh) {
   auto c1 = MakeClient("c1");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
   SleepFor(config_.lease_period + Millis(50));
-  auto again = c1.Acquire(dir_);
-  ASSERT_TRUE(again.ok());
+  auto again = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(again);
   EXPECT_TRUE(again->fresh);  // nobody led in between
 }
 
 TEST_F(LeaseTest, TakeoverAfterExpiryNamesPreviousLeader) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
   SleepFor(config_.lease_period + Millis(50));
-  auto grant = c2.Acquire(dir_);
-  ASSERT_TRUE(grant.ok());
+  auto grant = GrantOf(c2.Acquire(dir_));
+  ASSERT_TRUE(grant);
   EXPECT_FALSE(grant->fresh);
   EXPECT_EQ(grant->prev_leader, "c1");  // flush-handshake target
 }
@@ -86,38 +85,37 @@ TEST_F(LeaseTest, TakeoverAfterExpiryNamesPreviousLeader) {
 TEST_F(LeaseTest, ReleaseFreesTheLease) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  auto held = c1.Acquire(dir_);
-  ASSERT_TRUE(held.ok());
+  auto held = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(held);
   ASSERT_TRUE(c1.Release(dir_, held->token).ok());
-  auto grant = c2.Acquire(dir_);
-  ASSERT_TRUE(grant.ok());
+  auto grant = GrantOf(c2.Acquire(dir_));
+  ASSERT_TRUE(grant);
   EXPECT_EQ(grant->prev_leader, "c1");
 }
 
 TEST_F(LeaseTest, ReleaseByNonHolderIgnored) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  auto held = c1.Acquire(dir_);
-  ASSERT_TRUE(held.ok());
+  auto held = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(held);
   // Not the holder: no effect, even with the live grant's token.
   ASSERT_TRUE(c2.Release(dir_, held->token).ok());
-  auto denied = c2.Acquire(dir_);
-  EXPECT_TRUE(IsRedirect(denied.status()));
+  EXPECT_TRUE(RedirectOf(c2.Acquire(dir_)));
 }
 
 TEST_F(LeaseTest, IndependentDirectoriesIndependentLeases) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
   const Uuid other = DeterministicUuid(2, 2);
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
-  ASSERT_TRUE(c2.Acquire(other).ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
+  ASSERT_TRUE(GrantOf(c2.Acquire(other)));
   EXPECT_EQ(manager_->ActiveLeaseCount(), 2u);
 }
 
 TEST_F(LeaseTest, RecoveryFencesAcquisition) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
   SleepFor(config_.lease_period + Millis(50));
 
   // c2 starts recovery of the crashed dir.
@@ -131,15 +129,15 @@ TEST_F(LeaseTest, RecoveryFencesAcquisition) {
 
   ASSERT_TRUE(c2.EndRecovery(dir_).ok());
   // Recovery renewed the lease on c2.
-  auto denied = c1.Acquire(dir_);
-  ASSERT_TRUE(IsRedirect(denied.status()));
-  EXPECT_EQ(denied.status().detail(), "c2");
+  auto denied = RedirectOf(c1.Acquire(dir_));
+  ASSERT_TRUE(denied);
+  EXPECT_EQ(denied->leader, "c2");
 }
 
 TEST_F(LeaseTest, RecoveryRejectedWhileLeaderAlive) {
   auto c1 = MakeClient("c1");
   auto c2 = MakeClient("c2");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
   EXPECT_EQ(c2.BeginRecovery(dir_).code(), Errc::kBusy);
 }
 
@@ -153,7 +151,7 @@ TEST_F(LeaseTest, EndRecoveryByWrongClientRejected) {
 
 TEST_F(LeaseTest, ManagerRestartImposesQuietPeriod) {
   auto c1 = MakeClient("c1");
-  ASSERT_TRUE(c1.Acquire(dir_).ok());
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_)));
   manager_->Stop();
   ASSERT_TRUE(manager_->Start().ok());
   // Within the quiet period every acquire is told to wait.
@@ -166,8 +164,8 @@ TEST_F(LeaseTest, ManagerRestartImposesQuietPeriod) {
   // After the quiet period (one lease term) acquisition works again — with
   // a patient client.
   auto patient = MakeClient("c3");
-  auto grant = patient.Acquire(dir_);
-  ASSERT_TRUE(grant.ok());
+  auto grant = GrantOf(patient.Acquire(dir_));
+  ASSERT_TRUE(grant);
   // State was lost, so no previous leader is known.
   EXPECT_TRUE(grant->prev_leader.empty());
 }
@@ -180,19 +178,19 @@ TEST_F(LeaseTest, ManagerUnreachableSurfacesTimeout) {
 
 TEST_F(LeaseTest, GrantCarriesFencingToken) {
   auto c1 = MakeClient("c1");
-  auto grant = c1.Acquire(dir_);
-  ASSERT_TRUE(grant.ok());
+  auto grant = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(grant);
   EXPECT_TRUE(grant->token.valid());
   EXPECT_EQ(grant->token.epoch, manager_->epoch());
 
   // Extension keeps the token; a new tenure after expiry gets a fresh one.
-  auto extended = c1.Acquire(dir_);
-  ASSERT_TRUE(extended.ok());
+  auto extended = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(extended);
   EXPECT_EQ(extended->token, grant->token);
 
   SleepFor(config_.lease_period + Millis(50));
-  auto fresh = c1.Acquire(dir_);
-  ASSERT_TRUE(fresh.ok());
+  auto fresh = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(fresh);
   EXPECT_TRUE(grant->token < fresh->token);
 }
 
@@ -201,33 +199,58 @@ TEST_F(LeaseTest, RedirectGrantsDelegationWithLeaderWatermark) {
   auto c2 = MakeClient("c2");
   LeaseClient::AcquireOptions leader_opts;
   leader_opts.watermark = 5;  // leader-side journal watermark report
-  auto grant = c1.Acquire(dir_, leader_opts, nullptr);
-  ASSERT_TRUE(grant.ok());
+  auto grant = GrantOf(c1.Acquire(dir_, leader_opts));
+  ASSERT_TRUE(grant);
 
   LeaseClient::AcquireOptions want;
   want.want_delegation = true;
-  LeaseClient::Delegation deleg;
-  auto redirected = c2.Acquire(dir_, want, &deleg);
-  ASSERT_FALSE(redirected.ok());
-  ASSERT_TRUE(IsRedirect(redirected.status()));
-  EXPECT_TRUE(deleg.granted);
-  EXPECT_EQ(deleg.token, grant->token);
-  EXPECT_EQ(deleg.watermark, 5u);
-  EXPECT_GT(deleg.until, Now());
+  auto redirected = RedirectOf(c2.Acquire(dir_, want));
+  ASSERT_TRUE(redirected);
+  ASSERT_TRUE(redirected->deleg);
+  EXPECT_EQ(redirected->token, grant->token);
+  EXPECT_EQ(redirected->deleg->watermark, 5u);
+  EXPECT_GT(redirected->deleg->until, Now());
 
   // The leader's renewal refreshes the stored watermark; the next redirect
   // hands the newer value out.
   leader_opts.watermark = 9;
-  ASSERT_TRUE(c1.Acquire(dir_, leader_opts, nullptr).ok());
-  LeaseClient::Delegation refreshed;
-  ASSERT_FALSE(c2.Acquire(dir_, want, &refreshed).ok());
-  EXPECT_TRUE(refreshed.granted);
-  EXPECT_EQ(refreshed.watermark, 9u);
+  ASSERT_TRUE(GrantOf(c1.Acquire(dir_, leader_opts)));
+  auto refreshed = RedirectOf(c2.Acquire(dir_, want));
+  ASSERT_TRUE(refreshed);
+  ASSERT_TRUE(refreshed->deleg);
+  EXPECT_EQ(refreshed->deleg->watermark, 9u);
 
   // No delegation unless asked for.
-  LeaseClient::Delegation unasked;
-  ASSERT_FALSE(c2.Acquire(dir_, LeaseClient::AcquireOptions{}, &unasked).ok());
-  EXPECT_FALSE(unasked.granted);
+  auto unasked = RedirectOf(c2.Acquire(dir_));
+  ASSERT_TRUE(unasked);
+  EXPECT_FALSE(unasked->deleg);
+}
+
+// Every redirect names the live lease's tenure and expiry, asked-for
+// delegation or not: a client may route to the leader until then without
+// asking the manager again.
+TEST_F(LeaseTest, RedirectCarriesLiveLeaseTokenAndExpiry) {
+  auto c1 = MakeClient("c1");
+  auto c2 = MakeClient("c2");
+  auto grant = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(grant);
+
+  auto redirected = RedirectOf(c2.Acquire(dir_));
+  ASSERT_TRUE(redirected);
+  EXPECT_EQ(redirected->leader, "c1");
+  EXPECT_EQ(redirected->token, grant->token);
+  EXPECT_EQ(redirected->until, grant->until);
+
+  // The holder's renewal moves the expiry, not the tenure; the next
+  // redirect carries the new expiry.
+  SleepFor(Millis(5));
+  auto renewed = GrantOf(c1.Acquire(dir_));
+  ASSERT_TRUE(renewed);
+  ASSERT_GT(renewed->until, grant->until);
+  auto again = RedirectOf(c2.Acquire(dir_));
+  ASSERT_TRUE(again);
+  EXPECT_EQ(again->token, grant->token);
+  EXPECT_EQ(again->until, renewed->until);
 }
 
 // --- wire-codec hardening -------------------------------------------------
@@ -297,6 +320,21 @@ TEST(LeaseWireTest, AcquireResponseCodec) {
   EXPECT_TRUE(copy->deleg);
   EXPECT_EQ(copy->deleg_until_ns, 987654321);
   EXPECT_EQ(copy->retry_after_ns, 2500000);
+}
+
+TEST(LeaseWireTest, RedirectResponseCarriesLeaseExpiryAndToken) {
+  AcquireResponse resp;
+  resp.outcome = AcquireOutcome::kRedirect;
+  resp.leader = "c1";
+  resp.lease_until_ns = 555000111;
+  resp.token = FenceToken{2, 9};
+  ExpectStrictCodec(resp);
+  auto copy = AcquireResponse::Decode(resp.Encode());
+  ASSERT_TRUE(copy.ok());
+  EXPECT_EQ(copy->outcome, AcquireOutcome::kRedirect);
+  EXPECT_EQ(copy->lease_until_ns, 555000111);
+  EXPECT_EQ(copy->token, (FenceToken{2, 9}));
+  EXPECT_FALSE(copy->deleg);
 }
 
 // Manager-side admission control sheds IN-BAND: a throttled tenant gets a
