@@ -1,11 +1,10 @@
 // Ablation — journaling parameters (paper §III-E).
 //
-// Two sweeps on the real implementation:
-//   1. Linger (the commit interval, 1 s in the paper): how much does
-//      compound-transaction buffering matter for create throughput?
-//   2. Checkpoint thread count: per-directory journals checkpoint in
-//      parallel — serializing them onto one thread shows the bottleneck the
-//      paper's design avoids.
+// One sweep on the real implementation: the linger (the commit interval,
+// 1 s in the paper) — how much does compound-transaction buffering matter
+// for create throughput? Per-directory checkpoints run in parallel on the
+// client's async I/O workers, so their parallelism is AsyncIoConfig::workers
+// and has no sweep of its own here.
 #include "bench_util.h"
 #include "workloads/mdtest.h"
 
@@ -13,15 +12,13 @@ using namespace arkfs;
 
 namespace {
 
-double CreateThroughput(Nanos commit_interval, int checkpoint_threads,
-                        int dirs) {
+double CreateThroughput(Nanos commit_interval, int dirs) {
   auto store = std::make_shared<ClusterObjectStore>(ClusterConfig::RadosLike());
   ArkFsClusterOptions options;
   options.network = sim::NetworkProfile::Datacenter10G();
   options.lease = lease::LeaseManagerConfig{Seconds(5), Millis(100)};
   ClientConfig client;
   client.journal.commit_interval = commit_interval;
-  client.journal.checkpoint_threads = checkpoint_threads;
   options.client_template = client;
   auto cluster = ArkFsCluster::Create(store, options).value();
   auto ark = cluster->AddClient().value();
@@ -40,22 +37,14 @@ int main() {
   bench::Header("Ablation: per-directory journaling parameters",
                 "supports SIII-E (compound transactions, parallel commits)");
 
-  std::printf("\n  linger sweep (8 dirs, 2 checkpoint threads):\n");
+  std::printf("\n  linger sweep (8 dirs):\n");
   std::printf("  %14s %14s\n", "linger", "creates/s");
   for (auto interval : {Millis(1), Millis(20), Millis(200), Millis(1000)}) {
-    const double ops = CreateThroughput(interval, 2, 8);
+    const double ops = CreateThroughput(interval, 8);
     std::printf("  %11lld ms %14.0f\n",
                 static_cast<long long>(interval.count() / 1000000), ops);
   }
-
-  std::printf("\n  checkpoint-thread sweep (linger 20 ms, 8 dirs):\n");
-  std::printf("  %10s %14s\n", "checkpoint", "creates/s");
-  for (int threads : {1, 2, 4}) {
-    const double ops = CreateThroughput(Millis(20), threads, 8);
-    std::printf("  %10d %14.0f\n", threads, ops);
-  }
   bench::Note("creates are buffered in memory, so throughput is largely "
-              "insensitive to the linger until fsync; checkpoint threads matter "
-              "once checkpoints compete");
+              "insensitive to the linger until fsync");
   return 0;
 }

@@ -21,10 +21,13 @@ double ReadBandwidth(std::uint64_t readahead) {
   cache.max_readahead = readahead;
   cache.initial_readahead =
       std::min<std::uint64_t>(readahead, 2ull << 20);
-  cache.readahead_threads = static_cast<int>(
-      std::clamp<std::uint64_t>(readahead / (2ull << 20), 1, 16));
-  auto env = bench::ArkBenchEnv::Create(ClusterConfig::RadosLike(),
-                                        /*pcache=*/true, cache);
+  const int workers = cache.ReadAheadWorkers();
+  auto env = bench::ArkBenchEnv::Create(
+      ClusterConfig::RadosLike(), /*pcache=*/true, cache, /*chunk_size=*/0,
+      /*read_delegations=*/true, DataPlacement::kReplica,
+      [workers](ArkFsClusterOptions* o) {
+        o->client_template.async.workers = workers;
+      });
   auto client = env.cluster->AddClient().value();
   VfsPtr mount = env.cluster->WithFuse(client);
 

@@ -35,9 +35,6 @@ CacheConfig BigFileCache(std::uint64_t max_readahead) {
   cache.max_entries = 192;         // bounded memory on the CI box
   cache.max_readahead = max_readahead;
   cache.initial_readahead = std::min<std::uint64_t>(max_readahead, 2ull << 20);
-  cache.readahead_threads =
-      static_cast<int>(std::clamp<std::uint64_t>(max_readahead / (2ull << 20),
-                                                 1, 16));
   return cache;
 }
 

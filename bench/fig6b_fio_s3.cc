@@ -37,17 +37,18 @@ CacheConfig ArkCache(std::uint64_t max_readahead) {
   cache.max_entries = 96;
   cache.max_readahead = max_readahead;
   cache.initial_readahead = std::min<std::uint64_t>(max_readahead, 4ull << 20);
-  // In-flight prefetch depth scales with the window (window / entry size).
-  cache.readahead_threads =
-      static_cast<int>(std::clamp<std::uint64_t>(max_readahead / (4ull << 20),
-                                                 1, 16));
   return cache;
 }
 
 FioResult RunArk(std::uint64_t readahead, const FioConfig& base) {
-  auto env = bench::ArkBenchEnv::Create(ClusterConfig::S3Like(),
-                                        /*pcache=*/true, ArkCache(readahead),
-                                        /*chunk_size=*/4ull << 20);
+  const CacheConfig cache = ArkCache(readahead);
+  const int workers = cache.ReadAheadWorkers();
+  auto env = bench::ArkBenchEnv::Create(
+      ClusterConfig::S3Like(), /*pcache=*/true, cache,
+      /*chunk_size=*/4ull << 20, /*read_delegations=*/true,
+      DataPlacement::kReplica, [workers](ArkFsClusterOptions* o) {
+        o->client_template.async.workers = workers;
+      });
   auto client = env.cluster->AddClient().value();
   VfsPtr mount = env.cluster->WithFuse(client);
   FioConfig config = base;

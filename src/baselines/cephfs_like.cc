@@ -9,7 +9,11 @@ namespace arkfs::baselines {
 CephLikeVfs::CephLikeVfs(MdsClusterPtr mds, ObjectStorePtr store,
                          const CephLikeConfig& config)
     : mds_(std::move(mds)) {
-  prt_ = std::make_shared<Prt>(std::move(store), config.chunk_size);
+  // Read-ahead loads on the PRT's workers: size them to the mount's window
+  // (kernel 8 MiB: 8, FUSE 128 KiB: 1).
+  AsyncIoConfig async;
+  async.workers = config.cache.ReadAheadWorkers();
+  prt_ = std::make_shared<Prt>(std::move(store), config.chunk_size, async);
   cache_ = std::make_unique<ObjectCache>(prt_, config.cache);
 }
 

@@ -14,12 +14,14 @@ ObjectCache::ObjectCache(std::shared_ptr<Prt> prt, CacheConfig config)
   readahead_loads_.Attach(config_.metrics, "cache.readahead_loads");
   writebacks_.Attach(config_.metrics, "cache.writebacks");
   evictions_.Attach(config_.metrics, "cache.evictions");
-  readahead_pool_ = std::make_unique<ThreadPool>(
-      static_cast<std::size_t>(std::max(config_.readahead_threads, 1)));
 }
 
 ObjectCache::~ObjectCache() {
-  readahead_pool_->Shutdown();
+  {
+    // Posted read-ahead loads reference this cache: wait them out.
+    std::unique_lock lock(mu_);
+    load_cv_.wait(lock, [&] { return posted_loads_ == 0; });
+  }
   Status st = FlushAll();
   if (!st.ok()) {
     ARKFS_WLOG << "cache destructor flush failed: " << st.ToString();
@@ -440,12 +442,16 @@ void ObjectCache::MaybeReadAhead(std::unique_lock<std::mutex>&,
     window.push_back(std::move(entry));
   }
   if (window.empty()) return;
-  // The whole window goes out as one batched submission: every chunk GET
-  // behind it overlaps instead of loading entry-by-entry.
-  readahead_pool_->Submit(
+  // The whole window goes out as one batched submission, posted to the
+  // async layer: every chunk GET behind it overlaps instead of loading
+  // entry-by-entry, and the reader does not wait for it.
+  ++posted_loads_;
+  prt_->async().Post(
       [this, ino, entries = std::move(window), file_size]() mutable {
-        std::unique_lock pool_lock(mu_);
-        LoadEntriesBatch(pool_lock, ino, std::move(entries), file_size);
+        std::unique_lock task_lock(mu_);
+        LoadEntriesBatch(task_lock, ino, std::move(entries), file_size);
+        --posted_loads_;
+        load_cv_.notify_all();
       });
 }
 

@@ -7,9 +7,12 @@
 // read starts at offset 0, the paper's sequential-archival fast path.
 //
 // The cache speaks to the store through the PRT, so entry loads/flushes
-// work on any backend (partial-write or whole-object).
+// work on any backend (partial-write or whole-object). Read-ahead windows
+// load on the PRT's async I/O workers (AsyncObjectIo::Post): the cache owns
+// no threads.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <list>
 #include <memory>
@@ -19,7 +22,6 @@
 #include "cache/radix_tree.h"
 #include "common/bytes.h"
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "common/uuid.h"
 #include "obs/metrics.h"
 #include "prt/translator.h"
@@ -31,7 +33,6 @@ struct CacheConfig {
   std::size_t max_entries = 2048;          // configurable capacity
   std::uint64_t max_readahead = 8ull << 20;  // paper default: 8 MiB
   std::uint64_t initial_readahead = 2ull << 20;
-  int readahead_threads = 2;
   // Where this cache's "cache.*" metric cells attach; null = process
   // default registry.
   obs::MetricsRegistry* metrics = nullptr;
@@ -42,8 +43,18 @@ struct CacheConfig {
     c.max_entries = 16;
     c.max_readahead = 16384;
     c.initial_readahead = 4096;
-    c.readahead_threads = 1;
     return c;
+  }
+
+  // Read-ahead windows load as tasks on the PRT's async I/O workers, so the
+  // worker count bounds how much prefetch is in flight. This is the count
+  // that keeps this cache's largest window moving: two workers per entry
+  // it spans, 1..16 (8 at the paper's 8 MiB / 2 MiB defaults). Mounts that
+  // model a fixed read-ahead depth (the CephFS-like baseline, the
+  // read-ahead benches) size their workers with it.
+  int ReadAheadWorkers() const {
+    return static_cast<int>(
+        std::clamp<std::uint64_t>(2 * max_readahead / entry_size, 1, 16));
   }
 };
 
@@ -110,7 +121,7 @@ class ObjectCache {
     std::uint64_t index = 0;   // entry index within the file
     Bytes data;                // valid bytes [0, data.size())
     bool dirty = false;
-    bool loading = false;      // populated by a loader thread
+    bool loading = false;      // a load (foreground or read-ahead) is in flight
     // Callers actively reading/writing the entry hold a pin; pinned entries
     // are never evicted (eviction may drop the cache lock mid-flush, so a
     // clean entry another thread just obtained must not vanish under it).
@@ -169,7 +180,9 @@ class ObjectCache {
   obs::Counter writebacks_;
   obs::Counter evictions_;
 
-  std::unique_ptr<ThreadPool> readahead_pool_;
+  // Read-ahead loads posted to the async layer and not yet finished; the
+  // destructor waits on load_cv_ until it is zero. Guarded by mu_.
+  std::size_t posted_loads_ = 0;
 };
 
 }  // namespace arkfs

@@ -1,9 +1,9 @@
 // Blocking multi-producer/multi-consumer queue.
 //
-// Used for RPC delivery, journal commit work and checkpoint work. A simple
-// mutex + condvar queue is deliberate: the workloads here are latency-model
-// dominated, and correctness under shutdown (Close semantics) matters more
-// than lock-free throughput.
+// Backs the async I/O layer's work queue (batched store ops and posted
+// background tasks). A simple mutex + condvar queue is deliberate: the
+// workloads here are latency-model dominated, and correctness under
+// shutdown (Close semantics) matters more than lock-free throughput.
 #pragma once
 
 #include <condition_variable>

@@ -349,6 +349,10 @@ class Client : public Vfs {
     std::uint64_t size = 0;
     std::uint64_t chunk_size = 0;
     bool size_dirty = false;
+    // Bumped by every Write: Fsync/SyncAll clear size_dirty only while it
+    // still matches their snapshot, so a write racing their size commit
+    // keeps its own commit pending for Close.
+    std::uint64_t writes = 0;
     bool direct_io = false;   // write-back caching revoked
     bool cache_read = false;  // read lease held
     bool cache_write = false; // write lease held
@@ -481,6 +485,12 @@ class Client : public Vfs {
   const ClientConfig config_;
   ObjectStorePtr store_;
   rpc::FabricPtr fabric_;
+  // Span ring: every Vfs entry point roots a trace here; spans recorded by
+  // deeper layers (lease RPCs, journal commits, object-store ops) land in
+  // the rooting client's ring via the thread-local active trace. Declared
+  // before the layers so it outlives their background work (posted
+  // read-ahead and checkpoints, the flusher), which records into it too.
+  obs::Tracer tracer_;
   std::shared_ptr<Prt> prt_;
   std::unique_ptr<lease::LeaseClient> lease_;
   std::shared_ptr<journal::JournalManager> journal_;
@@ -524,11 +534,6 @@ class Client : public Vfs {
   obs::Counter deleg_refetches_;
   obs::Counter deleg_invalidations_;
   obs::Counter leader_hint_stale_;
-
-  // Span ring: every Vfs entry point roots a trace here; spans recorded by
-  // deeper layers (lease RPCs, journal commits, object-store ops) land in
-  // the rooting client's ring via the thread-local active trace.
-  obs::Tracer tracer_;
 };
 
 }  // namespace arkfs

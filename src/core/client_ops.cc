@@ -503,6 +503,7 @@ Result<std::uint64_t> Client::Write(Fd fd, std::uint64_t offset,
       OpenFile& of = it->second;
       of.size = std::max(of.size, offset + data.size());
       of.size_dirty = true;
+      ++of.writes;
     }
   }
   return data.size();
@@ -540,7 +541,9 @@ Status Client::Fsync(Fd fd) {
   {
     std::lock_guard lock(fd_mu_);
     auto it = open_files_.find(fd);
-    if (it != open_files_.end()) it->second.size_dirty = false;
+    if (it != open_files_.end() && it->second.writes == snapshot.writes) {
+      it->second.size_dirty = false;
+    }
   }
   // The create and size/mtime updates sit in the running transaction of the
   // parent's LEADER, which may be another client: commit there.
@@ -890,20 +893,26 @@ Status Client::SyncAll() {
   obs::TenantScope tenant_scope(config_.tenant);
   obs::RootSpan root(&tracer_, "vfs.syncall");
   ARKFS_RETURN_IF_ERROR(cache_->FlushAll());
-  // Commit size updates of every dirty open file.
-  std::vector<OpenFile> dirty;
+  // Commit size updates of every dirty open file. Only the files committed
+  // here, unwritten since, are clean afterwards.
+  std::vector<std::pair<Fd, OpenFile>> dirty;
   {
     std::lock_guard lock(fd_mu_);
-    for (auto& [_, of] : open_files_) {
-      if (of.size_dirty) dirty.push_back(of);
+    for (auto& [fd, of] : open_files_) {
+      if (of.size_dirty) dirty.emplace_back(fd, of);
     }
   }
-  for (auto& of : dirty) {
+  for (auto& [_, of] : dirty) {
     ARKFS_RETURN_IF_ERROR(FlushOpenFile(of));
   }
   {
     std::lock_guard lock(fd_mu_);
-    for (auto& [_, of] : open_files_) of.size_dirty = false;
+    for (const auto& [fd, snapshot] : dirty) {
+      auto it = open_files_.find(fd);
+      if (it != open_files_.end() && it->second.writes == snapshot.writes) {
+        it->second.size_dirty = false;
+      }
+    }
   }
   // fsync durability = journaled; checkpointing stays in the background.
   ARKFS_RETURN_IF_ERROR(journal_->CommitAll());

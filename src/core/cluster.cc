@@ -29,12 +29,12 @@ ArkFsCluster::ArkFsCluster(ObjectStorePtr store, ArkFsClusterOptions options)
   ec.m = options_.ec_parity_shards;
   if (options_.placement == DataPlacement::kEc) {
     ec.should_encode = IsDataChunkKey;
-    builder.Ec(std::move(ec)).Scrub(options_.scrub);
+    builder.Ec(std::move(ec)).Scrub();
   } else if (options_.placement == DataPlacement::kTiered) {
     TieringOptions tiering;
     tiering.should_tier = IsDataChunkKey;
     builder.Tiering(std::move(tiering), options_.migrate, std::move(ec))
-        .Scrub(options_.scrub);
+        .Scrub();
   }
   // Canonically composed over a live base: Build() cannot fail here.
   stack_ = builder.Build().value();  // clients AND lease managers share it

@@ -54,12 +54,10 @@ struct ArkFsClusterOptions {
   DataPlacement placement = DataPlacement::kReplica;
   int ec_data_shards = 4;    // k
   int ec_parity_shards = 2;  // m
-  // Scrub and migration passes run only when called (scrubber()->RunOnce,
-  // migrator()->RunOnce): the CLI's `scrub` / `tier migrate`, a bench or a
-  // test; the cluster starts no background loop.
-  ScrubberOptions scrub = ScrubberOptions::ForTests();
   // kTiered only: migration policy (demote-after idle, promote-on-heat
-  // read threshold).
+  // read threshold). Scrub and migration passes run only when called
+  // (scrubber()->RunOnce, migrator()->RunOnce): the CLI's `scrub` / `tier
+  // migrate`, a bench or a test; the cluster starts no background loop.
   MigratorOptions migrate = MigratorOptions::ForTests();
 
   // --- multi-tenant QoS (all disabled by default) ---

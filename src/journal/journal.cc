@@ -60,13 +60,6 @@ JournalManager::JournalManager(std::shared_ptr<Prt> prt, JournalConfig config)
                                   ? *config_.metrics
                                   : obs::MetricsRegistry::Default();
   reg.RegisterHistograms("journal", &op_latencies_);
-  checkpoint_queues_.reserve(config_.checkpoint_threads);
-  for (int i = 0; i < config_.checkpoint_threads; ++i) {
-    checkpoint_queues_.push_back(std::make_unique<MpmcQueue<Uuid>>());
-  }
-  for (int i = 0; i < config_.checkpoint_threads; ++i) {
-    checkpoint_threads_.emplace_back([this, i] { CheckpointThreadMain(i); });
-  }
   flusher_ = std::thread([this] { FlusherMain(); });
 }
 
@@ -81,10 +74,10 @@ JournalManager::~JournalManager() {
 void JournalManager::Halt() {
   window_.Close();  // wakes the flusher wherever it is parked
   if (flusher_.joinable()) flusher_.join();
-  for (auto& q : checkpoint_queues_) q->Close();
-  for (auto& t : checkpoint_threads_) {
-    if (t.joinable()) t.join();
-  }
+  // The flusher was the only poster; what it posted references this
+  // manager.
+  std::unique_lock lock(posted_mu_);
+  posted_cv_.wait(lock, [&] { return posted_checkpoints_ == 0; });
 }
 
 void JournalManager::RegisterDir(const Uuid& dir_ino,
@@ -1013,16 +1006,21 @@ void JournalManager::NoteApplyOutcome(const ApplyOutcome& outcome) {
   if (outcome.resharded) metrics_.dentry_reshards.Add();
 }
 
-void JournalManager::CheckpointThreadMain(int index) {
-  while (auto ino = checkpoint_queues_[index]->Pop()) {
-    DirStatePtr st = FindDir(*ino);
-    if (!st) continue;
-    Status s = Checkpoint(*ino, *st);
+void JournalManager::PostCheckpoint(const Uuid& dir_ino, DirStatePtr st) {
+  {
+    std::lock_guard lock(posted_mu_);
+    ++posted_checkpoints_;
+  }
+  prt_->async().Post([this, dir_ino, st = std::move(st)] {
+    Status s = Checkpoint(dir_ino, *st);
     if (!s.ok()) {
-      ARKFS_WLOG << "checkpoint failed for " << ino->ToString() << ": "
+      ARKFS_WLOG << "checkpoint failed for " << dir_ino.ToString() << ": "
                  << s.ToString();
     }
-  }
+    std::lock_guard lock(posted_mu_);
+    --posted_checkpoints_;
+    posted_cv_.notify_all();
+  });
 }
 
 void JournalManager::ScheduleCheckpoint(DirState& st) {
@@ -1068,7 +1066,7 @@ void JournalManager::FlusherMain() {
         commit = at <= now;
         if (!commit) next_due = std::min(next_due, at);
       }
-      if (checkpoint) checkpoint_queues_[CheckpointThreadFor(ino)]->Push(ino);
+      if (checkpoint) PostCheckpoint(ino, st);
       if (!commit) continue;
       round.push_back([this, ino = ino, st = st] {
         Status s = CommitRunning(ino, *st);

@@ -11,8 +11,9 @@
 //
 // One flusher thread commits every directory whose running transaction is
 // due (group_commit.h: the durability mode sets how long records linger).
-// Checkpoints run on a small pool; each directory is statically mapped to
-// one checkpoint thread by its inode number, as in the paper. A checkpointed
+// Checkpoints are posted to the PRT's async I/O workers (the client's one
+// executor); DirState::checkpoint_mu keeps them one at a time per
+// directory, while different directories checkpoint in parallel. A checkpointed
 // transaction is removed from the journal object; any transaction still
 // present in the journal at lease acquisition time therefore marks a crashed
 // predecessor, and the new leader replays it (RecoverDir).
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -35,7 +37,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/mpmc_queue.h"
 #include "common/stats.h"
 #include "journal/group_commit.h"
 #include "journal/record.h"
@@ -63,7 +64,6 @@ struct JournalConfig {
   // Paper: 1 s in-memory buffering. The linger of async mode (and of sync
   // mode's redrives), and the checkpoint cadence of every mode.
   Nanos commit_interval{Seconds(1)};
-  int checkpoint_threads = 2;
   DentryShardPolicy shard_policy;
   // When a mutation is acked relative to its journal append — see
   // group_commit.h for the mode contract. `group_window` bounds the
@@ -72,7 +72,7 @@ struct JournalConfig {
   GroupWindowLimits group_window;
   // Where the "journal.*" metric cells attach; null = process default.
   obs::MetricsRegistry* metrics = nullptr;
-  // Invoked (on the checkpoint thread) after each successful checkpoint of
+  // Invoked (on the checkpointing thread) after each successful checkpoint of
   // any directory, once the journal trim has landed. Deployments hang
   // periodic durable housekeeping off this — e.g. persisting QoS quota
   // usage — so the extra store write rides the checkpoint cadence instead
@@ -249,11 +249,11 @@ class JournalManager {
   // release tags itself inside UnregisterDir.
   void NoteLeaseDrain() { metrics_.group_lease_drains.Add(); }
 
-  // Stops all background activity (flusher, checkpoint workers) at once,
-  // WITHOUT flushing: models a process crash. Running transactions
-  // that were never committed are abandoned in memory; only what already
-  // reached the journal objects survives to recovery. Idempotent; the
-  // destructor calls it too.
+  // Stops all background activity WITHOUT flushing: joins the flusher,
+  // then waits until every checkpoint it posted has returned. Models a
+  // process crash: running transactions that were never committed are
+  // abandoned in memory; only what already reached the journal objects
+  // survives to recovery. Idempotent; the destructor calls it too.
   void Halt();
 
   // Wall-clock histograms for "commit" (running txn -> journal object) and
@@ -292,7 +292,7 @@ class JournalManager {
     // on Append, zeroed when a commit takes the batch, restored on commit
     // unwind — so drains subtract exactly what sequencing added.
     std::uint64_t pending_window_bytes = 0;
-    // When the flusher last pushed this directory to a checkpoint queue,
+    // When the flusher last posted this directory's checkpoint,
     // and when it next should (max = none pending; see ScheduleCheckpoint).
     // Guarded by mu.
     TimePoint last_checkpoint_enqueue{};
@@ -362,11 +362,13 @@ class JournalManager {
   // async layer (first-error-wins; every directory is attempted).
   Status ForEachDir(std::function<Status(const Uuid&)> op);
 
-  void CheckpointThreadMain(int index);
+  // Runs Checkpoint(dir_ino, *st) on an async I/O worker; Halt waits for
+  // it. Only the flusher posts.
+  void PostCheckpoint(const Uuid& dir_ino, DirStatePtr st);
   // The one background commit loop, in every mode: commits every directory
   // whose running transaction is due through one async fan-out per round,
-  // enqueues every checkpoint the per-interval limit deferred that is now
-  // due, then parks on the dirty window until the next due time.
+  // posts every checkpoint the per-interval limit deferred that is now due,
+  // then parks on the dirty window until the next due time.
   void FlusherMain();
   // When a running transaction opened at `first_op` falls due: at once in
   // group mode, one commit_interval later otherwise — rounded up to a
@@ -390,19 +392,18 @@ class JournalManager {
   // commit is left unscheduled, however close behind the last one it lands.
   void ScheduleCheckpoint(DirState& st);
 
-  int CheckpointThreadFor(const Uuid& dir) const {
-    return static_cast<int>(UuidHash{}(dir) % config_.checkpoint_threads);
-  }
-
   const JournalConfig config_;
   std::shared_ptr<Prt> prt_;
 
   std::mutex registry_mu_;
   std::unordered_map<Uuid, DirStatePtr> dirs_;
 
-  std::vector<std::thread> checkpoint_threads_;
-  std::vector<std::unique_ptr<MpmcQueue<Uuid>>> checkpoint_queues_;
   std::thread flusher_;
+  // Checkpoints the flusher posted that have not returned yet; Halt waits
+  // on posted_cv_ for zero.
+  std::mutex posted_mu_;
+  std::condition_variable posted_cv_;
+  std::size_t posted_checkpoints_ = 0;
 
   GroupWindow window_;
   JournalMetrics metrics_;

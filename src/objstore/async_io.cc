@@ -86,6 +86,7 @@ void AsyncObjectIo::Execute(const OpPtr& op) {
   }
   const Nanos busy = Now() - t0;
   if (op->gated) ReleaseSlot();
+  if (!op->batch) return;  // posted: nobody joins it
   bool last = false;
   {
     std::lock_guard lock(op->batch->mu);
@@ -102,6 +103,14 @@ void AsyncObjectIo::Enqueue(const OpPtr& op) {
     // Shutting down: run inline so no submission is ever dropped.
     if (!op->claimed.exchange(true)) Execute(op);
   }
+}
+
+void AsyncObjectIo::Post(std::function<void()> task) {
+  auto op = std::make_shared<Op>();
+  op->body = std::move(task);
+  op->gated = false;
+  op->trace = obs::CaptureTrace();
+  if (!queue_.Push(op)) Execute(op);  // shutting down: run it here
 }
 
 void AsyncObjectIo::JoinBatch(const std::shared_ptr<Batch>& batch,

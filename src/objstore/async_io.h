@@ -10,7 +10,10 @@
 //  * MultiGet/MultiPut/MultiDelete batch helpers that fan out, join, and
 //    aggregate errors (first-error status + per-key results),
 //  * RunAll for compound per-item closures (read-modify-write chunks, cache
-//    entry writebacks) that are not a single primitive op.
+//    entry writebacks) that are not a single primitive op,
+//  * Post for fire-and-forget background work (cache read-ahead, journal
+//    checkpoints): the client's one executor, so no layer above keeps a
+//    thread pool of its own.
 //
 // Scheduling is a bounded worker pool plus *caller participation*: a batch
 // submitter claims and executes its own not-yet-started operations while
@@ -114,6 +117,13 @@ class AsyncObjectIo {
   // this layer); returns the first error. The closures are not gated by
   // the in-flight cap; the primitives they issue are.
   Status RunAll(std::vector<std::function<Status()>> tasks);
+  // Runs `task` on a worker and returns at once; the poster tracks its
+  // completion. Like a RunAll closure it is not gated, and it runs under
+  // the poster's trace. It counts in no asyncio.* cell: only the batches it
+  // issues do (and those join by caller participation, so a posted task
+  // that batches cannot starve the pool). Once the layer is shutting down
+  // the task runs inline.
+  void Post(std::function<void()> task);
 
   const AsyncIoConfig& config() const { return config_; }
   ObjectStore& store() { return *store_; }
@@ -130,7 +140,7 @@ class AsyncObjectIo {
 
   struct Op {
     std::function<void()> body;
-    std::shared_ptr<Batch> batch;
+    std::shared_ptr<Batch> batch;  // null for a posted task
     std::atomic<bool> claimed{false};
     bool gated = true;  // primitive store op: counts against max_in_flight
     // Submitter's trace, re-installed around body() so ops executed by pool

@@ -166,6 +166,9 @@ class EcStore : public StoreDecorator {
   std::string name() const override;
 
   const EcStoreOptions& options() const { return options_; }
+  // The fan-out layer for this store's shard/manifest batches; scrub and
+  // migration passes over the tier run their per-key work on it too.
+  const AsyncObjectIoPtr& async() const { return async_; }
 
   // True if `key` is routed through the EC path.
   bool Encodes(const std::string& key) const;

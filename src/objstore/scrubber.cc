@@ -1,6 +1,6 @@
 #include "objstore/scrubber.h"
 
-#include <algorithm>
+#include <functional>
 #include <mutex>
 
 namespace arkfs {
@@ -19,18 +19,18 @@ std::string ScrubReport::ToString() const {
   return s;
 }
 
-Scrubber::Scrubber(EcStorePtr store, ScrubberOptions options)
-    : options_(std::move(options)), store_(std::move(store)) {
-  passes_.Attach(options_.metrics, "ec.scrub.passes");
-  scanned_.Attach(options_.metrics, "ec.scrub.scanned");
-  corrupt_.Attach(options_.metrics, "ec.scrub.corrupt");
-  missing_.Attach(options_.metrics, "ec.scrub.missing");
-  repaired_.Attach(options_.metrics, "ec.scrub.repaired");
-  repair_failures_.Attach(options_.metrics, "ec.scrub.repair_failures");
-  unrecoverable_.Attach(options_.metrics, "ec.scrub.unrecoverable");
-  orphans_swept_.Attach(options_.metrics, "ec.scrub.orphans_swept");
-  last_stripes_.Attach(options_.metrics, "ec.scrub.last_stripes");
-  last_repaired_.Attach(options_.metrics, "ec.scrub.last_repaired");
+Scrubber::Scrubber(EcStorePtr store, obs::MetricsRegistry* metrics)
+    : store_(std::move(store)) {
+  passes_.Attach(metrics, "ec.scrub.passes");
+  scanned_.Attach(metrics, "ec.scrub.scanned");
+  corrupt_.Attach(metrics, "ec.scrub.corrupt");
+  missing_.Attach(metrics, "ec.scrub.missing");
+  repaired_.Attach(metrics, "ec.scrub.repaired");
+  repair_failures_.Attach(metrics, "ec.scrub.repair_failures");
+  unrecoverable_.Attach(metrics, "ec.scrub.unrecoverable");
+  orphans_swept_.Attach(metrics, "ec.scrub.orphans_swept");
+  last_stripes_.Attach(metrics, "ec.scrub.last_stripes");
+  last_repaired_.Attach(metrics, "ec.scrub.last_repaired");
 }
 
 Result<ScrubReport> Scrubber::RunOnce() {
@@ -38,11 +38,10 @@ Result<ScrubReport> Scrubber::RunOnce() {
                          store_->ListStripes(""));
   ScrubReport report;
   std::mutex report_mu;
-  ThreadPool pool(static_cast<std::size_t>(std::max(1, options_.threads)));
-  WaitGroup wg;
+  std::vector<std::function<Status()>> tasks;
+  tasks.reserve(keys.size());
   for (const auto& key : keys) {
-    wg.Add();
-    pool.Submit([this, &key, &report, &report_mu, &wg] {
+    tasks.push_back([this, &key, &report, &report_mu] {
       ScrubReport local;
       local.stripes = 1;
       auto probe = store_->ProbeStripe(key);
@@ -88,11 +87,10 @@ Result<ScrubReport> Scrubber::RunOnce() {
         report.manifest_fixed += local.manifest_fixed;
         report.orphans_swept += local.orphans_swept;
       }
-      wg.Done();
+      return Status::Ok();  // per-stripe outcomes are tallied, not returned
     });
   }
-  wg.Wait();
-  pool.Shutdown();
+  (void)store_->async()->RunAll(std::move(tasks));
 
   passes_.Add();
   scanned_.Add(report.stripes);

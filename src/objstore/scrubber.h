@@ -17,29 +17,17 @@
 // will return at rejoin-backfill; rewriting them from a degraded stripe
 // would only churn. They are counted and retried next pass.
 //
-// A pass is a thread-pool walk over every stripe, run when an operator or a
-// bench calls RunOnce (`arkfs_cli scrub`); nothing scrubs in the background.
+// A pass walks every stripe, one RunAll closure per stripe on the EcStore's
+// own async I/O layer, when an operator or a bench calls RunOnce (`arkfs_cli
+// scrub`); nothing scrubs in the background.
 #pragma once
 
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "objstore/ec_store.h"
 #include "obs/metrics.h"
 
 namespace arkfs {
-
-struct ScrubberOptions {
-  int threads = 2;                // stripes verified concurrently
-  // Where the "ec.scrub.*" cells attach; null = process default registry.
-  obs::MetricsRegistry* metrics = nullptr;
-
-  static ScrubberOptions ForTests() {
-    ScrubberOptions o;
-    o.threads = 4;
-    return o;
-  }
-};
 
 // One pass's tally (also mirrored into the ec.scrub.* counters).
 struct ScrubReport {
@@ -58,7 +46,8 @@ struct ScrubReport {
 
 class Scrubber {
  public:
-  Scrubber(EcStorePtr store, ScrubberOptions options);
+  // The "ec.scrub.*" cells attach to `metrics` (null = process default).
+  Scrubber(EcStorePtr store, obs::MetricsRegistry* metrics);
 
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
@@ -68,7 +57,6 @@ class Scrubber {
   Result<ScrubReport> RunOnce();
 
  private:
-  const ScrubberOptions options_;
   EcStorePtr store_;
 
   // "ec.scrub.*" cells.

@@ -88,18 +88,26 @@ StackBuilder& StackBuilder::Tiering(TieringOptions options,
   stack_.tiering = std::make_shared<TieringStore>(cur_, std::move(options));
   cur_ = stack_.tiering;
   if (!migrate.metrics) migrate.metrics = metrics_;
-  stack_.migrator = std::make_shared<Migrator>(stack_.tiering, migrate);
+  // Passes run on the cold tier's executor; a cold store that is not an
+  // EcStore gets one over the hot path.
+  AsyncObjectIoPtr executor = stack_.ec ? stack_.ec->async() : nullptr;
+  if (!executor) {
+    AsyncIoConfig config;
+    config.metrics = metrics_;
+    executor = std::make_shared<AsyncObjectIo>(cur_, config);
+  }
+  stack_.migrator =
+      std::make_shared<Migrator>(stack_.tiering, migrate, std::move(executor));
   return *this;
 }
 
-StackBuilder& StackBuilder::Scrub(ScrubberOptions options) {
+StackBuilder& StackBuilder::Scrub() {
   if (!Require(2, "Scrub")) return *this;
   if (!stack_.ec) {
     Fail("StackBuilder: Scrub requires an Ec or Tiering stage below it");
     return *this;
   }
-  if (!options.metrics) options.metrics = metrics_;
-  stack_.scrubber = std::make_shared<Scrubber>(stack_.ec, options);
+  stack_.scrubber = std::make_shared<Scrubber>(stack_.ec, metrics_);
   return *this;
 }
 

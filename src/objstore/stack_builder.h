@@ -29,7 +29,7 @@
 //           .Metrics(&registry)
 //           .Cluster(ClusterConfig::RadosLike())
 //           .Tiering(tiering_opts, migrator_opts, ec_geometry)
-//           .Scrub(ScrubberOptions::ForTests())
+//           .Scrub()
 //           .Retrying(RetryPolicy::ForTests())
 //           .Build());
 //   stack.store         // the top of the stack — hand this to clients
@@ -99,9 +99,9 @@ class StackBuilder {
   StackBuilder& Tiering(TieringOptions options, MigratorOptions migrate,
                         EcStoreOptions cold_geometry = EcStoreOptions());
 
-  // A Scrubber over the EC tier (requires Ec or Tiering before it); its
-  // owner runs the passes.
-  StackBuilder& Scrub(ScrubberOptions options);
+  // A Scrubber over the EC tier (requires Ec or Tiering before it), its
+  // cells on the builder's registry; its owner runs the passes.
+  StackBuilder& Scrub();
 
   // --- fault / client-behaviour layers ---
   StackBuilder& Chaos(ChaosConfig config);

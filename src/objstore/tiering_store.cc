@@ -725,8 +725,11 @@ std::string MigrationReport::ToString() const {
   return s;
 }
 
-Migrator::Migrator(TieringStorePtr store, MigratorOptions options)
-    : options_(std::move(options)), store_(std::move(store)) {
+Migrator::Migrator(TieringStorePtr store, MigratorOptions options,
+                   AsyncObjectIoPtr executor)
+    : options_(std::move(options)),
+      store_(std::move(store)),
+      executor_(std::move(executor)) {
   passes_.Attach(options_.metrics, "tier.migrate.passes");
   scanned_.Attach(options_.metrics, "tier.migrate.scanned");
   demoted_.Attach(options_.metrics, "tier.migrate.demoted");
@@ -819,17 +822,15 @@ Result<MigrationReport> Migrator::RunOnce() {
                          store_->ListTiered(""));
   MigrationReport report;
   std::mutex report_mu;
-  ThreadPool pool(static_cast<std::size_t>(std::max(1, options_.threads)));
-  WaitGroup wg;
+  std::vector<std::function<Status()>> tasks;
+  tasks.reserve(keys.size());
   for (const auto& key : keys) {
-    wg.Add();
-    pool.Submit([this, &key, &report, &report_mu, &wg] {
+    tasks.push_back([this, &key, &report, &report_mu] {
       ProcessKey(key, &report, &report_mu);
-      wg.Done();
+      return Status::Ok();  // per-key outcomes are tallied, not returned
     });
   }
-  wg.Wait();
-  pool.Shutdown();
+  (void)executor_->RunAll(std::move(tasks));
 
   passes_.Add();
   scanned_.Add(report.scanned);

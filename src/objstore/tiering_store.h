@@ -55,7 +55,7 @@
 
 #include "common/clock.h"
 #include "common/codec.h"
-#include "common/thread_pool.h"
+#include "objstore/async_io.h"
 #include "objstore/store_decorator.h"
 #include "obs/metrics.h"
 
@@ -323,19 +323,19 @@ using TieringStorePtr = std::shared_ptr<TieringStore>;
 
 // --- Migrator — demote/promote passes over a TieringStore ---
 //
-// Modeled on the Scrubber: a thread-pool walk, run when an operator or a
-// bench calls RunOnce (`arkfs_cli tier migrate`/`tier demote`); nothing
-// migrates in the background. Each pass walks every tiered key, sweeps
-// crash leftovers (both-copies-resident, dangling pointers), demotes keys
-// idle past demote_after, and promotes cold keys whose read heat crossed
-// promote_reads. Every mutation is guarded at the store inside
-// TieringStore, so a pass racing foreground writes — from this process or
-// another — aborts per key instead of losing bytes. One migrator runs per
-// image: passes within a process are serialized; two processes migrating
-// one image at once are not coordinated.
+// Modeled on the Scrubber: one RunAll closure per key on an async I/O layer
+// the owner hands in (StackBuilder: the cold EcStore's), run when an
+// operator or a bench calls RunOnce (`arkfs_cli tier migrate`/`tier
+// demote`); nothing migrates in the background. Each pass walks every
+// tiered key, sweeps crash leftovers (both-copies-resident, dangling
+// pointers), demotes keys idle past demote_after, and promotes cold keys
+// whose read heat crossed promote_reads. Every mutation is guarded at the
+// store inside TieringStore, so a pass racing foreground writes — from this
+// process or another — aborts per key instead of losing bytes. One migrator
+// runs per image: passes within a process are serialized; two processes
+// migrating one image at once are not coordinated.
 
 struct MigratorOptions {
-  int threads = 2;              // keys migrated concurrently
   // Policy knobs.
   Nanos demote_after = Seconds(300);  // idle time before demotion; 0 = at once
   std::uint32_t promote_reads = 3;    // cold reads before promotion
@@ -347,7 +347,6 @@ struct MigratorOptions {
 
   static MigratorOptions ForTests() {
     MigratorOptions o;
-    o.threads = 4;
     o.demote_after = Millis(50);
     return o;
   }
@@ -369,7 +368,9 @@ struct MigrationReport {
 
 class Migrator {
  public:
-  Migrator(TieringStorePtr store, MigratorOptions options);
+  // Keys are migrated concurrently as RunAll closures on `executor`.
+  Migrator(TieringStorePtr store, MigratorOptions options,
+           AsyncObjectIoPtr executor);
 
   Migrator(const Migrator&) = delete;
   Migrator& operator=(const Migrator&) = delete;
@@ -387,6 +388,7 @@ class Migrator {
 
   const MigratorOptions options_;
   TieringStorePtr store_;
+  AsyncObjectIoPtr executor_;
 
   std::mutex run_mu_;  // one pass at a time
 

@@ -12,9 +12,11 @@
 #include "common/clock.h"
 #include "objstore/async_io.h"
 #include "objstore/chaos_store.h"
+#include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
 #include "objstore/store_decorator.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "prt/translator.h"
 
 namespace arkfs {
@@ -446,6 +448,53 @@ TEST(AsyncObjectIoTest, SingleOpBatchRunsOnTheCallingThread) {
   EXPECT_EQ(snap.counter("asyncio.batches"), 0u);
   EXPECT_EQ(snap.counter("asyncio.ops_submitted"), 0u);
   EXPECT_EQ(snap.gauge("asyncio.peak_in_flight"), 0u);
+}
+
+// A posted task runs on a worker, not the poster, under the poster's trace,
+// and counts in no asyncio.* cell.
+TEST(AsyncObjectIoTest, PostRunsOnAWorkerUnderThePostersTrace) {
+  auto recording = std::make_shared<ThreadRecordingStore>(
+      std::make_shared<MemoryObjectStore>());
+  ASSERT_TRUE(recording->Put("k", MakeData(8, 1)).ok());
+  obs::MetricsRegistry registry;
+  auto store = std::make_shared<InstrumentedStore>(recording, &registry);
+  AsyncIoConfig config = AsyncIoConfig::ForTests();
+  config.metrics = &registry;
+  AsyncObjectIo io(store, config);
+  obs::Tracer tracer;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::uint64_t trace_id = 0;
+  {
+    obs::RootSpan root(&tracer, "test.post");
+    trace_id = root.trace_id();
+    io.Post([&] {
+      (void)io.store().Get("k");
+      std::lock_guard lock(mu);
+      done = true;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, Seconds(10), [&] { return done; }));
+  }
+
+  const auto threads = recording->threads();
+  ASSERT_EQ(threads.size(), 1u);
+  EXPECT_NE(threads[0], std::this_thread::get_id());
+  bool in_trace = false;
+  for (const auto& span : tracer.Spans()) {
+    if (span.name == "objstore.get" && span.trace_id == trace_id) {
+      in_trace = true;
+    }
+  }
+  EXPECT_TRUE(in_trace);
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter("asyncio.ops_submitted"), 0u);
+  EXPECT_EQ(snap.counter("asyncio.batches"), 0u);
 }
 
 // Regression: on a whole-object backend a sub-chunk write is read-modify-

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "cache/object_cache.h"
+#include "hold_store.h"
 #include "objstore/chaos_store.h"
 #include "objstore/instrumented_store.h"
 #include "objstore/memory_store.h"
@@ -178,6 +180,41 @@ TEST_F(CacheTest, WriteBeyondEofDoesNotLoadFromStore) {
   // Entry starts beyond current file size: no read-modify-write needed.
   ASSERT_TRUE(cache_->Write(ino_, 0, 0, Pattern(4096)).ok());
   EXPECT_EQ(counting_->Snapshot().gets, 0u);
+}
+
+// --- lifecycle ---
+
+// Read-ahead windows load as tasks posted to the PRT's async I/O layer;
+// destroying the cache must wait for one still inside the store.
+TEST(CacheLifecycleTest, DestructorWaitsForAPostedReadAhead) {
+  auto hold =
+      std::make_shared<HoldStore>(std::make_shared<MemoryObjectStore>());
+  auto prt = std::make_shared<Prt>(hold, 4096);
+  const Uuid ino = DeterministicUuid(6, 6);
+  const std::uint64_t file_size = 8 * 4096;
+  ASSERT_TRUE(prt->WriteData(ino, 0, Bytes(file_size, 0x5a)).ok());
+  auto cache = std::make_unique<ObjectCache>(prt, CacheConfig::ForTests());
+  // A read at offset 0 opens the window to the maximum: entries 1.. load
+  // in the background while the read itself loads entry 0.
+  const std::string ahead = DataKey(ino, 1);
+  hold->Arm([&](std::string_view, const std::string& key) {
+    return key == ahead;
+  });
+  ASSERT_TRUE(cache->Read(ino, file_size, 0, 4096).ok());
+  ASSERT_TRUE(hold->AwaitHeld());
+
+  std::atomic<bool> destroyed{false};
+  bool load_done_at_return = false;
+  std::thread destroyer([&] {
+    cache.reset();
+    load_done_at_return = hold->finished();
+    destroyed = true;
+  });
+  SleepFor(Millis(20));  // room for the destructor to reach its wait
+  EXPECT_FALSE(destroyed.load());
+  hold->Release();
+  destroyer.join();
+  EXPECT_TRUE(load_done_at_return);
 }
 
 // --- writeback retention under store faults ---

@@ -1,11 +1,14 @@
 // Multi-client tests: forwarding to directory leaders, lease handoff,
-// shared-file read/write leases, permission caching.
+// shared-file read/write leases, permission caching, and size commits that
+// race writes from another thread of the same client.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "core/cluster.h"
+#include "hold_store.h"
 #include "objstore/memory_store.h"
+#include "prt/key_schema.h"
 
 namespace arkfs {
 namespace {
@@ -230,6 +233,96 @@ TEST_F(MultiClientTest, RemoteRenameWithinLeaderDirectory) {
   ASSERT_TRUE(c2_->Rename("/rn/x", "/rn/y", root_).ok());
   EXPECT_EQ(c1_->Stat("/rn/x", root_).code(), Errc::kNoEnt);
   EXPECT_EQ(ToString(*c1_->ReadWholeFile("/rn/y", root_)), "X");
+}
+
+// Fsync and SyncAll push an open file's buffered size to its parent's leader
+// from a snapshot of the fd table. A Write landing while that commit is in
+// flight must keep its own size pending, so Close still commits it. The
+// hold parks the snapshotted file's size commit (sync durability: the
+// journal append of its parent) while the racing write runs.
+class SizeCommitRaceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    hold_ = std::make_shared<HoldStore>(std::make_shared<MemoryObjectStore>());
+    ArkFsClusterOptions options = ArkFsClusterOptions::ForTests();
+    options.client_template.journal.durability =
+        journal::DurabilityMode::kSync;
+    cluster_ = ArkFsCluster::Create(hold_, options).value();
+    client_ = cluster_->AddClient("c1").value();
+    ASSERT_TRUE(client_->Mkdir("/a", 0755, root_).ok());
+    ASSERT_TRUE(client_->Mkdir("/b", 0755, root_).ok());
+  }
+
+  Fd OpenForWrite(const std::string& path) {
+    OpenOptions options;
+    options.write = true;
+    options.create = true;
+    auto fd = client_->Open(path, options, root_);
+    EXPECT_TRUE(fd.ok()) << path;
+    return fd.value_or(-1);
+  }
+
+  void WriteAt(Fd fd, std::uint64_t offset, std::size_t n) {
+    auto wrote = client_->Write(fd, offset, Bytes(n, 0x6b));
+    ASSERT_TRUE(wrote.ok());
+    ASSERT_EQ(*wrote, n);
+  }
+
+  // Holds the next journal append of `dir`.
+  void HoldNextAppendTo(const std::string& dir) {
+    auto st = client_->Stat(dir, root_);
+    ASSERT_TRUE(st.ok());
+    const std::string journal = JournalKey(st->ino);
+    hold_->Arm([journal](std::string_view op, const std::string& key) {
+      return op == "putrangeif" && key == journal;
+    });
+  }
+
+  std::uint64_t SizeOf(const std::string& path) {
+    auto st = client_->Stat(path, root_);
+    EXPECT_TRUE(st.ok()) << path;
+    return st.ok() ? st->size : 0;
+  }
+
+  std::shared_ptr<HoldStore> hold_;
+  std::unique_ptr<ArkFsCluster> cluster_;
+  std::shared_ptr<Client> client_;
+  UserCred root_ = UserCred::Root();
+};
+
+TEST_F(SizeCommitRaceTest, SyncAllKeepsTheSizeOfAFileWrittenDuringIt) {
+  const Fd a = OpenForWrite("/a/f");
+  WriteAt(a, 0, 4096);
+  HoldNextAppendTo("/a");
+  Status synced;
+  std::thread sync([&] { synced = client_->SyncAll(); });
+  ASSERT_TRUE(hold_->AwaitHeld());
+  // /a/f's size commit is in flight; another file is created and written.
+  const Fd b = OpenForWrite("/b/g");
+  WriteAt(b, 0, 5000);
+  hold_->Release();
+  sync.join();
+  ASSERT_TRUE(synced.ok()) << synced.ToString();
+  ASSERT_TRUE(client_->Close(b).ok());
+  ASSERT_TRUE(client_->Close(a).ok());
+  EXPECT_EQ(SizeOf("/b/g"), 5000u);
+  EXPECT_EQ(SizeOf("/a/f"), 4096u);
+}
+
+TEST_F(SizeCommitRaceTest, FsyncKeepsTheSizeOfAWriteDuringIt) {
+  const Fd a = OpenForWrite("/a/f");
+  WriteAt(a, 0, 4096);
+  HoldNextAppendTo("/a");
+  Status synced;
+  std::thread sync([&] { synced = client_->Fsync(a); });
+  ASSERT_TRUE(hold_->AwaitHeld());
+  // The snapshotted size (4096) is being committed; the same fd grows.
+  WriteAt(a, 4096, 4096);
+  hold_->Release();
+  sync.join();
+  ASSERT_TRUE(synced.ok()) << synced.ToString();
+  ASSERT_TRUE(client_->Close(a).ok());
+  EXPECT_EQ(SizeOf("/a/f"), 8192u);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // End-to-end single-client tests of the ArkFS file system.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/cluster.h"
 #include "objstore/memory_store.h"
 
@@ -31,6 +33,31 @@ class ClientTest : public ::testing::Test {
   UserCred alice_{1000, 1000, {}};
   UserCred bob_{1001, 1001, {}};
 };
+
+// Threads of this process, as the kernel lists them.
+std::size_t ThreadCount() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// A default client runs its async I/O workers, which also carry read-ahead
+// and checkpoints, plus the journal flusher — and nothing else.
+TEST(ClientThreadsTest, DefaultClientRunsWorkersAndFlusherOnly) {
+  auto store = std::make_shared<MemoryObjectStore>();
+  ASSERT_TRUE(Client::Format(store).ok());
+  auto fabric = std::make_shared<rpc::Fabric>(sim::NetworkProfile::Instant());
+  ClientConfig config;
+  config.address = "census";
+  const std::size_t before = ThreadCount();
+  auto client = Client::Create(store, fabric, config);
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(ThreadCount() - before,
+            static_cast<std::size_t>(config.async.workers) + 1);
+}
 
 TEST_F(ClientTest, FormatIsRequiredAndIdempotentlyGuarded) {
   auto fresh = std::make_shared<MemoryObjectStore>();

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/uuid.h"
 
 namespace arkfs {
@@ -221,23 +220,6 @@ TEST(MpmcQueueTest, CrossThreadDelivery) {
   while (q.Pop().has_value()) ++count;
   producer.join();
   EXPECT_EQ(count, 1000);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  WaitGroup wg;
-  wg.Add(50);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(pool.Submit([&] {
-      count.fetch_add(1);
-      wg.Done();
-    }));
-  }
-  wg.Wait();
-  EXPECT_EQ(count.load(), 50);
-  pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([] {}));
 }
 
 TEST(LatencyHistogramTest, BasicPercentiles) {

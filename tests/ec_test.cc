@@ -456,9 +456,7 @@ class ScrubTest : public ::testing::Test {
     options.metrics = &registry_;
     options.async = AsyncIoConfig::ForTests();
     ec_ = std::make_shared<EcStore>(base_, options);
-    ScrubberOptions sopts = ScrubberOptions::ForTests();
-    sopts.metrics = &registry_;
-    scrubber_ = std::make_shared<Scrubber>(ec_, sopts);
+    scrubber_ = std::make_shared<Scrubber>(ec_, &registry_);
   }
 
   // Flips one payload byte of shard `index` of `key` at rest.
@@ -752,9 +750,7 @@ TEST(EcDurabilitySmoke, EncodeKillReadScrubHeal) {
     raw[raw.size() / 2] ^= 0x80;
     ASSERT_TRUE(nodes->Put(skey, raw).ok());
   }
-  ScrubberOptions sopts = ScrubberOptions::ForTests();
-  sopts.metrics = &registry;
-  Scrubber scrubber(ec, sopts);
+  Scrubber scrubber(ec, &registry);
   auto report = scrubber.RunOnce();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->corrupt, 2u);

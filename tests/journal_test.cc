@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "hold_store.h"
 #include "journal/journal.h"
 #include "journal/record.h"
 #include "objstore/chaos_store.h"
@@ -163,6 +164,43 @@ TEST_F(JournalManagerTest, BackgroundCommitEventuallyHappens) {
     SleepFor(Millis(10));
   }
   EXPECT_GE(manager_->metrics().transactions_committed.value(), 1u);
+}
+
+// Checkpoints run as tasks the flusher posts to the async I/O layer; Halt
+// (and so the destructor) must not return while one of them is still using
+// the manager. Commits and trims are guarded writes, so the first plain Put
+// is the checkpoint's apply.
+TEST(JournalLifecycleTest, HaltWaitsForAPostedCheckpoint) {
+  auto hold =
+      std::make_shared<HoldStore>(std::make_shared<MemoryObjectStore>());
+  auto prt = std::make_shared<Prt>(hold);
+  JournalManager manager(prt, JournalConfig::ForTests());
+  const Uuid dir = DeterministicUuid(7, 8);
+  ASSERT_TRUE(prt->StoreInode(MakeInode(dir, FileType::kDirectory, 0755, 0, 0,
+                                        kRootIno))
+                  .ok());
+  Adopt(manager, dir);
+  hold->Arm(
+      [](std::string_view op, const std::string&) { return op == "put"; });
+  // Async mode: the flusher commits one commit_interval later and then posts
+  // the checkpoint, whose apply parks in the store.
+  ASSERT_TRUE(
+      manager.Append(dir, {Record::InodeUpsert(TestInode(1, dir))}).ok());
+  ASSERT_TRUE(hold->AwaitHeld());
+
+  std::atomic<bool> halted{false};
+  std::uint64_t checkpoints_at_return = 0;
+  std::thread halter([&] {
+    manager.Halt();
+    checkpoints_at_return = manager.metrics().checkpoints.value();
+    halted = true;
+  });
+  SleepFor(Millis(20));  // room for Halt to reach its wait
+  EXPECT_FALSE(halted.load());
+  hold->Release();
+  halter.join();
+  EXPECT_TRUE(hold->finished());
+  EXPECT_EQ(checkpoints_at_return, 1u);
 }
 
 TEST_F(JournalManagerTest, CommitWithoutCheckpointLeavesJournal) {
@@ -876,7 +914,7 @@ TEST_F(DurabilityModeTest, SyncModeIsDurableBeforeAck) {
   ASSERT_TRUE(mgr->Append(dir, {Entry("durable", 1)}).ok());
   // No CommitDir/FlushDir call: the ack itself implied durability. Durable
   // means journaled — or already checkpointed into the dentry objects, if
-  // the checkpoint thread won the race right after the commit.
+  // a posted checkpoint won the race right after the commit.
   // Probe the journal first: a checkpoint applies before it trims.
   const bool journaled = mgr->HasSurvivingJournal(dir);
   auto applied = prt_->LoadDentries(dir);
@@ -913,7 +951,7 @@ TEST_F(DurabilityModeTest, GroupModeAcksOnSequenceAndFlusherDrains) {
   }
   EXPECT_EQ(mgr->WindowDepth().records, 0u);
   // Durable means journaled — or already checkpointed into the dentry
-  // shards, if the checkpoint thread won the race after the flush.
+  // shards, if a posted checkpoint won the race after the flush.
   // Probe the journal first: a checkpoint applies before it trims.
   const bool journaled = mgr->HasSurvivingJournal(dir);
   auto applied = prt_->LoadDentries(dir);
@@ -1099,8 +1137,8 @@ TEST_F(DurabilityModeTest, SyncModeFlusherRedrivesAnUnwoundCommit) {
   }
   EXPECT_EQ(mgr.WindowDepth().records, 0u);
   EXPECT_EQ(mgr.metrics().records_committed.value(), 1u);
-  // Journaled — or already checkpointed into the dentry shards, if the
-  // checkpoint thread won the race after the redrive.
+  // Journaled — or already checkpointed into the dentry shards, if a
+  // posted checkpoint won the race after the redrive.
   // Probe the journal first: a checkpoint applies before it trims.
   const bool journaled = mgr.HasSurvivingJournal(dir);
   auto applied = prt_->LoadDentries(dir);

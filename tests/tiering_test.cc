@@ -570,11 +570,12 @@ TEST(MigratorTest, ForcedDemotionAndHeatDrivenPromotion) {
   topts.metrics = &registry;
   auto tiering = std::make_shared<TieringStore>(mem, topts);
   MigratorOptions mopts;
-  mopts.threads = 4;
   mopts.demote_after = Nanos(0);  // demote on sight
   mopts.promote_reads = 2;
   mopts.metrics = &registry;
-  Migrator migrator(tiering, mopts);
+  Migrator migrator(
+      tiering, mopts,
+      std::make_shared<AsyncObjectIo>(mem, AsyncIoConfig::ForTests()));
 
   const int kObjects = 6;
   std::vector<Bytes> payloads;
@@ -622,10 +623,11 @@ TEST(MigratorTest, SeedsUnseenKeysBeforeDemoting) {
   topts.should_tier = IsDataKey;
   auto tiering = std::make_shared<TieringStore>(mem, topts);
   MigratorOptions mopts;
-  mopts.threads = 2;
   mopts.demote_after = Millis(30);
   mopts.promote_reads = 0;  // promotion disabled
-  Migrator migrator(tiering, mopts);
+  Migrator migrator(
+      tiering, mopts,
+      std::make_shared<AsyncObjectIo>(mem, AsyncIoConfig::ForTests()));
 
   auto report = migrator.RunOnce();
   ASSERT_TRUE(report.ok());
@@ -767,10 +769,11 @@ TEST_F(TieringCrashSafetyTest, MigratorPassSweepsCrashLeftovers) {
     acked.emplace_back(key, data);
   }
   MigratorOptions mopts;
-  mopts.threads = 2;
   mopts.demote_after = Seconds(3600);  // no fresh demotions this pass
   mopts.promote_reads = 0;
-  Migrator migrator(tiering_, mopts);
+  Migrator migrator(
+      tiering_, mopts,
+      std::make_shared<AsyncObjectIo>(mem_, AsyncIoConfig::ForTests()));
   auto report = migrator.RunOnce();
   ASSERT_TRUE(report.ok());
   // A second pass finds a clean namespace.
@@ -1121,7 +1124,7 @@ TEST(StackBuilderTest, CanonicalFullStackBuilds) {
                    .Metrics(&registry)
                    .Base(std::make_shared<MemoryObjectStore>())
                    .Tiering(topts, MigratorOptions::ForTests())
-                   .Scrub(ScrubberOptions::ForTests())
+                   .Scrub()
                    .Chaos(quiet)
                    .Retrying(RetryPolicy::ForTests())
                    .Build();
@@ -1149,7 +1152,7 @@ TEST(StackBuilderTest, ClusterEcScrubExposesTypedHandles) {
   auto built = objstore::StackBuilder()
                    .Cluster(ClusterConfig::Instant(6))
                    .Ec(EcStoreOptions{})
-                   .Scrub(ScrubberOptions::ForTests())
+                   .Scrub()
                    .Build();
   ASSERT_TRUE(built.ok());
   EXPECT_NE(built->cluster, nullptr);
@@ -1190,7 +1193,7 @@ TEST(StackBuilderTest, RejectsEveryOrderViolation) {
   // Scrub with no EC tier below it.
   EXPECT_FALSE(objstore::StackBuilder()
                    .Base(mem())
-                   .Scrub(ScrubberOptions::ForTests())
+                   .Scrub()
                    .Build()
                    .ok());
   EXPECT_FALSE(objstore::StackBuilder().Base(nullptr).Build().ok());
@@ -1208,7 +1211,6 @@ TEST(TieringSmoke, DemoteReadUnderOutagePromote) {
   TieringOptions topts;
   topts.should_tier = IsDataKey;
   MigratorOptions mopts;
-  mopts.threads = 4;
   mopts.demote_after = Nanos(0);
   mopts.promote_reads = 2;
   auto built = objstore::StackBuilder()
